@@ -24,7 +24,7 @@ from . import __version__
 from .axioms import check_axiom4b, random_reweighting_case
 from .certainty_factors import divergence_curve
 from .coherence import audit_admissibility
-from .demos import demo_coin, demo_die, demo_mycin, demo_tiger
+from .demos import DEMOS
 from .errors import (
     ConstructionError,
     DegenerateConditional,
@@ -35,8 +35,7 @@ from .errors import (
     ValidationError,
     ZeroMassEvent,
 )
-from .information import entropy
-from .scenario import emit_report, fmt10, parse_file, run_queries
+from .scenario import EntropyQuery, emit_report, fmt10, parse_file, run_queries
 from .solver import SolverOptions, maxent_update
 
 
@@ -59,34 +58,24 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return value
+def _int_at_least(low: int, complaint: str):
+    """argparse type for an integer flag of at least ``low``; ``complaint`` takes the text."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        if value < low:
+            raise argparse.ArgumentTypeError(complaint.format(text))
+        return value
+
+    return parse
 
 
-def _grid_steps(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 grid steps, got {text}")
-    return value
-
-
-def _size_at_least_two(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"need spaces of at least 2 outcomes, got {text}")
-    return value
+_positive_int = _int_at_least(1, "must be at least 1, got {}")
+_grid_steps = _int_at_least(2, "need at least 2 grid steps, got {}")
+_size_at_least_two = _int_at_least(2, "need spaces of at least 2 outcomes, got {}")
 
 
 def _build_parser() -> _Parser:
@@ -130,7 +119,7 @@ def _build_parser() -> _Parser:
     compare.set_defaults(func=_cmd_compare)
 
     demo = sub.add_parser("demo", help="run a built-in worked example")
-    demo.add_argument("name", choices=("die", "tiger", "coin", "mycin"))
+    demo.add_argument("name", choices=tuple(DEMOS))
     demo.add_argument("--units", choices=("nats", "bits"), default="nats")
     demo.set_defaults(func=_cmd_demo)
 
@@ -156,12 +145,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
         "prior:",
     ]
     lines.extend(f"  {x} {fmt10(w)}" for x, w in zip(sc.space.outcomes, sc.prior.weights))
-    h = entropy(sc.prior)
-    if args.units == "bits":
-        lines.append(f"entropy = {fmt10(h / np.log(2.0))} bits")
-    else:
-        lines.append(f"entropy = {fmt10(h)} nats")
-    lines.extend(run_queries(sc.prior, sc.queries, args.units))
+    lines.extend(run_queries(sc.prior, (EntropyQuery(), *sc.queries), args.units))
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
@@ -211,14 +195,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    if args.name == "die":
-        sys.stdout.write(demo_die(args.units))
-    elif args.name == "tiger":
-        sys.stdout.write(demo_tiger(args.units))
-    elif args.name == "coin":
-        sys.stdout.write(demo_coin(args.units))
-    else:
-        sys.stdout.write(demo_mycin())
+    sys.stdout.write(DEMOS[args.name](args.units))
     return 0
 
 

@@ -76,9 +76,9 @@ class ForecastSystem:
     @cached_property
     def valuation_matrix(self) -> np.ndarray:
         """Row per outcome: the 0/1 truth values of every event there."""
-        a = np.array(
-            [[1.0 if x in e.members else 0.0 for e in self.events] for x in self.space.outcomes]
-        )
+        a = np.zeros((len(self.space), len(self.events)))
+        for j, e in enumerate(self.events):
+            a[:, j] = e.indicator
         a.flags.writeable = False
         return a
 

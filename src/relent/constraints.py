@@ -2,9 +2,16 @@
 
 Every constraint kind compiles to one or more linear forms
 ``sum_i coeffs[i] * posterior[i] = target``, which is the shape the
-update solver consumes. Construction validates structure (finiteness,
-space agreement, weight-vector invariants); whether a *target* is
-achievable from a given prior is a separate question answered by
+update solver consumes. A form is a read-only coefficient array aligned
+to the space's outcome order plus its target; event and expectation
+rows share the event's indicator or the variable's array rather than
+copying it. The solver compiles each constraint exactly once per
+update, and feasibility screening, the no-op check, the dual system and
+the final residual all read those same rows.
+
+Construction validates structure (finiteness, space agreement,
+weight-vector invariants); whether a *target* is achievable from a
+given prior is a separate question answered by
 :func:`triage_feasibility` and, in full, by the solver itself.
 """
 
@@ -12,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -144,22 +150,12 @@ class PartitionWeights:
 Constraint = Union[EventProb, Expectation, CondProb, PartitionWeights]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearForm:
-    """One compiled row: require coeffs . posterior == target."""
+    """One compiled row: require coeffs . posterior == target, ``coeffs`` a read-only array."""
 
-    coeffs: tuple[float, ...]
+    coeffs: np.ndarray
     target: float
-    label: str = ""
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        a = np.array(self.coeffs)
-        a.flags.writeable = False
-        return a
-
-    def value_under(self, dist: Distribution) -> float:
-        return float(self.array @ dist.array)
 
 
 def compile_constraint(c: Constraint, space: SampleSpace) -> tuple[LinearForm, ...]:
@@ -167,19 +163,16 @@ def compile_constraint(c: Constraint, space: SampleSpace) -> tuple[LinearForm, .
     if c.space != space:
         raise SpaceMismatch("constraint lives on a different sample space")
     if isinstance(c, EventProb):
-        return (
-            LinearForm(tuple(c.event.indicator), c.value, c.describe()),
-        )
+        return (LinearForm(c.event.indicator, c.value),)
     if isinstance(c, Expectation):
-        return (LinearForm(c.variable.values, c.value, c.describe()),)
+        return (LinearForm(c.variable.array, c.value),)
     if isinstance(c, CondProb):
-        both = c.target.intersect(c.given)
-        coeffs = both.indicator - c.value * c.given.indicator
-        return (LinearForm(tuple(float(x) for x in coeffs), 0.0, c.describe()),)
+        coeffs = c.target.intersect(c.given).indicator - c.value * c.given.indicator
+        coeffs.flags.writeable = False
+        return (LinearForm(coeffs, 0.0),)
     if isinstance(c, PartitionWeights):
         return tuple(
-            LinearForm(tuple(cell.indicator), w, f"P({cell.describe()}) = {w:g}")
-            for cell, w in zip(c.partition.cells, c.weights)
+            LinearForm(cell.indicator, w) for cell, w in zip(c.partition.cells, c.weights)
         )
     raise TypeError(f"not a constraint: {c!r}")
 
@@ -191,12 +184,10 @@ def compile_all(constraints: Sequence[Constraint], space: SampleSpace) -> tuple[
     return tuple(rows)
 
 
-def residual(dist: Distribution, constraints: Sequence[Constraint]) -> float:
-    """Largest absolute violation of the compiled forms under ``dist``."""
-    rows = compile_all(constraints, dist.space)
-    if not rows:
-        return 0.0
-    return max(abs(row.value_under(dist) - row.target) for row in rows)
+def residual(dist: Distribution, rows: Sequence[LinearForm]) -> float:
+    """Largest absolute violation of compiled ``rows`` under ``dist``, one dot product per row."""
+    p = dist.array
+    return max((abs(float(row.coeffs @ p) - row.target) for row in rows), default=0.0)
 
 
 @dataclass(frozen=True)

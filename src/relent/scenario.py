@@ -38,6 +38,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence, Union
 
+import numpy as np
+
 from .axioms import AxiomReport
 from .coherence import AdmissibilityVerdict, ForecastSystem, quadratic_loss, world_valuations
 from .constraints import CondProb, Constraint, EventProb, Expectation, PartitionWeights
@@ -120,11 +122,27 @@ def _fail(code: str, message: str) -> ValidationError:
 def _number(x: Any, code: str, where: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise _fail(code, f"{where} must be a number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise _fail(code, f"{where} is an integer too large for a float") from None
+
+
+def _numbers(raw: list, code: str, where: str, keys: Iterable[object]) -> np.ndarray:
+    """A JSON number array as floats, validated as a whole.
+
+    Only on failure are the elements checked one by one, to name the first bad one.
+    """
+    if set(map(type, raw)) <= {int, float}:
+        try:
+            return np.array(raw, dtype=float)
+        except OverflowError:
+            pass
+    return np.array([_number(x, code, f"{where}[{key}]") for key, x in zip(keys, raw)])
 
 
 def _labels(x: Any, code: str, where: str) -> list[str]:
-    if not isinstance(x, list) or any(not isinstance(s, str) for s in x):
+    if not isinstance(x, list) or not set(map(type, x)) <= {str}:
         raise _fail(code, f"{where} must be an array of outcome labels, got {x!r}")
     return x
 
@@ -151,7 +169,7 @@ def _wrap_construction(fn, *args, **kwargs):
 
 
 def _event(space: SampleSpace, labels: Any, code: str, where: str) -> Event:
-    return _wrap_construction(Event, space, frozenset(_labels(labels, code, where)))
+    return _wrap_construction(Event, space, _labels(labels, code, where))
 
 
 def _parse_constraint(space: SampleSpace, obj: Any, where: str) -> Constraint:
@@ -170,11 +188,9 @@ def _parse_constraint(space: SampleSpace, obj: Any, where: str) -> Constraint:
         mapping = _required(obj, "variable", "constraint.missing_key", where)
         if not isinstance(mapping, dict):
             raise _fail("constraint.bad_variable", f"{where}.variable must map labels to numbers")
-        values = {
-            k: _number(v, "constraint.bad_variable", f"{where}.variable[{k!r}]")
-            for k, v in mapping.items()
-        }
-        variable = _wrap_construction(RandomVariable.from_mapping, space, values)
+        _numbers(list(mapping.values()), "constraint.bad_variable", f"{where}.variable",
+                 map(repr, mapping))
+        variable = _wrap_construction(RandomVariable.from_mapping, space, mapping)
         value = _number(_required(obj, "value", "constraint.missing_key", where),
                         "constraint.bad_value", f"{where}.value")
         return _wrap_construction(Expectation, variable, value)
@@ -190,20 +206,11 @@ def _parse_constraint(space: SampleSpace, obj: Any, where: str) -> Constraint:
     if kind == "partition":
         _object_keys(obj, {"type", "cells", "weights"}, "constraint.unknown_key", where)
         cells = _required(obj, "cells", "constraint.missing_key", where)
-        if not isinstance(cells, list):
-            raise _fail("constraint.bad_cells", f"{where}.cells must be an array of label arrays")
-        events = tuple(
-            _event(space, cell, "constraint.bad_cells", f"{where}.cells[{i}]")
-            for i, cell in enumerate(cells)
-        )
-        partition = _wrap_construction(Partition, events)
+        partition = _parse_partition(space, cells, "constraint.bad_cells", f"{where}.cells")
         raw = _required(obj, "weights", "constraint.missing_key", where)
         if not isinstance(raw, list):
             raise _fail("constraint.bad_weights", f"{where}.weights must be an array of numbers")
-        weights = tuple(
-            _number(w, "constraint.bad_weights", f"{where}.weights[{i}]")
-            for i, w in enumerate(raw)
-        )
+        weights = _numbers(raw, "constraint.bad_weights", f"{where}.weights", range(len(raw)))
         return _wrap_construction(PartitionWeights, partition, weights)
     raise _fail("constraint.unknown_type", f"{where} has unknown type {kind!r}")
 
@@ -255,6 +262,8 @@ def parse(document: str) -> Scenario:
         data = json.loads(document)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, line=e.lineno, column=e.colno) from e
+    except ValueError as e:  # an integer literal past the interpreter's digit limit
+        raise ParseError(str(e)) from e
     if not isinstance(data, dict):
         raise _fail("file.not_object", "the top level of a scenario must be a JSON object")
     _object_keys(data, TOP_LEVEL_KEYS, "file.unknown_key", "the scenario")
@@ -270,9 +279,7 @@ def parse(document: str) -> Scenario:
     if raw_prior == "uniform":
         prior = Distribution.uniform(space)
     elif isinstance(raw_prior, list):
-        weights = tuple(
-            _number(w, "prior.bad_number", f'"prior"[{i}]') for i, w in enumerate(raw_prior)
-        )
+        weights = _numbers(raw_prior, "prior.bad_number", '"prior"', range(len(raw_prior)))
         prior = _wrap_construction(Distribution, space, weights)
     else:
         raise _fail("prior.bad", '"prior" must be "uniform" or an array of numbers')

@@ -28,17 +28,9 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .constraints import (
-    CondProb,
-    Constraint,
-    EventProb,
-    LinearForm,
-    PartitionWeights,
-    compile_all,
-    compile_constraint,
-    residual,
-    triage_feasibility,
-)
+from . import constraints as _constraints
+from . import information
+from .constraints import CondProb, Constraint, EventProb, LinearForm, PartitionWeights
 from .errors import (
     ConstructionError,
     DegenerateConditional,
@@ -46,7 +38,6 @@ from .errors import (
     NonConvergence,
     ZeroMassEvent,
 )
-from .information import relative_entropy
 from .spaces import ZERO_MASS, Distribution, Event, Partition, condition
 
 #: Diagonal regularization added to the dual Hessian so redundant
@@ -162,39 +153,30 @@ def _check_conditionals(posterior: Distribution, constraints: Sequence[Constrain
             )
 
 
-def _certainty_mask(prior: Distribution, constraints: Sequence[Constraint]) -> np.ndarray:
-    """Support left available once exact-zero / exact-one pins are honored."""
+def _pins_and_active_rows(
+    prior: Distribution, constraints: Sequence[Constraint], compiled: list[tuple[LinearForm, ...]]
+) -> tuple[np.ndarray, list[LinearForm]]:
+    """The support left once exact 0/1 pins are honored, and the rows still needing a multiplier.
+
+    A pin is an event or conditional target of exactly 0 or 1, or a cell
+    weight of 0. An event pinned to 1 keeps only the outcomes its row
+    covers; every other pin drops the outcomes where its row is nonzero.
+    """
     mask = prior.support.copy()
-    for c in constraints:
-        if isinstance(c, EventProb):
-            if c.value == 1.0:
-                mask &= c.event.indicator.astype(bool)
-            elif c.value == 0.0:
-                mask &= ~c.event.indicator.astype(bool)
-        elif isinstance(c, CondProb):
-            if c.value == 1.0:
-                mask &= ~c.given.difference(c.target).indicator.astype(bool)
-            elif c.value == 0.0:
-                mask &= ~c.target.intersect(c.given).indicator.astype(bool)
-        elif isinstance(c, PartitionWeights):
-            for cell, w in zip(c.partition.cells, c.weights):
-                if w == 0.0:
-                    mask &= ~cell.indicator.astype(bool)
-    return mask
-
-
-def _active_rows(constraints: Sequence[Constraint], prior: Distribution) -> list[LinearForm]:
-    """Compiled rows that still need a dual multiplier after masking."""
-    rows: list[LinearForm] = []
-    for c in constraints:
-        compiled = compile_constraint(c, prior.space)
-        if isinstance(c, (EventProb, CondProb)) and c.value in (0.0, 1.0):
-            continue
-        if isinstance(c, PartitionWeights):
-            rows.extend(r for r, w in zip(compiled, c.weights) if w != 0.0)
-            continue
-        rows.extend(compiled)
-    return rows
+    active: list[LinearForm] = []
+    for c, forms in zip(constraints, compiled):
+        for row in forms:
+            if isinstance(c, PartitionWeights):
+                pinned = row.target == 0.0
+            else:
+                pinned = isinstance(c, (EventProb, CondProb)) and c.value in (0.0, 1.0)
+            if not pinned:
+                active.append(row)
+            elif isinstance(c, EventProb) and c.value == 1.0:
+                mask &= row.coeffs != 0.0
+            else:
+                mask &= row.coeffs == 0.0
+    return mask, active
 
 
 def _dual_newton(
@@ -295,26 +277,27 @@ def maxent_update(
     posterior mass).
     """
     constraints = tuple(constraints)
-    all_rows = compile_all(constraints, prior.space)
-    verdict = triage_feasibility(constraints, prior)
+    compiled = [_constraints.compile_constraint(c, prior.space) for c in constraints]
+    rows = [row for forms in compiled for row in forms]
+    verdict = _constraints.triage_feasibility(constraints, prior)
     if verdict.infeasible:
         raise InfeasibleConstraint("; ".join(verdict.reasons))
 
-    r0 = residual(prior, constraints)
+    r0 = _constraints.residual(prior, rows)
     if r0 <= options.tol:
         _check_conditionals(prior, constraints)
-        return UpdateReport(prior, (0.0,) * len(all_rows), 0, r0, 0.0, "no_op")
+        return UpdateReport(prior, (0.0,) * len(rows), 0, r0, 0.0, "no_op")
 
     if options.use_fast_paths and len(constraints) == 1:
         fast = _fast_path(prior, constraints[0])
         if fast is not None:
             post, method = fast
             _check_conditionals(post, constraints)
-            return UpdateReport(
-                post, (), 0, residual(post, constraints), relative_entropy(post, prior), method
-            )
+            residual = _constraints.residual(post, rows)
+            objective = information.relative_entropy(post, prior)
+            return UpdateReport(post, (), 0, residual, objective, method)
 
-    mask = _certainty_mask(prior, constraints)
+    mask, active = _pins_and_active_rows(prior, constraints, compiled)
     if not mask.any() or float(prior.array[mask].sum()) <= ZERO_MASS:
         raise InfeasibleConstraint(
             "certainty constraints eliminate every outcome the prior allows"
@@ -323,10 +306,9 @@ def maxent_update(
     q = prior.array[live]
     q = q / q.sum()
 
-    rows = _active_rows(constraints, prior)
-    if rows:
-        A = np.array([row.array[live] for row in rows])
-        b = np.array([row.target for row in rows])
+    if active:
+        A = np.array([row.coeffs[live] for row in active])
+        b = np.array([row.target for row in active])
         p_live, lam, iterations, _ = _dual_newton(q, A, b, options)
         multipliers = tuple(float(x) for x in lam)
     else:
@@ -340,8 +322,8 @@ def maxent_update(
         posterior,
         multipliers,
         iterations,
-        residual(posterior, constraints),
-        relative_entropy(posterior, prior),
+        _constraints.residual(posterior, rows),
+        information.relative_entropy(posterior, prior),
         "dual_newton",
     )
 

@@ -2,10 +2,10 @@
 
 Everything here is immutable after construction and validated eagerly:
 weights are checked against the simplex invariants the moment a
-distribution is built, never lazily. Numeric sequences are positionally
-aligned to the owning space's fixed outcome order; no reordering ever
-occurs, so elementwise comparisons are well defined everywhere else in
-the package.
+distribution is built, never lazily. Numeric vectors are stored once, as
+read-only float64 arrays positionally aligned to the owning space's
+fixed outcome order; no reordering ever occurs, so elementwise
+comparisons are well defined everywhere else in the package.
 """
 
 from __future__ import annotations
@@ -32,6 +32,32 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _aligned(values, space: "SampleSpace", kind: str, noun: str, length_code: str) -> np.ndarray:
+    """A read-only float64 copy of ``values``: one finite number per outcome."""
+    a = _readonly(np.array(values, dtype=float))
+    if a.shape != (len(space),):
+        raise ConstructionError(length_code, f"got {a.size} {noun} for {len(space)} outcomes")
+    if not np.isfinite(a).all():
+        raise ConstructionError(f"{kind}.not_finite", f"{noun} must be finite numbers")
+    return a
+
+
+class _ArrayValued:
+    """Equality and hashing by ``space`` and the one stored vector, named by ``_vector``."""
+
+    _vector = "array"
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.space == other.space and np.array_equal(
+            getattr(self, self._vector), getattr(other, self._vector)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.space, tuple(getattr(self, self._vector).tolist())))
+
+
 @dataclass(frozen=True)
 class SampleSpace:
     """Ordered finite set of distinct outcome labels."""
@@ -44,14 +70,14 @@ class SampleSpace:
             raise ConstructionError("space.empty", "a sample space needs at least one outcome")
         if any(not isinstance(x, str) for x in self.outcomes):
             raise ConstructionError("space.bad_label", "outcome labels must be strings")
-        if len(set(self.outcomes)) != len(self.outcomes):
+        if len(self.index) != len(self.outcomes):
             seen: set[str] = set()
             dup = next(x for x in self.outcomes if x in seen or seen.add(x))
             raise ConstructionError("space.duplicate_label", f"duplicate outcome label {dup!r}")
 
     @cached_property
     def index(self) -> dict[str, int]:
-        return {x: i for i, x in enumerate(self.outcomes)}
+        return dict(zip(self.outcomes, range(len(self.outcomes))))
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -61,10 +87,10 @@ class SampleSpace:
 
     def subset(self, *labels: str) -> "Event":
         """Convenience constructor for an event on this space."""
-        return Event(self, frozenset(labels))
+        return Event(self, labels)
 
     def whole(self) -> "Event":
-        return Event(self, frozenset(self.outcomes))
+        return Event(self, self.outcomes)
 
 
 def _require_same_space(a: SampleSpace, b: SampleSpace, what: str) -> None:
@@ -72,83 +98,95 @@ def _require_same_space(a: SampleSpace, b: SampleSpace, what: str) -> None:
         raise SpaceMismatch(f"{what} lives on a different sample space")
 
 
-@dataclass(frozen=True)
-class Event:
-    """A subset (possibly empty) of a space's outcomes."""
+@dataclass(frozen=True, init=False, eq=False)
+class Event(_ArrayValued):
+    """A subset (possibly empty) of a space's outcomes.
+
+    Stored as ``indicator``, a read-only 0/1 vector in outcome order,
+    built while the labels given are checked; ``members`` is derived.
+    """
+
+    _vector = "indicator"
 
     space: SampleSpace
-    members: frozenset[str]
+    indicator: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-        unknown = self.members - set(self.space.outcomes)
-        if unknown:
+    def __init__(self, space: SampleSpace, members: Iterable[str]):
+        labels = tuple(members)
+        try:
+            positions = list(map(space.index.__getitem__, labels))
+        except KeyError:
             raise ConstructionError(
                 "event.unknown_label",
-                f"event references labels not in the space: {sorted(unknown)}",
-            )
+                "event references labels not in the space: "
+                f"{sorted(set(labels) - space.index.keys())}",
+            ) from None
+        indicator = np.zeros(len(space))
+        indicator[positions] = 1.0
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "indicator", _readonly(indicator))
 
-    @cached_property
-    def indicator(self) -> np.ndarray:
-        """0/1 vector aligned to the space's outcome order."""
-        return _readonly(
-            np.array([1.0 if x in self.members else 0.0 for x in self.space.outcomes])
-        )
+    def _derived(self, indicator: np.ndarray) -> "Event":
+        """An event on the same space with the given 0/1 indicator."""
+        e = object.__new__(Event)
+        object.__setattr__(e, "space", self.space)
+        object.__setattr__(e, "indicator", _readonly(indicator))
+        return e
+
+    @property
+    def members(self) -> frozenset[str]:
+        return frozenset(self.space.outcomes[i] for i in np.flatnonzero(self.indicator))
 
     def complement(self) -> "Event":
-        return Event(self.space, frozenset(self.space.outcomes) - self.members)
+        return self._derived(1.0 - self.indicator)
 
     def intersect(self, other: "Event") -> "Event":
         _require_same_space(self.space, other.space, "event")
-        return Event(self.space, self.members & other.members)
+        return self._derived(self.indicator * other.indicator)
 
     def difference(self, other: "Event") -> "Event":
         _require_same_space(self.space, other.space, "event")
-        return Event(self.space, self.members - other.members)
+        return self._derived(self.indicator * (1.0 - other.indicator))
 
     def issubset(self, other: "Event") -> bool:
         _require_same_space(self.space, other.space, "event")
-        return self.members <= other.members
+        return not (self.indicator > other.indicator).any()
 
     def describe(self) -> str:
         return "{" + ", ".join(sorted(self.members)) + "}"
 
 
-@dataclass(frozen=True)
-class Distribution:
-    """Nonnegative weights over a space's outcomes, summing to one."""
+@dataclass(frozen=True, eq=False)
+class Distribution(_ArrayValued):
+    """Nonnegative weights over a space's outcomes, summing to one.
+
+    Stored as ``array``, a read-only float64 copy; ``weights`` is a tuple view.
+    """
 
     space: SampleSpace
-    weights: tuple[float, ...]
+    array: np.ndarray
 
     def __post_init__(self):
-        ws = tuple(float(w) for w in self.weights)
-        object.__setattr__(self, "weights", ws)
-        if len(ws) != len(self.space):
-            raise ConstructionError(
-                "dist.length_mismatch",
-                f"got {len(ws)} weights for {len(self.space)} outcomes",
-            )
-        if any(not math.isfinite(w) for w in ws):
-            raise ConstructionError("dist.not_finite", "weights must be finite numbers")
-        if min(ws) < 0.0:
-            raise ConstructionError("dist.negative_weight", f"negative weight {min(ws)}")
-        total = math.fsum(ws)
+        a = _aligned(self.array, self.space, "dist", "weights", "dist.length_mismatch")
+        object.__setattr__(self, "array", a)
+        if a.min() < 0.0:
+            raise ConstructionError("dist.negative_weight", f"negative weight {float(a.min())}")
+        total = math.fsum(a.tolist())
         if abs(total - 1.0) > SUM_TOL:
             raise ConstructionError("dist.sum_not_one", f"weights sum to {total!r}, not 1")
 
     @classmethod
     def uniform(cls, space: SampleSpace) -> "Distribution":
         n = len(space)
-        return cls(space, (1.0 / n,) * n)
+        return cls(space, np.full(n, 1.0 / n))
 
     @classmethod
     def from_array(cls, space: SampleSpace, weights: Sequence[float] | np.ndarray) -> "Distribution":
-        return cls(space, tuple(float(w) for w in weights))
+        return cls(space, weights)
 
-    @cached_property
-    def array(self) -> np.ndarray:
-        return _readonly(np.array(self.weights))
+    @property
+    def weights(self) -> tuple[float, ...]:
+        return tuple(self.array.tolist())
 
     def prob(self, e: Event) -> float:
         _require_same_space(self.space, e.space, "event")
@@ -160,42 +198,40 @@ class Distribution:
         return _readonly(self.array > 0.0)
 
 
-@dataclass(frozen=True)
-class RandomVariable:
-    """A total real-valued function on a space, stored in outcome order."""
+@dataclass(frozen=True, eq=False)
+class RandomVariable(_ArrayValued):
+    """A total real-valued function on a space, stored in outcome order.
+
+    Stored as ``array``, a read-only float64 copy; ``values`` is a tuple view.
+    """
 
     space: SampleSpace
-    values: tuple[float, ...]
+    array: np.ndarray
 
     def __post_init__(self):
-        vs = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vs)
-        if len(vs) != len(self.space):
-            raise ConstructionError(
-                "variable.not_total",
-                f"got {len(vs)} values for {len(self.space)} outcomes",
-            )
-        if any(not math.isfinite(v) for v in vs):
-            raise ConstructionError("variable.not_finite", "values must be finite numbers")
+        a = _aligned(self.array, self.space, "variable", "values", "variable.not_total")
+        object.__setattr__(self, "array", a)
 
     @classmethod
     def from_mapping(cls, space: SampleSpace, mapping: Mapping[str, float]) -> "RandomVariable":
-        missing = [x for x in space.outcomes if x not in mapping]
-        if missing:
+        try:
+            values = list(map(mapping.__getitem__, space.outcomes))
+        except KeyError:
+            missing = [x for x in space.outcomes if x not in mapping]
             raise ConstructionError(
                 "variable.not_total", f"no value for outcomes {missing}"
-            )
-        unknown = [x for x in mapping if x not in space]
-        if unknown:
+            ) from None
+        if len(mapping) != len(space):
+            unknown = [x for x in mapping if x not in space]
             raise ConstructionError(
                 "variable.unknown_label",
                 f"variable references labels not in the space: {sorted(unknown)}",
             )
-        return cls(space, tuple(float(mapping[x]) for x in space.outcomes))
+        return cls(space, values)
 
-    @cached_property
-    def array(self) -> np.ndarray:
-        return _readonly(np.array(self.values))
+    @property
+    def values(self) -> tuple[float, ...]:
+        return tuple(self.array.tolist())
 
 
 @dataclass(frozen=True)
@@ -215,21 +251,20 @@ class Partition:
                 raise ConstructionError(
                     "partition.space_mismatch", "partition cells live on different spaces"
                 )
-            if not c.members:
+            if not c.indicator.any():
                 raise ConstructionError("partition.empty_cell", "partition cells must be nonempty")
-        counts: dict[str, int] = {}
-        for c in cells:
-            for x in c.members:
-                counts[x] = counts.get(x, 0) + 1
-        overlap = sorted(x for x, k in counts.items() if k > 1)
-        if overlap:
+        coverage = sum(c.indicator for c in cells)
+        overlap = np.flatnonzero(coverage > 1.0)
+        if overlap.size:
             raise ConstructionError(
-                "partition.overlapping_cells", f"outcomes in more than one cell: {overlap}"
+                "partition.overlapping_cells",
+                f"outcomes in more than one cell: {sorted(space.outcomes[i] for i in overlap)}",
             )
-        missing = sorted(set(space.outcomes) - set(counts))
-        if missing:
+        missing = np.flatnonzero(coverage == 0.0)
+        if missing.size:
             raise ConstructionError(
-                "partition.not_exhaustive", f"outcomes in no cell: {missing}"
+                "partition.not_exhaustive",
+                f"outcomes in no cell: {sorted(space.outcomes[i] for i in missing)}",
             )
 
     @property
@@ -238,7 +273,7 @@ class Partition:
 
     @classmethod
     def from_labels(cls, space: SampleSpace, cells: Sequence[Iterable[str]]) -> "Partition":
-        return cls(tuple(Event(space, frozenset(c)) for c in cells))
+        return cls(tuple(Event(space, c) for c in cells))
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,26 @@ class TestUpdate:
         assert code == 3
         assert "[dist.sum_not_one]" in err
 
+    @pytest.mark.parametrize("fields, expected", [
+        ('"prior": [%s, 0.5], "constraints": []', "[prior.bad_number]"),
+        ('"prior": "uniform", "constraints": [{"type": "expectation", '
+         '"variable": {"a": 1, "b": %s}, "value": 1}]', "[constraint.bad_variable]"),
+    ], ids=["prior", "variable"])
+    def test_integer_too_large_for_a_float_exits_3(self, capsys, tmp_path, fields, expected):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"space": ["a", "b"], ' + fields % ("9" * 400) + "}", encoding="utf-8")
+        code, _, err = run_main(capsys, "update", str(bad))
+        assert code == 3
+        assert expected in err
+
+    def test_integer_past_the_digit_limit_exits_3(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"space": ["a", "b"], "prior": [%s, 0.5], "constraints": []}'
+                       % ("1" * 5000), encoding="utf-8")
+        code, _, err = run_main(capsys, "update", str(bad))
+        assert code == 3
+        assert err.startswith("parse error")
+
     def test_bad_tol_flag_exits_3(self):
         with pytest.raises(SystemExit) as exc:
             main(["update", DIE, "--tol", "-1"])

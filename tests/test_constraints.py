@@ -65,33 +65,33 @@ class TestCompile:
     def test_event_prob_row(self, abc):
         rows = compile_constraint(EventProb(abc.subset("a", "c"), 0.8), abc)
         assert len(rows) == 1
-        assert_allclose(rows[0].array, [1.0, 0.0, 1.0])
+        assert_allclose(rows[0].coeffs, [1.0, 0.0, 1.0])
         assert rows[0].target == 0.8
 
     def test_expectation_row(self, abc):
         f = RandomVariable(abc, (1.0, 2.0, 6.0))
         rows = compile_constraint(Expectation(f, 2.5), abc)
-        assert_allclose(rows[0].array, [1.0, 2.0, 6.0])
+        assert_allclose(rows[0].coeffs, [1.0, 2.0, 6.0])
         assert rows[0].target == 2.5
 
     def test_cond_prob_linearization(self, abc):
         # P(a | {a, b}) = 0.25 becomes 1_{a} - 0.25 * 1_{a,b} with target 0
         rows = compile_constraint(CondProb(abc.subset("a"), abc.subset("a", "b"), 0.25), abc)
-        assert_allclose(rows[0].array, [0.75, -0.25, 0.0])
+        assert_allclose(rows[0].coeffs, [0.75, -0.25, 0.0])
         assert rows[0].target == 0.0
 
     def test_cond_prob_target_outside_given_intersected(self, abc):
         # only the overlap of target and given matters
         rows = compile_constraint(CondProb(abc.subset("a", "c"), abc.subset("a", "b"), 0.5), abc)
-        assert_allclose(rows[0].array, [0.5, -0.5, 0.0])
+        assert_allclose(rows[0].coeffs, [0.5, -0.5, 0.0])
 
     def test_partition_weights_rows(self, abc):
         p = Partition.from_labels(abc, [("a",), ("b", "c")])
         rows = compile_constraint(PartitionWeights(p, (0.3, 0.7)), abc)
         assert len(rows) == 2
-        assert_allclose(rows[0].array, [1.0, 0.0, 0.0])
+        assert_allclose(rows[0].coeffs, [1.0, 0.0, 0.0])
         assert rows[0].target == 0.3
-        assert_allclose(rows[1].array, [0.0, 1.0, 1.0])
+        assert_allclose(rows[1].coeffs, [0.0, 1.0, 1.0])
         assert rows[1].target == 0.7
 
     def test_space_mismatch_rejected(self, abc):
@@ -114,7 +114,7 @@ class TestResidual:
             EventProb(abc.subset("a"), 0.2),
             CondProb(abc.subset("b"), abc.subset("b", "c"), 0.375),
         ]
-        assert residual(d, cs) == pytest.approx(0.0, abs=1e-15)
+        assert residual(d, compile_all(cs, abc)) == pytest.approx(0.0, abs=1e-15)
 
     def test_reports_worst_violation(self, abc):
         d = Distribution(abc, (0.2, 0.3, 0.5))
@@ -122,7 +122,7 @@ class TestResidual:
             EventProb(abc.subset("a"), 0.25),  # off by 0.05
             EventProb(abc.subset("c"), 0.7),  # off by 0.2
         ]
-        assert residual(d, cs) == pytest.approx(0.2)
+        assert residual(d, compile_all(cs, abc)) == pytest.approx(0.2)
 
     def test_empty_constraint_list(self, abc):
         assert residual(Distribution.uniform(abc), []) == 0.0
@@ -134,7 +134,7 @@ class TestResidual:
         )
         e = d.space.subset(*labels)
         cs = [EventProb(e, d.prob(e))]
-        assert residual(d, cs) == pytest.approx(0.0, abs=1e-12)
+        assert residual(d, compile_all(cs, d.space)) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestTriage:

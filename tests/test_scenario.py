@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relent.constraints import CondProb, EventProb, Expectation, PartitionWeights
 from relent.errors import ParseError, ValidationError
@@ -193,6 +195,81 @@ class TestRejection:
         # and no two different schema offenses share one accidentally
         codes = [c for _, c in REJECTIONS]
         assert len(set(codes)) >= 35
+
+
+#: JSON values that are not numbers a float can hold, plus NaN, which is
+#: a number to the parser and is rejected by the value it builds.
+BAD_ELEMENTS = st.sampled_from([True, False, "0.5", None, float("nan"), int("9" * 400)])
+
+
+def first_bad_element(raw: list):
+    """Reference loop: the index of the first element the parser must name, or None.
+
+    This is the element-by-element check the parser made before it
+    validated number arrays whole, extended to integers too large for a
+    float.
+    """
+    for i, x in enumerate(raw):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            return i
+        try:
+            float(x)
+        except OverflowError:
+            return i
+    return None
+
+
+def expected_message(where: str, x) -> str:
+    if isinstance(x, int) and not isinstance(x, bool):
+        return f"{where} is an integer too large for a float"
+    return f"{where} must be a number, got {x!r}"
+
+
+@st.composite
+def spoiled(draw, valid: list):
+    """``valid`` with one to three bad elements put at random positions."""
+    raw = list(valid)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        raw[draw(st.integers(min_value=0, max_value=len(raw) - 1))] = draw(BAD_ELEMENTS)
+    return raw
+
+
+class TestArrayValidation:
+    """Whole-array validation rejects exactly what the element loop rejects."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_prior_names_the_first_bad_index(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=40))
+        raw = data.draw(spoiled([1.0 / n] * n))
+        doc = json.dumps({"space": [f"w{i}" for i in range(n)], "prior": raw,
+                          "constraints": []})
+        with pytest.raises(ValidationError) as exc:
+            parse(doc)
+        first = first_bad_element(raw)
+        if first is None:
+            assert exc.value.code == "dist.not_finite"
+        else:
+            assert exc.value.code == "prior.bad_number"
+            assert str(exc.value) == expected_message(f'"prior"[{first}]', raw[first])
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_variable_names_the_first_bad_key(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=40))
+        labels = [f"w{i}" for i in range(n)]
+        values = data.draw(spoiled([float(i) for i in range(n)]))
+        doc = json.dumps({"space": labels, "prior": "uniform", "constraints": [
+            {"type": "expectation", "variable": dict(zip(labels, values)), "value": 0.0}]})
+        with pytest.raises(ValidationError) as exc:
+            parse(doc)
+        first = first_bad_element(values)
+        if first is None:
+            assert exc.value.code == "variable.not_finite"
+        else:
+            assert exc.value.code == "constraint.bad_variable"
+            where = f'"constraints"[0].variable[{labels[first]!r}]'
+            assert str(exc.value) == expected_message(where, values[first])
 
 
 class TestRoundTrip:

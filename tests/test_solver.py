@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from relent.constraints import CondProb, EventProb, Expectation, PartitionWeights, residual
+import relent.constraints
+from relent.constraints import (
+    CondProb, EventProb, Expectation, PartitionWeights, compile_all, residual,
+)
 from relent.errors import (
     ConstructionError,
     DegenerateConditional,
@@ -355,7 +358,8 @@ class TestFastPathAgreement:
         rep = maxent_update(prior, [EventProb(event, v)])
         assert rep.posterior.prob(event) == pytest.approx(v, abs=1e-9)
         assert rep.objective <= 1e-12
-        assert residual(rep.posterior, [EventProb(event, v)]) == rep.final_residual
+        rows = compile_all([EventProb(event, v)], prior.space)
+        assert residual(rep.posterior, rows) == rep.final_residual
 
     @given(positive_distributions(min_size=2, max_size=6), st.data())
     @settings(max_examples=40, deadline=None)
@@ -367,3 +371,36 @@ class TestFastPathAgreement:
         first = maxent_update(prior, [EventProb(event, v)])
         second = maxent_update(first.posterior, [EventProb(event, v)])
         assert second.method == "no_op"
+
+
+TIGER_PARTITION = Partition((TIGER_EVENT, TIGER_EVENT.complement()))
+TIGER_SCORES = RandomVariable(TIGER_SPACE, (1.0, 2.0, 3.0, 4.0))
+COMPILE_ONCE_CASES = {
+    # the prior already meets both
+    "no_op": [EventProb(TIGER_EVENT, 0.5), Expectation(TIGER_SCORES, 2.5)],
+    "jeffrey": [PartitionWeights(TIGER_PARTITION, (0.8, 0.2))],
+    "conditionalization": [EventProb(TIGER_EVENT, 1.0)],
+    # all four kinds, read off (0.1, 0.4, 0.2, 0.3) over TIGER_SPACE's outcomes
+    "dual_newton": [
+        EventProb(TIGER_SPACE.subset("tiger_growl", "clear_growl"), 0.3),
+        Expectation(TIGER_SCORES, 2.7),
+        CondProb(TIGER_SPACE.subset("tiger_growl"), TIGER_EVENT, 0.2),
+        PartitionWeights(TIGER_PARTITION, (0.5, 0.5)),
+    ],
+}
+
+
+class TestCompileOnce:
+    @pytest.mark.parametrize("method", sorted(COMPILE_ONCE_CASES))
+    def test_each_constraint_compiled_exactly_once(self, monkeypatch, method):
+        compile_constraint = relent.constraints.compile_constraint
+        calls = []
+
+        def counting(c, space):
+            calls.append(c)
+            return compile_constraint(c, space)
+
+        monkeypatch.setattr(relent.constraints, "compile_constraint", counting)
+        constraints = COMPILE_ONCE_CASES[method]
+        assert maxent_update(TIGER_PRIOR, constraints).method == method
+        assert calls == constraints
