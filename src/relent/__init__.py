@@ -83,7 +83,6 @@ from .solver import (
     Method,
     SolverOptions,
     UpdateReport,
-    conditionalize,
     jeffrey_update,
     maxent_update,
 )
@@ -118,7 +117,7 @@ __all__ = [
     "LinearForm", "compile_constraint", "compile_all", "residual",
     "TriageVerdict", "triage_feasibility",
     # solver
-    "maxent_update", "jeffrey_update", "conditionalize", "SolverOptions",
+    "maxent_update", "jeffrey_update", "SolverOptions",
     "UpdateReport", "Method",
     # axioms
     "CellInfo", "AxiomReport", "check_axiom4_full", "check_axiom4b",

@@ -12,18 +12,23 @@ in every world, by its Euclidean projection onto the hull). The audit
 therefore computes that projection; for exterior points the projection
 is returned as an explicit dominating forecast, so the verdict can be
 checked by direct enumeration rather than taken on faith.
+
+Per-world losses come from ``valuation_matrix`` (:func:`world_losses`), with
+no object built per world; ``WorldValuation``, ``world_valuations`` and
+``quadratic_loss`` score one world at a time and are kept as the reference
+that the tests enumerate against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConstructionError
-from .spaces import Distribution, Event, SampleSpace
+from .spaces import Distribution, Event, SampleSpace, _ArrayValued, _readonly
 
 #: Forecasts whose distance to the hull is at or below this are
 #: admissible; beyond it the projection strictly dominates.
@@ -35,31 +40,35 @@ MAX_MAJOR_STEPS = 10_000
 GAP_TOL = 1e-14
 
 
-@dataclass(frozen=True)
-class ForecastSystem:
+@dataclass(frozen=True, eq=False)
+class ForecastSystem(_ArrayValued):
     """Numbers x_i announced for events E_i over one sample space.
 
-    Forecasts may fall outside [0, 1]: incoherent inputs are exactly
-    the interesting case for the audit.
+    Stored as ``array``, a read-only float64 vector aligned with ``events``;
+    ``forecasts`` is a tuple view. Forecasts may fall outside [0, 1]:
+    incoherent inputs are exactly the interesting case for the audit.
     """
+
+    _keys = ("space", "events")
 
     space: SampleSpace
     events: tuple[Event, ...]
-    forecasts: tuple[float, ...]
+    array: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "events", tuple(self.events))
-        object.__setattr__(self, "forecasts", tuple(float(x) for x in self.forecasts))
-        if len(self.events) != len(self.forecasts):
+        events = tuple(self.events)
+        a = _readonly(np.array(self.array, dtype=float))
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "array", a)
+        if a.shape != (len(events),):
             raise ConstructionError(
-                "forecast.length_mismatch",
-                f"{len(self.events)} events but {len(self.forecasts)} forecasts",
+                "forecast.length_mismatch", f"{len(events)} events but {a.size} forecasts"
             )
-        if any(e.space != self.space for e in self.events):
+        if any(e.space != self.space for e in events):
             raise ConstructionError(
                 "forecast.space_mismatch", "every event must live on the system's space"
             )
-        if any(not math.isfinite(x) for x in self.forecasts):
+        if not np.isfinite(a).all():
             raise ConstructionError("forecast.not_finite", "forecasts must be finite numbers")
 
     @classmethod
@@ -67,25 +76,29 @@ class ForecastSystem:
         """The forecast system a probability distribution would announce."""
         return cls(dist.space, tuple(events), tuple(dist.prob(e) for e in events))
 
-    @cached_property
-    def forecast_array(self) -> np.ndarray:
-        a = np.array(self.forecasts)
-        a.flags.writeable = False
-        return a
+    @property
+    def forecasts(self) -> tuple[float, ...]:
+        return tuple(self.array.tolist())
 
     @cached_property
     def valuation_matrix(self) -> np.ndarray:
-        """Row per outcome: the 0/1 truth values of every event there."""
-        a = np.zeros((len(self.space), len(self.events)))
-        for j, e in enumerate(self.events):
-            a[:, j] = e.indicator
-        a.flags.writeable = False
-        return a
+        """Row per outcome, each contiguous: the 0/1 truth values of every event there."""
+        rows = np.array([e.indicator for e in self.events])
+        return _readonly(rows.reshape(len(self.events), len(self.space)).T.copy())
+
+
+def world_losses(fs: ForecastSystem, forecasts: np.ndarray | Sequence[float]) -> np.ndarray:
+    """Quadratic loss of ``forecasts`` (one per event of ``fs``) in every world, in space order.
+
+    Each is the 1-D ``d @ d`` of :func:`quadratic_loss`, so the two agree bit for bit.
+    """
+    diffs = fs.valuation_matrix - np.asarray(forecasts, dtype=float)
+    return np.array([d @ d for d in diffs])
 
 
 @dataclass(frozen=True)
 class WorldValuation:
-    """Truth values v(E_1)..v(E_n) of the events in one concrete world."""
+    """Truth values v(E_1)..v(E_n) of the events in one world (a reference for the tests)."""
 
     outcome: str
     values: tuple[float, ...]
@@ -106,18 +119,18 @@ class WorldValuation:
 
 
 def world_valuations(fs: ForecastSystem) -> tuple[WorldValuation, ...]:
-    """One valuation per outcome, in space order."""
+    """One valuation per outcome, in space order (reference for the tests)."""
     return tuple(WorldValuation.for_outcome(fs, x) for x in fs.space.outcomes)
 
 
 def quadratic_loss(fs: ForecastSystem, w: WorldValuation) -> float:
-    """Sum of squared forecast errors in world ``w``."""
-    if len(w.values) != len(fs.forecasts):
+    """Sum of squared forecast errors in world ``w`` (reference for :func:`world_losses`)."""
+    if len(w.values) != len(fs.events):
         raise ConstructionError(
             "valuation.length_mismatch",
-            f"valuation covers {len(w.values)} events, system has {len(fs.forecasts)}",
+            f"valuation covers {len(w.values)} events, system has {len(fs.events)}",
         )
-    diff = np.array(w.values) - fs.forecast_array
+    diff = np.array(w.values) - fs.array
     return float(diff @ diff)
 
 
@@ -128,7 +141,8 @@ class AdmissibilityVerdict:
     When inadmissible, ``dominating`` is the hull projection of the
     forecasts and ``margin`` is the smallest per-world loss improvement
     it achieves (equal to the squared projection distance, which the
-    hull geometry guarantees as a floor).
+    hull geometry guarantees as a floor). Both loss columns come from
+    :func:`world_losses` over the book's ``valuation_matrix``.
     """
 
     admissible: bool
@@ -209,17 +223,19 @@ def audit_admissibility(fs: ForecastSystem) -> AdmissibilityVerdict:
     ``ADMISSIBLE_DIST`` of the convex hull of the world valuations.
     Otherwise the returned dominating forecast is the hull projection,
     and the margin is its worst-case (smallest) loss improvement over
-    the original, which is still strictly positive.
+    the original, which is strictly positive.
+
+    Just beyond ``ADMISSIBLE_DIST`` the true margin (about 1e-18) is below
+    the rounding of the losses, so the computed one can come out at or
+    below zero: no dominator can be checked at float64 precision there,
+    and the book is reported admissible.
     """
     if not fs.events:
         return AdmissibilityVerdict(True, None, 0.0)
-    x = fs.forecast_array
+    x = fs.array
     projection = _project_to_hull(fs.valuation_matrix, x)
-    dist = float(np.linalg.norm(projection - x))
-    if dist <= ADMISSIBLE_DIST:
-        return AdmissibilityVerdict(True, None, 0.0)
-    dominated = ForecastSystem(fs.space, fs.events, tuple(float(v) for v in projection))
-    margin = min(
-        quadratic_loss(fs, w) - quadratic_loss(dominated, w) for w in world_valuations(fs)
-    )
-    return AdmissibilityVerdict(False, dominated.forecasts, margin)
+    if float(np.linalg.norm(projection - x)) > ADMISSIBLE_DIST:
+        margin = float((world_losses(fs, x) - world_losses(fs, projection)).min())
+        if margin > 0.0:
+            return AdmissibilityVerdict(False, tuple(projection.tolist()), margin)
+    return AdmissibilityVerdict(True, None, 0.0)

@@ -41,7 +41,7 @@ from typing import Any, Iterable, Sequence, Union
 import numpy as np
 
 from .axioms import AxiomReport
-from .coherence import AdmissibilityVerdict, ForecastSystem, quadratic_loss, world_valuations
+from .coherence import AdmissibilityVerdict, ForecastSystem, world_losses
 from .constraints import CondProb, Constraint, EventProb, Expectation, PartitionWeights
 from .errors import ConstructionError, ParseError, ValidationError
 from .information import entropy, mutual_information
@@ -437,25 +437,18 @@ def _emit_axioms(report: AxiomReport) -> list[str]:
 
 def _emit_verdict(verdict: AdmissibilityVerdict, system: ForecastSystem | None) -> list[str]:
     lines = [f"admissible: {'yes' if verdict.admissible else 'no'}"]
-    if system is None:
-        if not verdict.admissible:
-            lines.append(
-                "dominating: " + " ".join(fmt10(v) for v in (verdict.dominating or ()))
-            )
-            lines.append(f"margin: {fmt10(verdict.margin)}")
-        return lines
-    if verdict.admissible:
-        for w in world_valuations(system):
-            lines.append(f"world {w.outcome}: loss {fmt10(quadratic_loss(system, w))}")
-        return lines
-    dominating = ForecastSystem(system.space, system.events, verdict.dominating)
-    lines.append("dominating: " + " ".join(fmt10(v) for v in dominating.forecasts))
-    for w in world_valuations(system):
-        lines.append(
-            f"world {w.outcome}: loss {fmt10(quadratic_loss(system, w))} "
-            f"-> {fmt10(quadratic_loss(dominating, w))}"
-        )
-    lines.append(f"margin: {fmt10(verdict.margin)}")
+    if not verdict.admissible:
+        lines.append("dominating: " + " ".join(fmt10(v) for v in verdict.dominating))
+    if system is not None:
+        worlds = zip(system.space.outcomes, world_losses(system, system.array).tolist())
+        if verdict.admissible:
+            lines.extend(f"world {x}: loss {fmt10(b)}" for x, b in worlds)
+        else:
+            after = world_losses(system, verdict.dominating).tolist()
+            lines.extend(f"world {x}: loss {fmt10(b)} -> {fmt10(a)}"
+                         for (x, b), a in zip(worlds, after))
+    if not verdict.admissible:
+        lines.append(f"margin: {fmt10(verdict.margin)}")
     return lines
 
 
@@ -517,11 +510,8 @@ def _partition_mi(dist: Distribution, q: MutualInfoQuery) -> float:
     """Mutual information between two partition-valued views of one space."""
     row_space = SampleSpace(tuple(c.describe() for c in q.row.cells))
     col_space = SampleSpace(tuple(c.describe() for c in q.col.cells))
-    weights = [
-        [dist.prob(r.intersect(c)) for c in q.col.cells] for r in q.row.cells
-    ]
-    joint = JointDistribution(row_space, col_space, tuple(tuple(row) for row in weights))
-    return mutual_information(joint)
+    weights = np.array([[dist.prob(r.intersect(c)) for c in q.col.cells] for r in q.row.cells])
+    return mutual_information(JointDistribution(row_space, col_space, weights))
 
 
 __all__ = [

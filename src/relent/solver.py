@@ -38,7 +38,7 @@ from .errors import (
     NonConvergence,
     ZeroMassEvent,
 )
-from .spaces import ZERO_MASS, Distribution, Event, Partition, condition
+from .spaces import ZERO_MASS, Distribution, Partition, condition
 
 #: Diagonal regularization added to the dual Hessian so redundant
 #: constraint rows (for example the cells of a partition, whose targets
@@ -108,16 +108,6 @@ class UpdateReport:
     final_residual: float
     objective: float
     method: Method
-
-
-def conditionalize(prior: Distribution, event: Event) -> Distribution:
-    """Classical conditioning: zero outside ``event``, renormalize inside.
-
-    This is the maximum-relative-entropy posterior for the constraint
-    P(event) = 1. Raises :class:`ZeroMassEvent` when the event has no
-    prior mass.
-    """
-    return condition(prior, event)
 
 
 def jeffrey_update(
@@ -336,11 +326,11 @@ def _fast_path(prior: Distribution, c: Constraint) -> tuple[Distribution, Method
         return None
     if c.value == 1.0:
         # triage guarantees the event has prior mass
-        return conditionalize(prior, c.event), "conditionalization"
+        return condition(prior, c.event), "conditionalization"
     comp = c.event.complement()
     if c.value == 0.0:
         try:
-            return conditionalize(prior, comp), "conditionalization"
+            return condition(prior, comp), "conditionalization"
         except ZeroMassEvent:
             raise InfeasibleConstraint(
                 f"the prior is certain of {c.event.describe()}; its probability "

@@ -43,19 +43,23 @@ def _aligned(values, space: "SampleSpace", kind: str, noun: str, length_code: st
 
 
 class _ArrayValued:
-    """Equality and hashing by ``space`` and the one stored vector, named by ``_vector``."""
+    """Equality and hashing by the fields named in ``_keys`` and the array named by ``_vector``."""
 
+    _keys = ("space",)
     _vector = "array"
+
+    def _contents(self) -> tuple[tuple, np.ndarray]:
+        return tuple(getattr(self, k) for k in self._keys), getattr(self, self._vector)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self.space == other.space and np.array_equal(
-            getattr(self, self._vector), getattr(other, self._vector)
-        )
+        (keys, a), (other_keys, b) = self._contents(), other._contents()
+        return keys == other_keys and np.array_equal(a, b)
 
     def __hash__(self) -> int:
-        return hash((self.space, tuple(getattr(self, self._vector).tolist())))
+        keys, a = self._contents()
+        return hash((keys, tuple(a.ravel().tolist())))
 
 
 @dataclass(frozen=True)
@@ -276,30 +280,33 @@ class Partition:
         return cls(tuple(Event(space, c) for c in cells))
 
 
-@dataclass(frozen=True)
-class JointDistribution:
-    """Probabilities over pairs from a row space and a column space."""
+@dataclass(frozen=True, eq=False)
+class JointDistribution(_ArrayValued):
+    """Probabilities over pairs from a row space and a column space.
+
+    Stored as ``array``, a read-only float64 table: rows are row outcomes.
+    """
+
+    _keys = ("row_space", "col_space")
 
     row_space: SampleSpace
     col_space: SampleSpace
-    weights: tuple[tuple[float, ...], ...]
+    array: np.ndarray
 
     def __post_init__(self):
-        rows = tuple(tuple(float(w) for w in row) for row in self.weights)
-        object.__setattr__(self, "weights", rows)
-        if len(rows) != len(self.row_space) or any(
-            len(r) != len(self.col_space) for r in rows
-        ):
-            raise ConstructionError(
-                "joint.shape_mismatch",
-                f"weights must be {len(self.row_space)}x{len(self.col_space)}",
-            )
-        flat = [w for row in rows for w in row]
-        if any(not math.isfinite(w) for w in flat):
+        rows, cols = len(self.row_space), len(self.col_space)
+        try:
+            a = _readonly(np.array(self.array, dtype=float, order="C"))
+        except ValueError:  # ragged rows
+            a = np.empty(0)
+        if a.shape != (rows, cols):
+            raise ConstructionError("joint.shape_mismatch", f"weights must be {rows}x{cols}")
+        object.__setattr__(self, "array", a)
+        if not np.isfinite(a).all():
             raise ConstructionError("joint.not_finite", "entries must be finite numbers")
-        if min(flat) < 0.0:
-            raise ConstructionError("joint.negative_weight", f"negative entry {min(flat)}")
-        total = math.fsum(flat)
+        if a.min() < 0.0:
+            raise ConstructionError("joint.negative_weight", f"negative entry {float(a.min())}")
+        total = math.fsum(a.ravel().tolist())
         if abs(total - 1.0) > SUM_TOL:
             raise ConstructionError("joint.sum_not_one", f"entries sum to {total!r}, not 1")
 
@@ -307,7 +314,7 @@ class JointDistribution:
     def from_array(
         cls, row_space: SampleSpace, col_space: SampleSpace, weights: np.ndarray
     ) -> "JointDistribution":
-        return cls(row_space, col_space, tuple(tuple(float(w) for w in row) for row in weights))
+        return cls(row_space, col_space, weights)
 
     @classmethod
     def independent(cls, p: "Distribution", q: "Distribution") -> "JointDistribution":
@@ -318,10 +325,6 @@ class JointDistribution:
     def identity_coupling(cls, d: "Distribution") -> "JointDistribution":
         """Diagonal coupling of a distribution with itself."""
         return cls.from_array(d.space, d.space, np.diag(d.array))
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        return _readonly(np.array(self.weights))
 
 
 # ---------------------------------------------------------------------------

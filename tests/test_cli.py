@@ -149,6 +149,20 @@ class TestAudit:
         assert "admissible: yes" in out
         assert "world a: loss" in out
 
+    def test_book_just_outside_the_hull_exits_0(self, capsys, tmp_path):
+        # 1.5e-9 beyond each coordinate of (0.5, 0.5): the true margin is
+        # ~1e-18, below the rounding of the losses, so no dominator can be
+        # checked and the book is reported admissible (not exit 3)
+        doc = ('{"space": ["s1", "s2"], "prior": "uniform", "constraints": [], '
+               '"forecasts": [{"event": ["s1"], "value": 0.5000000015}, '
+               '{"event": ["s2"], "value": 0.5000000015}]}')
+        path = tmp_path / "edge.json"
+        path.write_text(doc, encoding="utf-8")
+        code, out, err = run_main(capsys, "audit", str(path))
+        assert code == 0
+        assert out == "admissible: yes\nworld s1: loss 0.5\nworld s2: loss 0.5\n"
+        assert err == ""
+
     def test_scenario_without_forecasts_exits_3(self, capsys):
         code, _, err = run_main(capsys, "audit", DIE)
         assert code == 3

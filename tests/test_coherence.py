@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from relent.coherence import (
@@ -8,6 +10,7 @@ from relent.coherence import (
     WorldValuation,
     audit_admissibility,
     quadratic_loss,
+    world_losses,
     world_valuations,
 )
 from relent.errors import ConstructionError
@@ -57,6 +60,31 @@ class TestConstruction:
         with pytest.raises(ConstructionError) as ei:
             ForecastSystem(TWO, (E, NOT_E), (0.5,))
         assert ei.value.code == "forecast.length_mismatch"
+
+    def test_stores_one_read_only_array(self):
+        fs = ForecastSystem(TWO, [E, NOT_E], [0.25, 1])
+        assert fs.array.dtype == np.float64
+        assert fs.forecasts == (0.25, 1.0)
+        with pytest.raises(ValueError):
+            fs.array[0] = 0.5
+
+    def test_infinite_forecast_rejected(self):
+        with pytest.raises(ConstructionError) as ei:
+            ForecastSystem(TWO, (E, NOT_E), (0.5, float("-inf")))
+        assert ei.value.code == "forecast.not_finite"
+
+    def test_equality_and_hash_by_contents(self):
+        a = ForecastSystem(TWO, (E, NOT_E), (0.7, 0.7))
+        b = ForecastSystem(TWO, [TWO.subset("yes"), TWO.subset("no")], np.array([0.7, 0.7]))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != ForecastSystem(TWO, (E, NOT_E), (0.7, 0.3))
+        assert a != ForecastSystem(TWO, (NOT_E, E), (0.7, 0.7))
+
+    def test_valuation_matrix_has_a_column_per_event(self):
+        fs = ForecastSystem(TWO, (NOT_E, E, NOT_E), (0.1, 0.2, 0.3))
+        assert fs.valuation_matrix.tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]
+        assert ForecastSystem(TWO, (), ()).valuation_matrix.shape == (2, 0)
 
     def test_valuations_must_be_binary(self):
         with pytest.raises(ConstructionError) as ei:
@@ -204,3 +232,57 @@ class TestAuditProperties:
         )
         fs = ForecastSystem.from_distribution(dist, events)
         assert audit_admissibility(fs).admissible
+
+
+@st.composite
+def books(draw):
+    """A space of 2-12 worlds, 1-6 random events on it and forecasts in [-0.5, 1.5]."""
+    n = draw(st.integers(2, 12))
+    space = SampleSpace(tuple(f"w{i}" for i in range(n)))
+    k = draw(st.integers(1, 6))
+    events = tuple(
+        space.subset(*(x for x, keep in zip(space.outcomes, mask) if keep))
+        for mask in draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                                  min_size=k, max_size=k))
+    )
+    forecasts = draw(st.lists(
+        st.floats(-0.5, 1.5, allow_nan=False, allow_infinity=False), min_size=k, max_size=k
+    ))
+    return ForecastSystem(space, events, forecasts)
+
+
+class TestWorldLosses:
+    @settings(max_examples=300, deadline=None)
+    @given(books())
+    def test_equals_the_per_world_reference_bit_for_bit(self, fs):
+        worlds = world_valuations(fs)
+        assert world_losses(fs, fs.array).tolist() == [quadratic_loss(fs, w) for w in worlds]
+        verdict = audit_admissibility(fs)
+        if verdict.admissible:
+            return
+        dom = ForecastSystem(fs.space, fs.events, verdict.dominating)
+        after = world_losses(fs, verdict.dominating).tolist()
+        assert after == [quadratic_loss(dom, w) for w in worlds]
+        assert verdict.margin == min(quadratic_loss(fs, w) - quadratic_loss(dom, w) for w in worlds)
+
+    def test_empty_book_loses_nothing(self):
+        fs = ForecastSystem(TWO, (), ())
+        assert world_losses(fs, fs.array).tolist() == [0.0, 0.0]
+
+
+class TestNearTheHull:
+    def test_books_just_outside_never_raise(self):
+        # (0.5 + eps, 0.5 + eps) is eps * sqrt(2) from the hull of {(1, 0), (0, 1)};
+        # just past ADMISSIBLE_DIST the margin (~eps^2) is below loss rounding
+        events = (E, NOT_E)
+        dominated = 0
+        for eps in np.linspace(0.8e-9, 3e-8, 60):
+            fs = ForecastSystem(TWO, events, (0.5 + eps, 0.5 + eps))
+            verdict = audit_admissibility(fs)
+            if verdict.admissible:
+                continue
+            dominated += 1
+            dom = ForecastSystem(TWO, events, verdict.dominating)
+            for w in world_valuations(fs):
+                assert quadratic_loss(dom, w) < quadratic_loss(fs, w)
+        assert dominated > 0  # the far end of the sweep is checkably dominated

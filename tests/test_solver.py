@@ -21,7 +21,6 @@ from relent.information import relative_entropy
 from relent.solver import (
     SolverOptions,
     UpdateReport,
-    conditionalize,
     jeffrey_update,
     maxent_update,
 )
@@ -62,14 +61,15 @@ DIE_OBJECTIVE = -0.17817837107422595967
 
 class TestConditionalize:
     def test_matches_condition(self):
-        post = conditionalize(TIGER_PRIOR, TIGER_EVENT)
-        assert_allclose(post.array, condition(TIGER_PRIOR, TIGER_EVENT).array)
-        assert post.prob(TIGER_EVENT) == pytest.approx(1.0)
+        rep = maxent_update(TIGER_PRIOR, [EventProb(TIGER_EVENT, 1.0)])
+        assert rep.method == "conditionalization"
+        assert_allclose(rep.posterior.array, condition(TIGER_PRIOR, TIGER_EVENT).array)
+        assert rep.posterior.prob(TIGER_EVENT) == pytest.approx(1.0)
 
     def test_zero_mass_rejected(self):
         d = Distribution(space_of(2), (1.0, 0.0))
         with pytest.raises(ZeroMassEvent):
-            conditionalize(d, d.space.subset("w1"))
+            condition(d, d.space.subset("w1"))
 
 
 class TestJeffreyUpdate:

@@ -183,6 +183,43 @@ class TestJointDistribution:
             JointDistribution(space_of(2), space_of(3), ((0.5, 0.5), (0.0, 0.0)))
         assert ei.value.code == "joint.shape_mismatch"
 
+    def test_ragged_rows_are_a_shape_mismatch(self):
+        with pytest.raises(ConstructionError) as ei:
+            JointDistribution(space_of(2), space_of(2), ((0.5, 0.5), (0.0,)))
+        assert ei.value.code == "joint.shape_mismatch"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        with pytest.raises(ConstructionError) as ei:
+            JointDistribution(space_of(2), space_of(2), ((0.5, bad), (0.25, 0.25)))
+        assert ei.value.code == "joint.not_finite"
+
+    def test_rejects_negative_entry(self):
+        with pytest.raises(ConstructionError) as ei:
+            JointDistribution(space_of(2), space_of(2), ((0.75, -0.25), (0.25, 0.25)))
+        assert ei.value.code == "joint.negative_weight"
+        assert "-0.25" in str(ei.value)
+
+    def test_rejects_sum_not_one(self):
+        with pytest.raises(ConstructionError) as ei:
+            JointDistribution(space_of(2), space_of(2), ((0.5, 0.25), (0.25, 0.25)))
+        assert ei.value.code == "joint.sum_not_one"
+
+    def test_stores_one_read_only_array(self):
+        j = JointDistribution(space_of(2), space_of(3), [[0.1, 0.2, 0.2], [0.3, 0.1, 0.1]])
+        assert j.array.dtype == np.float64
+        assert j.array.shape == (2, 3)
+        with pytest.raises(ValueError):
+            j.array[0, 0] = 0.5
+
+    def test_equality_and_hash_by_contents(self):
+        table = np.array([[0.4, 0.1], [0.1, 0.4]])
+        a = JointDistribution(space_of(2), space_of(2), table)
+        b = JointDistribution.from_array(space_of(2), space_of(2), table.tolist())
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != JointDistribution(space_of(2), space_of(2), table.T[::-1])
+
     def test_independent_marginals(self):
         p = Distribution(space_of(2), (0.3, 0.7))
         q = Distribution(SampleSpace(("x", "y", "z")), (0.2, 0.5, 0.3))
