@@ -141,23 +141,27 @@ class AdmissibilityVerdict:
     When inadmissible, ``dominating`` is the hull projection of the
     forecasts and ``margin`` is the smallest per-world loss improvement
     it achieves (equal to the squared projection distance, which the
-    hull geometry guarantees as a floor). Both loss columns come from
-    :func:`world_losses` over the book's ``valuation_matrix``.
+    hull geometry guarantees as a floor). ``losses`` are the book's
+    per-world losses and ``dominating_losses`` the dominator's (empty
+    when admissible), both from :func:`world_losses` in space order;
+    ``margin`` is the minimum of their differences.
     """
 
     admissible: bool
     dominating: tuple[float, ...] | None
     margin: float
+    losses: tuple[float, ...] = ()
+    dominating_losses: tuple[float, ...] = ()
 
     def __post_init__(self):
         ok = (self.dominating is None) == self.admissible and (
             (self.margin == 0.0) if self.admissible else (self.margin > 0.0)
         )
-        if not ok:
+        if not ok or len(self.dominating_losses) != (0 if self.admissible else len(self.losses)):
             raise ConstructionError(
                 "verdict.inconsistent",
-                "admissible verdicts carry no dominator and zero margin; "
-                "inadmissible ones carry both",
+                "admissible verdicts carry no dominator, no dominator losses and zero "
+                "margin; inadmissible ones carry all three",
             )
 
 
@@ -230,12 +234,13 @@ def audit_admissibility(fs: ForecastSystem) -> AdmissibilityVerdict:
     below zero: no dominator can be checked at float64 precision there,
     and the book is reported admissible.
     """
-    if not fs.events:
-        return AdmissibilityVerdict(True, None, 0.0)
     x = fs.array
+    losses = world_losses(fs, x)
     projection = _project_to_hull(fs.valuation_matrix, x)
     if float(np.linalg.norm(projection - x)) > ADMISSIBLE_DIST:
-        margin = float((world_losses(fs, x) - world_losses(fs, projection)).min())
+        after = world_losses(fs, projection)
+        margin = float((losses - after).min())
         if margin > 0.0:
-            return AdmissibilityVerdict(False, tuple(projection.tolist()), margin)
-    return AdmissibilityVerdict(True, None, 0.0)
+            return AdmissibilityVerdict(False, tuple(projection.tolist()), margin,
+                                        tuple(losses.tolist()), tuple(after.tolist()))
+    return AdmissibilityVerdict(True, None, 0.0, tuple(losses.tolist()))

@@ -194,14 +194,17 @@ def residual(dist: Distribution, rows: Sequence[LinearForm]) -> float:
 class TriageVerdict:
     """Outcome of the cheap pre-solve feasibility screen.
 
-    ``infeasible`` True means a certificate was found: no posterior on
-    the prior's support can satisfy the constraints, and ``reasons``
-    says why. False means the screen found nothing; the constraints may
-    still be jointly unsatisfiable, which the solver detects.
+    Nonempty ``reasons`` are certificates: no posterior on the prior's
+    support can satisfy the constraints, and each reason says why. No
+    reasons means the screen found nothing; the constraints may still
+    be jointly unsatisfiable, which the solver detects.
     """
 
-    infeasible: bool
     reasons: tuple[str, ...] = ()
+
+    @property
+    def infeasible(self) -> bool:
+        return bool(self.reasons)
 
 
 def triage_feasibility(
@@ -248,4 +251,4 @@ def triage_feasibility(
                         f"cell {cell.describe()} has zero prior mass "
                         f"but positive target weight {w:g}"
                     )
-    return TriageVerdict(bool(reasons), tuple(reasons))
+    return TriageVerdict(tuple(reasons))

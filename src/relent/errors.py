@@ -40,7 +40,9 @@ class InfeasibleConstraint(RelentError):
     """No distribution on the prior's support satisfies the constraint set.
 
     ``reason`` is the certificate: a human-readable statement of which cheap
-    check failed, or of the divergence observed by the solver.
+    check failed, or of the dual multipliers lam that separate the targets b
+    from every distribution on the prior's support (lam . b exceeds
+    max_i (A^T lam)_i).
     """
 
     def __init__(self, reason: str):

@@ -41,7 +41,7 @@ from typing import Any, Iterable, Sequence, Union
 import numpy as np
 
 from .axioms import AxiomReport
-from .coherence import AdmissibilityVerdict, ForecastSystem, world_losses
+from .coherence import AdmissibilityVerdict, ForecastSystem
 from .constraints import CondProb, Constraint, EventProb, Expectation, PartitionWeights
 from .errors import ConstructionError, ParseError, ValidationError
 from .information import entropy, mutual_information
@@ -440,13 +440,12 @@ def _emit_verdict(verdict: AdmissibilityVerdict, system: ForecastSystem | None) 
     if not verdict.admissible:
         lines.append("dominating: " + " ".join(fmt10(v) for v in verdict.dominating))
     if system is not None:
-        worlds = zip(system.space.outcomes, world_losses(system, system.array).tolist())
+        worlds = zip(system.space.outcomes, verdict.losses)
         if verdict.admissible:
             lines.extend(f"world {x}: loss {fmt10(b)}" for x, b in worlds)
         else:
-            after = world_losses(system, verdict.dominating).tolist()
             lines.extend(f"world {x}: loss {fmt10(b)} -> {fmt10(a)}"
-                         for (x, b), a in zip(worlds, after))
+                         for (x, b), a in zip(worlds, verdict.dominating_losses))
     if not verdict.admissible:
         lines.append(f"margin: {fmt10(verdict.margin)}")
     return lines
@@ -468,7 +467,8 @@ def emit_report(
 
     ``units`` converts information values (and only those) to bits when
     set. For admissibility verdicts, pass the audited system to get
-    per-world loss tables.
+    per-world loss tables: the losses are the verdict's, the world
+    names the system's.
     """
     if isinstance(report, UpdateReport):
         lines = _emit_update(report, units)

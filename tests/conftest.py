@@ -13,6 +13,21 @@ def space_of(n: int) -> SampleSpace:
     return SampleSpace(tuple(f"w{i}" for i in range(n)))
 
 
+# A prior on w0..w6 and three event pins, (outcomes, target), that no
+# distribution meets (an LP puts them 0.29 apart), although every target lies
+# in [0, 1] and every event has prior mass, so only the solver can tell.
+JOINTLY_INFEASIBLE_PRIOR = (
+    0.00033171031570191576, 0.4078790772940108, 0.09638193310384784,
+    0.05656974824175936, 0.10776925083143324, 0.09709109575672757,
+    0.23397718445651924,
+)
+JOINTLY_INFEASIBLE_PINS = (
+    (("w0", "w1", "w5"), 0.18611416004776848),
+    (("w0", "w1", "w2", "w3", "w5", "w6"), 0.17914431730426428),
+    (("w0", "w4", "w5", "w6"), 0.528005316371534),
+)
+
+
 def brute_force_dominator(fs: ForecastSystem, step: float = 1e-2):
     """Grid search for any forecast strictly better in every world.
 

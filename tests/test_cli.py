@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, report text, determinism."""
 
+import json
 import math
 import subprocess
 import sys
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from relent.cli import main
+
+from conftest import JOINTLY_INFEASIBLE_PINS, JOINTLY_INFEASIBLE_PRIOR
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 DIE = str(SCENARIOS / "die.json")
@@ -54,6 +57,23 @@ class TestUpdate:
         assert out.startswith("infeasible\n")
         assert "certificate: " in out
         assert "outside [0, 1]" in out
+        assert err != ""
+
+    def test_jointly_infeasible_pins_exit_2(self, capsys, tmp_path):
+        doc = {
+            "version": 1,
+            "space": [f"w{i}" for i in range(7)],
+            "prior": list(JOINTLY_INFEASIBLE_PRIOR),
+            "constraints": [
+                {"type": "event_prob", "event": list(labels), "value": v}
+                for labels, v in JOINTLY_INFEASIBLE_PINS
+            ],
+        }
+        path = tmp_path / "pins.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_main(capsys, "update", str(path))
+        assert code == 2
+        assert out.startswith("infeasible\ncertificate: dual multipliers")
         assert err != ""
 
     def test_non_convergence_exits_4(self, capsys):

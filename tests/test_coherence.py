@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import relent.coherence
+import relent.scenario
 from relent.coherence import (
     AdmissibilityVerdict,
     ForecastSystem,
@@ -14,6 +16,7 @@ from relent.coherence import (
     world_valuations,
 )
 from relent.errors import ConstructionError
+from relent.scenario import emit_report
 from relent.spaces import Distribution, SampleSpace
 
 from conftest import brute_force_dominator
@@ -98,6 +101,10 @@ class TestConstruction:
             AdmissibilityVerdict(False, None, 0.1)
         with pytest.raises(ConstructionError):
             AdmissibilityVerdict(False, (0.5,), 0.0)
+        with pytest.raises(ConstructionError):
+            AdmissibilityVerdict(True, None, 0.0, (0.25,), (0.0,))
+        with pytest.raises(ConstructionError):
+            AdmissibilityVerdict(False, (0.5,), 0.1, (0.25, 0.25), (0.0,))
 
 
 class TestAuditKnownCases:
@@ -256,18 +263,39 @@ class TestWorldLosses:
     @given(books())
     def test_equals_the_per_world_reference_bit_for_bit(self, fs):
         worlds = world_valuations(fs)
-        assert world_losses(fs, fs.array).tolist() == [quadratic_loss(fs, w) for w in worlds]
+        before = [quadratic_loss(fs, w) for w in worlds]
+        assert world_losses(fs, fs.array).tolist() == before
         verdict = audit_admissibility(fs)
+        assert list(verdict.losses) == before
         if verdict.admissible:
+            assert verdict.dominating_losses == ()
             return
         dom = ForecastSystem(fs.space, fs.events, verdict.dominating)
-        after = world_losses(fs, verdict.dominating).tolist()
-        assert after == [quadratic_loss(dom, w) for w in worlds]
-        assert verdict.margin == min(quadratic_loss(fs, w) - quadratic_loss(dom, w) for w in worlds)
+        after = [quadratic_loss(dom, w) for w in worlds]
+        assert world_losses(fs, verdict.dominating).tolist() == after
+        assert list(verdict.dominating_losses) == after
+        assert verdict.margin == min(b - a for b, a in zip(before, after))
 
     def test_empty_book_loses_nothing(self):
         fs = ForecastSystem(TWO, (), ())
         assert world_losses(fs, fs.array).tolist() == [0.0, 0.0]
+        assert audit_admissibility(fs).losses == (0.0, 0.0)
+
+    @pytest.mark.parametrize("forecasts", [(0.7, 0.7), (0.4, 0.6)])
+    def test_audit_and_report_score_the_book_at_most_twice(self, forecasts, monkeypatch):
+        fs = ForecastSystem(TWO, (E, NOT_E), forecasts)
+        calls = []
+        real = relent.coherence.world_losses
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(relent.coherence, "world_losses", counted)
+        # the report must not score the book again under any name of its own
+        monkeypatch.setattr(relent.scenario, "world_losses", counted, raising=False)
+        emit_report(audit_admissibility(fs), system=fs)
+        assert len(calls) <= 2
 
 
 class TestNearTheHull:

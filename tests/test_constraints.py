@@ -9,6 +9,7 @@ from relent.constraints import (
     EventProb,
     Expectation,
     PartitionWeights,
+    TriageVerdict,
     compile_all,
     compile_constraint,
     residual,
@@ -143,6 +144,10 @@ class TestTriage:
         v = triage_feasibility([EventProb(abc.subset("a"), 0.9)], prior)
         assert not v.infeasible
         assert v.reasons == ()
+
+    def test_verdict_is_infeasible_exactly_when_it_has_reasons(self):
+        assert not TriageVerdict().infeasible
+        assert TriageVerdict(("a reason",)).infeasible
 
     def test_probability_out_of_range(self, abc):
         prior = Distribution.uniform(abc)

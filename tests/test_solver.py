@@ -33,7 +33,9 @@ from relent.spaces import (
     conditional_prob,
 )
 
-from conftest import positive_distributions, space_of
+from conftest import (
+    JOINTLY_INFEASIBLE_PINS, JOINTLY_INFEASIBLE_PRIOR, positive_distributions, space_of,
+)
 
 NO_FAST = SolverOptions(use_fast_paths=False)
 
@@ -318,6 +320,24 @@ class TestMaxentFailureModes:
         with pytest.raises(InfeasibleConstraint):
             maxent_update(prior, [EventProb(s.subset("w0"), 0.4)], NO_FAST)
 
+    def test_jointly_infeasible_pins_certified_by_the_dual(self):
+        s = space_of(7)
+        prior = Distribution(s, JOINTLY_INFEASIBLE_PRIOR)
+        cs = [EventProb(s.subset(*labels), v) for labels, v in JOINTLY_INFEASIBLE_PINS]
+        for options in (SolverOptions(), NO_FAST):
+            with pytest.raises(InfeasibleConstraint) as ei:
+                maxent_update(prior, cs, options)
+            assert "dual multipliers" in ei.value.reason
+
+    def test_feasible_boundary_target_at_small_scale_not_called_infeasible(self):
+        # a point mass on face1 attains the mean; until rows are scaled the
+        # budget may still run out here, but infeasibility must not be claimed
+        pips = RandomVariable(DIE_SPACE, tuple(6e-6 * k for k in range(1, 7)))
+        try:
+            maxent_update(Distribution.uniform(DIE_SPACE), [Expectation(pips, 6e-6)])
+        except NonConvergence:
+            pass
+
     def test_budget_exhaustion_is_nonconvergence(self):
         opts = SolverOptions(max_iter=1, use_fast_paths=True)
         with pytest.raises(NonConvergence):
@@ -330,8 +350,92 @@ class TestMaxentFailureModes:
             SolverOptions(tol=0.0)
         with pytest.raises(ConstructionError):
             SolverOptions(max_iter=0)
-        with pytest.raises(ConstructionError):
-            SolverOptions(multiplier_bound=-1.0)
+
+
+def _random_event(rng, space):
+    k = int(rng.integers(1, len(space) + 1))
+    return space.subset(*rng.choice(space.outcomes, size=k, replace=False))
+
+
+def _feasible_by_construction(rng):
+    """A prior (sometimes with zeros) and 1-3 mixed constraints met by a Dirichlet p on its support."""
+    n = int(rng.integers(3, 9))
+    space = space_of(n)
+    prior = rng.dirichlet(np.ones(n))
+    if rng.random() < 0.3:
+        prior[rng.choice(n, size=int(rng.integers(1, n - 1)), replace=False)] = 0.0
+    prior /= prior.sum()
+    p = np.zeros(n)
+    p[prior > 0.0] = rng.dirichlet(np.ones(int((prior > 0.0).sum())))
+    cs = []
+    for _ in range(int(rng.integers(1, 4))):
+        kind = rng.integers(3)
+        if kind == 0:
+            e = _random_event(rng, space)
+            cs.append(EventProb(e, float(np.clip(e.indicator @ p, 0.0, 1.0))))
+        elif kind == 1:
+            x = RandomVariable(space, tuple(rng.normal(size=n)))
+            cs.append(Expectation(x, float(x.array @ p)))
+        else:
+            a, g = _random_event(rng, space), _random_event(rng, space)
+            pg = float(g.indicator @ p)
+            if pg > 0.0:
+                v = float(a.indicator * g.indicator @ p) / pg
+                cs.append(CondProb(a, g, float(np.clip(v, 0.0, 1.0))))
+    return space, Distribution(space, tuple(prior)), cs
+
+
+def _infeasible_by_construction(rng):
+    """Feasible rows plus two event pins that no distribution meets, by at least 1e-3.
+
+    Either two disjoint events whose targets sum past 1, or a sub-event
+    pinned above its superset.
+    """
+    space, prior, cs = _feasible_by_construction(rng)
+    n = len(space)
+    gap = float(rng.uniform(1e-3, 0.5))
+    order = list(rng.permutation(space.outcomes))
+    cut = int(rng.integers(1, n))
+    end = int(rng.integers(cut + 1, n + 1))
+    if rng.random() < 0.5:
+        first = float(rng.uniform(gap, 1.0))
+        cs += [EventProb(space.subset(*order[:cut]), first),
+               EventProb(space.subset(*order[cut:end]), 1.0 + gap - first)]
+    else:
+        outer = float(rng.uniform(0.0, 1.0 - gap))
+        cs += [EventProb(space.subset(*order[:end]), outer),
+               EventProb(space.subset(*order[:cut]), outer + gap)]
+    rng.shuffle(cs)
+    return prior, cs
+
+
+class TestInfeasibilityCertificate:
+    """Seeded sets whose feasibility is known by construction, solved on the dual route."""
+
+    def test_feasible_sets_never_called_infeasible(self):
+        called_infeasible = []
+        for seed in range(300):
+            _, prior, cs = _feasible_by_construction(np.random.default_rng([seed, 1]))
+            try:
+                maxent_update(prior, cs, NO_FAST)
+            except InfeasibleConstraint:
+                called_infeasible.append(seed)
+            except (NonConvergence, DegenerateConditional):
+                pass
+        assert called_infeasible == []
+
+    def test_infeasible_sets_always_certified(self):
+        missed = []
+        for seed in range(300):
+            prior, cs = _infeasible_by_construction(np.random.default_rng([seed, 0]))
+            try:
+                maxent_update(prior, cs, NO_FAST)
+            except InfeasibleConstraint:
+                continue
+            except NonConvergence:
+                pass
+            missed.append(seed)
+        assert missed == []
 
 
 class TestFastPathAgreement:
