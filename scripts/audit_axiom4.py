@@ -12,17 +12,10 @@ import argparse
 
 import numpy as np
 
-from relent import (
-    CellInfo,
-    CondProb,
-    EventProb,
-    check_axiom4_full,
-    check_axiom4b,
-    conditional_prob,
-    random_reweighting_case,
-)
+from relent import CondProb, Event, EventProb
+from relent.axioms import CellInfo, check_axiom4_full, check_axiom4b, random_reweighting_case
 from relent.scenario import fmt10
-from relent.spaces import Event
+from relent.spaces import conditional_prob
 
 
 def random_cell_infos(rng, prior, part):

@@ -12,7 +12,7 @@ import argparse
 
 import numpy as np
 
-from relent import divergence_curve
+from relent.certainty_factors import divergence_curve
 from relent.scenario import fmt10
 
 

@@ -7,99 +7,26 @@ toolkit the updates rest on, executable consistency checks for
 partition-based evidence, a quadratic-loss admissibility audit for
 point forecasts, and an exact-vs-shortcut comparison for
 certainty-factor style updating.
+
+This package exports the supported surface listed in ``__all__``;
+every other name is imported from its submodule (``relent.spaces``,
+``relent.information``, ``relent.axioms``, ...).
 """
 
-from .axioms import (
-    SKIP_MASS,
-    AxiomReport,
-    CellInfo,
-    check_axiom4_full,
-    check_axiom4b,
-    random_reweighting_case,
-)
-from .certainty_factors import (
-    EvidenceScenario,
-    cf_approx_posterior,
-    divergence_curve,
-    jeffrey_posterior,
-)
-from .coherence import (
-    ADMISSIBLE_DIST,
-    AdmissibilityVerdict,
-    ForecastSystem,
-    WorldValuation,
-    audit_admissibility,
-    quadratic_loss,
-    world_valuations,
-)
-from .constraints import (
-    CondProb,
-    Constraint,
-    EventProb,
-    Expectation,
-    LinearForm,
-    PartitionWeights,
-    TriageVerdict,
-    compile_all,
-    compile_constraint,
-    residual,
-    triage_feasibility,
-)
+from .coherence import AdmissibilityVerdict, ForecastSystem, audit_admissibility
+from .constraints import CondProb, EventProb, Expectation, PartitionWeights
 from .errors import (
     ConstructionError,
     DegenerateConditional,
-    DomainError,
     InfeasibleConstraint,
     NonConvergence,
     ParseError,
     RelentError,
-    SpaceMismatch,
-    SupportViolation,
     ValidationError,
-    ZeroMassEvent,
 )
-from .information import (
-    conditional_entropy,
-    entropy,
-    mutual_information,
-    relative_entropy,
-    self_information,
-)
-from .scenario import (
-    CondProbQuery,
-    EntropyQuery,
-    MutualInfoQuery,
-    PosteriorQuery,
-    ProbQuery,
-    Query,
-    Scenario,
-    emit_report,
-    parse,
-    parse_file,
-    run_queries,
-    serialize,
-)
-from .solver import (
-    Method,
-    SolverOptions,
-    UpdateReport,
-    jeffrey_update,
-    maxent_update,
-)
-from .spaces import (
-    SUM_TOL,
-    ZERO_MASS,
-    Distribution,
-    Event,
-    JointDistribution,
-    Partition,
-    RandomVariable,
-    SampleSpace,
-    condition,
-    conditional_prob,
-    expectation,
-    marginal,
-)
+from .scenario import emit_report, parse, parse_file
+from .solver import SolverOptions, UpdateReport, maxent_update
+from .spaces import Distribution, Event, Partition, RandomVariable, SampleSpace
 
 __version__ = "0.1.0"
 
@@ -107,34 +34,15 @@ __all__ = [
     "__version__",
     # spaces
     "SampleSpace", "Event", "Distribution", "RandomVariable", "Partition",
-    "JointDistribution", "condition", "conditional_prob", "expectation",
-    "marginal", "ZERO_MASS", "SUM_TOL",
-    # information
-    "self_information", "entropy", "relative_entropy", "conditional_entropy",
-    "mutual_information",
     # constraints
-    "EventProb", "Expectation", "CondProb", "PartitionWeights", "Constraint",
-    "LinearForm", "compile_constraint", "compile_all", "residual",
-    "TriageVerdict", "triage_feasibility",
+    "EventProb", "Expectation", "CondProb", "PartitionWeights",
     # solver
-    "maxent_update", "jeffrey_update", "SolverOptions",
-    "UpdateReport", "Method",
-    # axioms
-    "CellInfo", "AxiomReport", "check_axiom4_full", "check_axiom4b",
-    "random_reweighting_case", "SKIP_MASS",
+    "maxent_update", "SolverOptions", "UpdateReport",
     # coherence
-    "ForecastSystem", "WorldValuation", "AdmissibilityVerdict",
-    "world_valuations", "quadratic_loss", "audit_admissibility",
-    "ADMISSIBLE_DIST",
-    # certainty factors
-    "EvidenceScenario", "jeffrey_posterior", "cf_approx_posterior",
-    "divergence_curve",
+    "ForecastSystem", "AdmissibilityVerdict", "audit_admissibility",
     # scenarios
-    "Scenario", "Query", "ProbQuery", "CondProbQuery", "EntropyQuery",
-    "MutualInfoQuery", "PosteriorQuery", "parse", "parse_file", "serialize",
-    "emit_report", "run_queries",
+    "parse", "parse_file", "emit_report",
     # errors
-    "RelentError", "ConstructionError", "SpaceMismatch", "ZeroMassEvent",
-    "DomainError", "SupportViolation", "InfeasibleConstraint",
-    "NonConvergence", "DegenerateConditional", "ParseError", "ValidationError",
+    "RelentError", "ConstructionError", "ValidationError", "ParseError",
+    "InfeasibleConstraint", "NonConvergence", "DegenerateConditional",
 ]

@@ -33,11 +33,6 @@ from .spaces import (
     conditional_prob,
 )
 
-#: Cells whose posterior mass falls at or below this bound have no
-#: conditional distribution to compare; they are skipped and flagged.
-SKIP_MASS = 1e-12
-
-
 @dataclass(frozen=True)
 class CellInfo:
     """Information about the conditional distribution inside one cell.
@@ -160,7 +155,7 @@ def check_axiom4_full(
         by_cell.setdefault(info.cell_index, []).extend(info.constraints)
 
     for cell in part.cells:
-        if prior.prob(cell) <= SKIP_MASS:
+        if prior.prob(cell) <= ZERO_MASS:
             raise ZeroMassEvent(
                 f"cell {cell.describe()} has no prior mass; its conditional prior is undefined"
             )
@@ -173,7 +168,7 @@ def check_axiom4_full(
     per_cell: list[tuple[int, float]] = []
     skipped: list[int] = []
     for i, cell in enumerate(part.cells):
-        if joint_posterior.prob(cell) <= SKIP_MASS:
+        if joint_posterior.prob(cell) <= ZERO_MASS:
             skipped.append(i)
             continue
         left = condition(joint_posterior, cell)
@@ -207,7 +202,7 @@ def check_axiom4b(
     per_cell: list[tuple[int, float]] = []
     skipped: list[int] = []
     for i, cell in enumerate(part.cells):
-        if posterior.prob(cell) <= SKIP_MASS:
+        if posterior.prob(cell) <= ZERO_MASS:
             skipped.append(i)
             continue
         members = sorted(cell.members, key=prior.space.index.__getitem__)

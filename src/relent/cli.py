@@ -35,7 +35,15 @@ from .errors import (
     ValidationError,
     ZeroMassEvent,
 )
-from .scenario import EntropyQuery, emit_report, fmt10, parse_file, run_queries
+from .scenario import (
+    EntropyQuery,
+    distribution_lines,
+    emit_divergence,
+    emit_report,
+    fmt10,
+    parse_file,
+    run_queries,
+)
 from .solver import SolverOptions, maxent_update
 
 
@@ -144,7 +152,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
         f"constraints: {len(sc.constraints)}",
         "prior:",
     ]
-    lines.extend(f"  {x} {fmt10(w)}" for x, w in zip(sc.space.outcomes, sc.prior.weights))
+    lines.extend(distribution_lines(sc.prior))
     lines.extend(run_queries(sc.prior, (EntropyQuery(), *sc.queries), args.units))
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
@@ -190,7 +198,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     sys.stdout.write(
         f"P(H|E) = {fmt10(args.p_h_given_e)}, P(H|not E) = {fmt10(args.p_h_given_not_e)}\n"
     )
-    sys.stdout.write(emit_report(table))
+    sys.stdout.write(emit_divergence(table))
     return 0
 
 

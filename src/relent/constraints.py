@@ -71,9 +71,6 @@ class Expectation:
     def space(self) -> SampleSpace:
         return self.variable.space
 
-    def describe(self) -> str:
-        return f"E[f] = {self.value:g} with f = {self.variable.values}"
-
 
 @dataclass(frozen=True)
 class CondProb:
@@ -139,12 +136,6 @@ class PartitionWeights:
     @property
     def space(self) -> SampleSpace:
         return self.partition.space
-
-    def describe(self) -> str:
-        cells = ", ".join(
-            f"P({c.describe()}) = {w:g}" for c, w in zip(self.partition.cells, self.weights)
-        )
-        return f"partition reweighting: {cells}"
 
 
 Constraint = Union[EventProb, Expectation, CondProb, PartitionWeights]

@@ -16,7 +16,7 @@ from .certainty_factors import (
     jeffrey_posterior,
 )
 from .constraints import EventProb, Expectation, PartitionWeights
-from .scenario import emit_report, fmt10
+from .scenario import emit_divergence, emit_report, fmt10
 from .solver import maxent_update
 from .spaces import (
     Distribution,
@@ -113,7 +113,7 @@ def demo_mycin(grid_steps: int = 11) -> str:
         f"P(H|E) = {fmt10(p_h_given_e)}, P(H|not E) = {fmt10(p_h_given_not_e)},"
         " evidence certainty q swept from 0 to 1",
         "",
-        emit_report(table).rstrip("\n"),
+        emit_divergence(table).rstrip("\n"),
         "",
         f"at q = 0.8: exact {fmt10(exact)}, shortcut {fmt10(shortcut)},"
         f" gap {fmt10(exact - shortcut)}",

@@ -40,7 +40,6 @@ from typing import Any, Iterable, Sequence, Union
 
 import numpy as np
 
-from .axioms import AxiomReport
 from .coherence import AdmissibilityVerdict, ForecastSystem
 from .constraints import CondProb, Constraint, EventProb, Expectation, PartitionWeights
 from .errors import ConstructionError, ParseError, ValidationError
@@ -267,7 +266,8 @@ def parse(document: str) -> Scenario:
     if not isinstance(data, dict):
         raise _fail("file.not_object", "the top level of a scenario must be a JSON object")
     _object_keys(data, TOP_LEVEL_KEYS, "file.unknown_key", "the scenario")
-    if "version" in data and data["version"] != 1:
+    # JSON true parses to True, which equals 1 in Python
+    if "version" in data and (isinstance(data["version"], bool) or data["version"] != 1):
         raise _fail("file.bad_version", f"unsupported version {data['version']!r}")
 
     raw_space = _required(data, "space", "space.missing", "the scenario")
@@ -403,8 +403,9 @@ def _info_value(nats: float, units: str) -> str:
     return f"{fmt10(nats)} nats"
 
 
-def _distribution_lines(dist: Distribution, indent: str = "  ") -> list[str]:
-    return [f"{indent}{label} {fmt10(w)}" for label, w in zip(dist.space.outcomes, dist.weights)]
+def distribution_lines(dist: Distribution) -> list[str]:
+    """One indented ``label weight`` line per outcome, in space order."""
+    return [f"  {label} {fmt10(w)}" for label, w in zip(dist.space.outcomes, dist.weights)]
 
 
 def _emit_update(report: UpdateReport, units: str) -> list[str]:
@@ -419,19 +420,7 @@ def _emit_update(report: UpdateReport, units: str) -> list[str]:
     else:
         lines.append("multipliers: (none)")
     lines.append("posterior:")
-    lines.extend(_distribution_lines(report.posterior))
-    return lines
-
-
-def _emit_axioms(report: AxiomReport) -> list[str]:
-    lines = [
-        f"result: {'passed' if report.passed else 'failed'}",
-        f"tol: {fmt10(report.tol)}",
-        f"max_deviation: {fmt10(report.max_deviation)}",
-    ]
-    lines.extend(f"cell {i} deviation {fmt10(d)}" for i, d in report.per_cell)
-    if report.skipped_cells:
-        lines.append("skipped cells: " + ", ".join(str(i) for i in report.skipped_cells))
+    lines.extend(distribution_lines(report.posterior))
     return lines
 
 
@@ -451,33 +440,32 @@ def _emit_verdict(verdict: AdmissibilityVerdict, system: ForecastSystem | None) 
     return lines
 
 
-def _emit_divergence(table: Iterable[tuple[float, float]]) -> list[str]:
+def emit_divergence(table: Iterable[tuple[float, float]]) -> str:
+    """Render ``(q, divergence)`` pairs, as from ``divergence_curve``, one per line."""
     lines = ["q divergence"]
     lines.extend(f"{fmt10(q)} {fmt10(d)}" for q, d in table)
-    return lines
+    return "\n".join(lines) + "\n"
 
 
 def emit_report(
-    report: UpdateReport | AxiomReport | AdmissibilityVerdict | Sequence[tuple[float, float]],
+    report: UpdateReport | AdmissibilityVerdict,
     *,
     units: str = "nats",
     system: ForecastSystem | None = None,
 ) -> str:
-    """Render any result object as deterministic line-oriented text.
+    """Render an update report or an admissibility verdict as deterministic text.
 
-    ``units`` converts information values (and only those) to bits when
-    set. For admissibility verdicts, pass the audited system to get
-    per-world loss tables: the losses are the verdict's, the world
-    names the system's.
+    ``units`` converts the information values of an update report (and
+    only those) to bits when set. For admissibility verdicts, pass the
+    audited system to get per-world loss tables: the losses are the
+    verdict's, the world names the system's.
     """
     if isinstance(report, UpdateReport):
         lines = _emit_update(report, units)
-    elif isinstance(report, AxiomReport):
-        lines = _emit_axioms(report)
     elif isinstance(report, AdmissibilityVerdict):
         lines = _emit_verdict(report, system)
     else:
-        lines = _emit_divergence(report)
+        raise TypeError(f"not an update report or admissibility verdict: {report!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -500,7 +488,7 @@ def run_queries(dist: Distribution, queries: Sequence[Query], units: str = "nats
             )
         elif isinstance(q, PosteriorQuery):
             lines.append("distribution:")
-            lines.extend(_distribution_lines(dist))
+            lines.extend(distribution_lines(dist))
         else:
             raise TypeError(f"not a query: {q!r}")
     return lines
@@ -526,6 +514,8 @@ __all__ = [
     "parse_file",
     "serialize",
     "emit_report",
+    "emit_divergence",
+    "distribution_lines",
     "run_queries",
     "fmt10",
 ]

@@ -60,8 +60,8 @@ class SolverOptions:
 
     tol is the convergence threshold on the largest absolute constraint
     violation, and max_iter the budget of Newton steps. init_multipliers
-    seeds the dual iteration (one value per active compiled row) for
-    warm starts; None means start from zero.
+    seeds the dual iteration (one finite value per active compiled row)
+    for warm starts; None means start from zero.
     """
 
     tol: float = 1e-10
@@ -77,9 +77,13 @@ class SolverOptions:
                 "options.bad_max_iter", f"max_iter must be at least 1, got {self.max_iter!r}"
             )
         if self.init_multipliers is not None:
-            object.__setattr__(
-                self, "init_multipliers", tuple(float(x) for x in self.init_multipliers)
-            )
+            lam = tuple(float(x) for x in self.init_multipliers)
+            if not all(map(math.isfinite, lam)):
+                raise ConstructionError(
+                    "options.bad_init_multipliers",
+                    f"initial multipliers must be finite, got {lam!r}",
+                )
+            object.__setattr__(self, "init_multipliers", lam)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from relent.scenario import (
     MutualInfoQuery,
     PosteriorQuery,
     ProbQuery,
+    emit_divergence,
     emit_report,
     fmt10,
     parse,
@@ -103,6 +104,8 @@ REJECTIONS = [
     ('{"space": ["a"], "prior": "uniform", "constraints": [], "extra": 1}',
      "file.unknown_key"),
     ('{"version": 2, "space": ["a"], "prior": "uniform", "constraints": []}',
+     "file.bad_version"),
+    ('{"version": true, "space": ["a"], "prior": "uniform", "constraints": []}',
      "file.bad_version"),
     ('{"prior": "uniform", "constraints": []}', "space.missing"),
     ('{"space": "a", "prior": "uniform", "constraints": []}', "space.not_label_array"),
@@ -339,8 +342,12 @@ class TestReports:
 
     def test_divergence_table_text(self):
         table = ((0.0, 0.3), (0.5, 0.15), (1.0, 0.0))
-        text = emit_report(table)
+        text = emit_divergence(table)
         assert text == "q divergence\n0 0.3\n0.5 0.15\n1 0\n"
+
+    def test_emit_report_renders_only_reports_and_verdicts(self):
+        with pytest.raises(TypeError):
+            emit_report(((0.0, 0.3), (1.0, 0.0)))
 
 
 class TestQueries:
@@ -393,18 +400,6 @@ class TestFormatting:
         assert fmt10(2.0 / 3.0) == "0.6666666667"
         assert fmt10(1.0) == "1"
         assert fmt10(-0.5) == "-0.5"
-
-    def test_axiom_report_rendering(self):
-        space = SampleSpace(("a", "b", "c", "d"))
-        prior = Distribution(space, (0.2, 0.3, 0.3, 0.2))
-        part = Partition.from_labels(space, (("a", "b"), ("c", "d")))
-        from relent.axioms import check_axiom4b
-
-        report = check_axiom4b(prior, part, PartitionWeights(part, (0.8, 0.2)), tol=1e-8)
-        text = emit_report(report)
-        assert text.splitlines()[0] == "result: passed"
-        assert "max_deviation:" in text
-        assert "cell 0 deviation" in text
 
     def test_admissibility_rendering_with_losses(self):
         from relent.coherence import ForecastSystem, audit_admissibility

@@ -218,6 +218,12 @@ class TestMaxentDie:
             )
         assert ei.value.code == "options.bad_init_multipliers"
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_warm_start_rejected(self, bad):
+        with pytest.raises(ConstructionError) as ei:
+            SolverOptions(init_multipliers=(bad,))
+        assert ei.value.code == "options.bad_init_multipliers"
+
 
 class TestMaxentCondProb:
     def test_conditional_pin(self):
