@@ -22,7 +22,7 @@ import numpy as np
 
 from .constraints import CondProb, Constraint, EventProb, PartitionWeights
 from .errors import ConstructionError, ZeroMassEvent
-from .solver import SolverOptions, maxent_update
+from .solver import maxent_update
 from .spaces import (
     ZERO_MASS,
     Distribution,
@@ -61,34 +61,34 @@ class CellInfo:
                 )
 
 
+#: Seeded random events per cell that :func:`check_axiom4b` checks beyond the singletons.
+RANDOM_EVENTS_PER_CELL = 20
+
+
 @dataclass(frozen=True)
 class AxiomReport:
     """Worst-case disagreement between the two sides of a consistency check.
 
     per_cell pairs each checked cell index with its deviation.
     skipped_cells lists cells that could not be checked because their
-    posterior mass vanished. passed must equal max_deviation <= tol.
+    posterior mass vanished.
     """
 
     tol: float
-    max_deviation: float
     per_cell: tuple[tuple[int, float], ...]
-    passed: bool
     skipped_cells: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
         object.__setattr__(self, "per_cell", tuple((int(i), float(d)) for i, d in self.per_cell))
         object.__setattr__(self, "skipped_cells", tuple(int(i) for i in self.skipped_cells))
-        if self.passed != (self.max_deviation <= self.tol):
-            raise ConstructionError(
-                "axiom.report_inconsistent",
-                "passed flag disagrees with max_deviation vs tol",
-            )
 
+    @property
+    def max_deviation(self) -> float:
+        return max((d for _, d in self.per_cell), default=0.0)
 
-def _report(tol: float, per_cell: list[tuple[int, float]], skipped: list[int]) -> AxiomReport:
-    worst = max((d for _, d in per_cell), default=0.0)
-    return AxiomReport(tol, worst, tuple(per_cell), worst <= tol, tuple(skipped))
+    @property
+    def passed(self) -> bool:
+        return self.max_deviation <= self.tol
 
 
 def _relativize(c: Constraint, cell: Event) -> Constraint:
@@ -128,7 +128,6 @@ def check_axiom4_full(
     m: PartitionWeights,
     infos: tuple[CellInfo, ...] | list[CellInfo],
     tol: float,
-    options: SolverOptions = SolverOptions(),
 ) -> AxiomReport:
     """Compare whole-space updating against per-cell updating.
 
@@ -163,7 +162,7 @@ def check_axiom4_full(
     full_constraints: list[Constraint] = [m]
     for i, cs in sorted(by_cell.items()):
         full_constraints.extend(_relativize(c, part.cells[i]) for c in cs)
-    joint_posterior = maxent_update(prior, full_constraints, options).posterior
+    joint_posterior = maxent_update(prior, full_constraints).posterior
 
     per_cell: list[tuple[int, float]] = []
     skipped: list[int] = []
@@ -172,9 +171,9 @@ def check_axiom4_full(
             skipped.append(i)
             continue
         left = condition(joint_posterior, cell)
-        right = maxent_update(condition(prior, cell), by_cell.get(i, []), options).posterior
+        right = maxent_update(condition(prior, cell), by_cell.get(i, [])).posterior
         per_cell.append((i, float(np.max(np.abs(left.array - right.array)))))
-    return _report(tol, per_cell, skipped)
+    return AxiomReport(tol, tuple(per_cell), tuple(skipped))
 
 
 def check_axiom4b(
@@ -183,21 +182,19 @@ def check_axiom4b(
     m: PartitionWeights,
     tol: float,
     seed: int = 0,
-    n_random: int = 20,
-    options: SolverOptions = SolverOptions(),
 ) -> AxiomReport:
     """Verify that reweighting partition cells preserves within-cell conditionals.
 
     Updates ``prior`` with the cell weights alone, then compares
     P(a | cell) before and after for a family of events inside each
     cell: every singleton (which already determines the conditional
-    completely on a finite space) plus ``n_random`` seeded random
-    subsets per cell as redundancy. Reports the largest difference.
+    completely on a finite space) plus ``RANDOM_EVENTS_PER_CELL`` seeded
+    random subsets per cell as redundancy. Reports the largest difference.
 
     Cells with vanishing posterior mass are skipped and flagged.
     """
     _check_partition(part, m)
-    posterior = maxent_update(prior, [m], options).posterior
+    posterior = maxent_update(prior, [m]).posterior
 
     per_cell: list[tuple[int, float]] = []
     skipped: list[int] = []
@@ -208,7 +205,7 @@ def check_axiom4b(
         members = sorted(cell.members, key=prior.space.index.__getitem__)
         events = [Event(prior.space, frozenset({x})) for x in members]
         rng = np.random.default_rng([seed, i])
-        for _ in range(n_random):
+        for _ in range(RANDOM_EVENTS_PER_CELL):
             picks = rng.integers(0, 2, size=len(members)).astype(bool)
             chosen = frozenset(x for x, keep in zip(members, picks) if keep)
             events.append(Event(prior.space, chosen))
@@ -220,7 +217,7 @@ def check_axiom4b(
             after = conditional_prob(posterior, a, cell)
             worst = max(worst, abs(after - before))
         per_cell.append((i, worst))
-    return _report(tol, per_cell, skipped)
+    return AxiomReport(tol, tuple(per_cell), tuple(skipped))
 
 
 def random_reweighting_case(

@@ -181,29 +181,14 @@ def residual(dist: Distribution, rows: Sequence[LinearForm]) -> float:
     return max((abs(float(row.coeffs @ p) - row.target) for row in rows), default=0.0)
 
 
-@dataclass(frozen=True)
-class TriageVerdict:
-    """Outcome of the cheap pre-solve feasibility screen.
-
-    Nonempty ``reasons`` are certificates: no posterior on the prior's
-    support can satisfy the constraints, and each reason says why. No
-    reasons means the screen found nothing; the constraints may still
-    be jointly unsatisfiable, which the solver detects.
-    """
-
-    reasons: tuple[str, ...] = ()
-
-    @property
-    def infeasible(self) -> bool:
-        return bool(self.reasons)
-
-
-def triage_feasibility(
-    constraints: Sequence[Constraint], prior: Distribution
-) -> TriageVerdict:
+def triage_feasibility(constraints: Sequence[Constraint], prior: Distribution) -> tuple[str, ...]:
     """Screen for constraints no update from ``prior`` can satisfy.
 
-    Certificates checked, per constraint:
+    Returns one reason per certificate found. Each is a proof that no
+    posterior on the prior's support satisfies the constraints. An empty
+    tuple means the screen found nothing; the constraints may still be
+    jointly unsatisfiable, which the solver detects. Certificates
+    checked, per constraint:
 
     * a probability target outside [0, 1];
     * an expectation target strictly outside the variable's range over
@@ -242,4 +227,4 @@ def triage_feasibility(
                         f"cell {cell.describe()} has zero prior mass "
                         f"but positive target weight {w:g}"
                     )
-    return TriageVerdict(tuple(reasons))
+    return tuple(reasons)

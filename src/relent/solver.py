@@ -2,24 +2,21 @@
 
 Given a prior and linear constraints on the posterior, the update picks
 the unique posterior maximizing entropy relative to the prior subject
-to the constraints. Two classical updates fall out as special cases and
-get closed forms here: conditioning on an event (probability pinned to
-one) and partition reweighting (every cell's mass pinned at once). The
-general case is solved in the dual: the optimum has the form
+to the constraints. Targets of exactly zero or one have no finite
+multiplier; they shrink the support instead (mass can never re-enter a
+zeroed outcome), and with no other constraint left the update is
+conditioning on that support. A lone partition reweighting has Jeffrey's
+closed form. The general case is solved in the dual on the pinned
+support: the optimum has the form
 
     posterior_i  proportional to  prior_i * exp(sum_j lam_j * coeffs[j][i])
 
-on the prior's support, and the multipliers ``lam`` maximize the
-concave dual ``lam . targets - log Z(lam)``. A damped Newton iteration
-on that dual converges quadratically near the optimum. On an infeasible
-set the dual is unbounded, and each iterate is tested as a proof of that:
-every distribution p on the support has lam . (A p) <= max_i (A^T lam)_i,
+and the multipliers ``lam`` maximize the concave dual
+``lam . targets - log Z(lam)``. A damped Newton iteration on that dual
+converges quadratically near the optimum. On an infeasible set the dual
+is unbounded, and each iterate is tested as a proof of that: every
+distribution p on the support has lam . (A p) <= max_i (A^T lam)_i,
 so an iterate with ``lam . targets`` above that bound rules out any posterior.
-
-Constraints that pin probabilities to exactly zero or one have no
-finite multiplier. They are instead enforced up front by shrinking the
-support (mass can never re-enter a zeroed outcome), which leaves a
-strictly interior problem for the dual iteration.
 """
 
 from __future__ import annotations
@@ -33,14 +30,8 @@ import numpy as np
 from . import constraints as _constraints
 from . import information
 from .constraints import CondProb, Constraint, EventProb, LinearForm, PartitionWeights
-from .errors import (
-    ConstructionError,
-    DegenerateConditional,
-    InfeasibleConstraint,
-    NonConvergence,
-    ZeroMassEvent,
-)
-from .spaces import ZERO_MASS, Distribution, Partition, condition
+from .errors import ConstructionError, DegenerateConditional, InfeasibleConstraint, NonConvergence
+from .spaces import ZERO_MASS, Distribution, Partition
 
 #: Diagonal regularization added to the dual Hessian so redundant
 #: constraint rows (for example the cells of a partition, whose targets
@@ -59,9 +50,12 @@ class SolverOptions:
     """Tunables for :func:`maxent_update`.
 
     tol is the convergence threshold on the largest absolute constraint
-    violation, and max_iter the budget of Newton steps. init_multipliers
-    seeds the dual iteration (one finite value per active compiled row)
-    for warm starts; None means start from zero.
+    violation, and max_iter the budget of Newton steps. use_fast_paths
+    lets a lone partition reweighting, or a lone event target strictly
+    between 0 and 1, take Jeffrey's closed form instead of the dual;
+    it changes nothing else. init_multipliers seeds the dual iteration
+    (one finite value per active compiled row) for warm starts; None
+    means start from zero.
     """
 
     tol: float = 1e-10
@@ -91,12 +85,12 @@ class UpdateReport:
     """Posterior plus the evidence that it actually solves the problem.
 
     multipliers are the dual coordinates of the active compiled rows,
-    in compilation order; fast paths solve no dual and report an empty
-    tuple, and a no-op update reports an explicit zero per row (the
-    prior itself is dual-optimal there). final_residual is the worst
-    violation over every compiled row of the original constraints, and
-    objective is the posterior's entropy relative to the prior
-    (nonpositive; zero only for a no-op).
+    in compilation order; Jeffrey's rule and conditioning solve no dual
+    and report an empty tuple, and a no-op update reports an explicit
+    zero per row (the prior itself is dual-optimal there).
+    final_residual is the worst violation over every compiled row of the
+    original constraints, and objective is the posterior's entropy
+    relative to the prior (nonpositive; zero only for a no-op).
     """
 
     posterior: Distribution
@@ -241,6 +235,19 @@ def _dual_newton(
     )
 
 
+def _lone_reweighting(
+    constraints: tuple[Constraint, ...],
+) -> tuple[Partition, tuple[float, ...]] | None:
+    """Cells and weights when ``constraints`` is one reweighting, which Jeffrey's rule solves."""
+    c = constraints[0] if len(constraints) == 1 else None
+    if isinstance(c, PartitionWeights):
+        return c.partition, c.weights
+    # an event covering the whole space has no two-cell split
+    if isinstance(c, EventProb) and 0.0 < c.value < 1.0 and not c.event.indicator.all():
+        return Partition((c.event, c.event.complement())), (c.value, 1.0 - c.value)
+    return None
+
+
 def maxent_update(
     prior: Distribution,
     constraints: Sequence[Constraint],
@@ -248,11 +255,9 @@ def maxent_update(
 ) -> UpdateReport:
     """Update ``prior`` to satisfy ``constraints``, moving as little as possible.
 
-    Dispatch order: certify obvious infeasibility, return the prior
-    unchanged when it already satisfies everything, use the closed
-    forms for a lone event pin or partition reweighting, and otherwise
-    run the dual Newton iteration with certainty pins folded into the
-    support.
+    One pipeline: triage, the no-op check, Jeffrey's closed form (only
+    with ``options.use_fast_paths``), then the pinned support: condition
+    on it when no other row is left, else run the dual Newton iteration.
 
     Raises :class:`InfeasibleConstraint`, :class:`NonConvergence`, or
     :class:`DegenerateConditional` (conditioning event driven to zero
@@ -261,44 +266,45 @@ def maxent_update(
     constraints = tuple(constraints)
     compiled = [_constraints.compile_constraint(c, prior.space) for c in constraints]
     rows = [row for forms in compiled for row in forms]
-    verdict = _constraints.triage_feasibility(constraints, prior)
-    if verdict.infeasible:
-        raise InfeasibleConstraint("; ".join(verdict.reasons))
+    reasons = _constraints.triage_feasibility(constraints, prior)
+    if reasons:
+        raise InfeasibleConstraint("; ".join(reasons))
 
     r0 = _constraints.residual(prior, rows)
     if r0 <= options.tol:
         _check_conditionals(prior, constraints)
         return UpdateReport(prior, (0.0,) * len(rows), 0, r0, 0.0, "no_op")
 
-    if options.use_fast_paths and len(constraints) == 1:
-        fast = _fast_path(prior, constraints[0])
-        if fast is not None:
-            post, method = fast
-            _check_conditionals(post, constraints)
-            residual = _constraints.residual(post, rows)
-            objective = information.relative_entropy(post, prior)
-            return UpdateReport(post, (), 0, residual, objective, method)
-
-    mask, active = _pins_and_active_rows(prior, constraints, compiled)
-    if not mask.any() or float(prior.array[mask].sum()) <= ZERO_MASS:
-        raise InfeasibleConstraint(
-            "certainty constraints eliminate every outcome the prior allows"
-        )
-    live = np.flatnonzero(mask)
-    q = prior.array[live]
-    q = q / q.sum()
-
-    if active:
-        A = np.array([row.coeffs[live] for row in active])
-        b = np.array([row.target for row in active])
-        p_live, lam, iterations = _dual_newton(q, A, b, options)
-        multipliers = tuple(float(x) for x in lam)
+    multipliers: tuple[float, ...] = ()
+    iterations = 0
+    reweighting = _lone_reweighting(constraints) if options.use_fast_paths else None
+    if reweighting is not None:
+        posterior = jeffrey_update(prior, *reweighting)
+        method: Method = "jeffrey"
     else:
-        p_live, multipliers, iterations = q, (), 0
+        mask, active = _pins_and_active_rows(prior, constraints, compiled)
+        kept = mask.astype(float)
+        mass = float(prior.array @ kept)
+        if mass <= ZERO_MASS:
+            raise InfeasibleConstraint(
+                "certainty constraints eliminate every outcome the prior allows"
+            )
+        if not active:
+            posterior = Distribution.from_array(prior.space, prior.array * kept / mass)
+            method = "conditionalization"
+        else:
+            live = np.flatnonzero(mask)
+            q = prior.array[live]
+            q = q / q.sum()
+            A = np.array([row.coeffs[live] for row in active])
+            b = np.array([row.target for row in active])
+            p_live, lam, iterations = _dual_newton(q, A, b, options)
+            multipliers = tuple(float(x) for x in lam)
+            full = np.zeros(len(prior.space))
+            full[live] = p_live
+            posterior = Distribution.from_array(prior.space, full)
+            method = "dual_newton"
 
-    full = np.zeros(len(prior.space))
-    full[live] = p_live
-    posterior = Distribution.from_array(prior.space, full)
     _check_conditionals(posterior, constraints)
     return UpdateReport(
         posterior,
@@ -306,32 +312,5 @@ def maxent_update(
         iterations,
         _constraints.residual(posterior, rows),
         information.relative_entropy(posterior, prior),
-        "dual_newton",
+        method,
     )
-
-
-def _fast_path(prior: Distribution, c: Constraint) -> tuple[Distribution, Method] | None:
-    """Closed form for a single event pin or partition reweighting, if one applies."""
-    if isinstance(c, PartitionWeights):
-        return jeffrey_update(prior, c.partition, c.weights), "jeffrey"
-    if not isinstance(c, EventProb):
-        return None
-    if c.value == 1.0:
-        # triage guarantees the event has prior mass
-        return condition(prior, c.event), "conditionalization"
-    comp = c.event.complement()
-    if c.value == 0.0:
-        try:
-            return condition(prior, comp), "conditionalization"
-        except ZeroMassEvent:
-            raise InfeasibleConstraint(
-                f"the prior is certain of {c.event.describe()}; its probability "
-                "cannot be driven to 0 without leaving the prior's support"
-            ) from None
-    if prior.prob(comp) <= ZERO_MASS:
-        raise InfeasibleConstraint(
-            f"target {c.value:g} < 1 for {c.event.describe()}, but the prior "
-            "gives that event probability 1"
-        )
-    two_cell = Partition((c.event, comp))
-    return jeffrey_update(prior, two_cell, (c.value, 1.0 - c.value)), "jeffrey"

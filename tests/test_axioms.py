@@ -48,14 +48,13 @@ class TestCellInfo:
 
 
 class TestAxiomReport:
-    def test_consistency_enforced(self):
-        with pytest.raises(ConstructionError) as ei:
-            AxiomReport(tol=1e-8, max_deviation=1.0, per_cell=((0, 1.0),), passed=True)
-        assert ei.value.code == "axiom.report_inconsistent"
-
     def test_valid_report(self):
-        rep = AxiomReport(tol=1e-8, max_deviation=0.0, per_cell=(), passed=True)
+        rep = AxiomReport(tol=1e-8, per_cell=())
+        assert rep.max_deviation == 0.0
         assert rep.passed
+        rep = AxiomReport(tol=1e-8, per_cell=((0, 1e-9), (1, 1.0)))
+        assert rep.max_deviation == 1.0
+        assert not rep.passed
 
 
 class TestAxiom4b:

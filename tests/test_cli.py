@@ -76,6 +76,20 @@ class TestUpdate:
         assert out.startswith("infeasible\ncertificate: dual multipliers")
         assert err != ""
 
+    def test_zero_target_on_certain_event_exits_2(self, capsys, tmp_path):
+        doc = {
+            "version": 1,
+            "space": ["rain", "dry"],
+            "prior": [1.0, 0.0],
+            "constraints": [{"type": "event_prob", "event": ["rain"], "value": 0.0}],
+        }
+        path = tmp_path / "certain.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_main(capsys, "update", str(path))
+        assert code == 2
+        assert out.startswith("infeasible\ncertificate: ")
+        assert err != ""
+
     def test_non_convergence_exits_4(self, capsys):
         code, _, err = run_main(capsys, "update", DIE, "--max-iter", "1")
         assert code == 4

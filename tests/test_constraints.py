@@ -9,7 +9,6 @@ from relent.constraints import (
     EventProb,
     Expectation,
     PartitionWeights,
-    TriageVerdict,
     compile_all,
     compile_constraint,
     residual,
@@ -141,63 +140,55 @@ class TestResidual:
 class TestTriage:
     def test_clean_constraints_pass(self, abc):
         prior = Distribution(abc, (0.5, 0.3, 0.2))
-        v = triage_feasibility([EventProb(abc.subset("a"), 0.9)], prior)
-        assert not v.infeasible
-        assert v.reasons == ()
-
-    def test_verdict_is_infeasible_exactly_when_it_has_reasons(self):
-        assert not TriageVerdict().infeasible
-        assert TriageVerdict(("a reason",)).infeasible
+        assert triage_feasibility([EventProb(abc.subset("a"), 0.9)], prior) == ()
 
     def test_probability_out_of_range(self, abc):
         prior = Distribution.uniform(abc)
-        v = triage_feasibility([EventProb(abc.subset("a"), 1.2)], prior)
-        assert v.infeasible
-        assert "outside [0, 1]" in v.reasons[0]
+        reasons = triage_feasibility([EventProb(abc.subset("a"), 1.2)], prior)
+        assert len(reasons) == 1
+        assert "outside [0, 1]" in reasons[0]
 
     def test_cond_prob_out_of_range(self, abc):
         prior = Distribution.uniform(abc)
-        v = triage_feasibility([CondProb(abc.subset("a"), abc.subset("a", "b"), -0.1)], prior)
-        assert v.infeasible
+        assert triage_feasibility([CondProb(abc.subset("a"), abc.subset("a", "b"), -0.1)], prior)
 
     def test_expectation_outside_range(self, abc):
         prior = Distribution.uniform(abc)
         f = RandomVariable(abc, (1.0, 2.0, 3.0))
-        assert triage_feasibility([Expectation(f, 3.5)], prior).infeasible
-        assert triage_feasibility([Expectation(f, 0.5)], prior).infeasible
+        assert triage_feasibility([Expectation(f, 3.5)], prior)
+        assert triage_feasibility([Expectation(f, 0.5)], prior)
 
     def test_expectation_range_uses_prior_support(self, abc):
         # outcome c carries value 3 but has no prior mass, so 2.5 is unreachable
         prior = Distribution(abc, (0.5, 0.5, 0.0))
         f = RandomVariable(abc, (1.0, 2.0, 3.0))
-        assert triage_feasibility([Expectation(f, 2.5)], prior).infeasible
+        assert triage_feasibility([Expectation(f, 2.5)], prior)
 
     def test_expectation_boundary_is_not_certified(self, abc):
         # attainable by a point mass, so the screen must let it through
         prior = Distribution.uniform(abc)
         f = RandomVariable(abc, (1.0, 2.0, 3.0))
-        assert not triage_feasibility([Expectation(f, 3.0)], prior).infeasible
+        assert not triage_feasibility([Expectation(f, 3.0)], prior)
 
     def test_positive_target_on_zero_mass_event(self, abc):
         prior = Distribution(abc, (0.5, 0.5, 0.0))
-        assert triage_feasibility([EventProb(abc.subset("c"), 0.1)], prior).infeasible
+        assert triage_feasibility([EventProb(abc.subset("c"), 0.1)], prior)
         # zero target on a zero-mass event is already satisfied
-        assert not triage_feasibility([EventProb(abc.subset("c"), 0.0)], prior).infeasible
+        assert not triage_feasibility([EventProb(abc.subset("c"), 0.0)], prior)
 
     def test_positive_weight_on_zero_mass_cell(self, abc):
         prior = Distribution(abc, (0.5, 0.5, 0.0))
         p = Partition.from_labels(abc, [("a", "b"), ("c",)])
-        assert triage_feasibility([PartitionWeights(p, (0.9, 0.1))], prior).infeasible
-        assert not triage_feasibility([PartitionWeights(p, (1.0, 0.0))], prior).infeasible
+        assert triage_feasibility([PartitionWeights(p, (0.9, 0.1))], prior)
+        assert not triage_feasibility([PartitionWeights(p, (1.0, 0.0))], prior)
 
     def test_multiple_reasons_collected(self, abc):
         prior = Distribution(abc, (0.5, 0.5, 0.0))
         f = RandomVariable(abc, (1.0, 2.0, 3.0))
-        v = triage_feasibility(
+        reasons = triage_feasibility(
             [EventProb(abc.subset("c"), 0.1), Expectation(f, 99.0)], prior
         )
-        assert v.infeasible
-        assert len(v.reasons) == 2
+        assert len(reasons) == 2
 
     def test_space_mismatch_rejected(self, abc):
         prior = Distribution.uniform(space_of(2))

@@ -18,6 +18,7 @@ from relent.errors import (
     ZeroMassEvent,
 )
 from relent.information import relative_entropy
+from relent.scenario import emit_report
 from relent.solver import (
     SolverOptions,
     UpdateReport,
@@ -175,7 +176,7 @@ class TestMaxentFastPaths:
 
     def test_full_certainty_through_dual_route(self):
         rep = maxent_update(TIGER_PRIOR, [EventProb(TIGER_EVENT, 1.0)], NO_FAST)
-        assert rep.method == "dual_newton"
+        assert rep.method == "conditionalization"
         assert_allclose(rep.posterior.array, [0.4, 0.6, 0.0, 0.0], rtol=0, atol=1e-12)
         # certainty is enforced by support reduction, not a multiplier
         assert rep.multipliers == ()
@@ -319,6 +320,13 @@ class TestMaxentFailureModes:
         prior = Distribution(s, (1.0, 0.0))
         with pytest.raises(InfeasibleConstraint):
             maxent_update(prior, [EventProb(s.subset("w0"), 0.4)])
+
+    @pytest.mark.parametrize("options", [SolverOptions(), NO_FAST], ids=["fast", "no_fast"])
+    def test_zero_target_on_certain_event(self, options):
+        s = space_of(3)
+        prior = Distribution(s, (0.6, 0.4, 0.0))
+        with pytest.raises(InfeasibleConstraint):
+            maxent_update(prior, [EventProb(s.subset("w0", "w1"), 0.0)], options)
 
     def test_unreachable_certainty_target_dual_route(self):
         s = space_of(2)
@@ -481,6 +489,52 @@ class TestFastPathAgreement:
         first = maxent_update(prior, [EventProb(event, v)])
         second = maxent_update(first.posterior, [EventProb(event, v)])
         assert second.method == "no_op"
+
+
+def _event_pins(rng):
+    """A prior (sometimes with zeros) and 1-3 event pins at 0 or 1."""
+    n = int(rng.integers(2, 9))
+    space = space_of(n)
+    prior = rng.dirichlet(np.ones(n))
+    if rng.random() < 0.3:
+        prior[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = 0.0
+    prior /= prior.sum()
+    pins = [EventProb(_random_event(rng, space), float(rng.integers(2)))
+            for _ in range(int(rng.integers(1, 4)))]
+    return Distribution(space, tuple(prior)), pins
+
+
+class TestPinsAreConditioning:
+    """0/1 event pins condition the prior on the outcomes they keep, whatever the options."""
+
+    def test_pin_sets_condition_on_the_kept_event(self):
+        methods = []
+        for seed in range(400):
+            prior, pins = _event_pins(np.random.default_rng([seed, 2]))
+            space = prior.space
+            kept = np.ones(len(space), dtype=bool)
+            for c in pins:
+                kept &= (c.event.indicator != 0.0) == (c.value == 1.0)
+            kept_event = space.subset(*(x for x, k in zip(space.outcomes, kept) if k))
+            if prior.prob(kept_event) <= 1e-12:
+                for options in (SolverOptions(), NO_FAST):
+                    with pytest.raises(InfeasibleConstraint):
+                        maxent_update(prior, pins, options)
+                methods.append("infeasible")
+                continue
+            fast = maxent_update(prior, pins)
+            slow = maxent_update(prior, pins, NO_FAST)
+            methods.append(fast.method)
+            assert emit_report(fast) == emit_report(slow), seed
+            if residual(prior, compile_all(pins, space)) <= 1e-10:
+                assert fast.method == "no_op", seed
+                continue
+            assert fast.method == "conditionalization", seed
+            assert fast.multipliers == () and fast.iterations == 0
+            expected = condition(prior, kept_event).array
+            assert np.array_equal(fast.posterior.array, expected), seed
+        assert methods.count("conditionalization") >= 150
+        assert methods.count("infeasible") >= 40
 
 
 TIGER_PARTITION = Partition((TIGER_EVENT, TIGER_EVENT.complement()))
