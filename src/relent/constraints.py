@@ -24,7 +24,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ConstructionError, SpaceMismatch
-from .spaces import Distribution, Event, Partition, RandomVariable, SampleSpace, ZERO_MASS
+from .spaces import Distribution, Event, Partition, RandomVariable, SampleSpace
 
 
 def _require_finite(value: float, what: str) -> float:
@@ -181,50 +181,70 @@ def residual(dist: Distribution, rows: Sequence[LinearForm]) -> float:
     return max((abs(float(row.coeffs @ p) - row.target) for row in rows), default=0.0)
 
 
-def triage_feasibility(constraints: Sequence[Constraint], prior: Distribution) -> tuple[str, ...]:
-    """Screen for constraints no update from ``prior`` can satisfy.
+def triage_feasibility(
+    constraints: Sequence[Constraint],
+    rows: Sequence[LinearForm],
+    prior: Distribution,
+    tol: float,
+) -> tuple[tuple[str, ...], np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """One pass over the ``rows`` compiled from ``constraints``: certificates and pins.
 
-    Returns one reason per certificate found. Each is a proof that no
-    posterior on the prior's support satisfies the constraints. An empty
-    tuple means the screen found nothing; the constraints may still be
-    jointly unsatisfiable, which the solver detects. Certificates
-    checked, per constraint:
+    Returns ``(reasons, live, (A, b))``. ``reasons`` holds one certificate
+    per proof that no posterior on the prior's support meets the rows; an
+    empty tuple means the pass found none, and the set may still be jointly
+    unsatisfiable, which the solver detects. ``live`` masks the outcomes a
+    posterior may still weight, and ``A`` (a column per outcome of the space)
+    and ``b`` stack the rows that still need a multiplier.
 
-    * a probability target outside [0, 1];
-    * an expectation target strictly outside the variable's range over
-      the prior's support (targets exactly on the boundary pass, since
-      a point mass attains them);
-    * positive probability demanded of an event with zero prior mass
-      (mass can never be created outside the prior's support);
-    * positive cell weight demanded of a partition cell with zero
-      prior mass.
+    The one kind-specific check is a probability target outside [0, 1]; a
+    conditional's linearized row could otherwise be met by P(given) = 0.
+    Then, with lo and hi the least and greatest value of row j (in
+    compilation order) on the live support, at first the prior's:
+
+    * a target below lo - tol or above hi + tol is infeasible, and the
+      stake y = -e_j or y = +e_j is the witness: it loses in every live
+      outcome;
+    * a target at a row's extreme (at or beyond hi, or at or below lo)
+      fixes a face: only the outcomes where the row attains that extreme
+      can keep mass, so the live support shrinks to them and the row
+      needs no multiplier;
+    * any other row stays active.
+
+    After each pin that shrinks the support, the remaining rows are
+    checked again on the smaller one, until it stops shrinking. A pin
+    keeps the outcomes where its row attains its extreme, so the live
+    support never becomes empty.
     """
     reasons: list[str] = []
-    support = prior.support
     for c in constraints:
         if c.space != prior.space:
             raise SpaceMismatch("constraint lives on a different sample space")
         if isinstance(c, (EventProb, CondProb)) and not 0.0 <= c.value <= 1.0:
             reasons.append(f"probability target outside [0, 1]: {c.describe()}")
-            continue
-        if isinstance(c, EventProb):
-            if c.value > 0.0 and prior.prob(c.event) <= ZERO_MASS:
+    A = np.array([row.coeffs for row in rows]).reshape(len(rows), len(prior.space))
+    b = [row.target for row in rows]
+    active = list(range(len(rows)))
+    live = prior.support
+    while not reasons:
+        lo = A.min(axis=1, where=live, initial=np.inf).tolist()
+        hi = A.max(axis=1, where=live, initial=-np.inf).tolist()
+        for j in active:
+            if not lo[j] - tol <= b[j] <= hi[j] + tol:
+                sign = "+" if b[j] > hi[j] else "-"
                 reasons.append(
-                    f"event has zero prior mass but positive target: {c.describe()}"
+                    f"row {j}: target {b[j]!r} lies outside [{lo[j]!r}, {hi[j]!r}], its range "
+                    f"on the outcomes still possible (witness y = {sign}e_{j})"
                 )
-        elif isinstance(c, Expectation):
-            vals = c.variable.array[support]
-            lo, hi = float(vals.min()), float(vals.max())
-            if c.value < lo or c.value > hi:
-                reasons.append(
-                    f"expectation target {c.value:g} outside attainable range "
-                    f"[{lo:g}, {hi:g}] on the prior's support"
-                )
-        elif isinstance(c, PartitionWeights):
-            for cell, w in zip(c.partition.cells, c.weights):
-                if w > 0.0 and prior.prob(cell) <= ZERO_MASS:
-                    reasons.append(
-                        f"cell {cell.describe()} has zero prior mass "
-                        f"but positive target weight {w:g}"
-                    )
-    return tuple(reasons)
+        if reasons:
+            break
+        for j in [j for j in active if not lo[j] < b[j] < hi[j]]:
+            active.remove(j)
+            face = live & (A[j] == (hi[j] if b[j] >= hi[j] else lo[j]))
+            if not np.array_equal(face, live):
+                live = face
+                break
+        else:  # no pin shrank the support, so no row's range can change
+            break
+    if len(active) < len(rows):
+        A = A[active]
+    return tuple(reasons), live, (A, np.array([b[j] for j in active], dtype=float))

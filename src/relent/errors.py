@@ -39,10 +39,11 @@ class SupportViolation(RelentError):
 class InfeasibleConstraint(RelentError):
     """No distribution on the prior's support satisfies the constraint set.
 
-    ``reason`` is the certificate: a human-readable statement of which cheap
-    check failed, or of the dual multipliers lam that separate the targets b
-    from every distribution on the prior's support (lam . b exceeds
-    max_i (A^T lam)_i).
+    ``reason`` is the certificate, in words: a probability target outside
+    [0, 1]; a row whose target lies beyond its range on the outcomes still
+    possible (the stake y = +e_j or -e_j loses in every one of them); or the
+    dual multipliers lam that separate the targets b from every distribution
+    on the prior's support (lam . b exceeds max_i (A^T lam)_i).
     """
 
     def __init__(self, reason: str):

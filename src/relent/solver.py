@@ -2,12 +2,14 @@
 
 Given a prior and linear constraints on the posterior, the update picks
 the unique posterior maximizing entropy relative to the prior subject
-to the constraints. Targets of exactly zero or one have no finite
-multiplier; they shrink the support instead (mass can never re-enter a
-zeroed outcome), and with no other constraint left the update is
-conditioning on that support. A lone partition reweighting has Jeffrey's
-closed form. The general case is solved in the dual on the pinned
-support: the optimum has the form
+to the constraints. A target at a row's extreme (the least or greatest
+value the row takes on the outcomes still possible) has no finite
+multiplier; it shrinks the support instead, to the outcomes where the
+row attains that extreme (mass can never re-enter a zeroed outcome),
+and with no other constraint left the update is conditioning on that
+support. A lone partition reweighting has Jeffrey's closed form. The
+general case is solved in the dual on the pinned support: the optimum
+has the form
 
     posterior_i  proportional to  prior_i * exp(sum_j lam_j * coeffs[j][i])
 
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import constraints as _constraints
 from . import information
-from .constraints import CondProb, Constraint, EventProb, LinearForm, PartitionWeights
+from .constraints import CondProb, Constraint, EventProb, PartitionWeights
 from .errors import ConstructionError, DegenerateConditional, InfeasibleConstraint, NonConvergence
 from .spaces import ZERO_MASS, Distribution, Partition
 
@@ -50,12 +52,13 @@ class SolverOptions:
     """Tunables for :func:`maxent_update`.
 
     tol is the convergence threshold on the largest absolute constraint
-    violation, and max_iter the budget of Newton steps. use_fast_paths
-    lets a lone partition reweighting, or a lone event target strictly
-    between 0 and 1, take Jeffrey's closed form instead of the dual;
-    it changes nothing else. init_multipliers seeds the dual iteration
-    (one finite value per active compiled row) for warm starts; None
-    means start from zero.
+    violation, and also how far a target may lie beyond its row's range
+    before triage calls it infeasible; max_iter is the budget of Newton
+    steps. use_fast_paths lets a lone partition reweighting, or a lone
+    event target strictly between 0 and 1, take Jeffrey's closed form
+    instead of the dual; it changes nothing else. init_multipliers seeds
+    the dual iteration (one finite value per active compiled row) for
+    warm starts; None means start from zero.
     """
 
     tol: float = 1e-10
@@ -132,32 +135,6 @@ def _check_conditionals(posterior: Distribution, constraints: Sequence[Constrain
                 f"conditioning event of {c.describe()} has zero posterior "
                 "probability; the conditional constraint holds only vacuously"
             )
-
-
-def _pins_and_active_rows(
-    prior: Distribution, constraints: Sequence[Constraint], compiled: list[tuple[LinearForm, ...]]
-) -> tuple[np.ndarray, list[LinearForm]]:
-    """The support left once exact 0/1 pins are honored, and the rows still needing a multiplier.
-
-    A pin is an event or conditional target of exactly 0 or 1, or a cell
-    weight of 0. An event pinned to 1 keeps only the outcomes its row
-    covers; every other pin drops the outcomes where its row is nonzero.
-    """
-    mask = prior.support.copy()
-    active: list[LinearForm] = []
-    for c, forms in zip(constraints, compiled):
-        for row in forms:
-            if isinstance(c, PartitionWeights):
-                pinned = row.target == 0.0
-            else:
-                pinned = isinstance(c, (EventProb, CondProb)) and c.value in (0.0, 1.0)
-            if not pinned:
-                active.append(row)
-            elif isinstance(c, EventProb) and c.value == 1.0:
-                mask &= row.coeffs != 0.0
-            else:
-                mask &= row.coeffs == 0.0
-    return mask, active
 
 
 def _dual_newton(
@@ -242,8 +219,7 @@ def _lone_reweighting(
     c = constraints[0] if len(constraints) == 1 else None
     if isinstance(c, PartitionWeights):
         return c.partition, c.weights
-    # an event covering the whole space has no two-cell split
-    if isinstance(c, EventProb) and 0.0 < c.value < 1.0 and not c.event.indicator.all():
+    if isinstance(c, EventProb) and 0.0 < c.value < 1.0:
         return Partition((c.event, c.event.complement())), (c.value, 1.0 - c.value)
     return None
 
@@ -255,18 +231,19 @@ def maxent_update(
 ) -> UpdateReport:
     """Update ``prior`` to satisfy ``constraints``, moving as little as possible.
 
-    One pipeline: triage, the no-op check, Jeffrey's closed form (only
-    with ``options.use_fast_paths``), then the pinned support: condition
-    on it when no other row is left, else run the dual Newton iteration.
+    One pipeline: the row-range pass of
+    :func:`~relent.constraints.triage_feasibility`, the no-op check,
+    Jeffrey's closed form (only with ``options.use_fast_paths``), then the
+    pinned support: condition on it when no active row is left, else run
+    the dual Newton iteration on it.
 
     Raises :class:`InfeasibleConstraint`, :class:`NonConvergence`, or
     :class:`DegenerateConditional` (conditioning event driven to zero
     posterior mass).
     """
     constraints = tuple(constraints)
-    compiled = [_constraints.compile_constraint(c, prior.space) for c in constraints]
-    rows = [row for forms in compiled for row in forms]
-    reasons = _constraints.triage_feasibility(constraints, prior)
+    rows = _constraints.compile_all(constraints, prior.space)
+    reasons, live, (A, b) = _constraints.triage_feasibility(constraints, rows, prior, options.tol)
     if reasons:
         raise InfeasibleConstraint("; ".join(reasons))
 
@@ -281,29 +258,21 @@ def maxent_update(
     if reweighting is not None:
         posterior = jeffrey_update(prior, *reweighting)
         method: Method = "jeffrey"
+    elif not b.size:
+        kept = live.astype(float)
+        posterior = Distribution.from_array(prior.space, prior.array * kept / (prior.array @ kept))
+        method = "conditionalization"
     else:
-        mask, active = _pins_and_active_rows(prior, constraints, compiled)
-        kept = mask.astype(float)
-        mass = float(prior.array @ kept)
-        if mass <= ZERO_MASS:
-            raise InfeasibleConstraint(
-                "certainty constraints eliminate every outcome the prior allows"
-            )
-        if not active:
-            posterior = Distribution.from_array(prior.space, prior.array * kept / mass)
-            method = "conditionalization"
-        else:
-            live = np.flatnonzero(mask)
-            q = prior.array[live]
-            q = q / q.sum()
-            A = np.array([row.coeffs[live] for row in active])
-            b = np.array([row.target for row in active])
-            p_live, lam, iterations = _dual_newton(q, A, b, options)
-            multipliers = tuple(float(x) for x in lam)
-            full = np.zeros(len(prior.space))
-            full[live] = p_live
-            posterior = Distribution.from_array(prior.space, full)
-            method = "dual_newton"
+        q = prior.array[live]
+        q = q / q.sum()
+        if not live.all():
+            A = A.compress(live, axis=1)
+        p_live, lam, iterations = _dual_newton(q, A, b, options)
+        multipliers = tuple(float(x) for x in lam)
+        full = np.zeros(len(prior.space))
+        full[live] = p_live
+        posterior = Distribution.from_array(prior.space, full)
+        method = "dual_newton"
 
     _check_conditionals(posterior, constraints)
     return UpdateReport(

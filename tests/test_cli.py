@@ -90,6 +90,43 @@ class TestUpdate:
         assert out.startswith("infeasible\ncertificate: ")
         assert err != ""
 
+    @pytest.mark.parametrize("prior, event", [
+        ([0.2] * 5, ["a", "b", "c", "d", "e"]),
+        ([0.6, 0.4, 0.0, 0.0, 0.0], ["a", "b"]),
+    ], ids=["whole_space", "whole_support"])
+    def test_event_certain_under_every_posterior_exits_2(self, capsys, tmp_path, prior, event):
+        doc = {
+            "version": 1,
+            "space": ["a", "b", "c", "d", "e"],
+            "prior": prior,
+            "constraints": [{"type": "event_prob", "event": event, "value": 0.5}],
+        }
+        path = tmp_path / "certain.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_main(capsys, "update", str(path))
+        assert code == 2
+        assert out == (
+            "infeasible\ncertificate: row 0: target 0.5 lies outside [1.0, 1.0], its range "
+            "on the outcomes still possible (witness y = -e_0)\n"
+        )
+        assert err != ""
+
+    def test_conditional_met_only_by_emptying_its_given_event_exits_2(self, capsys, tmp_path):
+        doc = {
+            "version": 1,
+            "space": ["a", "b", "c"],
+            "prior": [0.5, 0.5, 0.0],
+            "constraints": [
+                {"type": "cond_prob", "event": ["a"], "given": ["a", "c"], "value": 0.3}
+            ],
+        }
+        path = tmp_path / "vacuous.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_main(capsys, "update", str(path))
+        assert code == 2
+        assert out.startswith("infeasible\ncertificate: conditioning event of P({a} | {a, c})")
+        assert err != ""
+
     def test_non_convergence_exits_4(self, capsys):
         code, _, err = run_main(capsys, "update", DIE, "--max-iter", "1")
         assert code == 4

@@ -137,60 +137,116 @@ class TestResidual:
         assert residual(d, compile_all(cs, d.space)) == pytest.approx(0.0, abs=1e-12)
 
 
+def triage(constraints, prior):
+    """Run the pass on ``constraints`` compiled over the prior's space."""
+    return triage_feasibility(constraints, compile_all(constraints, prior.space), prior, 1e-10)
+
+
 class TestTriage:
     def test_clean_constraints_pass(self, abc):
         prior = Distribution(abc, (0.5, 0.3, 0.2))
-        assert triage_feasibility([EventProb(abc.subset("a"), 0.9)], prior) == ()
+        reasons, live, (A, b) = triage([EventProb(abc.subset("a"), 0.9)], prior)
+        assert reasons == ()
+        assert live.all()
+        assert_allclose(A, [[1.0, 0.0, 0.0]])
+        assert list(b) == [0.9]
 
     def test_probability_out_of_range(self, abc):
         prior = Distribution.uniform(abc)
-        reasons = triage_feasibility([EventProb(abc.subset("a"), 1.2)], prior)
+        reasons = triage([EventProb(abc.subset("a"), 1.2)], prior)[0]
         assert len(reasons) == 1
         assert "outside [0, 1]" in reasons[0]
 
     def test_cond_prob_out_of_range(self, abc):
         prior = Distribution.uniform(abc)
-        assert triage_feasibility([CondProb(abc.subset("a"), abc.subset("a", "b"), -0.1)], prior)
+        assert triage([CondProb(abc.subset("a"), abc.subset("a", "b"), -0.1)], prior)[0]
 
     def test_expectation_outside_range(self, abc):
         prior = Distribution.uniform(abc)
         f = RandomVariable(abc, (1.0, 2.0, 3.0))
-        assert triage_feasibility([Expectation(f, 3.5)], prior)
-        assert triage_feasibility([Expectation(f, 0.5)], prior)
+        above = triage([Expectation(f, 3.5)], prior)[0]
+        below = triage([Expectation(f, 0.5)], prior)[0]
+        assert above and "witness y = +e_0" in above[0]
+        assert below and "witness y = -e_0" in below[0]
 
     def test_expectation_range_uses_prior_support(self, abc):
         # outcome c carries value 3 but has no prior mass, so 2.5 is unreachable
         prior = Distribution(abc, (0.5, 0.5, 0.0))
         f = RandomVariable(abc, (1.0, 2.0, 3.0))
-        assert triage_feasibility([Expectation(f, 2.5)], prior)
+        assert triage([Expectation(f, 2.5)], prior)[0]
 
     def test_expectation_boundary_is_not_certified(self, abc):
         # attainable by a point mass, so the screen must let it through
         prior = Distribution.uniform(abc)
         f = RandomVariable(abc, (1.0, 2.0, 3.0))
-        assert not triage_feasibility([Expectation(f, 3.0)], prior)
+        reasons, live, (A, b) = triage([Expectation(f, 3.0)], prior)
+        assert not reasons
+        # and the point mass is the only posterior: the row fixes its face
+        assert list(live) == [False, False, True]
+        assert A.shape == (0, 3) and b.size == 0
+        # a least value shared by two outcomes keeps both
+        g = RandomVariable(abc, (-2.0, -2.0, 5.0))
+        reasons, live, (A, _) = triage([Expectation(g, -2.0)], prior)
+        assert not reasons
+        assert list(live) == [True, True, False] and A.shape == (0, 3)
 
     def test_positive_target_on_zero_mass_event(self, abc):
         prior = Distribution(abc, (0.5, 0.5, 0.0))
-        assert triage_feasibility([EventProb(abc.subset("c"), 0.1)], prior)
+        assert triage([EventProb(abc.subset("c"), 0.1)], prior)[0]
         # zero target on a zero-mass event is already satisfied
-        assert not triage_feasibility([EventProb(abc.subset("c"), 0.0)], prior)
+        reasons, live, (A, _) = triage([EventProb(abc.subset("c"), 0.0)], prior)
+        assert not reasons
+        assert list(live) == [True, True, False] and A.shape == (0, 3)
 
     def test_positive_weight_on_zero_mass_cell(self, abc):
         prior = Distribution(abc, (0.5, 0.5, 0.0))
         p = Partition.from_labels(abc, [("a", "b"), ("c",)])
-        assert triage_feasibility([PartitionWeights(p, (0.9, 0.1))], prior)
-        assert not triage_feasibility([PartitionWeights(p, (1.0, 0.0))], prior)
+        assert triage([PartitionWeights(p, (0.9, 0.1))], prior)[0]
+        reasons, live, (A, _) = triage([PartitionWeights(p, (1.0, 0.0))], prior)
+        assert not reasons
+        # the weight-1 row covers the live support, so neither row needs a multiplier
+        assert list(live) == [True, True, False] and A.shape == (0, 3)
 
     def test_multiple_reasons_collected(self, abc):
         prior = Distribution(abc, (0.5, 0.5, 0.0))
         f = RandomVariable(abc, (1.0, 2.0, 3.0))
-        reasons = triage_feasibility(
-            [EventProb(abc.subset("c"), 0.1), Expectation(f, 99.0)], prior
-        )
+        reasons = triage([EventProb(abc.subset("c"), 0.1), Expectation(f, 99.0)], prior)[0]
         assert len(reasons) == 2
 
     def test_space_mismatch_rejected(self, abc):
         prior = Distribution.uniform(space_of(2))
+        cs = [EventProb(abc.subset("a"), 0.5)]
         with pytest.raises(SpaceMismatch):
-            triage_feasibility([EventProb(abc.subset("a"), 0.5)], prior)
+            triage_feasibility(cs, compile_all(cs, abc), prior, 1e-10)
+
+    def test_zero_target_pins_the_argmin_face_of_a_signed_row(self, abc):
+        # the row is negative on c, which the prior rules out; on the live
+        # support its least value is 0 at a, so the zero target keeps only a
+        prior = Distribution(abc, (0.5, 0.5, 0.0))
+        f = RandomVariable(abc, (0.0, 1.0, -3.0))
+        reasons, live, (A, _) = triage([Expectation(f, 0.0)], prior)
+        assert not reasons
+        assert list(live) == [True, False, False] and A.shape == (0, 3)
+        # with c live, the same zero target is interior and the row stays active
+        reasons, live, (A, b) = triage([Expectation(f, 0.0)], Distribution.uniform(abc))
+        assert not reasons and live.all()
+        assert_allclose(A, [f.array])
+        assert list(b) == [0.0]
+
+    def test_pins_recheck_rows_on_the_smaller_support(self, abc):
+        # pinning P(a, b) = 1 drops c, after which P(b) = 1 fixes b alone and
+        # P(c) = 0.2 is beyond its range 0 on what is left
+        prior = Distribution.uniform(abc)
+        pins = [EventProb(abc.subset("a", "b"), 1.0), EventProb(abc.subset("b"), 1.0)]
+        reasons, live, (A, _) = triage(pins, prior)
+        assert not reasons and list(live) == [False, True, False] and A.shape == (0, 3)
+        reasons = triage(pins + [EventProb(abc.subset("c"), 0.2)], prior)[0]
+        assert reasons == ("row 2: target 0.2 lies outside [0.0, 0.0], its range on the "
+                           "outcomes still possible (witness y = +e_2)",)
+
+    def test_target_within_tol_of_a_whole_support_row_is_not_certified(self, abc):
+        prior = Distribution.uniform(abc)
+        whole = abc.subset("a", "b", "c")
+        reasons, live, _ = triage([EventProb(whole, float(np.nextafter(1.0, 0.0)))], prior)
+        assert not reasons and live.all()
+        assert triage([EventProb(whole, 0.5)], prior)[0]

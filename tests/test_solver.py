@@ -226,6 +226,48 @@ class TestMaxentDie:
         assert ei.value.code == "options.bad_init_multipliers"
 
 
+class TestBoundaryTargets:
+    """A target at a row's extreme fixes the face where the row attains it."""
+
+    @pytest.mark.parametrize("scale", [6e-6, 1e-6, 1.0, 1e6, 1e9])
+    @pytest.mark.parametrize("face", [0, 5])
+    def test_die_mean_at_an_extreme_is_an_exact_point_mass(self, scale, face):
+        pips = RandomVariable(DIE_SPACE, tuple(scale * k for k in range(1, 7)))
+        target = scale * (face + 1)
+        rep = maxent_update(Distribution.uniform(DIE_SPACE), [Expectation(pips, target)])
+        assert rep.method == "conditionalization"
+        assert rep.multipliers == () and rep.iterations == 0
+        expected = np.zeros(6)
+        expected[face] = 1.0
+        assert np.array_equal(rep.posterior.array, expected)
+
+    def test_boundary_target_exact_at_a_tight_tol(self):
+        opts = SolverOptions(tol=1e-15)
+        rep = maxent_update(Distribution.uniform(DIE_SPACE), [Expectation(DIE_VALUES, 6.0)], opts)
+        assert rep.method == "conditionalization"
+        assert np.array_equal(rep.posterior.array, [0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+        assert rep.final_residual == 0.0
+
+    def test_weight_one_cell_needs_no_multiplier(self):
+        # once the zero-weight cell is dropped the other cell is the whole support
+        part = Partition((TIGER_EVENT, TIGER_EVENT.complement()))
+        rep = maxent_update(TIGER_PRIOR, [PartitionWeights(part, (1.0, 0.0))], NO_FAST)
+        assert rep.method == "conditionalization"
+        assert rep.multipliers == ()
+        assert_allclose(rep.posterior.array, [0.4, 0.6, 0.0, 0.0], rtol=0, atol=1e-15)
+
+    def test_boundary_row_beside_an_active_row(self):
+        # E[f] = 1 keeps only a and b, exactly; P(a) = 0.3 is then solved on them
+        s = SampleSpace(("a", "b", "c", "d"))
+        f = RandomVariable(s, (1.0, 1.0, 2.0, 3.0))
+        cs = [Expectation(f, 1.0), EventProb(s.subset("a"), 0.3)]
+        rep = maxent_update(Distribution.uniform(s), cs, NO_FAST)
+        assert rep.method == "dual_newton"
+        assert len(rep.multipliers) == 1
+        assert rep.posterior.weights[2:] == (0.0, 0.0)
+        assert_allclose(rep.posterior.array[:2], [0.3, 0.7], rtol=0, atol=1e-10)
+
+
 class TestMaxentCondProb:
     def test_conditional_pin(self):
         s = SampleSpace(("a", "b", "c", "d"))
@@ -344,13 +386,38 @@ class TestMaxentFailureModes:
             assert "dual multipliers" in ei.value.reason
 
     def test_feasible_boundary_target_at_small_scale_not_called_infeasible(self):
-        # a point mass on face1 attains the mean; until rows are scaled the
-        # budget may still run out here, but infeasibility must not be claimed
+        # a point mass on face1 attains the mean, and is the only posterior that does
         pips = RandomVariable(DIE_SPACE, tuple(6e-6 * k for k in range(1, 7)))
-        try:
-            maxent_update(Distribution.uniform(DIE_SPACE), [Expectation(pips, 6e-6)])
-        except NonConvergence:
-            pass
+        rep = maxent_update(Distribution.uniform(DIE_SPACE), [Expectation(pips, 6e-6)])
+        assert rep.method == "conditionalization"
+        assert np.array_equal(rep.posterior.array, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("options", [SolverOptions(), NO_FAST], ids=["fast", "no_fast"])
+    @pytest.mark.parametrize("certain", ["whole_space", "whole_support"])
+    def test_event_certain_under_every_posterior_certified_by_its_range(self, options, certain):
+        # the row is 1 on every outcome a posterior may weight, so no target
+        # below 1 is reachable; the witness is the stake y = -e_0
+        if certain == "whole_space":
+            s = space_of(5)
+            prior, event = Distribution.uniform(s), s.subset(*s.outcomes)
+        else:
+            s = space_of(3)
+            prior, event = Distribution(s, (0.6, 0.4, 0.0)), s.subset("w0", "w1")
+        with pytest.raises(InfeasibleConstraint) as ei:
+            maxent_update(prior, [EventProb(event, 0.5)], options)
+        assert ei.value.reason == (
+            "row 0: target 0.5 lies outside [1.0, 1.0], its range on the outcomes "
+            "still possible (witness y = -e_0)"
+        )
+
+    @pytest.mark.parametrize("options", [SolverOptions(), NO_FAST], ids=["fast", "no_fast"])
+    def test_conditional_met_only_by_emptying_its_given_event(self, options):
+        # c has no prior mass, so P(a | a or c) = 0.3 forces P(a) = 0; the
+        # row's zero target sits at its least value on the support
+        s = SampleSpace(("a", "b", "c"))
+        prior = Distribution(s, (0.5, 0.5, 0.0))
+        with pytest.raises(DegenerateConditional):
+            maxent_update(prior, [CondProb(s.subset("a"), s.subset("a", "c"), 0.3)], options)
 
     def test_budget_exhaustion_is_nonconvergence(self):
         opts = SolverOptions(max_iter=1, use_fast_paths=True)
