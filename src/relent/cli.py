@@ -138,10 +138,12 @@ def _cmd_update(args: argparse.Namespace) -> int:
     sc = parse_file(args.scenario)
     options = SolverOptions(tol=args.tol, max_iter=args.max_iter)
     report = maxent_update(sc.prior, sc.constraints, options)
-    sys.stdout.write(emit_report(report, units=args.units))
+    # a query can still fail (conditioning on a zero-mass event), so the
+    # whole report is built before any of it is written
+    text = emit_report(report, units=args.units)
     if sc.queries:
-        lines = run_queries(report.posterior, sc.queries, args.units)
-        sys.stdout.write("\n".join(lines) + "\n")
+        text += "\n".join(run_queries(report.posterior, sc.queries, args.units)) + "\n"
+    sys.stdout.write(text)
     return 0
 
 

@@ -25,10 +25,13 @@ system:
       "forecasts": [{"event": ["rain"], "value": 0.7}]
     }
 
-Malformed JSON raises ParseError with position; schema and invariant
-violations raise ValidationError with a distinct code naming the
-offense. Reports are line-oriented text with every float printed to ten
-significant digits, so identical inputs yield byte-identical output.
+Each constraint and query kind is described once, by its row in
+``_CONSTRAINT_KINDS`` or ``_QUERY_KINDS``; parsing, the unknown-key
+check and ``serialize`` all read that row. Malformed JSON raises
+ParseError with position; schema and invariant violations raise
+ValidationError with a distinct code naming the offense. Reports are
+line-oriented text with every float printed to ten significant digits,
+so identical inputs yield byte-identical output.
 """
 
 from __future__ import annotations
@@ -114,17 +117,13 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _fail(code: str, message: str) -> ValidationError:
-    return ValidationError(code, message)
-
-
 def _number(x: Any, code: str, where: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise _fail(code, f"{where} must be a number, got {x!r}")
+        raise ValidationError(code, f"{where} must be a number, got {x!r}")
     try:
         return float(x)
     except OverflowError:
-        raise _fail(code, f"{where} is an integer too large for a float") from None
+        raise ValidationError(code, f"{where} is an integer too large for a float") from None
 
 
 def _numbers(raw: list, code: str, where: str, keys: Iterable[object]) -> np.ndarray:
@@ -142,19 +141,19 @@ def _numbers(raw: list, code: str, where: str, keys: Iterable[object]) -> np.nda
 
 def _labels(x: Any, code: str, where: str) -> list[str]:
     if not isinstance(x, list) or not set(map(type, x)) <= {str}:
-        raise _fail(code, f"{where} must be an array of outcome labels, got {x!r}")
+        raise ValidationError(code, f"{where} must be an array of outcome labels, got {x!r}")
     return x
 
 
 def _object_keys(obj: dict, allowed: set[str], code: str, where: str) -> None:
     extra = set(obj) - allowed
     if extra:
-        raise _fail(code, f"{where} has unknown keys: {sorted(extra)}")
+        raise ValidationError(code, f"{where} has unknown keys: {sorted(extra)}")
 
 
 def _required(obj: dict, key: str, code: str, where: str) -> Any:
     if key not in obj:
-        raise _fail(code, f"{where} is missing required key {key!r}")
+        raise ValidationError(code, f"{where} is missing required key {key!r}")
     return obj[key]
 
 
@@ -171,88 +170,92 @@ def _event(space: SampleSpace, labels: Any, code: str, where: str) -> Event:
     return _wrap_construction(Event, space, _labels(labels, code, where))
 
 
-def _parse_constraint(space: SampleSpace, obj: Any, where: str) -> Constraint:
-    if not isinstance(obj, dict):
-        raise _fail("constraint.not_object", f"{where} must be an object")
-    kind = _required(obj, "type", "constraint.missing_type", where)
-    if kind == "event_prob":
-        _object_keys(obj, {"type", "event", "value"}, "constraint.unknown_key", where)
-        event = _event(space, _required(obj, "event", "constraint.missing_key", where),
-                       "constraint.bad_event", f"{where}.event")
-        value = _number(_required(obj, "value", "constraint.missing_key", where),
-                        "constraint.bad_value", f"{where}.value")
-        return _wrap_construction(EventProb, event, value)
-    if kind == "expectation":
-        _object_keys(obj, {"type", "variable", "value"}, "constraint.unknown_key", where)
-        mapping = _required(obj, "variable", "constraint.missing_key", where)
-        if not isinstance(mapping, dict):
-            raise _fail("constraint.bad_variable", f"{where}.variable must map labels to numbers")
-        _numbers(list(mapping.values()), "constraint.bad_variable", f"{where}.variable",
-                 map(repr, mapping))
-        variable = _wrap_construction(RandomVariable.from_mapping, space, mapping)
-        value = _number(_required(obj, "value", "constraint.missing_key", where),
-                        "constraint.bad_value", f"{where}.value")
-        return _wrap_construction(Expectation, variable, value)
-    if kind == "cond_prob":
-        _object_keys(obj, {"type", "event", "given", "value"}, "constraint.unknown_key", where)
-        target = _event(space, _required(obj, "event", "constraint.missing_key", where),
-                        "constraint.bad_event", f"{where}.event")
-        given = _event(space, _required(obj, "given", "constraint.missing_key", where),
-                       "constraint.bad_event", f"{where}.given")
-        value = _number(_required(obj, "value", "constraint.missing_key", where),
-                        "constraint.bad_value", f"{where}.value")
-        return _wrap_construction(CondProb, target, given, value)
-    if kind == "partition":
-        _object_keys(obj, {"type", "cells", "weights"}, "constraint.unknown_key", where)
-        cells = _required(obj, "cells", "constraint.missing_key", where)
-        partition = _parse_partition(space, cells, "constraint.bad_cells", f"{where}.cells")
-        raw = _required(obj, "weights", "constraint.missing_key", where)
-        if not isinstance(raw, list):
-            raise _fail("constraint.bad_weights", f"{where}.weights must be an array of numbers")
-        weights = _numbers(raw, "constraint.bad_weights", f"{where}.weights", range(len(raw)))
-        return _wrap_construction(PartitionWeights, partition, weights)
-    raise _fail("constraint.unknown_type", f"{where} has unknown type {kind!r}")
-
-
 def _parse_partition(space: SampleSpace, cells: Any, code: str, where: str) -> Partition:
     if not isinstance(cells, list):
-        raise _fail(code, f"{where} must be an array of label arrays")
+        raise ValidationError(code, f"{where} must be an array of label arrays")
     events = tuple(
         _event(space, cell, code, f"{where}[{i}]") for i, cell in enumerate(cells)
     )
     return _wrap_construction(Partition, events)
 
 
-def _parse_query(space: SampleSpace, obj: Any, where: str) -> Query:
+def _variable(space: SampleSpace, mapping: Any, code: str, where: str) -> RandomVariable:
+    if not isinstance(mapping, dict):
+        raise ValidationError(code, f"{where} must map labels to numbers")
+    _numbers(list(mapping.values()), code, where, map(repr, mapping))
+    return _wrap_construction(RandomVariable.from_mapping, space, mapping)
+
+
+def _weights(space: SampleSpace, raw: Any, code: str, where: str) -> np.ndarray:
+    if not isinstance(raw, list):
+        raise ValidationError(code, f"{where} must be an array of numbers")
+    return _numbers(raw, code, where, range(len(raw)))
+
+
+def _event_labels(e: Event) -> list[str]:
+    return sorted(e.members, key=e.space.index.__getitem__)
+
+
+# A field type is a (reader, writer) pair: the reader takes (space, JSON
+# value, error code, location) and builds the domain value, the writer
+# turns that value back into JSON.
+_EVENT = (_event, _event_labels)
+_CELLS = (_parse_partition, lambda p: [_event_labels(c) for c in p.cells])
+_NUMBER = (lambda space, x, code, where: _number(x, code, where), float)
+_VARIABLE = (_variable, lambda v: dict(zip(v.space.outcomes, v.values)))
+_WEIGHTS = (_weights, list)
+
+# "type" -> (class, fields); a field is (JSON key, attribute, field type,
+# suffix of the <section>.bad_<suffix> code for a bad value), in the
+# order of the class's constructor arguments.
+_CONSTRAINT_KINDS = {
+    "event_prob": (EventProb, (("event", "event", _EVENT, "event"),
+                               ("value", "value", _NUMBER, "value"))),
+    "expectation": (Expectation, (("variable", "variable", _VARIABLE, "variable"),
+                                  ("value", "value", _NUMBER, "value"))),
+    "cond_prob": (CondProb, (("event", "target", _EVENT, "event"),
+                             ("given", "given", _EVENT, "event"),
+                             ("value", "value", _NUMBER, "value"))),
+    "partition": (PartitionWeights, (("cells", "partition", _CELLS, "cells"),
+                                     ("weights", "weights", _WEIGHTS, "weights"))),
+}
+_QUERY_KINDS = {
+    "prob": (ProbQuery, (("event", "event", _EVENT, "event"),)),
+    "cond_prob": (CondProbQuery, (("event", "target", _EVENT, "event"),
+                                  ("given", "given", _EVENT, "event"))),
+    "entropy": (EntropyQuery, ()),
+    "mutual_information": (MutualInfoQuery, (("row_cells", "row", _CELLS, "event"),
+                                             ("col_cells", "col", _CELLS, "event"))),
+    "posterior": (PosteriorQuery, ()),
+}
+
+
+def _parse_entry(space: SampleSpace, obj: Any, where: str, section: str, kinds: dict) -> Any:
+    """Read one constraint or query object through its kind's row of ``kinds``."""
     if not isinstance(obj, dict):
-        raise _fail("query.not_object", f"{where} must be an object")
-    kind = _required(obj, "type", "query.missing_type", where)
-    if kind == "prob":
-        _object_keys(obj, {"type", "event"}, "query.unknown_key", where)
-        return ProbQuery(_event(space, _required(obj, "event", "query.missing_key", where),
-                                "query.bad_event", f"{where}.event"))
-    if kind == "cond_prob":
-        _object_keys(obj, {"type", "event", "given"}, "query.unknown_key", where)
-        return CondProbQuery(
-            _event(space, _required(obj, "event", "query.missing_key", where),
-                   "query.bad_event", f"{where}.event"),
-            _event(space, _required(obj, "given", "query.missing_key", where),
-                   "query.bad_event", f"{where}.given"),
-        )
-    if kind == "entropy":
-        _object_keys(obj, {"type"}, "query.unknown_key", where)
-        return EntropyQuery()
-    if kind == "mutual_information":
-        _object_keys(obj, {"type", "row_cells", "col_cells"}, "query.unknown_key", where)
-        row = _parse_partition(space, _required(obj, "row_cells", "query.missing_key", where),
-                               "query.bad_event", f"{where}.row_cells")
-        col = _parse_partition(space, _required(obj, "col_cells", "query.missing_key", where),
-                               "query.bad_event", f"{where}.col_cells")
-        return MutualInfoQuery(row, col)
-    if kind == "posterior":
-        _object_keys(obj, {"type"}, "query.unknown_key", where)
-        return PosteriorQuery()
-    raise _fail("query.unknown_type", f"{where} has unknown type {kind!r}")
+        raise ValidationError(f"{section}.not_object", f"{where} must be an object")
+    kind = _required(obj, "type", f"{section}.missing_type", where)
+    # a list or object "type" is unhashable, so look up strings only
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ValidationError(f"{section}.unknown_type", f"{where} has unknown type {kind!r}")
+    cls, fields = kinds[kind]
+    _object_keys(obj, {"type", *(f[0] for f in fields)}, f"{section}.unknown_key", where)
+    values = [
+        read(space, _required(obj, key, f"{section}.missing_key", where),
+             f"{section}.bad_{suffix}", f"{where}.{key}")
+        for key, _, (read, _), suffix in fields
+    ]
+    return _wrap_construction(cls, *values)
+
+
+def _entry_to_json(obj: Any, kinds: dict) -> dict:
+    """Write a constraint or query as its kind's row of ``kinds`` reads it."""
+    for kind, (cls, fields) in kinds.items():
+        if isinstance(obj, cls):
+            doc = {"type": kind}
+            doc.update((key, write(getattr(obj, attr))) for key, attr, (_, write), _ in fields)
+            return doc
+    raise TypeError(f"not a constraint or query: {obj!r}")
 
 
 def parse(document: str) -> Scenario:
@@ -264,11 +267,13 @@ def parse(document: str) -> Scenario:
     except ValueError as e:  # an integer literal past the interpreter's digit limit
         raise ParseError(str(e)) from e
     if not isinstance(data, dict):
-        raise _fail("file.not_object", "the top level of a scenario must be a JSON object")
+        raise ValidationError(
+            "file.not_object", "the top level of a scenario must be a JSON object"
+        )
     _object_keys(data, TOP_LEVEL_KEYS, "file.unknown_key", "the scenario")
     # JSON true parses to True, which equals 1 in Python
     if "version" in data and (isinstance(data["version"], bool) or data["version"] != 1):
-        raise _fail("file.bad_version", f"unsupported version {data['version']!r}")
+        raise ValidationError("file.bad_version", f"unsupported version {data['version']!r}")
 
     raw_space = _required(data, "space", "space.missing", "the scenario")
     space = _wrap_construction(
@@ -282,35 +287,36 @@ def parse(document: str) -> Scenario:
         weights = _numbers(raw_prior, "prior.bad_number", '"prior"', range(len(raw_prior)))
         prior = _wrap_construction(Distribution, space, weights)
     else:
-        raise _fail("prior.bad", '"prior" must be "uniform" or an array of numbers')
+        raise ValidationError("prior.bad", '"prior" must be "uniform" or an array of numbers')
 
     raw_constraints = _required(data, "constraints", "constraints.missing", "the scenario")
     if not isinstance(raw_constraints, list):
-        raise _fail("constraints.not_array", '"constraints" must be an array')
+        raise ValidationError("constraints.not_array", '"constraints" must be an array')
     constraints = tuple(
-        _parse_constraint(space, obj, f'"constraints"[{i}]')
+        _parse_entry(space, obj, f'"constraints"[{i}]', "constraint", _CONSTRAINT_KINDS)
         for i, obj in enumerate(raw_constraints)
     )
 
     queries: tuple[Query, ...] = ()
     if "queries" in data:
         if not isinstance(data["queries"], list):
-            raise _fail("queries.not_array", '"queries" must be an array')
+            raise ValidationError("queries.not_array", '"queries" must be an array')
         queries = tuple(
-            _parse_query(space, obj, f'"queries"[{i}]') for i, obj in enumerate(data["queries"])
+            _parse_entry(space, obj, f'"queries"[{i}]', "query", _QUERY_KINDS)
+            for i, obj in enumerate(data["queries"])
         )
 
     forecasts: ForecastSystem | None = None
     if "forecasts" in data:
         raw = data["forecasts"]
         if not isinstance(raw, list):
-            raise _fail("forecasts.not_array", '"forecasts" must be an array')
+            raise ValidationError("forecasts.not_array", '"forecasts" must be an array')
         events: list[Event] = []
         values: list[float] = []
         for i, entry in enumerate(raw):
             where = f'"forecasts"[{i}]'
             if not isinstance(entry, dict):
-                raise _fail("forecast.bad_entry", f"{where} must be an object")
+                raise ValidationError("forecast.bad_entry", f"{where} must be an object")
             _object_keys(entry, {"event", "value"}, "forecast.bad_entry", where)
             events.append(_event(space, _required(entry, "event", "forecast.bad_entry", where),
                                  "forecast.bad_entry", f"{where}.event"))
@@ -326,64 +332,16 @@ def parse_file(path: str) -> Scenario:
         return parse(fh.read())
 
 
-# ---------------------------------------------------------------------------
-# Serialization (round-trip support)
-# ---------------------------------------------------------------------------
-
-
-def _event_labels(e: Event) -> list[str]:
-    return sorted(e.members, key=e.space.index.__getitem__)
-
-
-def _constraint_to_json(c: Constraint) -> dict:
-    if isinstance(c, EventProb):
-        return {"type": "event_prob", "event": _event_labels(c.event), "value": c.value}
-    if isinstance(c, Expectation):
-        mapping = dict(zip(c.variable.space.outcomes, c.variable.values))
-        return {"type": "expectation", "variable": mapping, "value": c.value}
-    if isinstance(c, CondProb):
-        return {
-            "type": "cond_prob",
-            "event": _event_labels(c.target),
-            "given": _event_labels(c.given),
-            "value": c.value,
-        }
-    if isinstance(c, PartitionWeights):
-        return {
-            "type": "partition",
-            "cells": [_event_labels(cell) for cell in c.partition.cells],
-            "weights": list(c.weights),
-        }
-    raise TypeError(f"not a constraint: {c!r}")
-
-
-def _query_to_json(q: Query) -> dict:
-    if isinstance(q, ProbQuery):
-        return {"type": "prob", "event": _event_labels(q.event)}
-    if isinstance(q, CondProbQuery):
-        return {"type": "cond_prob", "event": _event_labels(q.target),
-                "given": _event_labels(q.given)}
-    if isinstance(q, EntropyQuery):
-        return {"type": "entropy"}
-    if isinstance(q, MutualInfoQuery):
-        return {"type": "mutual_information",
-                "row_cells": [_event_labels(c) for c in q.row.cells],
-                "col_cells": [_event_labels(c) for c in q.col.cells]}
-    if isinstance(q, PosteriorQuery):
-        return {"type": "posterior"}
-    raise TypeError(f"not a query: {q!r}")
-
-
 def serialize(sc: Scenario) -> str:
     """Emit a scenario as canonical JSON; parse(serialize(sc)) == sc."""
     doc: dict[str, Any] = {
         "version": 1,
         "space": list(sc.space.outcomes),
         "prior": list(sc.prior.weights),
-        "constraints": [_constraint_to_json(c) for c in sc.constraints],
+        "constraints": [_entry_to_json(c, _CONSTRAINT_KINDS) for c in sc.constraints],
     }
     if sc.queries:
-        doc["queries"] = [_query_to_json(q) for q in sc.queries]
+        doc["queries"] = [_entry_to_json(q, _QUERY_KINDS) for q in sc.queries]
     if sc.forecasts is not None:
         doc["forecasts"] = [
             {"event": _event_labels(e), "value": v}

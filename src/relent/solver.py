@@ -119,11 +119,15 @@ def jeffrey_update(
         if w == 0.0:
             continue
         m = prior.prob(cell)
-        if m <= ZERO_MASS:
+        if m == 0.0:
             raise InfeasibleConstraint(
                 f"cell {cell.describe()} has zero prior mass but target weight {w:g}"
             )
-        out += prior.array * cell.indicator * (w / m)
+        scale = w / m
+        if math.isfinite(scale):
+            out += prior.array * cell.indicator * scale
+        else:  # a subnormal m: divide first, every in-cell weight is at most m
+            out += prior.array * cell.indicator / m * w
     return Distribution.from_array(prior.space, out)
 
 

@@ -127,6 +127,24 @@ class TestUpdate:
         assert out.startswith("infeasible\ncertificate: conditioning event of P({a} | {a, c})")
         assert err != ""
 
+    def test_failing_query_prints_only_the_certificate(self, capsys, tmp_path):
+        doc = {
+            "version": 1,
+            "space": ["a", "b", "c"],
+            "prior": "uniform",
+            "constraints": [{"type": "event_prob", "event": ["a"], "value": 0.0}],
+            "queries": [
+                {"type": "prob", "event": ["b"]},
+                {"type": "cond_prob", "event": ["b"], "given": ["a"]},
+            ],
+        }
+        path = tmp_path / "zero_given.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_main(capsys, "update", str(path))
+        assert code == 2
+        assert out == "infeasible\ncertificate: conditioning event {a} has probability 0.0\n"
+        assert err != ""
+
     def test_non_convergence_exits_4(self, capsys):
         code, _, err = run_main(capsys, "update", DIE, "--max-iter", "1")
         assert code == 4

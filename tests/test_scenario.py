@@ -3,15 +3,18 @@
 import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from relent.coherence import ForecastSystem
 from relent.constraints import CondProb, EventProb, Expectation, PartitionWeights
 from relent.errors import ParseError, ValidationError
 from relent.information import entropy
 from relent.scenario import (
     CondProbQuery,
+    Scenario,
     EntropyQuery,
     MutualInfoQuery,
     PosteriorQuery,
@@ -25,7 +28,9 @@ from relent.scenario import (
     serialize,
 )
 from relent.solver import maxent_update
-from relent.spaces import Distribution, Event, Partition, SampleSpace
+from relent.spaces import Distribution, Event, Partition, RandomVariable, SampleSpace
+
+from conftest import positive_distributions
 
 RICH_DOCUMENT = """
 {
@@ -193,6 +198,15 @@ class TestRejection:
             parse(document)
         assert exc.value.code == code
 
+    @pytest.mark.parametrize("kind", [["event_prob"], {}, 3, None], ids=repr)
+    @pytest.mark.parametrize("section,code", [("constraints", "constraint.unknown_type"),
+                                              ("queries", "query.unknown_type")])
+    def test_non_string_type_is_unknown(self, section, code, kind):
+        doc = {"space": ["a"], "prior": "uniform", "constraints": [], section: [{"type": kind}]}
+        with pytest.raises(ValidationError) as exc:
+            parse(json.dumps(doc))
+        assert exc.value.code == code
+
     def test_rejection_codes_cover_distinct_failures(self):
         # the table is the contract: every listed failure mode has a code,
         # and no two different schema offenses share one accidentally
@@ -275,7 +289,47 @@ class TestArrayValidation:
             assert str(exc.value) == expected_message(where, values[first])
 
 
+@st.composite
+def scenarios(draw):
+    """A scenario with every constraint kind, every query kind and forecasts."""
+    prior = draw(positive_distributions(min_size=2, max_size=6))
+    space = prior.space
+    numbers = st.floats(allow_nan=False, allow_infinity=False)
+    events = st.sets(st.sampled_from(space.outcomes)).map(lambda s: Event(space, s))
+
+    def partition():
+        cell_of = draw(st.lists(st.integers(0, 2), min_size=len(space), max_size=len(space)))
+        cells = [[x for x, c in zip(space.outcomes, cell_of) if c == k] for k in range(3)]
+        return Partition.from_labels(space, [c for c in cells if c])
+
+    cut = partition()
+    raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(cut.cells),
+                                 max_size=len(cut.cells))))
+    variable = RandomVariable(space, tuple(draw(
+        st.lists(numbers, min_size=len(space), max_size=len(space)))))
+    one_of_each = [
+        EventProb(draw(events), draw(numbers)),
+        Expectation(variable, draw(numbers)),
+        CondProb(draw(events), draw(events), draw(numbers)),
+        PartitionWeights(cut, tuple(raw / raw.sum())),
+    ]
+    queries = [ProbQuery(draw(events)), CondProbQuery(draw(events), draw(events)),
+               EntropyQuery(), MutualInfoQuery(partition(), partition()), PosteriorQuery()]
+    book = draw(st.lists(st.tuples(events, numbers), min_size=1, max_size=4))
+    forecasts = ForecastSystem(space, tuple(e for e, _ in book), tuple(v for _, v in book))
+    return Scenario(space, prior, tuple(draw(st.permutations(one_of_each))),
+                    tuple(draw(st.permutations(queries))), forecasts)
+
+
 class TestRoundTrip:
+    @seed(20261018)
+    @given(scenarios())
+    @settings(max_examples=80, deadline=None)
+    def test_every_kind_round_trips(self, sc):
+        text = serialize(sc)
+        assert parse(text) == sc
+        assert serialize(parse(text)) == text
+
     def test_parse_serialize_parse_fixed_point(self):
         first = parse(RICH_DOCUMENT)
         text = serialize(first)

@@ -533,6 +533,19 @@ class TestFastPathAgreement:
         assert slow.method in ("dual_newton", "no_op")
         assert_allclose(slow.posterior.array, fast.posterior.array, rtol=0, atol=1e-8)
 
+    @pytest.mark.parametrize("mass", [1e-13, 1e-300, 1e-320])
+    def test_tiny_positive_cell_mass_agrees(self, mass):
+        # positive prior mass, however small (1e-320 is subnormal, so the
+        # weight ratio w / m overflows), is reweighted and never infeasible
+        s = SampleSpace(("a", "b"))
+        prior = Distribution(s, (1.0 - mass, mass))
+        pin = [EventProb(s.subset("b"), 0.5)]
+        fast = maxent_update(prior, pin)
+        slow = maxent_update(prior, pin, NO_FAST)
+        assert (fast.method, slow.method) == ("jeffrey", "dual_newton")
+        assert_allclose(fast.posterior.array, [0.5, 0.5], rtol=0, atol=1e-9)
+        assert_allclose(slow.posterior.array, fast.posterior.array, rtol=0, atol=1e-9)
+
     @given(positive_distributions(min_size=2, max_size=7), st.data())
     @settings(max_examples=40, deadline=None)
     def test_posterior_satisfies_constraint_and_objective_sign(self, prior, data):
