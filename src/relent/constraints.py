@@ -1,13 +1,12 @@
 """Declarative constraints on a posterior distribution.
 
-Every constraint kind compiles to one or more linear forms
-``sum_i coeffs[i] * posterior[i] = target``, which is the shape the
-update solver consumes. A form is a read-only coefficient array aligned
-to the space's outcome order plus its target; event and expectation
-rows share the event's indicator or the variable's array rather than
-copying it. The solver compiles each constraint exactly once per
-update, and feasibility screening, the no-op check, the dual system and
-the final residual all read those same rows.
+Every constraint kind compiles to one or more rows
+``sum_i coeffs[i] * posterior[i] = target``, and the rows of an update
+form one linear system ``A p = b``: ``A`` is a read-only matrix with a
+column per outcome of the space, in its order, and ``b`` the targets.
+The solver compiles each constraint exactly once per update, and
+feasibility screening, the no-op check, the dual system and the final
+residual all read that one system.
 
 Construction validates structure (finiteness, space agreement,
 weight-vector invariants); whether a *target* is achievable from a
@@ -141,60 +140,53 @@ class PartitionWeights:
 Constraint = Union[EventProb, Expectation, CondProb, PartitionWeights]
 
 
-@dataclass(frozen=True, eq=False)
-class LinearForm:
-    """One compiled row: require coeffs . posterior == target, ``coeffs`` a read-only array."""
-
-    coeffs: np.ndarray
-    target: float
-
-
-def compile_constraint(c: Constraint, space: SampleSpace) -> tuple[LinearForm, ...]:
-    """Lower one constraint to linear forms aligned to ``space``."""
+def compile_constraint(c: Constraint, space: SampleSpace) -> tuple[tuple[np.ndarray, float], ...]:
+    """Lower one constraint to ``(coeffs, target)`` rows aligned to ``space``."""
     if c.space != space:
         raise SpaceMismatch("constraint lives on a different sample space")
     if isinstance(c, EventProb):
-        return (LinearForm(c.event.indicator, c.value),)
+        return ((c.event.indicator, c.value),)
     if isinstance(c, Expectation):
-        return (LinearForm(c.variable.array, c.value),)
+        return ((c.variable.array, c.value),)
     if isinstance(c, CondProb):
         coeffs = c.target.intersect(c.given).indicator - c.value * c.given.indicator
-        coeffs.flags.writeable = False
-        return (LinearForm(coeffs, 0.0),)
+        return ((coeffs, 0.0),)
     if isinstance(c, PartitionWeights):
-        return tuple(
-            LinearForm(cell.indicator, w) for cell, w in zip(c.partition.cells, c.weights)
-        )
+        return tuple((cell.indicator, w) for cell, w in zip(c.partition.cells, c.weights))
     raise TypeError(f"not a constraint: {c!r}")
 
 
-def compile_all(constraints: Sequence[Constraint], space: SampleSpace) -> tuple[LinearForm, ...]:
-    rows: list[LinearForm] = []
-    for c in constraints:
-        rows.extend(compile_constraint(c, space))
-    return tuple(rows)
+def compile_all(
+    constraints: Sequence[Constraint], space: SampleSpace
+) -> tuple[np.ndarray, np.ndarray]:
+    """The system ``(A, b)`` of ``constraints``, rows in compilation order; ``A`` is C-ordered."""
+    rows = [row for c in constraints for row in compile_constraint(c, space)]
+    A = np.array([coeffs for coeffs, _ in rows]).reshape(len(rows), len(space))
+    A.flags.writeable = False
+    return A, np.array([target for _, target in rows], dtype=float)
 
 
-def residual(dist: Distribution, rows: Sequence[LinearForm]) -> float:
-    """Largest absolute violation of compiled ``rows`` under ``dist``, one dot product per row."""
+def residual(dist: Distribution, system: tuple[np.ndarray, np.ndarray]) -> float:
+    """Largest absolute violation of ``A p = b`` under ``dist``, one dot product per row."""
+    A, b = system
     p = dist.array
-    return max((abs(float(row.coeffs @ p) - row.target) for row in rows), default=0.0)
+    return max((abs(float(a @ p) - target) for a, target in zip(A, b.tolist())), default=0.0)
 
 
 def triage_feasibility(
     constraints: Sequence[Constraint],
-    rows: Sequence[LinearForm],
+    system: tuple[np.ndarray, np.ndarray],
     prior: Distribution,
     tol: float,
 ) -> tuple[tuple[str, ...], np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """One pass over the ``rows`` compiled from ``constraints``: certificates and pins.
+    """One pass over the ``system`` compiled from ``constraints``: certificates and pins.
 
     Returns ``(reasons, live, (A, b))``. ``reasons`` holds one certificate
     per proof that no posterior on the prior's support meets the rows; an
     empty tuple means the pass found none, and the set may still be jointly
     unsatisfiable, which the solver detects. ``live`` masks the outcomes a
-    posterior may still weight, and ``A`` (a column per outcome of the space)
-    and ``b`` stack the rows that still need a multiplier.
+    posterior may still weight, and ``(A, b)`` keeps the rows of ``system``
+    that still need a multiplier.
 
     The one kind-specific check is a probability target outside [0, 1]; a
     conditional's linearized row could otherwise be met by P(given) = 0.
@@ -221,9 +213,8 @@ def triage_feasibility(
             raise SpaceMismatch("constraint lives on a different sample space")
         if isinstance(c, (EventProb, CondProb)) and not 0.0 <= c.value <= 1.0:
             reasons.append(f"probability target outside [0, 1]: {c.describe()}")
-    A = np.array([row.coeffs for row in rows]).reshape(len(rows), len(prior.space))
-    b = [row.target for row in rows]
-    active = list(range(len(rows)))
+    A, b = system[0], system[1].tolist()
+    active = list(range(len(b)))
     live = prior.support
     while not reasons:
         lo = A.min(axis=1, where=live, initial=np.inf).tolist()
@@ -245,6 +236,6 @@ def triage_feasibility(
                 break
         else:  # no pin shrank the support, so no row's range can change
             break
-    if len(active) < len(rows):
+    if len(active) < len(b):
         A = A[active]
     return tuple(reasons), live, (A, np.array([b[j] for j in active], dtype=float))

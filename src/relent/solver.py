@@ -69,9 +69,10 @@ class SolverOptions:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ConstructionError("options.bad_tol", f"tol must be positive, got {self.tol!r}")
-        if self.max_iter < 1:
+        if type(self.max_iter) is not int or self.max_iter < 1:  # a bool is no budget either
             raise ConstructionError(
-                "options.bad_max_iter", f"max_iter must be at least 1, got {self.max_iter!r}"
+                "options.bad_max_iter",
+                f"max_iter must be an int of at least 1, got {self.max_iter!r}",
             )
         if self.init_multipliers is not None:
             lam = tuple(float(x) for x in self.init_multipliers)
@@ -149,7 +150,8 @@ def _dual_newton(
     Returns (posterior on the reduced index, multipliers, accepted
     steps). Raises :class:`InfeasibleConstraint` at the first iterate that
     separates ``b`` from every distribution (see the module docstring),
-    and :class:`NonConvergence` when the budget runs out first.
+    and :class:`NonConvergence` when the budget runs out first or no step
+    along the Newton direction, however short, raises the dual.
     """
     m = A.shape[0]
     logq = np.log(q)
@@ -164,16 +166,18 @@ def _dual_newton(
         lam = np.zeros(m)
     row_max = np.abs(A).max(axis=1)
 
-    def posterior_and_logz(logits: np.ndarray) -> tuple[np.ndarray, float]:
+    def evaluate(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """A^T lam, the posterior it induces, and log Z(lam)."""
+        at = A.T @ lam
+        logits = logq + at
         shift = float(logits.max())
         z = np.exp(logits - shift)
         total = float(z.sum())
-        return z / total, shift + math.log(total)
+        return at, z / total, shift + math.log(total)
 
-    iterations = 0
+    at, p, logz = evaluate(lam)
+    iterations, stall = 0, ""
     while True:
-        at = A.T @ lam
-        p, logz = posterior_and_logz(logq + at)
         Ap = A @ p
         grad = b - Ap
         res = float(np.max(np.abs(grad)))
@@ -196,23 +200,22 @@ def _dual_newton(
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(hess, grad, rcond=None)[0]
         gval = lam_b - logz
+        # halve until the step no longer moves lam; t reaches 0 only on a step that is not finite
         t = 1.0
-        accepted = False
-        while t > 1e-14:
-            cand = lam + t * step
-            _, logz_c = posterior_and_logz(logq + A.T @ cand)
-            if float(cand @ b) - logz_c >= gval - 1e-15 * (1.0 + abs(gval)):
-                accepted = True
+        while t and not np.array_equal(cand := lam + t * step, lam):
+            trial = evaluate(cand)
+            if float(cand @ b) - trial[2] >= gval - 1e-15 * (1.0 + abs(gval)):
                 break
             t *= 0.5
-        if not accepted:
+        else:
+            stall = ": no step along the Newton direction raised the dual"
             break
-        lam = cand
+        lam, (at, p, logz) = cand, trial
         iterations += 1
 
     raise NonConvergence(
         f"update stopped after {iterations} Newton steps with residual {res:g} "
-        f"above tol {options.tol:g}"
+        f"above tol {options.tol:g}{stall}"
     )
 
 
@@ -246,15 +249,17 @@ def maxent_update(
     posterior mass).
     """
     constraints = tuple(constraints)
-    rows = _constraints.compile_all(constraints, prior.space)
-    reasons, live, (A, b) = _constraints.triage_feasibility(constraints, rows, prior, options.tol)
+    system = _constraints.compile_all(constraints, prior.space)
+    reasons, live, (A, b) = _constraints.triage_feasibility(
+        constraints, system, prior, options.tol
+    )
     if reasons:
         raise InfeasibleConstraint("; ".join(reasons))
 
-    r0 = _constraints.residual(prior, rows)
+    r0 = _constraints.residual(prior, system)
     if r0 <= options.tol:
         _check_conditionals(prior, constraints)
-        return UpdateReport(prior, (0.0,) * len(rows), 0, r0, 0.0, "no_op")
+        return UpdateReport(prior, (0.0,) * len(system[1]), 0, r0, 0.0, "no_op")
 
     multipliers: tuple[float, ...] = ()
     iterations = 0
@@ -283,7 +288,7 @@ def maxent_update(
         posterior,
         multipliers,
         iterations,
-        _constraints.residual(posterior, rows),
+        _constraints.residual(posterior, system),
         information.relative_entropy(posterior, prior),
         method,
     )

@@ -17,6 +17,10 @@ DIE = str(SCENARIOS / "die.json")
 TIGER = str(SCENARIOS / "tiger.json")
 BOOK = str(SCENARIOS / "overconfident_book.json")
 IMPOSSIBLE = str(SCENARIOS / "impossible_target.json")
+# an event pinned near 0.95 whose prior mass is about 0.01, plus an expectation
+DATA = Path(__file__).resolve().parent / "data"
+LINE_SEARCH_INFEASIBLE = str(DATA / "line_search_infeasible.json")
+LINE_SEARCH_FEASIBLE = str(DATA / "line_search_feasible.json")
 
 
 def run_main(capsys, *argv):
@@ -149,6 +153,18 @@ class TestUpdate:
         code, _, err = run_main(capsys, "update", DIE, "--max-iter", "1")
         assert code == 4
         assert "did not converge" in err
+
+    def test_line_search_past_a_tiny_step_exits_2_when_infeasible(self, capsys):
+        code, out, err = run_main(capsys, "update", LINE_SEARCH_INFEASIBLE)
+        assert code == 2
+        assert out.startswith("infeasible\ncertificate: dual multipliers")
+        assert err != ""
+
+    def test_line_search_past_a_tiny_step_exits_0_when_feasible(self, capsys):
+        code, out, err = run_main(capsys, "update", LINE_SEARCH_FEASIBLE)
+        assert code == 0
+        assert out.startswith("method: dual_newton\niterations: 11\n")
+        assert err == ""
 
     def test_missing_file_exits_3(self, capsys):
         code, _, err = run_main(capsys, "update", str(SCENARIOS / "no_such.json"))

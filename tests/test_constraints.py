@@ -63,36 +63,36 @@ class TestConstruction:
 
 class TestCompile:
     def test_event_prob_row(self, abc):
-        rows = compile_constraint(EventProb(abc.subset("a", "c"), 0.8), abc)
-        assert len(rows) == 1
-        assert_allclose(rows[0].coeffs, [1.0, 0.0, 1.0])
-        assert rows[0].target == 0.8
+        ((coeffs, target),) = compile_constraint(EventProb(abc.subset("a", "c"), 0.8), abc)
+        assert_allclose(coeffs, [1.0, 0.0, 1.0])
+        assert target == 0.8
 
     def test_expectation_row(self, abc):
         f = RandomVariable(abc, (1.0, 2.0, 6.0))
-        rows = compile_constraint(Expectation(f, 2.5), abc)
-        assert_allclose(rows[0].coeffs, [1.0, 2.0, 6.0])
-        assert rows[0].target == 2.5
+        ((coeffs, target),) = compile_constraint(Expectation(f, 2.5), abc)
+        assert_allclose(coeffs, [1.0, 2.0, 6.0])
+        assert target == 2.5
 
     def test_cond_prob_linearization(self, abc):
         # P(a | {a, b}) = 0.25 becomes 1_{a} - 0.25 * 1_{a,b} with target 0
-        rows = compile_constraint(CondProb(abc.subset("a"), abc.subset("a", "b"), 0.25), abc)
-        assert_allclose(rows[0].coeffs, [0.75, -0.25, 0.0])
-        assert rows[0].target == 0.0
+        c = CondProb(abc.subset("a"), abc.subset("a", "b"), 0.25)
+        ((coeffs, target),) = compile_constraint(c, abc)
+        assert_allclose(coeffs, [0.75, -0.25, 0.0])
+        assert target == 0.0
 
     def test_cond_prob_target_outside_given_intersected(self, abc):
         # only the overlap of target and given matters
-        rows = compile_constraint(CondProb(abc.subset("a", "c"), abc.subset("a", "b"), 0.5), abc)
-        assert_allclose(rows[0].coeffs, [0.5, -0.5, 0.0])
+        c = CondProb(abc.subset("a", "c"), abc.subset("a", "b"), 0.5)
+        ((coeffs, _),) = compile_constraint(c, abc)
+        assert_allclose(coeffs, [0.5, -0.5, 0.0])
 
     def test_partition_weights_rows(self, abc):
         p = Partition.from_labels(abc, [("a",), ("b", "c")])
-        rows = compile_constraint(PartitionWeights(p, (0.3, 0.7)), abc)
-        assert len(rows) == 2
-        assert_allclose(rows[0].coeffs, [1.0, 0.0, 0.0])
-        assert rows[0].target == 0.3
-        assert_allclose(rows[1].coeffs, [0.0, 1.0, 1.0])
-        assert rows[1].target == 0.7
+        (c0, t0), (c1, t1) = compile_constraint(PartitionWeights(p, (0.3, 0.7)), abc)
+        assert_allclose(c0, [1.0, 0.0, 0.0])
+        assert t0 == 0.3
+        assert_allclose(c1, [0.0, 1.0, 1.0])
+        assert t1 == 0.7
 
     def test_space_mismatch_rejected(self, abc):
         c = EventProb(space_of(2).subset("w0"), 0.5)
@@ -101,10 +101,20 @@ class TestCompile:
 
     def test_compile_all_concatenates(self, abc):
         p = Partition.from_labels(abc, [("a",), ("b",), ("c",)])
-        rows = compile_all(
+        A, b = compile_all(
             [EventProb(abc.subset("a"), 0.2), PartitionWeights(p, (0.2, 0.3, 0.5))], abc
         )
-        assert len(rows) == 4
+        assert_allclose(A, [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        assert b.tolist() == [0.2, 0.2, 0.3, 0.5]
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_compiled_matrix_is_read_only_and_c_ordered(self, abc, count):
+        f = RandomVariable(abc, (1.0, 2.0, 6.0))
+        A, b = compile_all([Expectation(f, 2.5)] * count, abc)
+        assert A.shape == (count, 3) and b.shape == (count,) and b.dtype == float
+        assert A.flags.c_contiguous and not A.flags.writeable
+        with pytest.raises(ValueError):
+            A[..., 0] = 1.0
 
 
 class TestResidual:
@@ -125,7 +135,7 @@ class TestResidual:
         assert residual(d, compile_all(cs, abc)) == pytest.approx(0.2)
 
     def test_empty_constraint_list(self, abc):
-        assert residual(Distribution.uniform(abc), []) == 0.0
+        assert residual(Distribution.uniform(abc), compile_all([], abc)) == 0.0
 
     @given(positive_distributions(), st.data())
     def test_self_describing_constraints_have_zero_residual(self, d, data):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from relent.errors import (
     ZeroMassEvent,
 )
 from relent.information import relative_entropy
-from relent.scenario import emit_report
+from relent.scenario import emit_report, parse_file
 from relent.solver import (
     SolverOptions,
     UpdateReport,
@@ -39,6 +40,7 @@ from conftest import (
 )
 
 NO_FAST = SolverOptions(use_fast_paths=False)
+DATA = Path(__file__).resolve().parent / "data"
 
 # four-outcome space: tiger/no-tiger crossed with growl/no-growl
 TIGER_SPACE = SampleSpace(("tiger_growl", "tiger_quiet", "clear_growl", "clear_quiet"))
@@ -419,6 +421,20 @@ class TestMaxentFailureModes:
         with pytest.raises(DegenerateConditional):
             maxent_update(prior, [CondProb(s.subset("a"), s.subset("a", "c"), 0.3)], options)
 
+    @pytest.mark.parametrize("options", [SolverOptions(), NO_FAST], ids=["fast", "no_fast"])
+    def test_line_search_accepts_steps_below_any_fixed_floor(self, options):
+        # an event pinned near 0.95 whose prior mass is about 0.01, plus an
+        # expectation: the second iterate is nearly a point mass, the Newton
+        # step is about 5e13 long, and the first ascent lies at t below 1e-14
+        sc = parse_file(str(DATA / "line_search_infeasible.json"))
+        with pytest.raises(InfeasibleConstraint) as ei:
+            maxent_update(sc.prior, sc.constraints, options)
+        assert ei.value.reason.startswith("dual multipliers lam prove")
+        sc = parse_file(str(DATA / "line_search_feasible.json"))
+        rep = maxent_update(sc.prior, sc.constraints, options)
+        assert (rep.method, rep.iterations) == ("dual_newton", 11)
+        assert rep.final_residual <= 1e-10
+
     def test_budget_exhaustion_is_nonconvergence(self):
         opts = SolverOptions(max_iter=1, use_fast_paths=True)
         with pytest.raises(NonConvergence):
@@ -431,6 +447,12 @@ class TestMaxentFailureModes:
             SolverOptions(tol=0.0)
         with pytest.raises(ConstructionError):
             SolverOptions(max_iter=0)
+
+    @pytest.mark.parametrize("bad", [2.5, True, "5", None])
+    def test_max_iter_must_be_an_int(self, bad):
+        with pytest.raises(ConstructionError) as ei:
+            SolverOptions(max_iter=bad)
+        assert ei.value.code == "options.bad_max_iter"
 
 
 def _random_event(rng, space):
