@@ -13,10 +13,14 @@ therefore computes that projection; for exterior points the projection
 is returned as an explicit dominating forecast, so the verdict can be
 checked by direct enumeration rather than taken on faith.
 
-Per-world losses come from ``valuation_matrix`` (:func:`world_losses`), with
-no object built per world; ``WorldValuation``, ``world_valuations`` and
-``quadratic_loss`` score one world at a time and are kept as the reference
-that the tests enumerate against.
+Per-world losses come from ``valuation_matrix`` (:func:`world_losses`) in
+one batched call, with no object built and no Python step per world: each
+world's loss is a (1, k) @ (k, 1) product in one stacked ``matmul``, which
+calls the same BLAS ``ddot`` as the 1-D ``d @ d`` and so rounds identically.
+``einsum`` and ``sum(axis=1)`` would be as fast but round differently.
+``WorldValuation``, ``world_valuations`` and ``quadratic_loss`` score one
+world at a time and are kept as the reference that the tests enumerate
+against.
 """
 
 from __future__ import annotations
@@ -90,10 +94,20 @@ class ForecastSystem(_ArrayValued):
 def world_losses(fs: ForecastSystem, forecasts: np.ndarray | Sequence[float]) -> np.ndarray:
     """Quadratic loss of ``forecasts`` (one per event of ``fs``) in every world, in space order.
 
-    Each is the 1-D ``d @ d`` of :func:`quadratic_loss`, so the two agree bit for bit.
+    One stacked ``matmul`` of each gap row with itself, (1, k) @ (k, 1) per
+    world, reaches the same BLAS ``ddot`` as the 1-D ``d @ d`` of
+    :func:`quadratic_loss`, so the two agree bit for bit. ``einsum('ij,ij->i')``
+    and ``(D * D).sum(axis=1)`` are not used: they sum in another order and
+    differ from ``d @ d`` in the last bits.
     """
-    diffs = fs.valuation_matrix - np.asarray(forecasts, dtype=float)
-    return np.array([d @ d for d in diffs])
+    x = np.asarray(forecasts, dtype=float)
+    if x.shape != (len(fs.events),):
+        raise ConstructionError(
+            "valuation.length_mismatch",
+            f"forecasts have shape {x.shape}, system has {len(fs.events)} events",
+        )
+    diffs = fs.valuation_matrix - x
+    return np.matmul(diffs[:, None, :], diffs[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)

@@ -218,6 +218,8 @@ class RandomVariable(_ArrayValued):
 
     @classmethod
     def from_mapping(cls, space: SampleSpace, mapping: Mapping[str, float]) -> "RandomVariable":
+        if tuple(mapping) == space.outcomes:  # keys in space order: no lookups needed
+            return cls(space, list(mapping.values()))
         try:
             values = list(map(mapping.__getitem__, space.outcomes))
         except KeyError:

@@ -297,6 +297,29 @@ class TestWorldLosses:
         emit_report(audit_admissibility(fs), system=fs)
         assert len(calls) <= 2
 
+    # books() draws 1-6 events; BLAS ddot unrolls by blocks, so cover longer rows too
+    @pytest.mark.parametrize("k", [0, 1, 7, 16, 17, 24, 33, 64, 129])
+    @pytest.mark.parametrize("as_given", [np.array, lambda a: tuple(a.tolist()),
+                                          lambda a: a.tolist()], ids=["array", "tuple", "list"])
+    def test_bit_for_bit_at_long_rows(self, k, as_given):
+        rng = np.random.default_rng(k)
+        space = SampleSpace(tuple(f"w{i}" for i in range(32)))
+        events = tuple(
+            space.subset(*(x for x, keep in zip(space.outcomes, mask) if keep))
+            for mask in rng.random((k, 32)) < 0.5
+        )
+        fs = ForecastSystem(space, events, rng.uniform(-0.5, 1.5, k))
+        expected = [quadratic_loss(fs, w) for w in world_valuations(fs)]
+        assert world_losses(fs, as_given(fs.array)).tolist() == expected
+
+    @pytest.mark.parametrize("forecasts", [[0.5], 0.5, [0.5, 0.5, 0.5]],
+                             ids=["one_value", "scalar", "three_values"])
+    def test_wrong_length_book_is_rejected(self, forecasts):
+        fs = ForecastSystem(TWO, (E, NOT_E), (0.5, 0.5))
+        with pytest.raises(ConstructionError) as ei:
+            world_losses(fs, forecasts)
+        assert ei.value.code == "valuation.length_mismatch"
+
 
 class TestNearTheHull:
     def test_books_just_outside_never_raise(self):

@@ -138,12 +138,31 @@ class TestRandomVariable:
         with pytest.raises(ConstructionError) as ei:
             RandomVariable.from_mapping(s, {"a": 1.0})
         assert ei.value.code == "variable.not_total"
+        assert str(ei.value) == "no value for outcomes ['b']"
 
     def test_from_mapping_rejects_unknown(self):
         s = SampleSpace(("a", "b"))
         with pytest.raises(ConstructionError) as ei:
             RandomVariable.from_mapping(s, {"a": 1.0, "b": 2.0, "z": 3.0})
         assert ei.value.code == "variable.unknown_label"
+        assert str(ei.value) == "variable references labels not in the space: ['z']"
+
+    def test_from_mapping_in_order_with_one_key_renamed(self):
+        s = SampleSpace(("a", "b", "c"))
+        with pytest.raises(ConstructionError) as ei:
+            RandomVariable.from_mapping(s, {"a": 1.0, "renamed": 2.0, "c": 3.0})
+        assert ei.value.code == "variable.not_total"
+        assert str(ei.value) == "no value for outcomes ['b']"
+
+    def test_from_mapping_in_order_and_shuffled_agree(self):
+        s = space_of(100)
+        rng = np.random.default_rng(3)
+        ordered = {x: float(v) for x, v in zip(s.outcomes, rng.normal(size=100))}
+        shuffled = {s.outcomes[i]: ordered[s.outcomes[i]] for i in rng.permutation(100)}
+        assert list(shuffled) != list(ordered)
+        expected = list(ordered.values())
+        assert RandomVariable.from_mapping(s, ordered).array.tolist() == expected
+        assert RandomVariable.from_mapping(s, shuffled).array.tolist() == expected
 
     def test_rejects_non_finite(self):
         with pytest.raises(ConstructionError) as ei:
