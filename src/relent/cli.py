@@ -32,7 +32,6 @@ from .errors import (
     NonConvergence,
     ParseError,
     RelentError,
-    ValidationError,
     ZeroMassEvent,
 )
 from .scenario import (
@@ -112,7 +111,8 @@ def _build_parser() -> _Parser:
 
     axioms = sub.add_parser("axioms", help="run seeded partition-consistency trials")
     axioms.add_argument("--trials", type=_positive_int, default=100)
-    axioms.add_argument("--seed", type=int, default=0)
+    axioms.add_argument("--seed", type=_int_at_least(0, "must be at least 0, got {}"),
+                        default=0)
     axioms.add_argument("--n-max", type=_size_at_least_two, default=10,
                         help="largest sample-space size drawn per trial")
     axioms.set_defaults(func=_cmd_axioms)
@@ -163,7 +163,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     sc = parse_file(args.scenario)
     if sc.forecasts is None:
-        raise ValidationError("forecasts.missing", "audit needs a \"forecasts\" section")
+        raise ConstructionError("forecasts.missing", "audit needs a \"forecasts\" section")
     verdict = audit_admissibility(sc.forecasts)
     sys.stdout.write(emit_report(verdict, system=sc.forecasts))
     if verdict.admissible:
@@ -219,7 +219,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             where = f" at line {e.line}, column {e.column}"
         print(f"parse error{where}: {e}", file=sys.stderr)
         return 3
-    except (ValidationError, ConstructionError) as e:
+    except ConstructionError as e:
         print(f"invalid input [{e.code}]: {e}", file=sys.stderr)
         return 3
     except (InfeasibleConstraint, DegenerateConditional, ZeroMassEvent) as e:

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by every module in the package."""
+"""Exception hierarchy shared by every module in the package.
+
+:class:`ConstructionError` is the one error that carries a stable
+``code``: the domain constructors, the scenario loader and the CLI all
+raise it for input that breaks an invariant or the scenario schema.
+"""
 
 from __future__ import annotations
 
@@ -8,11 +13,11 @@ class RelentError(Exception):
 
 
 class ConstructionError(RelentError, ValueError):
-    """An invariant was violated while building a value.
+    """An invariant or the scenario schema was violated while building a value.
 
     ``code`` is a stable machine-readable identifier, one distinct code per
-    invariant, so callers (notably the scenario loader) can map failures to
-    precise diagnostics.
+    invariant or schema offense (``dist.sum_not_one``, ``prior.bad_number``),
+    so callers can map failures to precise diagnostics.
     """
 
     def __init__(self, code: str, message: str):
@@ -68,12 +73,5 @@ class ParseError(RelentError):
         self.column = column
 
 
-class ValidationError(RelentError):
-    """A scenario document is well-formed JSON but violates the schema.
-
-    Carries the same kind of stable ``code`` as :class:`ConstructionError`.
-    """
-
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
+#: Another name for :class:`ConstructionError`, kept for code that imports it.
+ValidationError = ConstructionError

@@ -29,7 +29,8 @@ Each constraint and query kind is described once, by its row in
 ``_CONSTRAINT_KINDS`` or ``_QUERY_KINDS``; parsing, the unknown-key
 check and ``serialize`` all read that row. Malformed JSON raises
 ParseError with position; schema and invariant violations raise
-ValidationError with a distinct code naming the offense. Reports are
+ConstructionError with a distinct code naming the offense, the domain
+constructors' own codes passing through unchanged. Reports are
 line-oriented text with every float printed to ten significant digits,
 so identical inputs yield byte-identical output.
 """
@@ -45,7 +46,7 @@ import numpy as np
 
 from .coherence import AdmissibilityVerdict, ForecastSystem
 from .constraints import CondProb, Constraint, EventProb, Expectation, PartitionWeights
-from .errors import ConstructionError, ParseError, ValidationError
+from .errors import ConstructionError, ParseError
 from .information import entropy, mutual_information
 from .solver import UpdateReport
 from .spaces import (
@@ -119,11 +120,11 @@ class Scenario:
 
 def _number(x: Any, code: str, where: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ValidationError(code, f"{where} must be a number, got {x!r}")
+        raise ConstructionError(code, f"{where} must be a number, got {x!r}")
     try:
         return float(x)
     except OverflowError:
-        raise ValidationError(code, f"{where} is an integer too large for a float") from None
+        raise ConstructionError(code, f"{where} is an integer too large for a float") from None
 
 
 def _numbers(raw: list, code: str, where: str, keys: Iterable[object]) -> np.ndarray:
@@ -141,54 +142,45 @@ def _numbers(raw: list, code: str, where: str, keys: Iterable[object]) -> np.nda
 
 def _labels(x: Any, code: str, where: str) -> list[str]:
     if not isinstance(x, list) or not set(map(type, x)) <= {str}:
-        raise ValidationError(code, f"{where} must be an array of outcome labels, got {x!r}")
+        raise ConstructionError(code, f"{where} must be an array of outcome labels, got {x!r}")
     return x
 
 
 def _object_keys(obj: dict, allowed: set[str], code: str, where: str) -> None:
     extra = set(obj) - allowed
     if extra:
-        raise ValidationError(code, f"{where} has unknown keys: {sorted(extra)}")
+        raise ConstructionError(code, f"{where} has unknown keys: {sorted(extra)}")
 
 
 def _required(obj: dict, key: str, code: str, where: str) -> Any:
     if key not in obj:
-        raise ValidationError(code, f"{where} is missing required key {key!r}")
+        raise ConstructionError(code, f"{where} is missing required key {key!r}")
     return obj[key]
 
 
-def _wrap_construction(fn, *args, **kwargs):
-    # domain constructors already carry precise codes; surface them as
-    # validation failures without losing the code
-    try:
-        return fn(*args, **kwargs)
-    except ConstructionError as e:
-        raise ValidationError(e.code, str(e)) from e
-
-
 def _event(space: SampleSpace, labels: Any, code: str, where: str) -> Event:
-    return _wrap_construction(Event, space, _labels(labels, code, where))
+    return Event(space, _labels(labels, code, where))
 
 
 def _parse_partition(space: SampleSpace, cells: Any, code: str, where: str) -> Partition:
     if not isinstance(cells, list):
-        raise ValidationError(code, f"{where} must be an array of label arrays")
+        raise ConstructionError(code, f"{where} must be an array of label arrays")
     events = tuple(
         _event(space, cell, code, f"{where}[{i}]") for i, cell in enumerate(cells)
     )
-    return _wrap_construction(Partition, events)
+    return Partition(events)
 
 
 def _variable(space: SampleSpace, mapping: Any, code: str, where: str) -> RandomVariable:
     if not isinstance(mapping, dict):
-        raise ValidationError(code, f"{where} must map labels to numbers")
+        raise ConstructionError(code, f"{where} must map labels to numbers")
     _numbers(list(mapping.values()), code, where, map(repr, mapping))
-    return _wrap_construction(RandomVariable.from_mapping, space, mapping)
+    return RandomVariable.from_mapping(space, mapping)
 
 
 def _weights(space: SampleSpace, raw: Any, code: str, where: str) -> np.ndarray:
     if not isinstance(raw, list):
-        raise ValidationError(code, f"{where} must be an array of numbers")
+        raise ConstructionError(code, f"{where} must be an array of numbers")
     return _numbers(raw, code, where, range(len(raw)))
 
 
@@ -233,11 +225,11 @@ _QUERY_KINDS = {
 def _parse_entry(space: SampleSpace, obj: Any, where: str, section: str, kinds: dict) -> Any:
     """Read one constraint or query object through its kind's row of ``kinds``."""
     if not isinstance(obj, dict):
-        raise ValidationError(f"{section}.not_object", f"{where} must be an object")
+        raise ConstructionError(f"{section}.not_object", f"{where} must be an object")
     kind = _required(obj, "type", f"{section}.missing_type", where)
     # a list or object "type" is unhashable, so look up strings only
     if not isinstance(kind, str) or kind not in kinds:
-        raise ValidationError(f"{section}.unknown_type", f"{where} has unknown type {kind!r}")
+        raise ConstructionError(f"{section}.unknown_type", f"{where} has unknown type {kind!r}")
     cls, fields = kinds[kind]
     _object_keys(obj, {"type", *(f[0] for f in fields)}, f"{section}.unknown_key", where)
     values = [
@@ -245,7 +237,7 @@ def _parse_entry(space: SampleSpace, obj: Any, where: str, section: str, kinds: 
              f"{section}.bad_{suffix}", f"{where}.{key}")
         for key, _, (read, _), suffix in fields
     ]
-    return _wrap_construction(cls, *values)
+    return cls(*values)
 
 
 def _entry_to_json(obj: Any, kinds: dict) -> dict:
@@ -267,31 +259,29 @@ def parse(document: str) -> Scenario:
     except ValueError as e:  # an integer literal past the interpreter's digit limit
         raise ParseError(str(e)) from e
     if not isinstance(data, dict):
-        raise ValidationError(
+        raise ConstructionError(
             "file.not_object", "the top level of a scenario must be a JSON object"
         )
     _object_keys(data, TOP_LEVEL_KEYS, "file.unknown_key", "the scenario")
     # JSON true parses to True, which equals 1 in Python
     if "version" in data and (isinstance(data["version"], bool) or data["version"] != 1):
-        raise ValidationError("file.bad_version", f"unsupported version {data['version']!r}")
+        raise ConstructionError("file.bad_version", f"unsupported version {data['version']!r}")
 
     raw_space = _required(data, "space", "space.missing", "the scenario")
-    space = _wrap_construction(
-        SampleSpace, tuple(_labels(raw_space, "space.not_label_array", '"space"'))
-    )
+    space = SampleSpace(tuple(_labels(raw_space, "space.not_label_array", '"space"')))
 
     raw_prior = _required(data, "prior", "prior.missing", "the scenario")
     if raw_prior == "uniform":
         prior = Distribution.uniform(space)
     elif isinstance(raw_prior, list):
         weights = _numbers(raw_prior, "prior.bad_number", '"prior"', range(len(raw_prior)))
-        prior = _wrap_construction(Distribution, space, weights)
+        prior = Distribution(space, weights)
     else:
-        raise ValidationError("prior.bad", '"prior" must be "uniform" or an array of numbers')
+        raise ConstructionError("prior.bad", '"prior" must be "uniform" or an array of numbers')
 
     raw_constraints = _required(data, "constraints", "constraints.missing", "the scenario")
     if not isinstance(raw_constraints, list):
-        raise ValidationError("constraints.not_array", '"constraints" must be an array')
+        raise ConstructionError("constraints.not_array", '"constraints" must be an array')
     constraints = tuple(
         _parse_entry(space, obj, f'"constraints"[{i}]', "constraint", _CONSTRAINT_KINDS)
         for i, obj in enumerate(raw_constraints)
@@ -300,7 +290,7 @@ def parse(document: str) -> Scenario:
     queries: tuple[Query, ...] = ()
     if "queries" in data:
         if not isinstance(data["queries"], list):
-            raise ValidationError("queries.not_array", '"queries" must be an array')
+            raise ConstructionError("queries.not_array", '"queries" must be an array')
         queries = tuple(
             _parse_entry(space, obj, f'"queries"[{i}]', "query", _QUERY_KINDS)
             for i, obj in enumerate(data["queries"])
@@ -310,19 +300,19 @@ def parse(document: str) -> Scenario:
     if "forecasts" in data:
         raw = data["forecasts"]
         if not isinstance(raw, list):
-            raise ValidationError("forecasts.not_array", '"forecasts" must be an array')
+            raise ConstructionError("forecasts.not_array", '"forecasts" must be an array')
         events: list[Event] = []
         values: list[float] = []
         for i, entry in enumerate(raw):
             where = f'"forecasts"[{i}]'
             if not isinstance(entry, dict):
-                raise ValidationError("forecast.bad_entry", f"{where} must be an object")
+                raise ConstructionError("forecast.bad_entry", f"{where} must be an object")
             _object_keys(entry, {"event", "value"}, "forecast.bad_entry", where)
             events.append(_event(space, _required(entry, "event", "forecast.bad_entry", where),
                                  "forecast.bad_entry", f"{where}.event"))
             values.append(_number(_required(entry, "value", "forecast.bad_entry", where),
                                   "forecast.bad_entry", f"{where}.value"))
-        forecasts = _wrap_construction(ForecastSystem, space, tuple(events), tuple(values))
+        forecasts = ForecastSystem(space, tuple(events), tuple(values))
 
     return Scenario(space, prior, constraints, queries, forecasts)
 
@@ -453,9 +443,14 @@ def run_queries(dist: Distribution, queries: Sequence[Query], units: str = "nats
 
 
 def _partition_mi(dist: Distribution, q: MutualInfoQuery) -> float:
-    """Mutual information between two partition-valued views of one space."""
-    row_space = SampleSpace(tuple(c.describe() for c in q.row.cells))
-    col_space = SampleSpace(tuple(c.describe() for c in q.col.cells))
+    """Mutual information between two partition-valued views of one space.
+
+    Rows and columns are named by position: two cells can describe
+    themselves alike (``{a, b}`` for the label "a, b" and for a and b),
+    and the value does not depend on the names.
+    """
+    row_space = SampleSpace(tuple(map(str, range(len(q.row.cells)))))
+    col_space = SampleSpace(tuple(map(str, range(len(q.col.cells)))))
     weights = np.array([[dist.prob(r.intersect(c)) for c in q.col.cells] for r in q.row.cells])
     return mutual_information(JointDistribution(row_space, col_space, weights))
 

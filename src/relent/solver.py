@@ -56,15 +56,15 @@ class SolverOptions:
     before triage calls it infeasible; max_iter is the budget of Newton
     steps. use_fast_paths lets a lone partition reweighting, or a lone
     event target strictly between 0 and 1, take Jeffrey's closed form
-    instead of the dual; it changes nothing else. init_multipliers seeds
-    the dual iteration (one finite value per active compiled row) for
-    warm starts; None means start from zero.
+    instead of the dual; it changes nothing else. The dual iteration
+    always starts from zero multipliers. Each field has a caller: the
+    CLI's ``--tol`` and ``--max-iter``, and the acceptance gate, which
+    turns the fast paths off to check the dual against Jeffrey's rule.
     """
 
     tol: float = 1e-10
     max_iter: int = 200
     use_fast_paths: bool = True
-    init_multipliers: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0.0):
@@ -74,14 +74,6 @@ class SolverOptions:
                 "options.bad_max_iter",
                 f"max_iter must be an int of at least 1, got {self.max_iter!r}",
             )
-        if self.init_multipliers is not None:
-            lam = tuple(float(x) for x in self.init_multipliers)
-            if not all(map(math.isfinite, lam)):
-                raise ConstructionError(
-                    "options.bad_init_multipliers",
-                    f"initial multipliers must be finite, got {lam!r}",
-                )
-            object.__setattr__(self, "init_multipliers", lam)
 
 
 @dataclass(frozen=True)
@@ -153,17 +145,8 @@ def _dual_newton(
     and :class:`NonConvergence` when the budget runs out first or no step
     along the Newton direction, however short, raises the dual.
     """
-    m = A.shape[0]
     logq = np.log(q)
-    if options.init_multipliers is not None:
-        lam = np.array(options.init_multipliers, dtype=float)
-        if lam.shape != (m,):
-            raise ConstructionError(
-                "options.bad_init_multipliers",
-                f"expected {m} initial multipliers, got {lam.size}",
-            )
-    else:
-        lam = np.zeros(m)
+    lam = np.zeros(A.shape[0])
     row_max = np.abs(A).max(axis=1)
 
     def evaluate(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:

@@ -182,21 +182,21 @@ class TestUpdate:
         bad = tmp_path / "bad.json"
         bad.write_text('{"space": ["a", "b"], "prior": [0.5, 0.6], "constraints": []}',
                        encoding="utf-8")
-        code, _, err = run_main(capsys, "update", str(bad))
-        assert code == 3
-        assert "[dist.sum_not_one]" in err
+        assert run_main(capsys, "update", str(bad)) == (
+            3, "", "invalid input [dist.sum_not_one]: weights sum to 1.1, not 1\n")
 
     @pytest.mark.parametrize("fields, expected", [
-        ('"prior": [%s, 0.5], "constraints": []', "[prior.bad_number]"),
+        ('"prior": [%s, 0.5], "constraints": []',
+         'invalid input [prior.bad_number]: "prior"[0] is an integer too large for a float'),
         ('"prior": "uniform", "constraints": [{"type": "expectation", '
-         '"variable": {"a": 1, "b": %s}, "value": 1}]', "[constraint.bad_variable]"),
+         '"variable": {"a": 1, "b": %s}, "value": 1}]',
+         "invalid input [constraint.bad_variable]: \"constraints\"[0].variable['b'] "
+         "is an integer too large for a float"),
     ], ids=["prior", "variable"])
     def test_integer_too_large_for_a_float_exits_3(self, capsys, tmp_path, fields, expected):
         bad = tmp_path / "bad.json"
         bad.write_text('{"space": ["a", "b"], ' + fields % ("9" * 400) + "}", encoding="utf-8")
-        code, _, err = run_main(capsys, "update", str(bad))
-        assert code == 3
-        assert expected in err
+        assert run_main(capsys, "update", str(bad)) == (3, "", expected + "\n")
 
     def test_integer_past_the_digit_limit_exits_3(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -232,6 +232,19 @@ class TestInfo:
     def test_queries_answered_against_prior(self, capsys):
         _, out, _ = run_main(capsys, "info", TIGER)
         assert "P({tiger_door1} | {tiger_door1, tiger_door2}) = 0.4" in out
+
+    def test_mutual_information_of_cells_that_describe_alike(self, capsys, tmp_path):
+        # the cells ["a, b"] and ["a", "b"] both describe as "{a, b}"
+        doc = {"space": ["a, b", "a", "b", "c"], "prior": "uniform", "constraints": [],
+               "queries": [{"type": "mutual_information",
+                            "row_cells": [["a, b"], ["a", "b"], ["c"]],
+                            "col_cells": [["a, b", "a"], ["b", "c"]]}]}
+        path = tmp_path / "alike.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_main(capsys, "info", str(path))
+        assert code == 0
+        assert out.endswith("mutual_information = 0.3465735903 nats\n")
+        assert err == ""
 
 
 class TestAudit:
@@ -269,9 +282,8 @@ class TestAudit:
         assert err == ""
 
     def test_scenario_without_forecasts_exits_3(self, capsys):
-        code, _, err = run_main(capsys, "audit", DIE)
-        assert code == 3
-        assert "[forecasts.missing]" in err
+        assert run_main(capsys, "audit", DIE) == (
+            3, "", 'invalid input [forecasts.missing]: audit needs a "forecasts" section\n')
 
 
 class TestAxioms:
@@ -290,6 +302,16 @@ class TestAxioms:
         with pytest.raises(SystemExit) as exc:
             main(["axioms", "--trials", "0"])
         assert exc.value.code == 3
+
+    def test_negative_seed_exits_3(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["axioms", "--seed", "-1"])
+        assert exc.value.code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: relent axioms ")
+        assert err.endswith(
+            "relent axioms: error: argument --seed: must be at least 0, got -1\n")
 
 
 class TestCompare:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from relent.coherence import ForecastSystem
 from relent.constraints import CondProb, EventProb, Expectation, PartitionWeights
-from relent.errors import ParseError, ValidationError
+from relent.cli import main
+from relent.errors import ConstructionError, ParseError, ValidationError
 from relent.information import entropy
 from relent.scenario import (
     CondProbQuery,
@@ -191,21 +192,42 @@ REJECTIONS = [
 ]
 
 
+#: The whole line ``relent update`` writes to stderr for some documents of
+#: REJECTIONS: a schema error, and errors raised inside the domain constructors.
+STDERR_LINES = {
+    "prior.bad_number": 'invalid input [prior.bad_number]: "prior"[0] must be a number, got True',
+    "dist.sum_not_one": "invalid input [dist.sum_not_one]: weights sum to 1.1, not 1",
+    "event.unknown_label": "invalid input [event.unknown_label]: event references labels "
+                           "not in the space: ['zz']",
+    "partition.overlapping_cells": "invalid input [partition.overlapping_cells]: outcomes "
+                                   "in more than one cell: ['a']",
+    "variable.not_total": "invalid input [variable.not_total]: no value for outcomes ['b']",
+}
+
+
 class TestRejection:
     @pytest.mark.parametrize("document,code", REJECTIONS, ids=[c for _, c in REJECTIONS])
-    def test_rejected_with_code(self, document, code):
-        with pytest.raises(ValidationError) as exc:
+    def test_rejected_with_code(self, document, code, tmp_path, capsys):
+        with pytest.raises(ConstructionError) as exc:
             parse(document)
         assert exc.value.code == code
+        if code in STDERR_LINES:
+            path = tmp_path / "bad.json"
+            path.write_text(document, encoding="utf-8")
+            assert main(["update", str(path)]) == 3
+            assert capsys.readouterr() == ("", STDERR_LINES[code] + "\n")
 
     @pytest.mark.parametrize("kind", [["event_prob"], {}, 3, None], ids=repr)
     @pytest.mark.parametrize("section,code", [("constraints", "constraint.unknown_type"),
                                               ("queries", "query.unknown_type")])
     def test_non_string_type_is_unknown(self, section, code, kind):
         doc = {"space": ["a"], "prior": "uniform", "constraints": [], section: [{"type": kind}]}
-        with pytest.raises(ValidationError) as exc:
+        with pytest.raises(ConstructionError) as exc:
             parse(json.dumps(doc))
         assert exc.value.code == code
+
+    def test_validation_error_is_another_name_for_construction_error(self):
+        assert ValidationError is ConstructionError
 
     def test_rejection_codes_cover_distinct_failures(self):
         # the table is the contract: every listed failure mode has a code,
@@ -261,7 +283,7 @@ class TestArrayValidation:
         raw = data.draw(spoiled([1.0 / n] * n))
         doc = json.dumps({"space": [f"w{i}" for i in range(n)], "prior": raw,
                           "constraints": []})
-        with pytest.raises(ValidationError) as exc:
+        with pytest.raises(ConstructionError) as exc:
             parse(doc)
         first = first_bad_element(raw)
         if first is None:
@@ -278,7 +300,7 @@ class TestArrayValidation:
         values = data.draw(spoiled([float(i) for i in range(n)]))
         doc = json.dumps({"space": labels, "prior": "uniform", "constraints": [
             {"type": "expectation", "variable": dict(zip(labels, values)), "value": 0.0}]})
-        with pytest.raises(ValidationError) as exc:
+        with pytest.raises(ConstructionError) as exc:
             parse(doc)
         first = first_bad_element(values)
         if first is None:
@@ -439,6 +461,14 @@ class TestQueries:
         flat = Distribution(self.space, (0.25, 0.25, 0.25, 0.25))
         line = run_queries(flat, [MutualInfoQuery(rows, cols)])[0]
         assert float(line.split()[2]) == pytest.approx(0.0, abs=1e-12)
+
+    def test_mutual_information_of_cells_that_describe_alike(self):
+        # the cell {"a, b"} and the cell {a, b} both describe as "{a, b}"
+        space = SampleSpace(("a, b", "a", "b", "c"))
+        rows = Partition.from_labels(space, (("a, b",), ("a", "b"), ("c",)))
+        cols = Partition.from_labels(space, (("a, b", "a"), ("b", "c")))
+        lines = run_queries(Distribution.uniform(space), [MutualInfoQuery(rows, cols)])
+        assert lines == ["mutual_information = 0.3465735903 nats"]
 
     def test_posterior_query_lists_distribution(self):
         lines = run_queries(self.dist, [PosteriorQuery()])

@@ -205,28 +205,6 @@ class TestMaxentDie:
         ratios = [w[i + 1] / w[i] for i in range(5)]
         assert_allclose(ratios, [math.exp(DIE_MULTIPLIER)] * 5, rtol=1e-7)
 
-    def test_warm_start_skips_iteration(self):
-        opts = SolverOptions(init_multipliers=(DIE_MULTIPLIER,))
-        rep = maxent_update(
-            Distribution.uniform(DIE_SPACE), [Expectation(DIE_VALUES, 4.5)], opts
-        )
-        assert rep.iterations == 0
-        assert_allclose(rep.posterior.array, DIE_POSTERIOR, rtol=0, atol=1e-9)
-
-    def test_wrong_warm_start_length_rejected(self):
-        opts = SolverOptions(init_multipliers=(0.1, 0.2))
-        with pytest.raises(ConstructionError) as ei:
-            maxent_update(
-                Distribution.uniform(DIE_SPACE), [Expectation(DIE_VALUES, 4.5)], opts
-            )
-        assert ei.value.code == "options.bad_init_multipliers"
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_warm_start_rejected(self, bad):
-        with pytest.raises(ConstructionError) as ei:
-            SolverOptions(init_multipliers=(bad,))
-        assert ei.value.code == "options.bad_init_multipliers"
-
 
 class TestBoundaryTargets:
     """A target at a row's extreme fixes the face where the row attains it."""
