@@ -15,6 +15,7 @@ Reports go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Sequence
 
@@ -60,8 +61,8 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
     return value
 
 

@@ -13,6 +13,12 @@ therefore computes that projection; for exterior points the projection
 is returned as an explicit dominating forecast, so the verdict can be
 checked by direct enumeration rather than taken on faith.
 
+The projection (:func:`_project_to_hull`) is Wolfe's active-set
+minimum-norm method. Each minor step finds the affine minimiser of the
+active vertices S by one ``solve`` of the bordered Gram system
+(S S^T + 1 1^T) y = 1, scaled to sum to one; the loop stops when the
+duality gap closes or when the entering vertex is already active.
+
 Per-world losses come from ``valuation_matrix`` (:func:`world_losses`) in
 one batched call, with no object built and no Python step per world: each
 world's loss is a (1, k) @ (k, 1) product in one stacked ``matmul``, which
@@ -182,39 +188,42 @@ class AdmissibilityVerdict:
 def _project_to_hull(vertices: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Euclidean projection of ``x`` onto the convex hull of ``vertices`` (rows).
 
-    Active-set minimum-norm method: repeatedly add the vertex that the
-    current gradient favors most, then jump to the best affine
-    combination of the active vertices, stepping back to the boundary
-    and pruning whenever a coefficient would go negative. Terminates
-    once no vertex improves on the current point (zero duality gap up
-    to rounding); unlike plain segment line search this reaches the
-    exact face, so projection distances are machine precision and the
-    admissibility threshold is meaningful.
+    Active-set minimum-norm method (Wolfe 1976) on the shifted vertices
+    W = vertices - x. Each major step adds the vertex that the current
+    point z favours most, argmin W @ z; the same product gives the gap
+    z.z - min(W @ z). Each minor step jumps to the affine minimiser of the
+    active rows S: one ``solve`` of the bordered Gram system
+    (S S^T + 1 1^T) y = 1, then alpha = y / sum(y), which meets
+    S S^T alpha = const and sum(alpha) = 1. Adding 1 1^T makes the Gram
+    matrix nonsingular exactly when the active vertices are affinely
+    independent, which the method keeps. When a coefficient would go
+    negative it steps back to the boundary and drops that vertex, so
+    the minor loop runs at most once per active vertex.
+
+    It stops when the gap is within ``GAP_TOL`` of the vertex scale, or
+    when the entering vertex is already active (no vertex improves on
+    z; solving again would meet a singular Gram matrix). Unlike plain
+    segment line search this reaches the exact face, so projection
+    distances are machine precision and the admissibility threshold is
+    meaningful.
     """
     W = vertices - x  # project the origin onto the shifted hull
-    norms = (W * W).sum(axis=1)
+    norms = np.einsum("ij,ij->i", W, W)
     scale = 1.0 + float(norms.max(initial=0.0))
     active = [int(np.argmin(norms))]
     beta = np.array([1.0])
     z = W[active[0]].copy()
     for _ in range(MAX_MAJOR_STEPS):
-        j = int(np.argmin(W @ z))
-        gap = float(z @ z) - float(W[j] @ z)
-        if gap <= GAP_TOL * scale:
+        wz = W @ z
+        j = int(np.argmin(wz))
+        if float(z @ z) - float(wz[j]) <= GAP_TOL * scale or j in active:
             break
-        if j not in active:
-            active.append(j)
-            beta = np.append(beta, 0.0)
-        for _minor in range(3 * len(vertices) + 10):
+        active.append(j)
+        beta = np.append(beta, 0.0)
+        for _minor in range(len(active)):
             S = W[active]
-            s = len(active)
-            kkt = np.zeros((s + 1, s + 1))
-            kkt[:s, :s] = S @ S.T
-            kkt[:s, s] = 1.0
-            kkt[s, :s] = 1.0
-            rhs = np.zeros(s + 1)
-            rhs[s] = 1.0
-            alpha = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:s]
+            y = np.linalg.solve(S @ S.T + 1.0, np.ones(len(active)))
+            alpha = y / y.sum()
             if alpha.min() >= -1e-12:
                 beta = np.clip(alpha, 0.0, None)
                 beta /= beta.sum()

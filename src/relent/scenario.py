@@ -40,6 +40,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Iterable, Sequence, Union
 
 import numpy as np
@@ -377,12 +378,15 @@ def _emit_verdict(verdict: AdmissibilityVerdict, system: ForecastSystem | None) 
     if not verdict.admissible:
         lines.append("dominating: " + " ".join(fmt10(v) for v in verdict.dominating))
     if system is not None:
-        worlds = zip(system.space.outcomes, verdict.losses)
+        outcomes = system.space.outcomes
         if verdict.admissible:
-            lines.extend(f"world {x}: loss {fmt10(b)}" for x, b in worlds)
+            row, columns = "world %s: loss %.10g", (outcomes, verdict.losses)
         else:
-            lines.extend(f"world {x}: loss {fmt10(b)} -> {fmt10(a)}"
-                         for (x, b), a in zip(worlds, verdict.dominating_losses))
+            row = "world %s: loss %.10g -> %.10g"
+            columns = (outcomes, verdict.losses, verdict.dominating_losses)
+        # the whole table in one % pass; "%.10g" % x is fmt10(x), and labels
+        # go in as arguments, so a % in a label is never read as a directive
+        lines.append("\n".join([row] * len(outcomes)) % tuple(chain.from_iterable(zip(*columns))))
     if not verdict.admissible:
         lines.append(f"margin: {fmt10(verdict.margin)}")
     return lines

@@ -206,10 +206,15 @@ class TestUpdate:
         assert code == 3
         assert err.startswith("parse error")
 
-    def test_bad_tol_flag_exits_3(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["update", DIE, "--tol", "-1"])
-        assert exc.value.code == 3
+    def test_bad_tol_flag_exits_3(self, capsys):
+        for tol in ("-1", "nan", "inf"):
+            with pytest.raises(SystemExit) as exc:
+                main(["update", DIE, "--tol", tol])
+            assert exc.value.code == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("usage:")
+            assert f"must be a positive finite number, got {tol}" in captured.err
 
     def test_zero_max_iter_flag_exits_3(self):
         with pytest.raises(SystemExit) as exc:

@@ -10,6 +10,7 @@ from relent.coherence import (
     AdmissibilityVerdict,
     ForecastSystem,
     WorldValuation,
+    _project_to_hull,
     audit_admissibility,
     quadratic_loss,
     world_losses,
@@ -239,6 +240,73 @@ class TestAuditProperties:
         )
         fs = ForecastSystem.from_distribution(dist, events)
         assert audit_admissibility(fs).admissible
+
+
+def _book_from_matrix(V, x):
+    """The book forecasting ``x`` for the events whose truth table is ``V`` (worlds x events)."""
+    space = SampleSpace(tuple(f"w{i}" for i in range(len(V))))
+    events = tuple(
+        space.subset(*(w for w, true in zip(space.outcomes, column) if true)) for column in V.T
+    )
+    return ForecastSystem(space, events, x)
+
+
+SHAPES = ("distinct", "duplicate_worlds", "duplicate_events")
+WHERES = ("inside", "face", "just_outside", "anywhere")
+
+
+def _point(rng, V, where):
+    """A point inside the hull of the rows of ``V``, on a face, just outside, or anywhere."""
+    weights = rng.dirichlet(np.ones(len(V)))
+    if where == "face":
+        weights *= rng.random(len(V)) < 0.5
+        weights[int(rng.integers(len(V)))] += 0.1  # never all zero
+        weights /= weights.sum()
+    x = weights @ V
+    if where == "just_outside":
+        # every 0/1 row is an extreme point, so pushing one away from the
+        # centroid leaves the hull
+        v = V[int(rng.integers(len(V)))]
+        x = v + (v - V.mean(axis=0)) * 10.0 ** rng.uniform(-10, -3)
+    elif where == "anywhere":
+        x = rng.uniform(-0.5, 1.5, V.shape[1])
+    return x
+
+
+class TestProjectionOptimality:
+    """pi is the projection of x onto the hull exactly when (v - pi).(x - pi) <= 0 for
+    every vertex v: a check that does not depend on how pi was found."""
+
+    @staticmethod
+    def check(fs):
+        V, x = fs.valuation_matrix, fs.array
+        pi = _project_to_hull(V, x)
+        assert float(((V - pi) @ (x - pi)).max()) <= 1e-12
+        assert audit_admissibility(ForecastSystem(fs.space, fs.events, pi)).admissible
+
+    @pytest.mark.parametrize("where", WHERES)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_small_books(self, shape, where):
+        rng = np.random.default_rng([SHAPES.index(shape), WHERES.index(where)])
+        for _ in range(60):
+            n, k = int(rng.integers(2, 10)), int(rng.integers(1, 7))
+            V = (rng.random((n, k)) < 0.5).astype(float)
+            if shape == "duplicate_worlds":
+                V = np.vstack([V, V[rng.integers(n, size=int(rng.integers(1, n + 1)))]])
+            elif shape == "duplicate_events":
+                V = np.hstack([V, V[:, rng.integers(k, size=int(rng.integers(1, k + 1)))]])
+            fs = _book_from_matrix(V, _point(rng, V, where))
+            if shape == "duplicate_worlds":
+                # some outcomes no event separates
+                assert len(np.unique(fs.valuation_matrix, axis=0)) < len(fs.space)
+            self.check(fs)
+
+    @pytest.mark.parametrize("where", WHERES)
+    def test_256_world_book(self, where):
+        rng = np.random.default_rng([256, WHERES.index(where)])
+        V = (rng.random((256, 16)) < 0.5).astype(float)
+        for _ in range(3):
+            self.check(_book_from_matrix(V, _point(rng, V, where)))
 
 
 @st.composite

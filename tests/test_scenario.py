@@ -502,6 +502,33 @@ class TestFormatting:
         assert "world s1: loss 0.58 -> 0.5" in lines
         assert lines[-1].startswith("margin: 0.08")
 
+    @pytest.mark.parametrize("dominated", [False, True], ids=["admissible", "dominated"])
+    def test_world_table_matches_the_per_line_reference(self, dominated):
+        from relent.coherence import ForecastSystem, audit_admissibility
+
+        # labels that a format template would misread
+        space = SampleSpace(("100%", "%s", "{}", "%(x)s %d", "%%"))
+        events = (Event(space, {"100%", "%s"}), Event(space, {"%s", "{}"}),
+                  Event(space, {"{}", "%(x)s %d", "%%"}))
+        if dominated:
+            fs = ForecastSystem(space, events, (0.93, 0.71, 0.123456789012))
+        else:
+            dist = Distribution(space, (0.1, 0.2, 0.3, 0.15, 0.25))
+            fs = ForecastSystem.from_distribution(dist, events)
+        verdict = audit_admissibility(fs)
+        assert verdict.admissible != dominated
+        worlds = zip(space.outcomes, verdict.losses)
+        if dominated:
+            reference = ["admissible: no",
+                         "dominating: " + " ".join(fmt10(v) for v in verdict.dominating)]
+            reference += [f"world {x}: loss {fmt10(b)} -> {fmt10(a)}"
+                          for (x, b), a in zip(worlds, verdict.dominating_losses)]
+            reference.append(f"margin: {fmt10(verdict.margin)}")
+        else:
+            reference = ["admissible: yes"]
+            reference += [f"world {x}: loss {fmt10(b)}" for x, b in worlds]
+        assert emit_report(verdict, system=fs) == "\n".join(reference) + "\n"
+
     def test_partition_constraint_reports_jeffrey_method(self):
         space = SampleSpace(("a", "b", "c", "d"))
         prior = Distribution(space, (0.2, 0.3, 0.3, 0.2))
