@@ -22,7 +22,7 @@ def random_cell_infos(rng, prior, part):
     """Feasible within-cell pins: nudge an existing conditional slightly."""
     infos = []
     for i, cell in enumerate(part.cells):
-        members = sorted(cell.members, key=prior.space.index.__getitem__)
+        members = cell.labels
         if len(members) < 2 or rng.random() < 0.4:
             continue
         pick = members[int(rng.integers(0, len(members)))]

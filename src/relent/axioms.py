@@ -202,7 +202,7 @@ def check_axiom4b(
         if posterior.prob(cell) <= ZERO_MASS:
             skipped.append(i)
             continue
-        members = sorted(cell.members, key=prior.space.index.__getitem__)
+        members = cell.labels
         events = [Event(prior.space, frozenset({x})) for x in members]
         rng = np.random.default_rng([seed, i])
         for _ in range(RANDOM_EVENTS_PER_CELL):

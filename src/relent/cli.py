@@ -37,7 +37,7 @@ from .errors import (
 )
 from .scenario import (
     EntropyQuery,
-    distribution_lines,
+    distribution_block,
     emit_divergence,
     emit_report,
     fmt10,
@@ -154,8 +154,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
         f"outcomes: {len(sc.space)}",
         f"constraints: {len(sc.constraints)}",
         "prior:",
+        distribution_block(sc.prior),
     ]
-    lines.extend(distribution_lines(sc.prior))
     lines.extend(run_queries(sc.prior, (EntropyQuery(), *sc.queries), args.units))
     sys.stdout.write("\n".join(lines) + "\n")
     return 0

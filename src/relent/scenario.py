@@ -40,7 +40,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Any, Iterable, Sequence, Union
 
 import numpy as np
@@ -175,7 +174,9 @@ def _parse_partition(space: SampleSpace, cells: Any, code: str, where: str) -> P
 def _variable(space: SampleSpace, mapping: Any, code: str, where: str) -> RandomVariable:
     if not isinstance(mapping, dict):
         raise ConstructionError(code, f"{where} must map labels to numbers")
-    _numbers(list(mapping.values()), code, where, map(repr, mapping))
+    values = _numbers(list(mapping.values()), code, where, map(repr, mapping))
+    if tuple(mapping) == space.outcomes:  # keys in space order: the values are the array
+        return RandomVariable(space, values)
     return RandomVariable.from_mapping(space, mapping)
 
 
@@ -185,15 +186,11 @@ def _weights(space: SampleSpace, raw: Any, code: str, where: str) -> np.ndarray:
     return _numbers(raw, code, where, range(len(raw)))
 
 
-def _event_labels(e: Event) -> list[str]:
-    return sorted(e.members, key=e.space.index.__getitem__)
-
-
 # A field type is a (reader, writer) pair: the reader takes (space, JSON
 # value, error code, location) and builds the domain value, the writer
 # turns that value back into JSON.
-_EVENT = (_event, _event_labels)
-_CELLS = (_parse_partition, lambda p: [_event_labels(c) for c in p.cells])
+_EVENT = (_event, lambda e: e.labels)
+_CELLS = (_parse_partition, lambda p: [c.labels for c in p.cells])
 _NUMBER = (lambda space, x, code, where: _number(x, code, where), float)
 _VARIABLE = (_variable, lambda v: dict(zip(v.space.outcomes, v.values)))
 _WEIGHTS = (_weights, list)
@@ -335,7 +332,7 @@ def serialize(sc: Scenario) -> str:
         doc["queries"] = [_entry_to_json(q, _QUERY_KINDS) for q in sc.queries]
     if sc.forecasts is not None:
         doc["forecasts"] = [
-            {"event": _event_labels(e), "value": v}
+            {"event": e.labels, "value": v}
             for e, v in zip(sc.forecasts.events, sc.forecasts.forecasts)
         ]
     return json.dumps(doc, indent=2) + "\n"
@@ -352,9 +349,22 @@ def _info_value(nats: float, units: str) -> str:
     return f"{fmt10(nats)} nats"
 
 
-def distribution_lines(dist: Distribution) -> list[str]:
-    """One indented ``label weight`` line per outcome, in space order."""
-    return [f"  {label} {fmt10(w)}" for label, w in zip(dist.space.outcomes, dist.weights)]
+def _table(row: str, columns: Sequence[Sequence]) -> str:
+    """``row`` once per element of the equal-length ``columns``, in one % pass.
+
+    "%.10g" % x is fmt10(x), and labels go in as arguments, so a % in a
+    label is never read as a directive.
+    """
+    k, n = len(columns), len(columns[0])
+    args = [None] * (k * n)
+    for j, column in enumerate(columns):
+        args[j::k] = column
+    return "\n".join([row] * n) % tuple(args)
+
+
+def distribution_block(dist: Distribution) -> str:
+    """One indented ``label weight`` line per outcome, in space order, as one string."""
+    return _table("  %s %.10g", (dist.space.outcomes, dist.array.tolist()))
 
 
 def _emit_update(report: UpdateReport, units: str) -> list[str]:
@@ -369,7 +379,7 @@ def _emit_update(report: UpdateReport, units: str) -> list[str]:
     else:
         lines.append("multipliers: (none)")
     lines.append("posterior:")
-    lines.extend(distribution_lines(report.posterior))
+    lines.append(distribution_block(report.posterior))
     return lines
 
 
@@ -384,9 +394,7 @@ def _emit_verdict(verdict: AdmissibilityVerdict, system: ForecastSystem | None) 
         else:
             row = "world %s: loss %.10g -> %.10g"
             columns = (outcomes, verdict.losses, verdict.dominating_losses)
-        # the whole table in one % pass; "%.10g" % x is fmt10(x), and labels
-        # go in as arguments, so a % in a label is never read as a directive
-        lines.append("\n".join([row] * len(outcomes)) % tuple(chain.from_iterable(zip(*columns))))
+        lines.append(_table(row, columns))
     if not verdict.admissible:
         lines.append(f"margin: {fmt10(verdict.margin)}")
     return lines
@@ -422,7 +430,11 @@ def emit_report(
 
 
 def run_queries(dist: Distribution, queries: Sequence[Query], units: str = "nats") -> list[str]:
-    """Answer each query against ``dist``, one report line per answer."""
+    """Answer each query against ``dist``, one entry per answer.
+
+    Each entry is one report line, except the posterior's, which spans
+    a heading line and one line per outcome.
+    """
     lines: list[str] = []
     for q in queries:
         if isinstance(q, ProbQuery):
@@ -439,8 +451,7 @@ def run_queries(dist: Distribution, queries: Sequence[Query], units: str = "nats
                 f"mutual_information = {_info_value(_partition_mi(dist, q), units)}"
             )
         elif isinstance(q, PosteriorQuery):
-            lines.append("distribution:")
-            lines.extend(distribution_lines(dist))
+            lines.append("distribution:\n" + distribution_block(dist))
         else:
             raise TypeError(f"not a query: {q!r}")
     return lines
@@ -472,7 +483,7 @@ __all__ = [
     "serialize",
     "emit_report",
     "emit_divergence",
-    "distribution_lines",
+    "distribution_block",
     "run_queries",
     "fmt10",
 ]

@@ -72,7 +72,11 @@ class SampleSpace:
         object.__setattr__(self, "outcomes", tuple(self.outcomes))
         if len(self.outcomes) < 1:
             raise ConstructionError("space.empty", "a sample space needs at least one outcome")
-        if any(not isinstance(x, str) for x in self.outcomes):
+        # one C-level pass over the types; the per-label test runs only when
+        # that fails, so subclasses of str still pass
+        if not set(map(type, self.outcomes)) <= {str} and not all(
+            isinstance(x, str) for x in self.outcomes
+        ):
             raise ConstructionError("space.bad_label", "outcome labels must be strings")
         if len(self.index) != len(self.outcomes):
             seen: set[str] = set()
@@ -97,6 +101,25 @@ class SampleSpace:
         return Event(self, self.outcomes)
 
 
+def _unknown_labels(labels: Iterable[object], known: Mapping[str, int]) -> list:
+    """The labels not in ``known``, once each, in the order of their text.
+
+    Labels of any type are sorted; an unhashable one is unknown, and is
+    listed as often as it occurs.
+    """
+    unknown: list = []
+    seen: set = set()
+    for x in labels:
+        try:
+            if x in known or x in seen:
+                continue
+            seen.add(x)
+        except TypeError:  # unhashable
+            pass
+        unknown.append(x)
+    return sorted(unknown, key=str)
+
+
 def _require_same_space(a: SampleSpace, b: SampleSpace, what: str) -> None:
     if a != b:
         raise SpaceMismatch(f"{what} lives on a different sample space")
@@ -107,7 +130,8 @@ class Event(_ArrayValued):
     """A subset (possibly empty) of a space's outcomes.
 
     Stored as ``indicator``, a read-only 0/1 vector in outcome order,
-    built while the labels given are checked; ``members`` is derived.
+    built while the labels given are checked; ``labels``, ``members``
+    and ``describe`` are derived.
     """
 
     _vector = "indicator"
@@ -116,14 +140,14 @@ class Event(_ArrayValued):
     indicator: np.ndarray
 
     def __init__(self, space: SampleSpace, members: Iterable[str]):
-        labels = tuple(members)
+        labels = members if isinstance(members, (list, tuple)) else tuple(members)
         try:
-            positions = list(map(space.index.__getitem__, labels))
-        except KeyError:
+            positions = np.fromiter(map(space.index.__getitem__, labels), np.intp, len(labels))
+        except (KeyError, TypeError):
             raise ConstructionError(
                 "event.unknown_label",
                 "event references labels not in the space: "
-                f"{sorted(set(labels) - space.index.keys())}",
+                f"{_unknown_labels(labels, space.index)}",
             ) from None
         indicator = np.zeros(len(space))
         indicator[positions] = 1.0
@@ -138,8 +162,13 @@ class Event(_ArrayValued):
         return e
 
     @property
+    def labels(self) -> list[str]:
+        """The member labels in space order."""
+        return list(map(self.space.outcomes.__getitem__, np.flatnonzero(self.indicator).tolist()))
+
+    @property
     def members(self) -> frozenset[str]:
-        return frozenset(self.space.outcomes[i] for i in np.flatnonzero(self.indicator))
+        return frozenset(self.labels)
 
     def complement(self) -> "Event":
         return self._derived(1.0 - self.indicator)
@@ -157,7 +186,7 @@ class Event(_ArrayValued):
         return not (self.indicator > other.indicator).any()
 
     def describe(self) -> str:
-        return "{" + ", ".join(sorted(self.members)) + "}"
+        return "{" + ", ".join(sorted(self.labels)) + "}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,10 +257,10 @@ class RandomVariable(_ArrayValued):
                 "variable.not_total", f"no value for outcomes {missing}"
             ) from None
         if len(mapping) != len(space):
-            unknown = [x for x in mapping if x not in space]
             raise ConstructionError(
                 "variable.unknown_label",
-                f"variable references labels not in the space: {sorted(unknown)}",
+                "variable references labels not in the space: "
+                f"{_unknown_labels(mapping, space.index)}",
             )
         return cls(space, values)
 

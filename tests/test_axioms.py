@@ -241,7 +241,7 @@ class TestAxiom4Full:
             prior, part, m = random_case(rng, n_max=8)
             infos = []
             for i, cell in enumerate(part.cells[:2]):
-                members = sorted(cell.members, key=prior.space.index.__getitem__)
+                members = cell.labels
                 if len(members) < 2:
                     continue
                 a = prior.space.subset(members[0])

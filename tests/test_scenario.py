@@ -20,6 +20,7 @@ from relent.scenario import (
     MutualInfoQuery,
     PosteriorQuery,
     ProbQuery,
+    distribution_block,
     emit_divergence,
     emit_report,
     fmt10,
@@ -31,7 +32,7 @@ from relent.scenario import (
 from relent.solver import maxent_update
 from relent.spaces import Distribution, Event, Partition, RandomVariable, SampleSpace
 
-from conftest import positive_distributions
+from conftest import distributions, positive_distributions
 
 RICH_DOCUMENT = """
 {
@@ -87,6 +88,23 @@ class TestParse:
     def test_integer_weights_coerce_to_float(self):
         sc = parse('{"space": ["x", "y"], "prior": [1, 0], "constraints": []}')
         assert sc.prior.weights == (1.0, 0.0)
+
+    def test_in_order_and_shuffled_expectations_give_the_same_bits(self):
+        rng = np.random.default_rng(5)
+        labels = [f"w{i}" for i in range(50)]
+        # ints, floats and values that round when read
+        values = [int(v) if i % 3 == 0 else float(v) / 7.0
+                  for i, v in enumerate(rng.integers(-10**17, 10**17, size=50))]
+        ordered = dict(zip(labels, values))
+        shuffled = {labels[i]: values[i] for i in rng.permutation(50)}
+        assert list(shuffled) != list(ordered)
+        arrays = []
+        for variable in (ordered, shuffled):
+            doc = {"space": labels, "prior": "uniform", "constraints": [
+                {"type": "expectation", "variable": variable, "value": 0.0}]}
+            arrays.append(parse(json.dumps(doc)).constraints[0].variable.array)
+        assert arrays[0].tobytes() == arrays[1].tobytes()
+        assert arrays[0].tolist() == [float(v) for v in values]
 
     def test_parse_file(self, tmp_path):
         path = tmp_path / "case.json"
@@ -472,9 +490,9 @@ class TestQueries:
 
     def test_posterior_query_lists_distribution(self):
         lines = run_queries(self.dist, [PosteriorQuery()])
-        assert lines[0] == "distribution:"
-        assert lines[1] == "  a 0.5"
-        assert len(lines) == 5
+        assert "\n".join(lines) == "\n".join(
+            ["distribution:", "  a 0.5", "  b 0.25", "  c 0.125", "  d 0.125"]
+        )
 
 
 class TestFormatting:
@@ -528,6 +546,26 @@ class TestFormatting:
             reference = ["admissible: yes"]
             reference += [f"world {x}: loss {fmt10(b)}" for x, b in worlds]
         assert emit_report(verdict, system=fs) == "\n".join(reference) + "\n"
+
+    @pytest.mark.parametrize("weights", [
+        (0.0, 1.0, 1e-300, 5e-324, 0.0),  # zero, one, tiny and subnormal weights
+        (0.1, 0.2, 1.0 / 3.0, 0.15, 0.2166666666666667),
+    ], ids=["extremes", "ordinary"])
+    def test_distribution_block_matches_the_per_line_reference(self, weights):
+        # labels that a format template would misread
+        space = SampleSpace(("100%", "%s", "{}", "%(x)s", "%%"))
+        dist = Distribution(space, weights)
+        reference = [f"  {x} {fmt10(w)}" for x, w in zip(space.outcomes, weights)]
+        assert distribution_block(dist) == "\n".join(reference)
+        assert emit_report(maxent_update(dist, [])).endswith(
+            "posterior:\n" + "\n".join(reference) + "\n")
+        assert run_queries(dist, [PosteriorQuery()]) == [
+            "\n".join(["distribution:", *reference])]
+
+    @given(distributions())
+    def test_distribution_block_matches_fmt10_per_line(self, dist):
+        reference = [f"  {x} {fmt10(w)}" for x, w in zip(dist.space.outcomes, dist.weights)]
+        assert distribution_block(dist) == "\n".join(reference)
 
     def test_partition_constraint_reports_jeffrey_method(self):
         space = SampleSpace(("a", "b", "c", "d"))

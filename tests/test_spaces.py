@@ -46,6 +46,16 @@ class TestSampleSpace:
             SampleSpace(("a", 2))  # type: ignore[arg-type]
         assert ei.value.code == "space.bad_label"
 
+    def test_accepts_str_subclass_labels(self):
+        class Label(str):
+            pass
+
+        s = SampleSpace((Label("a"), "b", Label("c")))
+        assert s.index == {"a": 0, "b": 1, "c": 2}
+        with pytest.raises(ConstructionError) as ei:
+            SampleSpace((Label("a"), b"b"))  # type: ignore[arg-type]
+        assert ei.value.code == "space.bad_label"
+
     def test_equality_is_by_value(self):
         assert SampleSpace(("a", "b")) == SampleSpace(("a", "b"))
         assert SampleSpace(("a", "b")) != SampleSpace(("b", "a"))
@@ -62,6 +72,36 @@ class TestEvent:
         with pytest.raises(ConstructionError) as ei:
             Event(s, frozenset({"a", "z"}))
         assert ei.value.code == "event.unknown_label"
+
+    @pytest.mark.parametrize("labels,message", [
+        ([1, "zz"], "[1, 'zz']"),
+        ([["a"]], "[['a']]"),
+        (["b", "zz", ("x",), "y", "zz"], "[('x',), 'y', 'zz']"),
+        (frozenset({"z", "a", "y"}), "['y', 'z']"),
+    ], ids=["mixed", "unhashable", "tuple", "strings"])
+    def test_unknown_labels_of_any_type_are_coded(self, labels, message):
+        s = SampleSpace(("a", "b"))
+        with pytest.raises(ConstructionError) as ei:
+            Event(s, labels)
+        assert ei.value.code == "event.unknown_label"
+        assert str(ei.value) == f"event references labels not in the space: {message}"
+
+    def test_list_tuple_and_generator_give_one_indicator(self):
+        s = SampleSpace(("a", "b", "c", "d"))
+        labels = ["d", "b", "d"]
+        events = [Event(s, labels), Event(s, tuple(labels)), Event(s, (x for x in labels))]
+        for e in events:
+            assert e.indicator.tolist() == [0.0, 1.0, 0.0, 1.0]
+            assert e == events[0]
+
+    def test_labels_are_in_space_order(self):
+        s = SampleSpace(("z", "a", "m", "b"))
+        e = Event(s, {"b", "z", "m"})
+        assert e.labels == ["z", "m", "b"]
+        assert e.members == {"b", "m", "z"}
+        assert e.describe() == "{b, m, z}"
+        assert Event(s, ()).labels == []
+        assert Event(s, ()).describe() == "{}"
 
     def test_set_algebra(self):
         s = SampleSpace(("a", "b", "c", "d"))
@@ -146,6 +186,17 @@ class TestRandomVariable:
             RandomVariable.from_mapping(s, {"a": 1.0, "b": 2.0, "z": 3.0})
         assert ei.value.code == "variable.unknown_label"
         assert str(ei.value) == "variable references labels not in the space: ['z']"
+
+    @pytest.mark.parametrize("mapping,message", [
+        ({"a": 1, "b": 2, 3: 4, "c": 5}, "[3, 'c']"),
+        ({"a": 1, "b": 2, "zz": 3, "c": 4, 10: 5}, "[10, 'c', 'zz']"),
+    ], ids=["int-and-str", "sorted-by-text"])
+    def test_from_mapping_rejects_unknown_labels_of_any_type(self, mapping, message):
+        s = SampleSpace(("a", "b"))
+        with pytest.raises(ConstructionError) as ei:
+            RandomVariable.from_mapping(s, mapping)
+        assert ei.value.code == "variable.unknown_label"
+        assert str(ei.value) == f"variable references labels not in the space: {message}"
 
     def test_from_mapping_in_order_with_one_key_renamed(self):
         s = SampleSpace(("a", "b", "c"))
