@@ -15,10 +15,14 @@ has the form
 
 and the multipliers ``lam`` maximize the concave dual
 ``lam . targets - log Z(lam)``. A damped Newton iteration on that dual
-converges quadratically near the optimum. On an infeasible set the dual
-is unbounded, and each iterate is tested as a proof of that: every
-distribution p on the support has lam . (A p) <= max_i (A^T lam)_i,
-so an iterate with ``lam . targets`` above that bound rules out any posterior.
+converges quadratically near the optimum. Each step costs one symmetric
+product: the Hessian is B B^T - (A p)(A p)^T with B = A diag(sqrt p),
+and once the full step is rejected the line search computes A^T step
+and moves A^T lam along it, so each further trial costs O(n) instead
+of a product with A. On an infeasible set the dual is unbounded, and
+each iterate is tested as a proof of that: every distribution p on the
+support has lam . (A p) <= max_i (A^T lam)_i, so an iterate with
+``lam . targets`` above that bound rules out any posterior.
 """
 
 from __future__ import annotations
@@ -35,9 +39,10 @@ from .constraints import CondProb, Constraint, EventProb, PartitionWeights
 from .errors import ConstructionError, DegenerateConditional, InfeasibleConstraint, NonConvergence
 from .spaces import ZERO_MASS, Distribution, Partition
 
-#: Diagonal regularization added to the dual Hessian so redundant
-#: constraint rows (for example the cells of a partition, whose targets
-#: already sum to one) cannot make the Newton solve singular.
+#: Diagonal regularization added to the dual Hessian B B^T - (A p)(A p)^T,
+#: with B = A diag(sqrt p), so redundant constraint rows (for example the
+#: cells of a partition, whose targets already sum to one) cannot make the
+#: Newton solve singular.
 HESS_EPS = 1e-12
 
 #: Relative margin by which ``lam . b`` must exceed ``max_i (A^T lam)_i`` for
@@ -149,16 +154,15 @@ def _dual_newton(
     lam = np.zeros(A.shape[0])
     row_max = np.abs(A).max(axis=1)
 
-    def evaluate(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """A^T lam, the posterior it induces, and log Z(lam)."""
-        at = A.T @ lam
+    def evaluate(at: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """The given A^T lam, the posterior it induces, and log Z(lam)."""
         logits = logq + at
         shift = float(logits.max())
         z = np.exp(logits - shift)
         total = float(z.sum())
         return at, z / total, shift + math.log(total)
 
-    at, p, logz = evaluate(lam)
+    at, p, logz = evaluate(A.T @ lam)
     iterations, stall = 0, ""
     while True:
         Ap = A @ p
@@ -167,28 +171,36 @@ def _dual_newton(
         if res <= options.tol:
             return p, lam, iterations
         lam_b = float(lam @ b)
-        bound = float(at.max())
-        if lam_b - bound > SEPARATION_RTOL * (float(np.abs(lam) @ row_max) + abs(lam_b)):
-            raise InfeasibleConstraint(
-                f"dual multipliers lam prove that no posterior on the prior's support "
-                f"meets the targets b: lam . b = {lam_b:g} exceeds max_i (A^T lam)_i = "
-                f"{bound:g}, which bounds lam . (A p) for every such posterior p"
-            )
+        margin = SEPARATION_RTOL * (float(np.abs(lam) @ row_max) + abs(lam_b))
+        if lam_b - float(at.max()) > margin:
+            # at may carry the rounding of halved steps; the proof rests on A^T lam itself
+            bound = float((A.T @ lam).max())
+            if lam_b - bound > margin:
+                raise InfeasibleConstraint(
+                    f"dual multipliers lam prove that no posterior on the prior's support "
+                    f"meets the targets b: lam . b = {lam_b:g} exceeds max_i (A^T lam)_i = "
+                    f"{bound:g}, which bounds lam . (A p) for every such posterior p"
+                )
         if iterations >= options.max_iter:
             break
-        hess = (A * p) @ A.T - np.outer(Ap, Ap)
-        hess[np.diag_indices_from(hess)] += HESS_EPS
+        B = A * np.sqrt(p)
+        hess = B @ B.T  # symmetric, so BLAS forms one triangle (syrk)
+        hess -= np.outer(Ap, Ap)
+        hess.flat[:: len(hess) + 1] += HESS_EPS
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(hess, grad, rcond=None)[0]
         gval = lam_b - logz
-        # halve until the step no longer moves lam; t reaches 0 only on a step that is not finite
-        t = 1.0
+        # halve until the step no longer moves lam; t reaches 0 only on a step that is not
+        # finite. Trials after the first move A^T lam along d = A^T step, at O(n) each.
+        t, d = 1.0, None
         while t and not np.array_equal(cand := lam + t * step, lam):
-            trial = evaluate(cand)
+            trial = evaluate(A.T @ cand if d is None else at + t * d)
             if float(cand @ b) - trial[2] >= gval - 1e-15 * (1.0 + abs(gval)):
                 break
+            if d is None:
+                d = A.T @ step
             t *= 0.5
         else:
             stall = ": no step along the Newton direction raised the dual"

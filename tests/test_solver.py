@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from relent.errors import (
 from relent.information import relative_entropy
 from relent.scenario import emit_report, parse_file
 from relent.solver import (
+    HESS_EPS,
     SolverOptions,
     UpdateReport,
     jeffrey_update,
@@ -41,6 +43,7 @@ from conftest import (
 
 NO_FAST = SolverOptions(use_fast_paths=False)
 DATA = Path(__file__).resolve().parent / "data"
+GOLDEN = DATA.parent / "golden"
 
 # four-outcome space: tiger/no-tiger crossed with growl/no-growl
 TIGER_SPACE = SampleSpace(("tiger_growl", "tiger_quiet", "clear_growl", "clear_quiet"))
@@ -314,6 +317,75 @@ class TestMaxentCombined:
         )
         assert rep.posterior.prob(part.cells[0]) == pytest.approx(0.5, abs=1e-9)
         assert float(rep.posterior.array @ f.array) == pytest.approx(1.0, abs=1e-9)
+
+
+
+def _hard_tilt(seed, n=2000, n_expectations=10, n_events=30, length=2.0):
+    """A positive prior, expectation and event rows, and the tilt p* their targets come from.
+
+    The tilt's multipliers point in a random direction at ``length`` per
+    row, as in the benchmark's hard_dual problems, so p* is the
+    I-projection and Newton needs many steps, most of them halved.
+    """
+    rng = np.random.default_rng(seed)
+    space = space_of(n)
+    w = rng.uniform(0.2, 1.8, n)
+    q = w / w.sum()
+    rows = [np.round(rng.normal(size=n), 6) for _ in range(n_expectations)]
+    rows += [(rng.random(n) < rng.uniform(0.2, 0.6)).astype(float) for _ in range(n_events)]
+    F = np.array(rows)
+    lam = rng.normal(size=len(F))
+    lam *= length * math.sqrt(len(F)) / np.linalg.norm(lam)
+    logits = np.log(q) + lam @ F
+    p_star = np.exp(logits - logits.max())
+    p_star /= p_star.sum()
+    constraints = [Expectation(RandomVariable(space, tuple(f)), float(f @ p_star))
+                   for f in F[:n_expectations]]
+    constraints += [EventProb(space.subset(*(space.outcomes[i] for i in np.flatnonzero(f))),
+                              float(f @ p_star)) for f in F[n_expectations:]]
+    return Distribution.from_array(space, q), constraints, p_star
+
+
+def _log_z(logits):
+    shift = logits.max()
+    return shift + math.log(np.exp(logits - shift).sum())
+
+
+class TestNewtonSteps:
+    def test_halved_trials_keep_posterior_and_multipliers_consistent(self):
+        prior, constraints, p_star = _hard_tilt(26)
+        A, b = compile_all(constraints, prior.space)
+        logq = np.log(prior.array)
+        # the full first Newton step from lam = 0, where the dual is 0, lowers the dual,
+        # so the line search halves it, as it does several later steps
+        Aq = A @ prior.array
+        hess = (A * prior.array) @ A.T - np.outer(Aq, Aq) + HESS_EPS * np.eye(len(b))
+        step = np.linalg.solve(hess, b - Aq)
+        assert step @ b - _log_z(logq + A.T @ step) < 0.0
+        opts = SolverOptions()
+        rep = maxent_update(prior, constraints, opts)
+        assert rep.method == "dual_newton" and len(rep.multipliers) == len(b)
+        # the prior is positive everywhere, so the live support is the whole space
+        logits = logq + A.T @ np.array(rep.multipliers)
+        tilted = np.exp(logits - _log_z(logits))
+        assert np.abs(rep.posterior.array - tilted).sum() <= 1e-12
+        assert rep.final_residual <= opts.tol
+        assert np.abs(rep.posterior.array - p_star).sum() <= 1e-9
+
+    def test_midsize_solution_pins_what_the_document_determines(self):
+        # the four partition cells cover the support, so one constant added to
+        # their multipliers leaves the posterior unchanged; only their
+        # differences are determined. The reference was written by an earlier
+        # version of relent at full precision.
+        sc = parse_file(str(GOLDEN / "midsize.json"))
+        ref = json.loads((DATA / "midsize_solution.json").read_text(encoding="utf-8"))
+        rep = maxent_update(sc.prior, sc.constraints)
+        assert np.abs(rep.posterior.array - ref["posterior"]).max() <= 1e-12
+        lam, ref_lam = np.array(rep.multipliers), np.array(ref["multipliers"])
+        assert_allclose(lam[:3], ref_lam[:3], rtol=0.0, atol=1e-9)
+        cells, ref_cells = lam[3:], ref_lam[3:]
+        assert_allclose(np.subtract.outer(cells, cells), np.subtract.outer(ref_cells, ref_cells),
+                        rtol=0.0, atol=1e-9)
 
 
 class TestMaxentFailureModes:
