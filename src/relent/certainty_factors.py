@@ -23,16 +23,13 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ConstructionError, DomainError
+from .errors import DomainError
+from .spaces import _finite_scalar
 
 
 def _probability(value: float, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value) or not 0.0 <= value <= 1.0:
-        raise ConstructionError(
-            "scenario.bad_probability", f"{name} must be a probability in [0, 1], got {value!r}"
-        )
-    return value
+    return _finite_scalar(value, "scenario.bad_probability",
+                          f"{name} must be a probability in [0, 1]", lambda x: 0.0 <= x <= 1.0)
 
 
 @dataclass(frozen=True)

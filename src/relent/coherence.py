@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConstructionError
-from .spaces import Distribution, Event, SampleSpace, _ArrayValued, _readonly
+from .spaces import Distribution, Event, SampleSpace, _ArrayValued, _finite_array, _readonly
 
 #: Forecasts whose distance to the hull is at or below this are
 #: admissible; beyond it the projection strictly dominates.
@@ -67,19 +67,14 @@ class ForecastSystem(_ArrayValued):
 
     def __post_init__(self):
         events = tuple(self.events)
-        a = _readonly(np.array(self.array, dtype=float))
         object.__setattr__(self, "events", events)
-        object.__setattr__(self, "array", a)
-        if a.shape != (len(events),):
-            raise ConstructionError(
-                "forecast.length_mismatch", f"{len(events)} events but {a.size} forecasts"
-            )
+        object.__setattr__(self, "array", _finite_array(
+            self.array, (len(events),), "forecast", "forecast.length_mismatch",
+            "{shape[0]} events but {size} forecasts", "forecasts must be finite numbers"))
         if any(e.space != self.space for e in events):
             raise ConstructionError(
                 "forecast.space_mismatch", "every event must live on the system's space"
             )
-        if not np.isfinite(a).all():
-            raise ConstructionError("forecast.not_finite", "forecasts must be finite numbers")
 
     @classmethod
     def from_distribution(cls, dist: Distribution, events: tuple[Event, ...]) -> "ForecastSystem":
@@ -234,8 +229,6 @@ def _project_to_hull(vertices: np.ndarray, x: np.ndarray) -> np.ndarray:
             theta = float(min(1.0, ratio[alpha < 0.0].min()))
             beta = (1.0 - theta) * beta + theta * alpha
             keep = beta > 1e-14
-            if not keep.any():
-                keep[int(np.argmax(beta))] = True
             active = [idx for idx, k in zip(active, keep) if k]
             beta = beta[keep]
             beta /= beta.sum()

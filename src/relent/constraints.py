@@ -16,7 +16,6 @@ given prior is a separate question answered by
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -24,13 +23,11 @@ import numpy as np
 
 from .errors import ConstructionError, SpaceMismatch
 from .spaces import Distribution, Event, Partition, RandomVariable, SampleSpace
+from .spaces import _finite_array, _finite_scalar, _require_simplex
 
 
 def _require_finite(value: float, what: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConstructionError("constraint.not_finite", f"{what} must be finite, got {value!r}")
-    return value
+    return _finite_scalar(value, "constraint.not_finite", f"{what} must be finite")
 
 
 @dataclass(frozen=True)
@@ -113,24 +110,11 @@ class PartitionWeights:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        ws = tuple(float(w) for w in self.weights)
-        object.__setattr__(self, "weights", ws)
-        if len(ws) != len(self.partition.cells):
-            raise ConstructionError(
-                "constraint.length_mismatch",
-                f"got {len(ws)} weights for {len(self.partition.cells)} cells",
-            )
-        if any(not math.isfinite(w) for w in ws):
-            raise ConstructionError("constraint.not_finite", "cell weights must be finite")
-        if min(ws) < 0.0:
-            raise ConstructionError(
-                "constraint.negative_weight", f"negative cell weight {min(ws)}"
-            )
-        total = math.fsum(ws)
-        if abs(total - 1.0) > 1e-9:
-            raise ConstructionError(
-                "constraint.sum_not_one", f"cell weights sum to {total!r}, not 1"
-            )
+        a = _finite_array(self.weights, (len(self.partition.cells),), "constraint",
+                          "constraint.length_mismatch", "got {size} weights for {shape[0]} cells",
+                          "cell weights must be finite")
+        object.__setattr__(self, "weights", tuple(a.tolist()))
+        _require_simplex(a, "constraint", "cell weight", "cell weights")
 
     @property
     def space(self) -> SampleSpace:

@@ -37,7 +37,7 @@ from . import constraints as _constraints
 from . import information
 from .constraints import CondProb, Constraint, EventProb, PartitionWeights
 from .errors import ConstructionError, DegenerateConditional, InfeasibleConstraint, NonConvergence
-from .spaces import ZERO_MASS, Distribution, Partition
+from .spaces import ZERO_MASS, Distribution, Partition, _finite_scalar
 
 #: Diagonal regularization added to the dual Hessian B B^T - (A p)(A p)^T,
 #: with B = A diag(sqrt p), so redundant constraint rows (for example the
@@ -72,8 +72,8 @@ class SolverOptions:
     use_fast_paths: bool = True
 
     def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ConstructionError("options.bad_tol", f"tol must be positive, got {self.tol!r}")
+        object.__setattr__(self, "tol", _finite_scalar(
+            self.tol, "options.bad_tol", "tol must be positive", lambda x: x > 0.0))
         if type(self.max_iter) is not int or self.max_iter < 1:  # a bool is no budget either
             raise ConstructionError(
                 "options.bad_max_iter",
@@ -215,15 +215,18 @@ def _dual_newton(
 
 
 def _lone_reweighting(
-    constraints: tuple[Constraint, ...],
+    constraints: tuple[Constraint, ...], prior: Distribution
 ) -> tuple[Partition, tuple[float, ...]] | None:
-    """Cells and weights when ``constraints`` is one reweighting, which Jeffrey's rule solves."""
+    """Cells and weights of a lone reweighting that gives weight only to cells with prior mass."""
     c = constraints[0] if len(constraints) == 1 else None
     if isinstance(c, PartitionWeights):
-        return c.partition, c.weights
-    if isinstance(c, EventProb) and 0.0 < c.value < 1.0:
-        return Partition((c.event, c.event.complement())), (c.value, 1.0 - c.value)
-    return None
+        cells, weights = c.partition, c.weights
+    elif isinstance(c, EventProb) and 0.0 < c.value < 1.0:
+        cells, weights = Partition((c.event, c.event.complement())), (c.value, 1.0 - c.value)
+    else:
+        return None
+    massless = any(w > 0.0 and prior.prob(cell) == 0.0 for cell, w in zip(cells.cells, weights))
+    return None if massless else (cells, weights)
 
 
 def maxent_update(
@@ -258,7 +261,7 @@ def maxent_update(
 
     multipliers: tuple[float, ...] = ()
     iterations = 0
-    reweighting = _lone_reweighting(constraints) if options.use_fast_paths else None
+    reweighting = _lone_reweighting(constraints, prior) if options.use_fast_paths else None
     if reweighting is not None:
         posterior = jeffrey_update(prior, *reweighting)
         method: Method = "jeffrey"

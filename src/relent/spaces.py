@@ -32,14 +32,47 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _aligned(values, space: "SampleSpace", kind: str, noun: str, length_code: str) -> np.ndarray:
-    """A read-only float64 copy of ``values``: one finite number per outcome."""
-    a = _readonly(np.array(values, dtype=float))
-    if a.shape != (len(space),):
-        raise ConstructionError(length_code, f"got {a.size} {noun} for {len(space)} outcomes")
-    if not np.isfinite(a).all():
-        raise ConstructionError(f"{kind}.not_finite", f"{noun} must be finite numbers")
+def _finite_array(values, shape, kind, shape_code, shape_message, finite_message) -> np.ndarray:
+    """A read-only float64 copy of ``values`` in ``shape``, every entry a finite number.
+
+    ``shape_message`` may name ``shape`` and ``size`` (entries given, or "ragged").
+    """
+    try:
+        a = _readonly(np.array(values, dtype=float, order="C"))
+    except (TypeError, ValueError, OverflowError):  # an entry is not a number, or ragged nesting
+        a = None
+    try:
+        got = np.shape(values) if a is None else a.shape
+    except ValueError:  # ragged nesting
+        got = None
+    if got != shape:
+        size = "ragged" if got is None else math.prod(got)
+        raise ConstructionError(shape_code, shape_message.format(shape=shape, size=size))
+    if a is None or not np.isfinite(a).all():
+        raise ConstructionError(f"{kind}.not_finite", finite_message)
     return a
+
+
+def _require_simplex(a: np.ndarray, kind: str, noun: str, nouns: str) -> None:
+    """No negative entry in ``a``, and an exactly rounded total within ``SUM_TOL`` of one."""
+    if a.min() < 0.0:
+        raise ConstructionError(f"{kind}.negative_weight", f"negative {noun} {float(a.min())}")
+    total = math.fsum(a.ravel().tolist())
+    if abs(total - 1.0) > SUM_TOL:
+        raise ConstructionError(f"{kind}.sum_not_one", f"{nouns} sum to {total!r}, not 1")
+
+
+def _finite_scalar(value, code: str, requirement: str, admits=lambda x: True) -> float:
+    """``value`` as a float, if finite (an int past the float range is not) and ``admits`` it."""
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    except (TypeError, ValueError):  # not a number at all
+        x = None
+    if x is None or not (math.isfinite(x) and admits(x)):
+        raise ConstructionError(code, f"{requirement}, got {value if x is None else x!r}")
+    return x
 
 
 class _ArrayValued:
@@ -200,13 +233,10 @@ class Distribution(_ArrayValued):
     array: np.ndarray
 
     def __post_init__(self):
-        a = _aligned(self.array, self.space, "dist", "weights", "dist.length_mismatch")
-        object.__setattr__(self, "array", a)
-        if a.min() < 0.0:
-            raise ConstructionError("dist.negative_weight", f"negative weight {float(a.min())}")
-        total = math.fsum(a.tolist())
-        if abs(total - 1.0) > SUM_TOL:
-            raise ConstructionError("dist.sum_not_one", f"weights sum to {total!r}, not 1")
+        object.__setattr__(self, "array", _finite_array(
+            self.array, (len(self.space),), "dist", "dist.length_mismatch",
+            "got {size} weights for {shape[0]} outcomes", "weights must be finite numbers"))
+        _require_simplex(self.array, "dist", "weight", "weights")
 
     @classmethod
     def uniform(cls, space: SampleSpace) -> "Distribution":
@@ -242,8 +272,9 @@ class RandomVariable(_ArrayValued):
     array: np.ndarray
 
     def __post_init__(self):
-        a = _aligned(self.array, self.space, "variable", "values", "variable.not_total")
-        object.__setattr__(self, "array", a)
+        object.__setattr__(self, "array", _finite_array(
+            self.array, (len(self.space),), "variable", "variable.not_total",
+            "got {size} values for {shape[0]} outcomes", "values must be finite numbers"))
 
     @classmethod
     def from_mapping(cls, space: SampleSpace, mapping: Mapping[str, float]) -> "RandomVariable":
@@ -325,21 +356,10 @@ class JointDistribution(_ArrayValued):
     array: np.ndarray
 
     def __post_init__(self):
-        rows, cols = len(self.row_space), len(self.col_space)
-        try:
-            a = _readonly(np.array(self.array, dtype=float, order="C"))
-        except ValueError:  # ragged rows
-            a = np.empty(0)
-        if a.shape != (rows, cols):
-            raise ConstructionError("joint.shape_mismatch", f"weights must be {rows}x{cols}")
-        object.__setattr__(self, "array", a)
-        if not np.isfinite(a).all():
-            raise ConstructionError("joint.not_finite", "entries must be finite numbers")
-        if a.min() < 0.0:
-            raise ConstructionError("joint.negative_weight", f"negative entry {float(a.min())}")
-        total = math.fsum(a.ravel().tolist())
-        if abs(total - 1.0) > SUM_TOL:
-            raise ConstructionError("joint.sum_not_one", f"entries sum to {total!r}, not 1")
+        object.__setattr__(self, "array", _finite_array(
+            self.array, (len(self.row_space), len(self.col_space)), "joint", "joint.shape_mismatch",
+            "weights must be {shape[0]}x{shape[1]}", "entries must be finite numbers"))
+        _require_simplex(self.array, "joint", "entry", "entries")
 
     @classmethod
     def from_array(

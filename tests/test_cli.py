@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from relent.axioms import AxiomReport
 from relent.cli import main
+from relent.errors import SpaceMismatch
 
 from conftest import JOINTLY_INFEASIBLE_PINS, JOINTLY_INFEASIBLE_PRIOR
 
@@ -149,6 +151,17 @@ class TestUpdate:
         assert out == "infeasible\ncertificate: conditioning event {a} has probability 0.0\n"
         assert err != ""
 
+    def test_weight_admitted_within_tol_on_a_massless_cell_exits_0(self, capsys, tmp_path):
+        doc = tmp_path / "massless_cell.json"
+        doc.write_text(json.dumps({
+            "space": ["a", "b", "c"], "prior": [0.5, 0.5, 0.0],
+            "constraints": [{"type": "partition", "cells": [["a"], ["b"], ["c"]],
+                             "weights": [0.7, 0.3 - 5e-11, 5e-11]}],
+        }), encoding="utf-8")
+        code, out, err = run_main(capsys, "update", str(doc))
+        assert (code, err) == (0, "")
+        assert "method: dual_newton" in out
+
     def test_non_convergence_exits_4(self, capsys):
         code, _, err = run_main(capsys, "update", DIE, "--max-iter", "1")
         assert code == 4
@@ -215,6 +228,27 @@ class TestUpdate:
             assert captured.out == ""
             assert captured.err.startswith("usage:")
             assert f"must be a positive finite number, got {tol}" in captured.err
+
+    @pytest.mark.parametrize("flag, text, complaint", [
+        ("--tol", "abc", "'abc' is not a number"),
+        ("--max-iter", "2.5", "'2.5' is not an integer"),
+    ])
+    def test_flag_that_is_no_number_exits_3_with_usage(self, capsys, flag, text, complaint):
+        with pytest.raises(SystemExit) as exc:
+            main(["update", DIE, flag, text])
+        assert exc.value.code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: relent update ")
+        assert err.endswith(f"relent update: error: argument {flag}: {complaint}\n")
+
+    def test_any_other_relent_error_exits_3(self, capsys, monkeypatch):
+        def mismatch(*args):
+            raise SpaceMismatch("constraint lives on a different sample space")
+
+        monkeypatch.setattr("relent.cli.maxent_update", mismatch)
+        assert run_main(capsys, "update", DIE) == (
+            3, "", "error: constraint lives on a different sample space\n")
 
     def test_zero_max_iter_flag_exits_3(self):
         with pytest.raises(SystemExit) as exc:
@@ -302,6 +336,15 @@ class TestAxioms:
         _, first, _ = run_main(capsys, "axioms", "--trials", "3", "--seed", "11")
         _, second, _ = run_main(capsys, "axioms", "--trials", "3", "--seed", "11")
         assert first == second
+
+    def test_failed_trial_exits_4_with_the_worst_deviation(self, capsys, monkeypatch):
+        def second_trial_fails(prior, part, weights, tol, seed):
+            return AxiomReport(tol, ((0, 0.25 if seed == 1 else 0.0),))
+
+        monkeypatch.setattr("relent.cli.check_axiom4b", second_trial_fails)
+        assert run_main(capsys, "axioms", "--trials", "3") == (
+            4, "axiom4b: 2/3 passed, max_deviation = 0.25\n",
+            "property trials failed; see report\n")
 
     def test_zero_trials_rejected(self):
         with pytest.raises(SystemExit) as exc:

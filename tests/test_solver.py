@@ -618,6 +618,20 @@ class TestFastPathAgreement:
         assert_allclose(fast.posterior.array, [0.5, 0.5], rtol=0, atol=1e-9)
         assert_allclose(slow.posterior.array, fast.posterior.array, rtol=0, atol=1e-9)
 
+    def test_weight_admitted_within_tol_on_a_massless_cell(self):
+        # triage admits the weight 5e-11 on {c}, which has no prior mass; Jeffrey's
+        # rule alone would call that infeasible, so both settings take the dual
+        s = SampleSpace(("a", "b", "c"))
+        prior = Distribution(s, (0.5, 0.5, 0.0))
+        cells = Partition.from_labels(s, [("a",), ("b",), ("c",)])
+        reweight = [PartitionWeights(cells, (0.7, 0.3 - 5e-11, 5e-11))]
+        fast = maxent_update(prior, reweight)
+        slow = maxent_update(prior, reweight, NO_FAST)
+        assert (fast.method, slow.method) == ("dual_newton", "dual_newton")
+        assert fast.posterior == slow.posterior
+        assert_allclose(fast.posterior.array, [0.7, 0.3, 0.0], rtol=0, atol=1e-10)
+        assert fast.final_residual == pytest.approx(5e-11, rel=1e-6)
+
     @given(positive_distributions(min_size=2, max_size=7), st.data())
     @settings(max_examples=40, deadline=None)
     def test_posterior_satisfies_constraint_and_objective_sign(self, prior, data):

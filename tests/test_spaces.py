@@ -6,7 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from relent.certainty_factors import EvidenceScenario
+from relent.coherence import ForecastSystem
+from relent.constraints import EventProb, PartitionWeights
 from relent.errors import ConstructionError, SpaceMismatch, ZeroMassEvent
+from relent.solver import SolverOptions
 from relent.spaces import (
     Distribution,
     Event,
@@ -386,3 +390,49 @@ class TestConditionalProb:
         b = d.space.subset(*labels)
         a = d.space.subset(d.space.outcomes[0])
         assert conditional_prob(d, a, b) == pytest.approx(condition(d, b).prob(a))
+
+
+_S = space_of(2)
+_A = _S.subset("w0")
+_CELLS = Partition.from_labels(_S, [("w0",), ("w1",)])
+
+
+@pytest.mark.parametrize("build, code", [
+    (lambda: Distribution(_S, [[0.5], [0.25, 0.25]]), "dist.length_mismatch"),
+    (lambda: Distribution(_S, ["x", 0.5]), "dist.not_finite"),
+    (lambda: Distribution(_S, "ab"), "dist.length_mismatch"),
+    (lambda: Distribution(_S, [10**400, 0.0]), "dist.not_finite"),
+    (lambda: RandomVariable(_S, [[1], [2, 3]]), "variable.not_total"),
+    (lambda: JointDistribution(_S, _S, [["x", 0.5], [0.25, 0.25]]), "joint.not_finite"),
+    (lambda: ForecastSystem(_S, (_A, _A.complement()), [[1], [2, 3]]),
+     "forecast.length_mismatch"),
+    (lambda: PartitionWeights(_CELLS, ("x", 1)), "constraint.not_finite"),
+    (lambda: PartitionWeights(_CELLS, 0.5), "constraint.length_mismatch"),
+    (lambda: EventProb(_A, "x"), "constraint.not_finite"),
+    (lambda: EventProb(_A, None), "constraint.not_finite"),
+    (lambda: EventProb(_A, 10**400), "constraint.not_finite"),
+    (lambda: EvidenceScenario("x", 0.5, 0.5), "scenario.bad_probability"),
+    (lambda: SolverOptions(tol="x"), "options.bad_tol"),
+], ids=[
+    "dist-ragged", "dist-string-entry", "dist-string", "dist-huge-int", "variable-ragged",
+    "joint-string-entry", "forecast-ragged", "cells-string-entry", "cells-scalar",
+    "event-prob-string", "event-prob-none", "event-prob-huge-int", "evidence-string",
+    "options-string-tol",
+])
+def test_malformed_numbers_raise_the_kinds_code(build, code):
+    with pytest.raises(ConstructionError) as ei:
+        build()
+    assert ei.value.code == code
+
+
+def test_ragged_input_is_named_in_the_message():
+    with pytest.raises(ConstructionError, match="^got ragged weights for 2 outcomes$"):
+        Distribution(_S, [[0.5], [0.25, 0.25]])
+    with pytest.raises(ConstructionError, match="^probability target must be finite, got 'x'$"):
+        EventProb(_A, "x")
+
+
+def test_partition_weights_stay_a_tuple_of_floats():
+    c = PartitionWeights(_CELLS, np.array([0.25, 0.75], dtype=np.float32))
+    assert c.weights == (0.25, 0.75)
+    assert all(type(w) is float for w in c.weights)
