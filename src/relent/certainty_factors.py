@@ -19,11 +19,10 @@ scope, since the comparison is about the update step only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError
+from .errors import ConstructionError, DomainError
 from .spaces import _finite_scalar
 
 
@@ -69,9 +68,10 @@ def divergence_curve(
     """
     points: list[tuple[float, float]] = []
     for q in q_grid:
-        q = float(q)
-        if not math.isfinite(q) or not 0.0 <= q <= 1.0:
-            raise DomainError(f"q grid values must be probabilities in [0, 1], got {q!r}")
+        try:
+            q = _probability(q, "each q grid value")
+        except ConstructionError as exc:
+            raise DomainError(str(exc)) from None
         sc = EvidenceScenario(p_h_given_e, p_h_given_not_e, q)
         points.append((q, abs(jeffrey_posterior(sc) - cf_approx_posterior(sc))))
     return tuple(points)

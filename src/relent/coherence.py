@@ -101,12 +101,9 @@ def world_losses(fs: ForecastSystem, forecasts: np.ndarray | Sequence[float]) ->
     and ``(D * D).sum(axis=1)`` are not used: they sum in another order and
     differ from ``d @ d`` in the last bits.
     """
-    x = np.asarray(forecasts, dtype=float)
-    if x.shape != (len(fs.events),):
-        raise ConstructionError(
-            "valuation.length_mismatch",
-            f"forecasts have shape {x.shape}, system has {len(fs.events)} events",
-        )
+    x = _finite_array(
+        forecasts, (len(fs.events),), "valuation", "valuation.length_mismatch",
+        "{shape[0]} events but {size} forecasts", "forecasts must be finite numbers")
     diffs = fs.valuation_matrix - x
     return np.matmul(diffs[:, None, :], diffs[:, :, None])[:, 0, 0]
 

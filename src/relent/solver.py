@@ -15,14 +15,21 @@ has the form
 
 and the multipliers ``lam`` maximize the concave dual
 ``lam . targets - log Z(lam)``. A damped Newton iteration on that dual
-converges quadratically near the optimum. Each step costs one symmetric
-product: the Hessian is B B^T - (A p)(A p)^T with B = A diag(sqrt p),
-and once the full step is rejected the line search computes A^T step
-and moves A^T lam along it, so each further trial costs O(n) instead
-of a product with A. On an infeasible set the dual is unbounded, and
-each iterate is tested as a proof of that: every distribution p on the
-support has lam . (A p) <= max_i (A^T lam)_i, so an iterate with
-``lam . targets`` above that bound rules out any posterior.
+converges quadratically near the optimum. Its line search asks for
+sufficient increase (Armijo): a step of length t along the Newton
+direction is taken only if the dual rises by at least ARMIJO times t
+times the slope ``grad . step``, so a step that promises much and gains
+little, such as one that collapses the posterior onto a single outcome,
+is halved instead; a full step near the optimum gains about half the
+slope and is always taken. Each step costs one symmetric product: the
+Hessian is B B^T - (A p)(A p)^T with B = A diag(sqrt p), written into
+one workspace allocated per solve, and once the full step is rejected
+the line search computes A^T step and moves A^T lam along it, so each
+further trial costs O(n) instead of a product with A. On an infeasible
+set the dual is unbounded, and each iterate is tested as a proof of
+that: every distribution p on the support has
+lam . (A p) <= max_i (A^T lam)_i, so an iterate with ``lam . targets``
+above that bound rules out any posterior.
 """
 
 from __future__ import annotations
@@ -48,6 +55,12 @@ HESS_EPS = 1e-12
 #: Relative margin by which ``lam . b`` must exceed ``max_i (A^T lam)_i`` for
 #: a dual iterate to prove infeasibility; far above the rounding of both sides.
 SEPARATION_RTOL = 1e-9
+
+#: Armijo's sufficient-increase fraction: a trial lam + t * step is accepted
+#: only if the dual rises by at least ARMIJO * t * (grad . step), so a step that
+#: gains far less than its slope promises (one that collapses p onto a single
+#: outcome, say) is halved instead of taken.
+ARMIJO = 0.25
 
 Method = Literal["dual_newton", "jeffrey", "conditionalization", "no_op"]
 
@@ -112,11 +125,17 @@ def jeffrey_update(
     cell with zero prior mass is assigned positive weight.
     """
     spec = PartitionWeights(partition, tuple(weights))
+    return _jeffrey(prior, partition, spec.weights, [prior.prob(cell) for cell in partition.cells])
+
+
+def _jeffrey(
+    prior: Distribution, partition: Partition, weights: Sequence[float], masses: Sequence[float]
+) -> Distribution:
+    """Jeffrey's rule for checked cell ``weights`` and the prior ``masses`` of the cells."""
     out = np.zeros(len(prior.space))
-    for cell, w in zip(partition.cells, spec.weights):
+    for cell, w, m in zip(partition.cells, weights, masses):
         if w == 0.0:
             continue
-        m = prior.prob(cell)
         if m == 0.0:
             raise InfeasibleConstraint(
                 f"cell {cell.describe()} has zero prior mass but target weight {w:g}"
@@ -163,6 +182,7 @@ def _dual_newton(
         return at, z / total, shift + math.log(total)
 
     at, p, logz = evaluate(A.T @ lam)
+    B = np.empty_like(A)  # the Hessian's workspace, refilled in place each step
     iterations, stall = 0, ""
     while True:
         Ap = A @ p
@@ -183,7 +203,7 @@ def _dual_newton(
                 )
         if iterations >= options.max_iter:
             break
-        B = A * np.sqrt(p)
+        np.multiply(A, np.sqrt(p), out=B)
         hess = B @ B.T  # symmetric, so BLAS forms one triangle (syrk)
         hess -= np.outer(Ap, Ap)
         hess.flat[:: len(hess) + 1] += HESS_EPS
@@ -192,12 +212,13 @@ def _dual_newton(
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(hess, grad, rcond=None)[0]
         gval = lam_b - logz
+        slope = ARMIJO * max(float(grad @ step), 0.0)
         # halve until the step no longer moves lam; t reaches 0 only on a step that is not
         # finite. Trials after the first move A^T lam along d = A^T step, at O(n) each.
         t, d = 1.0, None
         while t and not np.array_equal(cand := lam + t * step, lam):
             trial = evaluate(A.T @ cand if d is None else at + t * d)
-            if float(cand @ b) - trial[2] >= gval - 1e-15 * (1.0 + abs(gval)):
+            if float(cand @ b) - trial[2] >= gval + t * slope - 1e-15 * (1.0 + abs(gval)):
                 break
             if d is None:
                 d = A.T @ step
@@ -216,8 +237,8 @@ def _dual_newton(
 
 def _lone_reweighting(
     constraints: tuple[Constraint, ...], prior: Distribution
-) -> tuple[Partition, tuple[float, ...]] | None:
-    """Cells and weights of a lone reweighting that gives weight only to cells with prior mass."""
+) -> tuple[Partition, tuple[float, ...], list[float]] | None:
+    """Cells, weights and cell masses of a lone reweighting that weights only cells with mass."""
     c = constraints[0] if len(constraints) == 1 else None
     if isinstance(c, PartitionWeights):
         cells, weights = c.partition, c.weights
@@ -225,8 +246,9 @@ def _lone_reweighting(
         cells, weights = Partition((c.event, c.event.complement())), (c.value, 1.0 - c.value)
     else:
         return None
-    massless = any(w > 0.0 and prior.prob(cell) == 0.0 for cell, w in zip(cells.cells, weights))
-    return None if massless else (cells, weights)
+    masses = [prior.prob(cell) for cell in cells.cells]
+    massless = any(w > 0.0 and m == 0.0 for w, m in zip(weights, masses))
+    return None if massless else (cells, weights, masses)
 
 
 def maxent_update(
@@ -263,7 +285,7 @@ def maxent_update(
     iterations = 0
     reweighting = _lone_reweighting(constraints, prior) if options.use_fast_paths else None
     if reweighting is not None:
-        posterior = jeffrey_update(prior, *reweighting)
+        posterior = _jeffrey(prior, *reweighting)
         method: Method = "jeffrey"
     elif not b.size:
         kept = live.astype(float)

@@ -77,6 +77,12 @@ class TestDivergenceCurve:
         with pytest.raises(DomainError):
             divergence_curve(0.5, 0.5, (0.5, 1.5))
 
+    @pytest.mark.parametrize("bad", ["x", None, [0.5]], ids=["string", "none", "list"])
+    def test_non_numeric_grid_values_are_domain_errors(self, bad):
+        with pytest.raises(DomainError) as ei:
+            divergence_curve(0.9, 0.3, [0.5, bad])
+        assert str(ei.value).startswith("each q grid value must be a probability in [0, 1], got ")
+
 
 class TestSolverTieBack:
     def test_jeffrey_posterior_matches_real_updates(self):

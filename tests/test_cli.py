@@ -176,7 +176,7 @@ class TestUpdate:
     def test_line_search_past_a_tiny_step_exits_0_when_feasible(self, capsys):
         code, out, err = run_main(capsys, "update", LINE_SEARCH_FEASIBLE)
         assert code == 0
-        assert out.startswith("method: dual_newton\niterations: 11\n")
+        assert out.startswith("method: dual_newton\niterations: 7\n")
         assert err == ""
 
     def test_missing_file_exits_3(self, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -387,6 +389,20 @@ class TestWorldLosses:
         with pytest.raises(ConstructionError) as ei:
             world_losses(fs, forecasts)
         assert ei.value.code == "valuation.length_mismatch"
+
+    def test_ragged_book_is_rejected(self):
+        fs = ForecastSystem(TWO, (E, NOT_E), (0.5, 0.5))
+        with pytest.raises(ConstructionError) as ei:
+            world_losses(fs, [[0.5], [1.0, 2.0]])
+        assert ei.value.code == "valuation.length_mismatch"
+
+    @pytest.mark.parametrize("forecasts", [["x", 0.5], [math.nan, 0.5], [0.5, math.inf]],
+                             ids=["non_numeric", "nan", "inf"])
+    def test_book_of_non_finite_numbers_is_rejected(self, forecasts):
+        fs = ForecastSystem(TWO, (E, NOT_E), (0.5, 0.5))
+        with pytest.raises(ConstructionError) as ei:
+            world_losses(fs, forecasts)
+        assert ei.value.code == "valuation.not_finite"
 
 
 class TestNearTheHull:

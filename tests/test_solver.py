@@ -472,18 +472,33 @@ class TestMaxentFailureModes:
             maxent_update(prior, [CondProb(s.subset("a"), s.subset("a", "c"), 0.3)], options)
 
     @pytest.mark.parametrize("options", [SolverOptions(), NO_FAST], ids=["fast", "no_fast"])
-    def test_line_search_accepts_steps_below_any_fixed_floor(self, options):
+    def test_line_search_damps_steps_that_would_collapse_the_posterior(self, options):
         # an event pinned near 0.95 whose prior mass is about 0.01, plus an
-        # expectation: the second iterate is nearly a point mass, the Newton
-        # step is about 5e13 long, and the first ascent lies at t below 1e-14
+        # expectation: the first step at t = 0.5 would raise the dual by far
+        # less than its slope promises and leave p nearly a point mass;
+        # sufficient increase damps the first two steps to t = 0.125 and
+        # 0.0625 instead, and the solve takes 7 steps
         sc = parse_file(str(DATA / "line_search_infeasible.json"))
         with pytest.raises(InfeasibleConstraint) as ei:
             maxent_update(sc.prior, sc.constraints, options)
         assert ei.value.reason.startswith("dual multipliers lam prove")
         sc = parse_file(str(DATA / "line_search_feasible.json"))
         rep = maxent_update(sc.prior, sc.constraints, options)
-        assert (rep.method, rep.iterations) == ("dual_newton", 11)
+        assert (rep.method, rep.iterations) == ("dual_newton", 7)
         assert rep.final_residual <= 1e-10
+
+    @pytest.mark.parametrize("options", [SolverOptions(), NO_FAST], ids=["fast", "no_fast"])
+    def test_line_search_accepts_steps_below_any_fixed_floor(self, options):
+        # outcome a has prior mass 1e-20 and the mean of 1e4 * [a] must reach
+        # 5e3, so P(a) goes to 0.5 at lam = 20 ln 10 / 1e4; the first Newton
+        # step is about 2.5e15 long and the dual first rises at t near 2e-18
+        s = SampleSpace(("a", "b", "c"))
+        prior = Distribution(s, (1e-20, 0.5, 0.5 - 1e-20))
+        rep = maxent_update(prior, [Expectation(RandomVariable(s, (1e4, 0.0, 0.0)), 5e3)], options)
+        assert rep.method == "dual_newton"
+        assert rep.final_residual <= 1e-10
+        assert_allclose(rep.posterior.array, [0.5, 0.25, 0.25], rtol=0, atol=1e-12)
+        assert_allclose(rep.multipliers, [20 * math.log(10) / 1e4], rtol=1e-12)
 
     def test_budget_exhaustion_is_nonconvergence(self):
         opts = SolverOptions(max_iter=1, use_fast_paths=True)
