@@ -27,12 +27,16 @@ system:
 
 Each constraint and query kind is described once, by its row in
 ``_CONSTRAINT_KINDS`` or ``_QUERY_KINDS``; parsing, the unknown-key
-check and ``serialize`` all read that row. Malformed JSON raises
-ParseError with position; schema and invariant violations raise
-ConstructionError with a distinct code naming the offense, the domain
-constructors' own codes passing through unchanged. Reports are
-line-oriented text with every float printed to ten significant digits,
-so identical inputs yield byte-identical output.
+check and ``serialize`` all read that row. ``parse_file`` releases the
+file's text once it is decoded, and each decoded section as soon as its
+value is built (each constraint and query on its own), so the peak
+memory of a parse is that of the JSON decode. A file that is not
+UTF-8 and malformed JSON raise ParseError, the latter with position;
+schema and invariant violations raise ConstructionError with a distinct
+code naming the offense, the domain constructors' own codes passing
+through unchanged. Reports are line-oriented text with every float
+printed to ten significant digits, so identical inputs yield
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -248,14 +252,41 @@ def _entry_to_json(obj: Any, kinds: dict) -> dict:
     raise TypeError(f"not a constraint or query: {obj!r}")
 
 
-def parse(document: str) -> Scenario:
-    """Parse and fully validate one scenario document."""
+def _decode(text: str) -> Any:
     try:
-        data = json.loads(document)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, line=e.lineno, column=e.colno) from e
     except ValueError as e:  # an integer literal past the interpreter's digit limit
         raise ParseError(str(e)) from e
+
+
+def _decode_file(path: str) -> Any:
+    """The decoded document at ``path``; its text is gone once this returns."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:  # the whole file is decoded at once, so offsets are the file's
+        raise ParseError(f"the file is not UTF-8: {e.reason} at byte offset {e.start}") from e
+    return _decode(text)
+
+
+def _entries(space: SampleSpace, raw: list, name: str, section: str, kinds: dict) -> tuple:
+    """Each constraint or query of ``raw``, each dropped from ``raw`` once it is built."""
+    values = []
+    for i, obj in enumerate(raw):
+        values.append(_parse_entry(space, obj, f'"{name}"[{i}]', section, kinds))
+        raw[i] = None
+    return tuple(values)
+
+
+def _scenario(data: Any) -> Scenario:
+    """Build and validate a scenario from its decoded document.
+
+    The raw prior, each raw constraint and query, and the raw forecasts are
+    released from ``data`` as soon as their value is built, so the decoded
+    document and the built scenario never coexist in full.
+    """
     if not isinstance(data, dict):
         raise ConstructionError(
             "file.not_object", "the top level of a scenario must be a JSON object"
@@ -276,23 +307,18 @@ def parse(document: str) -> Scenario:
         prior = Distribution(space, weights)
     else:
         raise ConstructionError("prior.bad", '"prior" must be "uniform" or an array of numbers')
+    data["prior"] = raw_prior = None
 
     raw_constraints = _required(data, "constraints", "constraints.missing", "the scenario")
     if not isinstance(raw_constraints, list):
         raise ConstructionError("constraints.not_array", '"constraints" must be an array')
-    constraints = tuple(
-        _parse_entry(space, obj, f'"constraints"[{i}]', "constraint", _CONSTRAINT_KINDS)
-        for i, obj in enumerate(raw_constraints)
-    )
+    constraints = _entries(space, raw_constraints, "constraints", "constraint", _CONSTRAINT_KINDS)
 
     queries: tuple[Query, ...] = ()
     if "queries" in data:
         if not isinstance(data["queries"], list):
             raise ConstructionError("queries.not_array", '"queries" must be an array')
-        queries = tuple(
-            _parse_entry(space, obj, f'"queries"[{i}]', "query", _QUERY_KINDS)
-            for i, obj in enumerate(data["queries"])
-        )
+        queries = _entries(space, data["queries"], "queries", "query", _QUERY_KINDS)
 
     forecasts: ForecastSystem | None = None
     if "forecasts" in data:
@@ -311,13 +337,24 @@ def parse(document: str) -> Scenario:
             values.append(_number(_required(entry, "value", "forecast.bad_entry", where),
                                   "forecast.bad_entry", f"{where}.value"))
         forecasts = ForecastSystem(space, tuple(events), tuple(values))
+        # all at once: a book's entries are many and small, and released one
+        # by one they leave memory pinned by the events built in between
+        raw.clear()
 
     return Scenario(space, prior, constraints, queries, forecasts)
 
 
+def parse(document: str) -> Scenario:
+    """Parse and fully validate one scenario document."""
+    return _scenario(_decode(document))
+
+
 def parse_file(path: str) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
-        return parse(fh.read())
+    """Parse and fully validate the scenario file at ``path``, which must be UTF-8.
+
+    The file's text is released before the scenario is built.
+    """
+    return _scenario(_decode_file(path))
 
 
 def serialize(sc: Scenario) -> str:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Literal, Mapping, Sequence
 
 import numpy as np
@@ -54,9 +55,15 @@ def _finite_array(values, shape, kind, shape_code, shape_message, finite_message
 
 
 def _require_simplex(a: np.ndarray, kind: str, noun: str, nouns: str) -> None:
-    """No negative entry in ``a``, and an exactly rounded total within ``SUM_TOL`` of one."""
+    """No negative entry in ``a``, and an exactly rounded total within ``SUM_TOL`` of one.
+
+    numpy's pairwise sum of nonnegative entries is within 1e-14 of the exact
+    total, so the exactly rounded one is needed only near or past the bound.
+    """
     if a.min() < 0.0:
         raise ConstructionError(f"{kind}.negative_weight", f"negative {noun} {float(a.min())}")
+    if abs(float(a.sum()) - 1.0) <= SUM_TOL - 1e-12:
+        return
     total = math.fsum(a.ravel().tolist())
     if abs(total - 1.0) > SUM_TOL:
         raise ConstructionError(f"{kind}.sum_not_one", f"{nouns} sum to {total!r}, not 1")
@@ -111,6 +118,15 @@ class SampleSpace:
             isinstance(x, str) for x in self.outcomes
         ):
             raise ConstructionError("space.bad_label", "outcome labels must be strings")
+        # a lone surrogate survives JSON decoding but cannot be written out
+        try:
+            "".join(self.outcomes).encode()
+        except UnicodeEncodeError as e:  # name the label that holds the first bad character
+            ends = accumulate(map(len, self.outcomes))
+            bad = self.outcomes[next(i for i, end in enumerate(ends) if end > e.start)]
+            raise ConstructionError(
+                "space.bad_label", f"outcome label {bad!r} is not writable text"
+            ) from None
         if len(self.index) != len(self.outcomes):
             seen: set[str] = set()
             dup = next(x for x in self.outcomes if x in seen or seen.add(x))

@@ -219,6 +219,19 @@ class TestUpdate:
         assert code == 3
         assert err.startswith("parse error")
 
+    def test_file_that_is_not_utf8_exits_3(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"space": ["a", "\xff"], "prior": "uniform", "constraints": []}')
+        assert run_main(capsys, "update", str(bad)) == (
+            3, "", "parse error: the file is not UTF-8: invalid start byte at byte offset 17\n")
+
+    def test_label_that_cannot_be_written_exits_3(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"space": ["a\\ud800", "b"], "prior": "uniform", "constraints": [], '
+                       '"queries": [{"type": "posterior"}]}', encoding="utf-8")
+        assert run_main(capsys, "update", str(bad)) == (
+            3, "", "invalid input [space.bad_label]: outcome label 'a\\ud800' is not writable text\n")
+
     def test_bad_tol_flag_exits_3(self, capsys):
         for tol in ("-1", "nan", "inf"):
             with pytest.raises(SystemExit) as exc:

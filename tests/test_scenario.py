@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,44 @@ class TestParse:
         path = tmp_path / "case.json"
         path.write_text(RICH_DOCUMENT, encoding="utf-8")
         assert parse_file(str(path)) == parse(RICH_DOCUMENT)
+
+    def test_file_that_is_not_utf8_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "case.json"
+        text = RICH_DOCUMENT.encode()
+        offset = text.index(b'"d"')
+        path.write_bytes(text[:offset] + b"\xff" + text[offset:])
+        with pytest.raises(ParseError) as exc:
+            parse_file(str(path))
+        assert str(exc.value) == f"the file is not UTF-8: invalid start byte at byte offset {offset}"
+        assert exc.value.line is None
+
+    def test_parse_file_releases_each_section_as_it_is_built(self, tmp_path):
+        # the text is gone before building starts, and each raw constraint,
+        # query and forecast once its value exists, so the peak is the decode's
+        n = 20_000
+        labels = [f"outcome_{i:06d}" for i in range(n)]
+        half, rest = labels[: n // 2], labels[n // 2:]
+        doc = {"space": labels, "prior": [1 / n] * n, "constraints": [
+            {"type": "event_prob", "event": half, "value": 0.4},
+            {"type": "expectation", "variable": {x: i % 7 for i, x in enumerate(labels)},
+             "value": 3.5},
+            {"type": "cond_prob", "event": labels[::3], "given": half, "value": 0.3},
+            {"type": "partition", "cells": [half, rest], "weights": [0.4, 0.6]},
+        ], "queries": [{"type": "prob", "event": labels[::2]}]}
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+
+        def peak(load) -> int:
+            tracemalloc.start()
+            try:
+                load()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        decode = peak(lambda: json.loads(path.read_text(encoding="utf-8")))
+        build = peak(lambda: parse_file(str(path)))
+        assert build / decode <= 1.15
 
     def test_malformed_json_reports_position(self):
         with pytest.raises(ParseError) as exc:

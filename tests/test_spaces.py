@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from relent.spaces import (
     JointDistribution,
     Partition,
     RandomVariable,
+    SUM_TOL,
     SampleSpace,
     condition,
     conditional_prob,
@@ -59,6 +61,13 @@ class TestSampleSpace:
         with pytest.raises(ConstructionError) as ei:
             SampleSpace((Label("a"), b"b"))  # type: ignore[arg-type]
         assert ei.value.code == "space.bad_label"
+
+    def test_rejects_labels_that_cannot_be_written(self):
+        with pytest.raises(ConstructionError) as ei:
+            SampleSpace(("a", "b\ud800c", "\udfff"))
+        assert ei.value.code == "space.bad_label"
+        assert str(ei.value) == "outcome label 'b\\ud800c' is not writable text"
+        assert SampleSpace(("é", "\U0001f600", "a\x00b")).outcomes[1] == "\U0001f600"
 
     def test_equality_is_by_value(self):
         assert SampleSpace(("a", "b")) == SampleSpace(("a", "b"))
@@ -169,6 +178,50 @@ class TestDistribution:
     def test_simplex_invariants(self, d: Distribution):
         assert min(d.weights) >= 0.0
         assert math.fsum(d.weights) == pytest.approx(1.0, abs=1e-9)
+
+
+def weights_totalling(rng: np.random.Generator, shape: tuple, target: float) -> np.ndarray:
+    """Skewed nonnegative weights whose exactly rounded total is about ``target``."""
+    w = rng.random(shape) ** 3
+    w *= target / w.sum()
+    top = np.unravel_index(np.argmax(w), shape)
+    for _ in range(2):  # move the largest weight by what the exact total misses
+        w[top] += target - math.fsum(w.ravel().tolist())
+    return w
+
+
+def ulps_around(x: float, k: int) -> list[float]:
+    """``x`` and the k floats on either side of it."""
+    return [x + i * float(np.spacing(x)) for i in range(-k, k + 1)]
+
+
+class TestSimplexCheck:
+    @pytest.mark.parametrize("shape", [(1,), (2,), (7,), (128,), (1000,), (12345,), (100_000,),
+                                       (250, 400)], ids=str)
+    def test_verdict_and_message_match_the_exactly_rounded_total(self, shape):
+        rng = np.random.default_rng(list(shape))
+        near = ulps_around(1.0 + SUM_TOL, 4) + ulps_around(1.0 - SUM_TOL, 4)
+        far = [0.25, 1.0 - 1e-6, 1.0, 1.0 + 1e-12, 1.0 + 1e-6, 3.0]
+        if len(shape) == 1:
+            build, kind, nouns = partial(Distribution, space_of(shape[0])), "dist", "weights"
+        else:
+            build = partial(JointDistribution, space_of(shape[0]), space_of(shape[1]))
+            kind, nouns = "joint", "entries"
+        near_verdicts = set()
+        for target in near + far:
+            w = weights_totalling(rng, shape, target)
+            total = math.fsum(w.ravel().tolist())
+            expected = None if abs(total - 1.0) <= SUM_TOL else f"{nouns} sum to {total!r}, not 1"
+            try:
+                build(w)
+                got = None
+            except ConstructionError as e:
+                assert e.code == f"{kind}.sum_not_one"
+                got = str(e)
+            assert got == expected, (target, total)
+            if target in near:
+                near_verdicts.add(got is None)
+        assert near_verdicts == {True, False}
 
 
 class TestRandomVariable:
