@@ -20,10 +20,7 @@ active vertices S by one ``solve`` of the bordered Gram system
 duality gap closes or when the entering vertex is already active.
 
 Per-world losses come from ``valuation_matrix`` (:func:`world_losses`) in
-one batched call, with no object built and no Python step per world: each
-world's loss is a (1, k) @ (k, 1) product in one stacked ``matmul``, which
-calls the same BLAS ``ddot`` as the 1-D ``d @ d`` and so rounds identically.
-``einsum`` and ``sum(axis=1)`` would be as fast but round differently.
+one batched call, with no object built and no Python step per world.
 ``WorldValuation``, ``world_valuations`` and ``quadratic_loss`` score one
 world at a time and are kept as the reference that the tests enumerate
 against.
@@ -39,6 +36,7 @@ import numpy as np
 
 from .errors import ConstructionError
 from .spaces import Distribution, Event, SampleSpace, _ArrayValued, _finite_array, _readonly
+from .spaces import _row_dots
 
 #: Forecasts whose distance to the hull is at or below this are
 #: admissible; beyond it the projection strictly dominates.
@@ -95,17 +93,14 @@ class ForecastSystem(_ArrayValued):
 def world_losses(fs: ForecastSystem, forecasts: np.ndarray | Sequence[float]) -> np.ndarray:
     """Quadratic loss of ``forecasts`` (one per event of ``fs``) in every world, in space order.
 
-    One stacked ``matmul`` of each gap row with itself, (1, k) @ (k, 1) per
-    world, reaches the same BLAS ``ddot`` as the 1-D ``d @ d`` of
-    :func:`quadratic_loss`, so the two agree bit for bit. ``einsum('ij,ij->i')``
-    and ``(D * D).sum(axis=1)`` are not used: they sum in another order and
-    differ from ``d @ d`` in the last bits.
+    Each world's gap row is dotted with itself as :func:`quadratic_loss`'s
+    ``d @ d`` would be, so the two agree bit for bit.
     """
     x = _finite_array(
         forecasts, (len(fs.events),), "valuation", "valuation.length_mismatch",
         "{shape[0]} events but {size} forecasts", "forecasts must be finite numbers")
     diffs = fs.valuation_matrix - x
-    return np.matmul(diffs[:, None, :], diffs[:, :, None])[:, 0, 0]
+    return _row_dots(diffs, diffs)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConstructionError, SpaceMismatch
 from .spaces import Distribution, Event, Partition, RandomVariable, SampleSpace
-from .spaces import _finite_array, _finite_scalar, _require_simplex
+from .spaces import _finite_array, _finite_scalar, _require_simplex, _row_dots
 
 
 def _require_finite(value: float, what: str) -> float:
@@ -151,10 +151,9 @@ def compile_all(
 
 
 def residual(dist: Distribution, system: tuple[np.ndarray, np.ndarray]) -> float:
-    """Largest absolute violation of ``A p = b`` under ``dist``, one dot product per row."""
+    """Largest absolute violation of ``A p = b`` under ``dist``, each row's ``a @ p`` exactly."""
     A, b = system
-    p = dist.array
-    return max((abs(float(a @ p) - target) for a, target in zip(A, b.tolist())), default=0.0)
+    return float(np.abs(_row_dots(A, dist.array) - b).max(initial=0.0))
 
 
 def triage_feasibility(

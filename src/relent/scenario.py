@@ -271,8 +271,10 @@ def _decode_file(path: str) -> Any:
     return _decode(text)
 
 
-def _entries(space: SampleSpace, raw: list, name: str, section: str, kinds: dict) -> tuple:
-    """Each constraint or query of ``raw``, each dropped from ``raw`` once it is built."""
+def _entries(space: SampleSpace, raw: Any, name: str, section: str, kinds: dict) -> tuple:
+    """Each constraint or query of the array ``raw``, each dropped from it once it is built."""
+    if not isinstance(raw, list):
+        raise ConstructionError(f"{name}.not_array", f'"{name}" must be an array')
     values = []
     for i, obj in enumerate(raw):
         values.append(_parse_entry(space, obj, f'"{name}"[{i}]', section, kinds))
@@ -310,14 +312,10 @@ def _scenario(data: Any) -> Scenario:
     data["prior"] = raw_prior = None
 
     raw_constraints = _required(data, "constraints", "constraints.missing", "the scenario")
-    if not isinstance(raw_constraints, list):
-        raise ConstructionError("constraints.not_array", '"constraints" must be an array')
     constraints = _entries(space, raw_constraints, "constraints", "constraint", _CONSTRAINT_KINDS)
 
     queries: tuple[Query, ...] = ()
     if "queries" in data:
-        if not isinstance(data["queries"], list):
-            raise ConstructionError("queries.not_array", '"queries" must be an array')
         queries = _entries(space, data["queries"], "queries", "query", _QUERY_KINDS)
 
     forecasts: ForecastSystem | None = None

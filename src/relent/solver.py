@@ -44,7 +44,7 @@ from . import constraints as _constraints
 from . import information
 from .constraints import CondProb, Constraint, EventProb, PartitionWeights
 from .errors import ConstructionError, DegenerateConditional, InfeasibleConstraint, NonConvergence
-from .spaces import ZERO_MASS, Distribution, Partition, _finite_scalar
+from .spaces import ZERO_MASS, Distribution, Event, Partition, _finite_scalar
 
 #: Diagonal regularization added to the dual Hessian B B^T - (A p)(A p)^T,
 #: with B = A diag(sqrt p), so redundant constraint rows (for example the
@@ -125,26 +125,22 @@ def jeffrey_update(
     cell with zero prior mass is assigned positive weight.
     """
     spec = PartitionWeights(partition, tuple(weights))
-    return _jeffrey(prior, partition, spec.weights, [prior.prob(cell) for cell in partition.cells])
+    return _jeffrey(prior, partition.cells, spec.weights, list(map(prior.prob, partition.cells)))
 
 
 def _jeffrey(
-    prior: Distribution, partition: Partition, weights: Sequence[float], masses: Sequence[float]
+    prior: Distribution, cells: Sequence[Event], weights: Sequence[float], masses: Sequence[float]
 ) -> Distribution:
-    """Jeffrey's rule for checked cell ``weights`` and the prior ``masses`` of the cells."""
+    """Jeffrey's rule on disjoint covering ``cells``, checked ``weights`` and prior ``masses``."""
     out = np.zeros(len(prior.space))
-    for cell, w, m in zip(partition.cells, weights, masses):
+    for cell, w, m in zip(cells, weights, masses):
         if w == 0.0:
             continue
         if m == 0.0:
             raise InfeasibleConstraint(
                 f"cell {cell.describe()} has zero prior mass but target weight {w:g}"
             )
-        scale = w / m
-        if math.isfinite(scale):
-            out += prior.array * cell.indicator * scale
-        else:  # a subnormal m: divide first, every in-cell weight is at most m
-            out += prior.array * cell.indicator / m * w
+        out += prior.array * cell.indicator / m * w  # at most 1 before * w, even for a subnormal m
     return Distribution.from_array(prior.space, out)
 
 
@@ -237,16 +233,16 @@ def _dual_newton(
 
 def _lone_reweighting(
     constraints: tuple[Constraint, ...], prior: Distribution
-) -> tuple[Partition, tuple[float, ...], list[float]] | None:
+) -> tuple[tuple[Event, ...], tuple[float, ...], list[float]] | None:
     """Cells, weights and cell masses of a lone reweighting that weights only cells with mass."""
     c = constraints[0] if len(constraints) == 1 else None
     if isinstance(c, PartitionWeights):
-        cells, weights = c.partition, c.weights
+        cells, weights = c.partition.cells, c.weights
     elif isinstance(c, EventProb) and 0.0 < c.value < 1.0:
-        cells, weights = Partition((c.event, c.event.complement())), (c.value, 1.0 - c.value)
+        cells, weights = (c.event, c.event.complement()), (c.value, 1.0 - c.value)
     else:
         return None
-    masses = [prior.prob(cell) for cell in cells.cells]
+    masses = [prior.prob(cell) for cell in cells]
     massless = any(w > 0.0 and m == 0.0 for w, m in zip(weights, masses))
     return None if massless else (cells, weights, masses)
 

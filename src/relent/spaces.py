@@ -62,9 +62,13 @@ def _require_simplex(a: np.ndarray, kind: str, noun: str, nouns: str) -> None:
     """
     if a.min() < 0.0:
         raise ConstructionError(f"{kind}.negative_weight", f"negative {noun} {float(a.min())}")
-    if abs(float(a.sum()) - 1.0) <= SUM_TOL - 1e-12:
-        return
-    total = math.fsum(a.ravel().tolist())
+    with np.errstate(over="ignore"):  # finite weights past the float range sum to inf
+        if abs(float(a.sum()) - 1.0) <= SUM_TOL - 1e-12:
+            return
+    try:
+        total = math.fsum(a.ravel().tolist())
+    except OverflowError:  # the exact total is past the float range
+        total = math.inf
     if abs(total - 1.0) > SUM_TOL:
         raise ConstructionError(f"{kind}.sum_not_one", f"{nouns} sum to {total!r}, not 1")
 
@@ -80,6 +84,15 @@ def _finite_scalar(value, code: str, requirement: str, admits=lambda x: True) ->
     if x is None or not (math.isfinite(x) and admits(x)):
         raise ConstructionError(code, f"{requirement}, got {value if x is None else x!r}")
     return x
+
+
+def _row_dots(M: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Each ``M[i] @ V``, or ``M[i] @ V[i]`` for a matrix ``V``, rounded as the 1-D ``a @ p``.
+
+    One stacked (1, n) @ (n, 1) ``matmul`` reaches the same BLAS ``ddot``; ``einsum``
+    and ``sum(axis=1)`` would be as fast but add in another order, off in the last bits.
+    """
+    return np.matmul(M[:, None, :], V[..., None])[:, 0, 0]
 
 
 class _ArrayValued:
@@ -104,7 +117,7 @@ class _ArrayValued:
 
 @dataclass(frozen=True)
 class SampleSpace:
-    """Ordered finite set of distinct outcome labels."""
+    """Ordered finite set of distinct outcome labels: strings (a subclass will do), UTF-8 safe."""
 
     outcomes: tuple[str, ...]
 
@@ -112,15 +125,11 @@ class SampleSpace:
         object.__setattr__(self, "outcomes", tuple(self.outcomes))
         if len(self.outcomes) < 1:
             raise ConstructionError("space.empty", "a sample space needs at least one outcome")
-        # one C-level pass over the types; the per-label test runs only when
-        # that fails, so subclasses of str still pass
-        if not set(map(type, self.outcomes)) <= {str} and not all(
-            isinstance(x, str) for x in self.outcomes
-        ):
-            raise ConstructionError("space.bad_label", "outcome labels must be strings")
-        # a lone surrogate survives JSON decoding but cannot be written out
+        # join takes only strings; encode rejects a lone surrogate, which JSON decoding lets in
         try:
             "".join(self.outcomes).encode()
+        except TypeError:
+            raise ConstructionError("space.bad_label", "outcome labels must be strings") from None
         except UnicodeEncodeError as e:  # name the label that holds the first bad character
             ends = accumulate(map(len, self.outcomes))
             bad = self.outcomes[next(i for i, end in enumerate(ends) if end > e.start)]
@@ -294,8 +303,7 @@ class RandomVariable(_ArrayValued):
 
     @classmethod
     def from_mapping(cls, space: SampleSpace, mapping: Mapping[str, float]) -> "RandomVariable":
-        if tuple(mapping) == space.outcomes:  # keys in space order: no lookups needed
-            return cls(space, list(mapping.values()))
+        """``mapping[x]`` at each outcome x, in space order; every key must be an outcome."""
         try:
             values = list(map(mapping.__getitem__, space.outcomes))
         except KeyError:

@@ -232,6 +232,13 @@ class TestUpdate:
         assert run_main(capsys, "update", str(bad)) == (
             3, "", "invalid input [space.bad_label]: outcome label 'a\\ud800' is not writable text\n")
 
+    def test_weights_past_the_float_range_exit_3(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"space": ["a", "b"], "prior": [1e308, 1e308], "constraints": []}',
+                       encoding="utf-8")
+        assert run_main(capsys, "update", str(bad)) == (
+            3, "", "invalid input [dist.sum_not_one]: weights sum to inf, not 1\n")
+
     def test_bad_tol_flag_exits_3(self, capsys):
         for tol in ("-1", "nan", "inf"):
             with pytest.raises(SystemExit) as exc:

@@ -147,6 +147,28 @@ class TestResidual:
         assert residual(d, compile_all(cs, d.space)) == pytest.approx(0.0, abs=1e-12)
 
 
+def per_row_residual(dist, system):
+    """The reference: one 1-D ``a @ p`` per row, in a Python loop."""
+    A, b = system
+    return max((abs(float(a @ dist.array) - t) for a, t in zip(A, b.tolist())), default=0.0)
+
+
+class TestResidualKernel:
+    @pytest.mark.parametrize("m", [0, 1, 3, 10, 300])
+    def test_equals_the_per_row_reference_bit_for_bit(self, m):
+        rng = np.random.default_rng(m)
+        largest = 100_000 if m <= 10 else 3000  # keeps A to a few MB
+        for n in (1, 2, 7, *rng.integers(8, largest, size=3, endpoint=True).tolist()):
+            p = rng.random(n) * (rng.random(n) < 0.7)  # about 30% zeros
+            p[rng.integers(n)] += 1.0
+            dist = Distribution(space_of(n), p / p.sum())
+            A = rng.normal(size=(m, n)) * 10.0 ** rng.uniform(0.0, 9.0, size=(m, 1))
+            b = A @ dist.array + rng.normal(size=m) * 10.0 ** rng.uniform(-12.0, 0.0, size=m)
+            got = residual(dist, (A, b))
+            assert type(got) is float
+            assert got == per_row_residual(dist, (A, b)), (m, n)
+
+
 def triage(constraints, prior):
     """Run the pass on ``constraints`` compiled over the prior's space."""
     return triage_feasibility(constraints, compile_all(constraints, prior.space), prior, 1e-10)

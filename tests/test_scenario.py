@@ -274,6 +274,14 @@ class TestRejection:
             assert main(["update", str(path)]) == 3
             assert capsys.readouterr() == ("", STDERR_LINES[code] + "\n")
 
+    def test_partition_weights_that_are_no_array(self):
+        doc = ('{"space": ["a", "b"], "prior": "uniform", "constraints": '
+               '[{"type": "partition", "cells": [["a"], ["b"]], "weights": 0.5}]}')
+        with pytest.raises(ConstructionError) as exc:
+            parse(doc)
+        assert exc.value.code == "constraint.bad_weights"
+        assert str(exc.value) == '"constraints"[0].weights must be an array of numbers'
+
     @pytest.mark.parametrize("kind", [["event_prob"], {}, 3, None], ids=repr)
     @pytest.mark.parametrize("section,code", [("constraints", "constraint.unknown_type"),
                                               ("queries", "query.unknown_type")])

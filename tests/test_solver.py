@@ -372,6 +372,21 @@ class TestNewtonSteps:
         assert rep.final_residual <= opts.tol
         assert np.abs(rep.posterior.array - p_star).sum() <= 1e-9
 
+    def test_singular_hessian_falls_back_to_least_squares(self, monkeypatch):
+        # two proportional rows with entries near 1e3: the Hessian's diagonal is
+        # about 1e6, HESS_EPS is below its ulp, and solve meets a singular matrix
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        kilo = RandomVariable(DIE_SPACE, DIE_VALUES.array * 1e3)
+        twice = RandomVariable(DIE_SPACE, DIE_VALUES.array * 2e3)
+        opts = SolverOptions()
+        rep = maxent_update(Distribution.uniform(DIE_SPACE),
+                            [Expectation(kilo, 4.5e3), Expectation(twice, 9e3)], opts)
+        assert len(calls) >= 1
+        assert rep.method == "dual_newton" and rep.final_residual <= opts.tol
+        assert_allclose(rep.posterior.array, DIE_POSTERIOR, rtol=0, atol=1e-9)
+
     def test_midsize_solution_pins_what_the_document_determines(self):
         # the four partition cells cover the support, so one constant added to
         # their multipliers leaves the posterior unchanged; only their

@@ -223,6 +223,26 @@ class TestSimplexCheck:
                 near_verdicts.add(got is None)
         assert near_verdicts == {True, False}
 
+    top = float(np.finfo(float).max)
+    past_ulp = 0.3 * math.ulp(top)  # two of these carry top past the float range
+
+    @pytest.mark.parametrize("weights", [[1e308, 1e308], [top, past_ulp, past_ulp]],
+                             ids=["sum-overflows", "exact-total-overflows"])
+    def test_weights_past_the_float_range_are_rejected(self, weights):
+        # the rough sum of the second rounds down to top; only the exact one overflows
+        s = space_of(len(weights))
+        cells = Partition.from_labels(s, [(x,) for x in s.outcomes])
+        builds = [
+            ("dist", "weights", lambda: Distribution(s, weights)),
+            ("joint", "entries", lambda: JointDistribution(space_of(1), s, [weights])),
+            ("constraint", "cell weights", lambda: PartitionWeights(cells, tuple(weights))),
+        ]
+        for kind, nouns, build in builds:
+            with pytest.raises(ConstructionError) as ei:
+                build()
+            assert ei.value.code == f"{kind}.sum_not_one"
+            assert str(ei.value) == f"{nouns} sum to inf, not 1"
+
 
 class TestRandomVariable:
     def test_from_mapping_aligns_to_space_order(self):
