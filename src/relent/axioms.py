@@ -100,18 +100,15 @@ def _relativize(c: Constraint, cell: Event) -> Constraint:
                 f"event {c.event.describe()} is not inside cell {cell.describe()}",
             )
         return CondProb(c.event, cell, c.value)
-    if isinstance(c, CondProb):
-        # for events inside the cell, conditioning on the cell first
-        # changes nothing: P(a | b) is already a within-cell statement
-        if not (c.target.issubset(cell) and c.given.issubset(cell)):
-            raise ConstructionError(
-                "cellinfo.event_outside_cell",
-                f"events of {c.describe()} are not inside cell {cell.describe()}",
-            )
-        return c
-    raise ConstructionError(
-        "cellinfo.unsupported_kind", f"cannot relativize {type(c).__name__}"
-    )
+    # otherwise a CondProb, the one other kind CellInfo admits; for events inside
+    # the cell, conditioning on the cell first changes nothing: P(a | b) is
+    # already a within-cell statement
+    if not (c.target.issubset(cell) and c.given.issubset(cell)):
+        raise ConstructionError(
+            "cellinfo.event_outside_cell",
+            f"events of {c.describe()} are not inside cell {cell.describe()}",
+        )
+    return c
 
 
 def _check_partition(part: Partition, m: PartitionWeights) -> None:

@@ -93,9 +93,10 @@ def _build_parser() -> _Parser:
 
     update = sub.add_parser("update", help="apply a scenario's constraints to its prior")
     update.add_argument("scenario", help="path to a scenario JSON file")
-    update.add_argument("--tol", type=_positive_float, default=1e-10,
+    defaults = SolverOptions()
+    update.add_argument("--tol", type=_positive_float, default=defaults.tol,
                         help="convergence threshold on constraint violation")
-    update.add_argument("--max-iter", type=_positive_int, default=200,
+    update.add_argument("--max-iter", type=_positive_int, default=defaults.max_iter,
                         help="iteration budget for the dual solver")
     update.add_argument("--units", choices=("nats", "bits"), default="nats",
                         help="units for information values in reports")

@@ -5,8 +5,8 @@ Every constraint kind compiles to one or more rows
 form one linear system ``A p = b``: ``A`` is a read-only matrix with a
 column per outcome of the space, in its order, and ``b`` the targets.
 The solver compiles each constraint exactly once per update, and
-feasibility screening, the no-op check, the dual system and the final
-residual all read that one system.
+feasibility screening, the no-op check, Jeffrey's rule, the dual and the
+final residual all read that one system.
 
 Construction validates structure (finiteness, space agreement,
 weight-vector invariants); whether a *target* is achievable from a
@@ -16,6 +16,7 @@ given prior is a separate question answered by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -34,9 +35,9 @@ def _require_finite(value: float, what: str) -> float:
 class EventProb:
     """Pin the posterior probability of an event: P(event) = value.
 
-    Out-of-range values are accepted here and rejected by feasibility
-    triage, so that impossible *demands* are reported as infeasible
-    rather than as malformed input.
+    Out-of-range values are accepted here, so that an impossible *demand*
+    is reported as infeasible rather than as malformed input: triage
+    certifies a value beyond [0, 1] by more than tol, as it does any row.
     """
 
     event: Event
@@ -48,9 +49,6 @@ class EventProb:
     @property
     def space(self) -> SampleSpace:
         return self.event.space
-
-    def describe(self) -> str:
-        return f"P({self.event.describe()}) = {self.value:g}"
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,9 @@ class CondProb:
 
     Compiles to the linearization P(target and given) - value * P(given) = 0,
     which is equivalent whenever the posterior gives ``given`` positive
-    probability. The solver checks that nondegeneracy after the fact.
+    probability. The solver checks that nondegeneracy after the fact, so a
+    value outside [0, 1], met only by P(given) = 0, is degenerate (or
+    infeasible, when ``given`` covers every outcome still possible).
     """
 
     target: Event
@@ -103,7 +103,8 @@ class PartitionWeights:
 
     The weights form a full probability vector over cells, so simplex
     invariants are enforced at construction, unlike the single-value
-    constraint kinds.
+    constraint kinds. ``weights`` keeps the values as given; they compile
+    to targets over their exact sum, which is 1 within rounding.
     """
 
     partition: Partition
@@ -136,7 +137,8 @@ def compile_constraint(c: Constraint, space: SampleSpace) -> tuple[tuple[np.ndar
         coeffs = c.target.intersect(c.given).indicator - c.value * c.given.indicator
         return ((coeffs, 0.0),)
     if isinstance(c, PartitionWeights):
-        return tuple((cell.indicator, w) for cell, w in zip(c.partition.cells, c.weights))
+        total = math.fsum(c.weights)
+        return tuple((cell.indicator, w / total) for cell, w in zip(c.partition.cells, c.weights))
     raise TypeError(f"not a constraint: {c!r}")
 
 
@@ -157,12 +159,9 @@ def residual(dist: Distribution, system: tuple[np.ndarray, np.ndarray]) -> float
 
 
 def triage_feasibility(
-    constraints: Sequence[Constraint],
-    system: tuple[np.ndarray, np.ndarray],
-    prior: Distribution,
-    tol: float,
+    system: tuple[np.ndarray, np.ndarray], prior: Distribution, tol: float
 ) -> tuple[tuple[str, ...], np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """One pass over the ``system`` compiled from ``constraints``: certificates and pins.
+    """One pass over the rows of a compiled ``system``: certificates and pins.
 
     Returns ``(reasons, live, (A, b))``. ``reasons`` holds one certificate
     per proof that no posterior on the prior's support meets the rows; an
@@ -171,10 +170,9 @@ def triage_feasibility(
     posterior may still weight, and ``(A, b)`` keeps the rows of ``system``
     that still need a multiplier.
 
-    The one kind-specific check is a probability target outside [0, 1]; a
-    conditional's linearized row could otherwise be met by P(given) = 0.
-    Then, with lo and hi the least and greatest value of row j (in
-    compilation order) on the live support, at first the prior's:
+    Every row is judged alike, whatever constraint kind it came from.
+    With lo and hi the least and greatest value of row j (in compilation
+    order) on the live support, at first the prior's:
 
     * a target below lo - tol or above hi + tol is infeasible, and the
       stake y = -e_j or y = +e_j is the witness: it loses in every live
@@ -190,25 +188,19 @@ def triage_feasibility(
     keeps the outcomes where its row attains its extreme, so the live
     support never becomes empty.
     """
-    reasons: list[str] = []
-    for c in constraints:
-        if c.space != prior.space:
-            raise SpaceMismatch("constraint lives on a different sample space")
-        if isinstance(c, (EventProb, CondProb)) and not 0.0 <= c.value <= 1.0:
-            reasons.append(f"probability target outside [0, 1]: {c.describe()}")
     A, b = system[0], system[1].tolist()
+    if A.shape[1] != len(prior.space):
+        raise SpaceMismatch("constraint lives on a different sample space")
     active = list(range(len(b)))
     live = prior.support
-    while not reasons:
+    while True:
         lo = A.min(axis=1, where=live, initial=np.inf).tolist()
         hi = A.max(axis=1, where=live, initial=-np.inf).tolist()
-        for j in active:
-            if not lo[j] - tol <= b[j] <= hi[j] + tol:
-                sign = "+" if b[j] > hi[j] else "-"
-                reasons.append(
-                    f"row {j}: target {b[j]!r} lies outside [{lo[j]!r}, {hi[j]!r}], its range "
-                    f"on the outcomes still possible (witness y = {sign}e_{j})"
-                )
+        reasons = [
+            f"row {j}: target {b[j]!r} lies outside [{lo[j]!r}, {hi[j]!r}], its range on the "
+            f"outcomes still possible (witness y = {'+' if b[j] > hi[j] else '-'}e_{j})"
+            for j in active if not lo[j] - tol <= b[j] <= hi[j] + tol
+        ]
         if reasons:
             break
         for j in [j for j in active if not lo[j] < b[j] < hi[j]]:

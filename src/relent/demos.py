@@ -101,10 +101,10 @@ def demo_coin(units: str = "nats") -> str:
     return "\n".join(lines) + "\n"
 
 
-def demo_mycin(grid_steps: int = 11) -> str:
-    """Exact evidence-weighted update vs the certainty-factor shortcut."""
+def demo_mycin() -> str:
+    """Exact evidence-weighted update vs the certainty-factor shortcut, on an 11-step grid."""
     p_h_given_e, p_h_given_not_e = 0.9, 0.3
-    grid = tuple(float(q) for q in np.linspace(0.0, 1.0, grid_steps))
+    grid = tuple(float(q) for q in np.linspace(0.0, 1.0, 11))
     table = divergence_curve(p_h_given_e, p_h_given_not_e, grid)
     sc = EvidenceScenario(p_h_given_e, p_h_given_not_e, 0.8)
     exact = jeffrey_posterior(sc)

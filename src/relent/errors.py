@@ -44,11 +44,12 @@ class SupportViolation(RelentError):
 class InfeasibleConstraint(RelentError):
     """No distribution on the prior's support satisfies the constraint set.
 
-    ``reason`` is the certificate, in words: a probability target outside
-    [0, 1]; a row whose target lies beyond its range on the outcomes still
-    possible (the stake y = +e_j or -e_j loses in every one of them); or the
-    dual multipliers lam that separate the targets b from every distribution
-    on the prior's support (lam . b exceeds max_i (A^T lam)_i).
+    ``reason`` is the certificate, in words, and names a stake vector: a
+    row whose target lies beyond its range on the outcomes still possible
+    (the stake y = +e_j or -e_j loses in every one of them), whatever kind
+    of constraint the row came from; or the dual multipliers lam that
+    separate the targets b from every distribution on the prior's support
+    (lam . b exceeds max_i (A^T lam)_i).
     """
 
     def __init__(self, reason: str):

@@ -121,11 +121,13 @@ def jeffrey_update(
     """Reweight partition cells to ``weights``, preserving odds within each cell.
 
     This is the maximum-relative-entropy posterior for the constraints
-    P(cell_i) = weights[i]. Raises :class:`InfeasibleConstraint` when a
-    cell with zero prior mass is assigned positive weight.
+    P(cell_i) = weights[i], compiled as :func:`maxent_update` compiles
+    them. Raises :class:`InfeasibleConstraint` when a cell with zero prior
+    mass is assigned positive weight.
     """
     spec = PartitionWeights(partition, tuple(weights))
-    return _jeffrey(prior, partition.cells, spec.weights, list(map(prior.prob, partition.cells)))
+    targets = [w for _, w in _constraints.compile_constraint(spec, prior.space)]
+    return _jeffrey(prior, partition.cells, targets, list(map(prior.prob, partition.cells)))
 
 
 def _jeffrey(
@@ -232,14 +234,15 @@ def _dual_newton(
 
 
 def _lone_reweighting(
-    constraints: tuple[Constraint, ...], prior: Distribution
-) -> tuple[tuple[Event, ...], tuple[float, ...], list[float]] | None:
-    """Cells, weights and cell masses of a lone reweighting that weights only cells with mass."""
+    constraints: tuple[Constraint, ...], system: tuple[np.ndarray, np.ndarray], prior: Distribution
+) -> tuple[tuple[Event, ...], list[float], list[float]] | None:
+    """Cells, weights (``system``'s targets) and masses of a lone reweighting of cells with mass."""
     c = constraints[0] if len(constraints) == 1 else None
+    b = system[1].tolist()
     if isinstance(c, PartitionWeights):
-        cells, weights = c.partition.cells, c.weights
-    elif isinstance(c, EventProb) and 0.0 < c.value < 1.0:
-        cells, weights = (c.event, c.event.complement()), (c.value, 1.0 - c.value)
+        cells, weights = c.partition.cells, b
+    elif isinstance(c, EventProb) and 0.0 < b[0] < 1.0:
+        cells, weights = (c.event, c.event.complement()), [b[0], 1.0 - b[0]]
     else:
         return None
     masses = [prior.prob(cell) for cell in cells]
@@ -266,9 +269,7 @@ def maxent_update(
     """
     constraints = tuple(constraints)
     system = _constraints.compile_all(constraints, prior.space)
-    reasons, live, (A, b) = _constraints.triage_feasibility(
-        constraints, system, prior, options.tol
-    )
+    reasons, live, (A, b) = _constraints.triage_feasibility(system, prior, options.tol)
     if reasons:
         raise InfeasibleConstraint("; ".join(reasons))
 
@@ -279,7 +280,7 @@ def maxent_update(
 
     multipliers: tuple[float, ...] = ()
     iterations = 0
-    reweighting = _lone_reweighting(constraints, prior) if options.use_fast_paths else None
+    reweighting = _lone_reweighting(constraints, system, prior) if options.use_fast_paths else None
     if reweighting is not None:
         posterior = _jeffrey(prior, *reweighting)
         method: Method = "jeffrey"

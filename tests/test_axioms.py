@@ -213,6 +213,14 @@ class TestAxiom4Full:
             check_axiom4_full(prior, EVEN_ODD, m, infos, tol=1e-8)
         assert ei.value.code == "cellinfo.event_outside_cell"
 
+    def test_conditional_outside_cell_rejected(self):
+        prior = Distribution.uniform(DIE)
+        m = PartitionWeights(EVEN_ODD, (0.8, 0.2))
+        leaves = CondProb(DIE.subset("face2"), DIE.subset("face1", "face2"), 0.5)  # face1 is odd
+        with pytest.raises(ConstructionError) as ei:
+            check_axiom4_full(prior, EVEN_ODD, m, [CellInfo(0, (leaves,))], tol=1e-8)
+        assert ei.value.code == "cellinfo.event_outside_cell"
+
     def test_out_of_range_cell_index_rejected(self):
         prior = Distribution.uniform(DIE)
         m = PartitionWeights(EVEN_ODD, (0.8, 0.2))

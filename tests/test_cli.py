@@ -11,6 +11,7 @@ import pytest
 from relent.axioms import AxiomReport
 from relent.cli import main
 from relent.errors import SpaceMismatch
+from relent.solver import SolverOptions, maxent_update
 
 from conftest import JOINTLY_INFEASIBLE_PINS, JOINTLY_INFEASIBLE_PRIOR
 
@@ -60,10 +61,37 @@ class TestUpdate:
     def test_infeasible_target_exits_2_with_certificate(self, capsys):
         code, out, err = run_main(capsys, "update", IMPOSSIBLE)
         assert code == 2
-        assert out.startswith("infeasible\n")
-        assert "certificate: " in out
-        assert "outside [0, 1]" in out
+        assert out == (
+            "infeasible\ncertificate: row 0: target 1.2 lies outside [0.0, 1.0], its range on "
+            "the outcomes still possible (witness y = +e_0)\n")
         assert err != ""
+
+    @pytest.mark.parametrize("constraint, expected_code, expected_line", [
+        ({"type": "event_prob", "event": ["a"], "value": 1.2}, 2,
+         "certificate: row 0: target 1.2 lies outside [0.0, 1.0]"),
+        ({"type": "event_prob", "event": ["a"], "value": 1.0 + 5e-11}, 0,
+         "method: conditionalization"),
+        ({"type": "event_prob", "event": ["a"], "value": -5e-11}, 0,
+         "method: conditionalization"),
+        ({"type": "cond_prob", "event": ["a"], "given": ["a", "b"], "value": 1.2}, 2,
+         "certificate: conditioning event of P({a} | {a, b}) = 1.2 has zero posterior"),
+        ({"type": "cond_prob", "event": ["a"], "given": ["a", "b"], "value": -0.3}, 2,
+         "certificate: conditioning event of P({a} | {a, b}) = -0.3 has zero posterior"),
+        ({"type": "cond_prob", "event": ["a"], "given": ["a", "b", "c"], "value": 1.2}, 2,
+         "certificate: row 0: target 0.0 lies outside"),
+    ])
+    def test_probability_targets_are_judged_by_their_rows(
+        self, capsys, tmp_path, constraint, expected_code, expected_line
+    ):
+        # within tol of [0, 1] a target pins like any row; beyond it, the row's
+        # stake or the degenerate conditional is the certificate
+        doc = {"version": 1, "space": ["a", "b", "c"], "prior": [1 / 3, 1 / 3, 1 / 3],
+               "constraints": [constraint]}
+        path = tmp_path / "target.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_main(capsys, "update", str(path))
+        assert code == expected_code
+        assert expected_line in out
 
     def test_jointly_infeasible_pins_exit_2(self, capsys, tmp_path):
         doc = {
@@ -269,6 +297,19 @@ class TestUpdate:
         monkeypatch.setattr("relent.cli.maxent_update", mismatch)
         assert run_main(capsys, "update", DIE) == (
             3, "", "error: constraint lives on a different sample space\n")
+
+    def test_tol_and_max_iter_flags_reach_the_solver(self, capsys, monkeypatch):
+        seen = []
+
+        def recording(prior, constraints, options):
+            seen.append(options)
+            return maxent_update(prior, constraints, options)
+
+        monkeypatch.setattr("relent.cli.maxent_update", recording)
+        code, out, _ = run_main(capsys, "update", DIE, "--tol", "1e-6", "--max-iter", "4")
+        assert code == 0 and "method: dual_newton" in out
+        assert run_main(capsys, "update", DIE)[0] == 0
+        assert seen == [SolverOptions(tol=1e-6, max_iter=4), SolverOptions()]
 
     def test_zero_max_iter_flag_exits_3(self):
         with pytest.raises(SystemExit) as exc:

@@ -92,6 +92,17 @@ class TestConstruction:
         assert fs.valuation_matrix.tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]
         assert ForecastSystem(TWO, (), ()).valuation_matrix.shape == (2, 0)
 
+    def test_event_on_another_space_rejected(self):
+        with pytest.raises(ConstructionError) as ei:
+            ForecastSystem(TWO, (E, SampleSpace(("x", "y")).subset("x")), (0.5, 0.5))
+        assert ei.value.code == "forecast.space_mismatch"
+
+    def test_valuation_for_unknown_outcome_rejected(self):
+        fs = ForecastSystem(TWO, (E,), (0.5,))
+        with pytest.raises(ConstructionError) as ei:
+            WorldValuation.for_outcome(fs, "maybe")
+        assert ei.value.code == "valuation.unknown_outcome"
+
     def test_valuations_must_be_binary(self):
         with pytest.raises(ConstructionError) as ei:
             WorldValuation("yes", (0.5,))

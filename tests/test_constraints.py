@@ -14,7 +14,8 @@ from relent.constraints import (
     residual,
     triage_feasibility,
 )
-from relent.errors import ConstructionError, SpaceMismatch
+from relent.errors import ConstructionError, DegenerateConditional, SpaceMismatch
+from relent.solver import maxent_update
 from relent.spaces import Distribution, Partition, RandomVariable, SampleSpace
 
 from conftest import positive_distributions, space_of
@@ -98,6 +99,15 @@ class TestCompile:
         c = EventProb(space_of(2).subset("w0"), 0.5)
         with pytest.raises(SpaceMismatch):
             compile_constraint(c, abc)
+        with pytest.raises(SpaceMismatch):
+            compile_all([EventProb(abc.subset("a"), 0.5), c], abc)
+
+    def test_partition_targets_are_weights_over_their_exact_sum(self, abc):
+        p = Partition.from_labels(abc, [("a",), ("b", "c")])
+        c = PartitionWeights(p, (0.3, 0.7 + 2e-10))
+        assert c.weights == (0.3, 0.7 + 2e-10)  # stored as given
+        _, b = compile_all([c], abc)
+        assert b.tolist() == [0.3 / (1.0 + 2e-10), (0.7 + 2e-10) / (1.0 + 2e-10)]
 
     def test_compile_all_concatenates(self, abc):
         p = Partition.from_labels(abc, [("a",), ("b",), ("c",)])
@@ -171,7 +181,7 @@ class TestResidualKernel:
 
 def triage(constraints, prior):
     """Run the pass on ``constraints`` compiled over the prior's space."""
-    return triage_feasibility(constraints, compile_all(constraints, prior.space), prior, 1e-10)
+    return triage_feasibility(compile_all(constraints, prior.space), prior, 1e-10)
 
 
 class TestTriage:
@@ -184,14 +194,31 @@ class TestTriage:
         assert list(b) == [0.9]
 
     def test_probability_out_of_range(self, abc):
+        # an event target is judged by its row like any other: beyond tol it is
+        # certified with its stake, within tol of 0 or 1 it pins a face
         prior = Distribution.uniform(abc)
-        reasons = triage([EventProb(abc.subset("a"), 1.2)], prior)[0]
-        assert len(reasons) == 1
-        assert "outside [0, 1]" in reasons[0]
+        a = abc.subset("a")
+        assert triage([EventProb(a, 1.2)], prior)[0] == (
+            "row 0: target 1.2 lies outside [0.0, 1.0], its range on the outcomes still "
+            "possible (witness y = +e_0)",)
+        assert "(witness y = -e_0)" in triage([EventProb(a, -1e-9)], prior)[0][0]
+        for value, kept in ((1.0 + 5e-11, [True, False, False]), (-5e-11, [False, True, True])):
+            reasons, live, (A, _) = triage([EventProb(a, value)], prior)
+            assert not reasons and list(live) == kept and A.shape == (0, 3)
 
     def test_cond_prob_out_of_range(self, abc):
+        # the row P(a) - v P(a, b) is met only by P(a, b) = 0, so the pass pins
+        # that face and the solver's conditional check names the constraint
         prior = Distribution.uniform(abc)
-        assert triage([CondProb(abc.subset("a"), abc.subset("a", "b"), -0.1)], prior)[0]
+        for value in (-0.1, 1.2):
+            c = CondProb(abc.subset("a"), abc.subset("a", "b"), value)
+            reasons, live, (A, _) = triage([c], prior)
+            assert not reasons and list(live) == [False, False, True] and A.shape == (0, 3)
+            with pytest.raises(DegenerateConditional, match=r"P\(\{a\} \| \{a, b\}\)"):
+                maxent_update(prior, [c])
+        # conditioned on every outcome, the row is nonzero wherever mass can go
+        c = CondProb(abc.subset("a"), abc.subset("a", "b", "c"), 1.2)
+        assert "(witness y = +e_0)" in triage([c], prior)[0][0]
 
     def test_expectation_outside_range(self, abc):
         prior = Distribution.uniform(abc)
@@ -246,10 +273,10 @@ class TestTriage:
         assert len(reasons) == 2
 
     def test_space_mismatch_rejected(self, abc):
+        # a system compiled over another space is caught by its width
         prior = Distribution.uniform(space_of(2))
-        cs = [EventProb(abc.subset("a"), 0.5)]
         with pytest.raises(SpaceMismatch):
-            triage_feasibility(cs, compile_all(cs, abc), prior, 1e-10)
+            triage_feasibility(compile_all([EventProb(abc.subset("a"), 0.5)], abc), prior, 1e-10)
 
     def test_zero_target_pins_the_argmin_face_of_a_signed_row(self, abc):
         # the row is negative on c, which the prior rules out; on the live

@@ -387,6 +387,27 @@ class TestNewtonSteps:
         assert rep.method == "dual_newton" and rep.final_residual <= opts.tol
         assert_allclose(rep.posterior.array, DIE_POSTERIOR, rtol=0, atol=1e-9)
 
+    @pytest.mark.xfail(strict=True, raises=NonConvergence,
+                       reason="ROADMAP item 1: rank-deficient active rows stall the dual")
+    @pytest.mark.parametrize("options", [SolverOptions(), NO_FAST], ids=["fast", "no_fast"])
+    def test_more_active_rows_than_live_outcomes(self, options):
+        # four expectation rows on two outcomes, each target A p for
+        # p = (0.28236341131690407, 0.717636588683096), which lstsq recovers;
+        # today the line search finds no step that raises the dual after 12
+        # steps, at residual 2.5e-9
+        s = SampleSpace(("a", "b"))
+        prior = Distribution(s, (0.039872397071877515, 0.9601276029281224))
+        rows = [
+            ((-2.0262359241846175, -0.10867355878509197), -0.6501230096922137),
+            ((-236.17219318052528, 361.7456818071349), 192.915550938265),
+            ((88.54445586470179, -162.09875174161638), -91.3262806184854),
+            ((-0.177812978077855, -0.10238812329258584), -0.12368534258783656),
+        ]
+        rep = maxent_update(prior, [Expectation(RandomVariable(s, r), t) for r, t in rows], options)
+        assert rep.final_residual <= options.tol
+        assert_allclose(rep.posterior.array, [0.28236341131690407, 0.717636588683096],
+                        rtol=0, atol=1e-9)
+
     def test_midsize_solution_pins_what_the_document_determines(self):
         # the four partition cells cover the support, so one constant added to
         # their multipliers leaves the posterior unchanged; only their
@@ -661,6 +682,22 @@ class TestFastPathAgreement:
         assert fast.posterior == slow.posterior
         assert_allclose(fast.posterior.array, [0.7, 0.3, 0.0], rtol=0, atol=1e-10)
         assert fast.final_residual == pytest.approx(5e-11, rel=1e-6)
+
+    @pytest.mark.parametrize("options", [SolverOptions(), NO_FAST], ids=["fast", "no_fast"])
+    @pytest.mark.parametrize("offset", [0.0, 2e-10, 5e-10, 9e-10])
+    def test_partition_weights_off_one_within_sum_tol(self, options, offset):
+        # weights that pass SUM_TOL but miss 1 by more than tol compile to their
+        # values over their exact sum, which Jeffrey's rule and the dual both meet
+        s = SampleSpace(("a", "b", "c", "d"))
+        prior = Distribution(s, (0.1, 0.2, 0.3, 0.4))
+        cells = Partition.from_labels(s, [("a", "b"), ("c", "d")])
+        reweight = PartitionWeights(cells, (0.3, 0.7 + offset))
+        expected = prior.array * np.repeat([1.0, (0.7 + offset) / 0.7], 2) / (1.0 + offset)
+        for constraints in ([reweight], [reweight, EventProb(s.subset("a"), 0.1)]):
+            rep = maxent_update(prior, constraints, options)
+            assert rep.final_residual <= options.tol
+            assert abs(math.fsum(rep.posterior.array.tolist()) - 1.0) <= 1e-15
+            assert_allclose(rep.posterior.array, expected, rtol=0, atol=options.tol)
 
     @given(positive_distributions(min_size=2, max_size=7), st.data())
     @settings(max_examples=40, deadline=None)

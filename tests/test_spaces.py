@@ -323,6 +323,16 @@ class TestPartition:
             Partition.from_labels(s, [("a", "b"), ()])
         assert ei.value.code == "partition.empty_cell"
 
+    def test_rejects_no_cells(self):
+        with pytest.raises(ConstructionError) as ei:
+            Partition(())
+        assert ei.value.code == "partition.empty"
+
+    def test_rejects_cells_from_two_spaces(self):
+        with pytest.raises(ConstructionError) as ei:
+            Partition((SampleSpace(("a", "b")).whole(), space_of(2).whole()))
+        assert ei.value.code == "partition.space_mismatch"
+
 
 class TestJointDistribution:
     def test_shape_validation(self):
@@ -380,6 +390,11 @@ class TestJointDistribution:
         assert_allclose(j.array, np.diag([0.2, 0.3, 0.5]))
         assert_allclose(marginal(j, "row").array, d.array)
         assert_allclose(marginal(j, "col").array, d.array)
+
+    def test_marginal_rejects_unknown_axis(self):
+        j = JointDistribution.identity_coupling(Distribution.uniform(space_of(2)))
+        with pytest.raises(ValueError, match="axis must be 'row' or 'col', got 'diag'"):
+            marginal(j, "diag")
 
 
 class TestCondition:
