@@ -174,9 +174,10 @@ def triage_feasibility(
     With lo and hi the least and greatest value of row j (in compilation
     order) on the live support, at first the prior's:
 
-    * a target below lo - tol or above hi + tol is infeasible, and the
-      stake y = -e_j or y = +e_j is the witness: it loses in every live
-      outcome;
+    * a target more than tol below lo or above hi (lo - b > tol or
+      b - hi > tol, differences that are exact near the boundary) is
+      infeasible, and the stake y = -e_j or y = +e_j is the witness: it
+      loses in every live outcome;
     * a target at a row's extreme (at or beyond hi, or at or below lo)
       fixes a face: only the outcomes where the row attains that extreme
       can keep mass, so the live support shrinks to them and the row
@@ -199,7 +200,7 @@ def triage_feasibility(
         reasons = [
             f"row {j}: target {b[j]!r} lies outside [{lo[j]!r}, {hi[j]!r}], its range on the "
             f"outcomes still possible (witness y = {'+' if b[j] > hi[j] else '-'}e_{j})"
-            for j in active if not lo[j] - tol <= b[j] <= hi[j] + tol
+            for j in active if b[j] - hi[j] > tol or lo[j] - b[j] > tol
         ]
         if reasons:
             break

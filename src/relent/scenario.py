@@ -27,11 +27,16 @@ system:
 
 Each constraint and query kind is described once, by its row in
 ``_CONSTRAINT_KINDS`` or ``_QUERY_KINDS``; parsing, the unknown-key
-check and ``serialize`` all read that row. ``parse_file`` releases the
-file's text once it is decoded, and each decoded section as soon as its
-value is built (each constraint and query on its own), so the peak
-memory of a parse is that of the JSON decode. A file that is not
-UTF-8 and malformed JSON raise ParseError, the latter with position;
+check and ``serialize`` all read that row. A document of at least
+``STREAM_MIN_CHARS`` characters is built while it is decoded: the top
+level one member at a time, ``"constraints"`` and ``"queries"`` one
+entry at a time, so that a parse holds the text, the values built so far
+and one decoded member or entry, never the whole decoded document. A
+shorter document, and any document that walk cannot finish, valid or
+not, is decoded whole and then built, each decoded section released as
+soon as its value is built; only that path raises, so errors do not
+depend on the size. A file that is not UTF-8, malformed JSON and JSON
+that nests too deeply raise ParseError, malformed JSON with position;
 schema and invariant violations raise ConstructionError with a distinct
 code naming the offense, the domain constructors' own codes passing
 through unchanged. Reports are line-oriented text with every float
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence, Union
 
@@ -163,7 +169,15 @@ def _required(obj: dict, key: str, code: str, where: str) -> Any:
 
 
 def _event(space: SampleSpace, labels: Any, code: str, where: str) -> Event:
-    return Event(space, _labels(labels, code, where))
+    # the space holds only strings, so a label of another type fails the
+    # lookup: the labels' types are checked only once building has failed
+    if isinstance(labels, list):
+        try:
+            return Event(space, labels)
+        except ConstructionError:
+            _labels(labels, code, where)
+            raise
+    return Event(space, _labels(labels, code, where))  # _labels raises
 
 
 def _parse_partition(space: SampleSpace, cells: Any, code: str, where: str) -> Partition:
@@ -259,16 +273,17 @@ def _decode(text: str) -> Any:
         raise ParseError(e.msg, line=e.lineno, column=e.colno) from e
     except ValueError as e:  # an integer literal past the interpreter's digit limit
         raise ParseError(str(e)) from e
+    except RecursionError:
+        raise ParseError("the document nests too deeply to decode") from None
 
 
-def _decode_file(path: str) -> Any:
-    """The decoded document at ``path``; its text is gone once this returns."""
+def _read(path: str) -> str:
+    """The text of the UTF-8 file at ``path``."""
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except UnicodeDecodeError as e:  # the whole file is decoded at once, so offsets are the file's
         raise ParseError(f"the file is not UTF-8: {e.reason} at byte offset {e.start}") from e
-    return _decode(text)
 
 
 def _entries(space: SampleSpace, raw: Any, name: str, section: str, kinds: dict) -> tuple:
@@ -280,6 +295,44 @@ def _entries(space: SampleSpace, raw: Any, name: str, section: str, kinds: dict)
         values.append(_parse_entry(space, obj, f'"{name}"[{i}]', section, kinds))
         raw[i] = None
     return tuple(values)
+
+
+def _version(raw: Any) -> None:
+    # JSON true parses to True, which equals 1 in Python
+    if isinstance(raw, bool) or raw != 1:
+        raise ConstructionError("file.bad_version", f"unsupported version {raw!r}")
+
+
+def _space(raw: Any) -> SampleSpace:
+    return SampleSpace(tuple(_labels(raw, "space.not_label_array", '"space"')))
+
+
+def _prior(space: SampleSpace, raw: Any) -> Distribution:
+    if raw == "uniform":
+        return Distribution.uniform(space)
+    if isinstance(raw, list):
+        return Distribution(space, _numbers(raw, "prior.bad_number", '"prior"', range(len(raw))))
+    raise ConstructionError("prior.bad", '"prior" must be "uniform" or an array of numbers')
+
+
+def _forecasts(space: SampleSpace, raw: Any) -> ForecastSystem:
+    if not isinstance(raw, list):
+        raise ConstructionError("forecasts.not_array", '"forecasts" must be an array')
+    events: list[Event] = []
+    values: list[float] = []
+    for i, entry in enumerate(raw):
+        where = f'"forecasts"[{i}]'
+        if not isinstance(entry, dict):
+            raise ConstructionError("forecast.bad_entry", f"{where} must be an object")
+        _object_keys(entry, {"event", "value"}, "forecast.bad_entry", where)
+        events.append(_event(space, _required(entry, "event", "forecast.bad_entry", where),
+                             "forecast.bad_entry", f"{where}.event"))
+        values.append(_number(_required(entry, "value", "forecast.bad_entry", where),
+                              "forecast.bad_entry", f"{where}.value"))
+    # all at once: a book's entries are many and small, and released one
+    # by one they leave memory pinned by the events built in between
+    raw.clear()
+    return ForecastSystem(space, tuple(events), tuple(values))
 
 
 def _scenario(data: Any) -> Scenario:
@@ -294,65 +347,132 @@ def _scenario(data: Any) -> Scenario:
             "file.not_object", "the top level of a scenario must be a JSON object"
         )
     _object_keys(data, TOP_LEVEL_KEYS, "file.unknown_key", "the scenario")
-    # JSON true parses to True, which equals 1 in Python
-    if "version" in data and (isinstance(data["version"], bool) or data["version"] != 1):
-        raise ConstructionError("file.bad_version", f"unsupported version {data['version']!r}")
-
-    raw_space = _required(data, "space", "space.missing", "the scenario")
-    space = SampleSpace(tuple(_labels(raw_space, "space.not_label_array", '"space"')))
-
-    raw_prior = _required(data, "prior", "prior.missing", "the scenario")
-    if raw_prior == "uniform":
-        prior = Distribution.uniform(space)
-    elif isinstance(raw_prior, list):
-        weights = _numbers(raw_prior, "prior.bad_number", '"prior"', range(len(raw_prior)))
-        prior = Distribution(space, weights)
-    else:
-        raise ConstructionError("prior.bad", '"prior" must be "uniform" or an array of numbers')
-    data["prior"] = raw_prior = None
-
+    if "version" in data:
+        _version(data["version"])
+    space = _space(_required(data, "space", "space.missing", "the scenario"))
+    prior = _prior(space, _required(data, "prior", "prior.missing", "the scenario"))
+    data["prior"] = None
     raw_constraints = _required(data, "constraints", "constraints.missing", "the scenario")
     constraints = _entries(space, raw_constraints, "constraints", "constraint", _CONSTRAINT_KINDS)
-
     queries: tuple[Query, ...] = ()
     if "queries" in data:
         queries = _entries(space, data["queries"], "queries", "query", _QUERY_KINDS)
-
-    forecasts: ForecastSystem | None = None
-    if "forecasts" in data:
-        raw = data["forecasts"]
-        if not isinstance(raw, list):
-            raise ConstructionError("forecasts.not_array", '"forecasts" must be an array')
-        events: list[Event] = []
-        values: list[float] = []
-        for i, entry in enumerate(raw):
-            where = f'"forecasts"[{i}]'
-            if not isinstance(entry, dict):
-                raise ConstructionError("forecast.bad_entry", f"{where} must be an object")
-            _object_keys(entry, {"event", "value"}, "forecast.bad_entry", where)
-            events.append(_event(space, _required(entry, "event", "forecast.bad_entry", where),
-                                 "forecast.bad_entry", f"{where}.event"))
-            values.append(_number(_required(entry, "value", "forecast.bad_entry", where),
-                                  "forecast.bad_entry", f"{where}.value"))
-        forecasts = ForecastSystem(space, tuple(events), tuple(values))
-        # all at once: a book's entries are many and small, and released one
-        # by one they leave memory pinned by the events built in between
-        raw.clear()
-
+    forecasts = _forecasts(space, data["forecasts"]) if "forecasts" in data else None
     return Scenario(space, prior, constraints, queries, forecasts)
+
+
+#: Texts of at least this many characters are built while they are
+#: decoded (``_walk``); shorter ones are decoded whole first.
+STREAM_MIN_CHARS = 1 << 20
+
+_WHITESPACE = re.compile(r"[ \t\n\r]*")  # the whitespace JSON allows between tokens
+_raw_decode = json.JSONDecoder().raw_decode
+# the sections that are built from their raw value at once, and what builds them
+_WHOLE_SECTIONS = {
+    "version": lambda space, raw: _version(raw),
+    "space": lambda space, raw: _space(raw),
+    "prior": _prior,
+    "forecasts": _forecasts,
+}
+_ENTRY_SECTIONS = {
+    "constraints": ("constraint", _CONSTRAINT_KINDS),
+    "queries": ("query", _QUERY_KINDS),
+}
+
+
+class _Unwalkable(Exception):
+    """A document ``_walk`` leaves to the whole-document path."""
+
+
+def _token(text: str, i: int, allowed: str) -> tuple[str, int]:
+    """The structural character at ``i`` or after the whitespace there, which must be
+    one of ``allowed``, and the position after it and the whitespace that follows."""
+    i = _WHITESPACE.match(text, i).end()
+    c = text[i:i + 1]
+    if not c or c not in allowed:
+        raise _Unwalkable
+    return c, _WHITESPACE.match(text, i + 1).end()
+
+
+def _walk_entries(text: str, i: int, space: SampleSpace, name: str) -> tuple[tuple, int]:
+    """The entries of the array at ``i``, each built as soon as it is decoded, and the
+    position after the array."""
+    section, kinds = _ENTRY_SECTIONS[name]
+    _, i = _token(text, i, "[")
+    values = []
+    if text.startswith("]", i):
+        return (), i + 1
+    while True:
+        obj, i = _raw_decode(text, i)
+        values.append(_parse_entry(space, obj, f'"{name}"[{len(values)}]', section, kinds))
+        del obj  # before the next entry is decoded
+        c, i = _token(text, i, ",]")
+        if c == "]":
+            return tuple(values), i
+
+
+def _walk_member(text: str, i: int, key: str, space: SampleSpace | None) -> tuple[Any, int]:
+    """The built value of the top-level member ``key`` whose value starts at ``i``, and
+    the position after that value; its raw value is gone once this returns."""
+    if key in _ENTRY_SECTIONS:
+        return _walk_entries(text, i, space, key)
+    raw, i = _raw_decode(text, i)
+    return _WHOLE_SECTIONS[key](space, raw), i
+
+
+def _walk(text: str) -> Scenario:
+    """Build a scenario while its text is decoded: the top-level object one member at
+    a time, ``"constraints"`` and ``"queries"`` one entry at a time.
+
+    Raises as soon as the document is not one that ``_scenario(_decode(text))``
+    builds from the same values: malformed or trailing text, a key that is
+    unknown or repeated, a section before ``"space"``, a required section
+    missing, or any error from a builder.
+    """
+    _, i = _token(text, 0, "{")
+    built: dict[str, Any] = {}
+    while True:
+        key, i = _raw_decode(text, i)
+        if (not isinstance(key, str) or key not in TOP_LEVEL_KEYS or key in built
+                or (key not in ("version", "space") and "space" not in built)):
+            raise _Unwalkable
+        _, i = _token(text, i, ":")
+        built[key], i = _walk_member(text, i, key, built.get("space"))
+        c, i = _token(text, i, ",}")
+        if c == "}":
+            break
+    if i != len(text) or not {"prior", "constraints"} <= built.keys():
+        raise _Unwalkable
+    return Scenario(built["space"], built["prior"], built["constraints"],
+                    built.get("queries", ()), built.get("forecasts"))
+
+
+def _scenario_from_text(text: str) -> Scenario:
+    """The scenario of a document's text; ``parse`` and ``parse_file`` both end here.
+
+    A text of at least ``STREAM_MIN_CHARS`` characters is first walked, so
+    that no more than one constraint or query is held decoded at a time. A
+    document the walk cannot finish, valid or not, goes through the
+    whole-document path, which reports every error.
+    """
+    if len(text) >= STREAM_MIN_CHARS:
+        try:
+            return _walk(text)
+        except (_Unwalkable, ValueError, RecursionError):  # ValueError: JSONDecodeError,
+            pass  # ConstructionError; the whole-document path says what is wrong
+    data = _decode(text)
+    del text  # parse_file's text is gone before the scenario is built
+    return _scenario(data)
 
 
 def parse(document: str) -> Scenario:
     """Parse and fully validate one scenario document."""
-    return _scenario(_decode(document))
+    return _scenario_from_text(document)
 
 
 def parse_file(path: str) -> Scenario:
-    """Parse and fully validate the scenario file at ``path``, which must be UTF-8.
-
-    The file's text is released before the scenario is built.
-    """
-    return _scenario(_decode_file(path))
+    """Parse and fully validate the scenario file at ``path``, which must be UTF-8."""
+    return _scenario_from_text(_read(path))
 
 
 def serialize(sc: Scenario) -> str:

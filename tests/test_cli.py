@@ -79,6 +79,9 @@ class TestUpdate:
          "certificate: conditioning event of P({a} | {a, b}) = -0.3 has zero posterior"),
         ({"type": "cond_prob", "event": ["a"], "given": ["a", "b", "c"], "value": 1.2}, 2,
          "certificate: row 0: target 0.0 lies outside"),
+        # the float 1 + 1e-10 lies 1.0000000827e-10 above 1, a hair beyond tol
+        ({"type": "event_prob", "event": ["a"], "value": 1.0 + 1e-10}, 2,
+         "certificate: row 0: target 1.0000000001 lies outside [0.0, 1.0]"),
     ])
     def test_probability_targets_are_judged_by_their_rows(
         self, capsys, tmp_path, constraint, expected_code, expected_line
@@ -218,6 +221,12 @@ class TestUpdate:
         code, _, err = run_main(capsys, "update", str(bad))
         assert code == 3
         assert "line 2" in err
+
+    def test_deep_nesting_exits_3(self, capsys, tmp_path):
+        bad = tmp_path / "deep.json"
+        bad.write_text('{"space": ' + "[" * 100_000, encoding="utf-8")
+        code, out, err = run_main(capsys, "update", str(bad))
+        assert (code, out, err) == (3, "", "parse error: the document nests too deeply to decode\n")
 
     def test_invalid_scenario_exits_3_with_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

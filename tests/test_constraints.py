@@ -14,7 +14,12 @@ from relent.constraints import (
     residual,
     triage_feasibility,
 )
-from relent.errors import ConstructionError, DegenerateConditional, SpaceMismatch
+from relent.errors import (
+    ConstructionError,
+    DegenerateConditional,
+    InfeasibleConstraint,
+    SpaceMismatch,
+)
 from relent.solver import maxent_update
 from relent.spaces import Distribution, Partition, RandomVariable, SampleSpace
 
@@ -205,6 +210,24 @@ class TestTriage:
         for value, kept in ((1.0 + 5e-11, [True, False, False]), (-5e-11, [False, True, True])):
             reasons, live, (A, _) = triage([EventProb(a, value)], prior)
             assert not reasons and list(live) == kept and A.shape == (0, 3)
+
+    def test_target_is_judged_by_its_true_distance(self, abc):
+        # 1 + 1e-10 rounds to a float 1.0000000827e-10 above 1, beyond tol, although
+        # hi + tol rounds to that same float; the difference b - hi is exact
+        prior = Distribution.uniform(abc)
+        a = abc.subset("a")
+        assert triage([EventProb(a, 1.0 + 1e-10)], prior)[0] == (
+            "row 0: target 1.0000000001 lies outside [0.0, 1.0], its range on the outcomes "
+            "still possible (witness y = +e_0)",)
+        with pytest.raises(InfeasibleConstraint, match=r"witness y = \+e_0"):
+            maxent_update(prior, [EventProb(a, 1.0 + 1e-10)])
+        # every target near an end either gets a certificate or a report within tol
+        for k in range(16):
+            for value in (1.0 + k * 1e-11, -k * 1e-11):
+                reasons = triage([EventProb(a, value)], prior)[0]
+                assert bool(reasons) == (abs(value - (value > 0.5)) > 1e-10), value
+                if not reasons:
+                    assert maxent_update(prior, [EventProb(a, value)]).final_residual <= 1e-10
 
     def test_cond_prob_out_of_range(self, abc):
         # the row P(a) - v P(a, b) is met only by P(a, b) = 0, so the pass pins

@@ -2,7 +2,9 @@
 
 import json
 import math
+import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from relent.constraints import CondProb, EventProb, Expectation, PartitionWeight
 from relent.cli import main
 from relent.errors import ConstructionError, ParseError, ValidationError
 from relent.information import entropy
+import relent.scenario as scenario_module
 from relent.scenario import (
     CondProbQuery,
     Scenario,
@@ -122,9 +125,10 @@ class TestParse:
         assert str(exc.value) == f"the file is not UTF-8: invalid start byte at byte offset {offset}"
         assert exc.value.line is None
 
-    def test_parse_file_releases_each_section_as_it_is_built(self, tmp_path):
-        # the text is gone before building starts, and each raw constraint,
-        # query and forecast once its value exists, so the peak is the decode's
+    def test_parse_file_releases_each_section_as_it_is_built(self, tmp_path, monkeypatch):
+        # decoded whole, the text is gone before building starts, and each raw
+        # constraint, query and forecast once its value exists, so the peak is
+        # the decode's; walked, at most one raw entry exists at a time
         n = 20_000
         labels = [f"outcome_{i:06d}" for i in range(n)]
         half, rest = labels[: n // 2], labels[n // 2:]
@@ -147,8 +151,10 @@ class TestParse:
                 tracemalloc.stop()
 
         decode = peak(lambda: json.loads(path.read_text(encoding="utf-8")))
-        build = peak(lambda: parse_file(str(path)))
-        assert build / decode <= 1.15
+        for threshold in (scenario_module.STREAM_MIN_CHARS, path.stat().st_size + 1):
+            monkeypatch.setattr(scenario_module, "STREAM_MIN_CHARS", threshold)
+            build = peak(lambda: parse_file(str(path)))
+            assert build / decode <= 1.15, threshold
 
     def test_malformed_json_reports_position(self):
         with pytest.raises(ParseError) as exc:
@@ -159,6 +165,151 @@ class TestParse:
     def test_malformed_json_not_a_validation_error(self):
         with pytest.raises(ParseError):
             parse("not json at all")
+
+    @pytest.mark.parametrize("document", ["[" * 100_000, '{"space": ' + "[" * 100_000],
+                             ids=["bare", "in_space"])
+    def test_deep_nesting_is_a_parse_error(self, document):
+        with pytest.raises(ParseError) as exc:
+            parse(document)
+        assert str(exc.value) == "the document nests too deeply to decode"
+        assert exc.value.line is None
+
+
+ROOT = Path(__file__).resolve().parent.parent
+#: Every scenario document the golden cases read.
+GOLDEN_DOCUMENTS = sorted(
+    str(p.relative_to(ROOT))
+    for p in [*ROOT.glob("scenarios/*.json"), *ROOT.glob("tests/golden/*.json")]
+    if p.name != "cases.json"
+)
+#: Entries that no section accepts, the last one nested past the decoder's depth.
+BAD_ENTRIES = ["17", '{"type": "magic"}', '{"type": "prob"}', '{"type": "entropy", "x": 1}',
+               '{"type": "event_prob", "event": [1, "zz"], "value": 0.5}',
+               '{"type": "event_prob", "event": ["zz"], "value": 0.5}', "[" * 5000]
+
+
+def _render(members: list[tuple[str, str]]) -> str:
+    return "{" + ", ".join(f"{json.dumps(key)}: {value}" for key, value in members) + "}"
+
+
+def mutants(text: str, rng: random.Random) -> list[str]:
+    """``text`` and seeded variants of it, valid or not, one or more per kind of change."""
+    members = [(key, json.dumps(value)) for key, value in json.loads(text).items()]
+    keys = [key for key, _ in members]
+
+    def put(member, at=None):
+        out = list(members)
+        out.insert(rng.randrange(len(out) + 1) if at is None else at, member)
+        return _render(out)
+
+    def replaced(key, value):
+        return _render([(k, value if k == key else v) for k, v in members])
+
+    out = [text, " \n" + text + "\n\t "]
+    for _ in range(3):
+        out.append(_render(rng.sample(members, len(members))))
+    duplicate = rng.choice(members)
+    # the last of two members counts: a space named again in another order
+    # at the end must not leave the sections before it built on the first
+    respaced = ("space", json.dumps(json.loads(dict(members)["space"])[::-1]))
+    out += [put(duplicate), put(duplicate, at=len(members)), put(respaced, at=len(members)),
+            put(("extra", "1")), _render([("version", "2"), *members, ("version", "1")])]
+    for version in ("2", "true", '"1"', "null", "1.0"):
+        out.append(replaced("version", version) if "version" in keys else put(("version", version)))
+    out += [text + tail for tail in (" x", "{}", ",", "]")]
+    out += [text[:rng.randrange(len(text))] for _ in range(6)]
+    for section in ("constraints", "queries"):
+        if section not in keys:
+            continue
+        entries = [json.dumps(e) for e in json.loads(dict(members)[section])]
+        for bad in BAD_ENTRIES:
+            k = rng.randrange(len(entries) + 1)
+            out.append(replaced(section, "[" + ", ".join([*entries[:k], bad, *entries[k + 1:]]) + "]"))
+    for value in ("{}", '"x"', "null", "5"):
+        out.append(replaced("constraints", value))
+    space = dict(members)["space"]
+    rest = [m for m in members if m[0] != "space"]
+    at = next(i for i, (k, _) in enumerate(rest) if k == "constraints") + 1
+    out.append(_render([*rest[:at], ("space", space), *rest[at:]]))
+    out.append(text.replace('"space"', '"sp\\u0061ce"', 1))
+    out.append("\ufeff" + text)
+    return out
+
+
+def parse_outcome(text: str):
+    """The scenario ``parse`` builds from ``text`` and its canonical JSON, or the
+    type, code, message and position of the error it raises."""
+    try:
+        sc = parse(text)
+    except (ConstructionError, ParseError) as e:
+        return type(e), getattr(e, "code", None), str(e), getattr(e, "line", None), getattr(
+            e, "column", None)
+    return sc, serialize(sc)
+
+
+class TestStreaming:
+    """The walk over a large document and the whole-document path build the same."""
+
+    @pytest.mark.parametrize("name", GOLDEN_DOCUMENTS)
+    def test_walk_and_whole_document_agree(self, name, monkeypatch):
+        text = (ROOT / name).read_text(encoding="utf-8")
+        cases = mutants(text, random.Random(f"{name}:7"))
+        walked = []
+        for doc in cases:
+            monkeypatch.setattr(scenario_module, "STREAM_MIN_CHARS", len(doc) + 1)
+            whole = parse_outcome(doc)
+            monkeypatch.setattr(scenario_module, "STREAM_MIN_CHARS", 0)
+            assert parse_outcome(doc) == whole, doc[:200]
+            try:
+                scenario_module._walk(doc)
+                walked.append(doc)
+            except Exception:
+                pass
+        # the walk itself builds the golden document, with or without outer
+        # whitespace, and never a document the whole-document path rejects
+        assert cases[0] in walked and cases[1] in walked
+        assert all(isinstance(parse_outcome(doc)[0], Scenario) for doc in walked)
+
+    def test_size_selects_the_path(self, monkeypatch):
+        walks = []
+        real_walk = scenario_module._walk
+
+        def walk(text):
+            walks.append(len(text))
+            return real_walk(text)
+
+        reference = parse(RICH_DOCUMENT)
+        monkeypatch.setattr(scenario_module, "_walk", walk)
+        for threshold, expected in ((len(RICH_DOCUMENT), [len(RICH_DOCUMENT)]),
+                                    (len(RICH_DOCUMENT) + 1, [])):
+            walks.clear()
+            monkeypatch.setattr(scenario_module, "STREAM_MIN_CHARS", threshold)
+            assert parse(RICH_DOCUMENT) == reference
+            assert walks == expected
+
+    def test_walk_holds_one_decoded_entry_at_a_time(self, tmp_path):
+        # 400 event constraints over 2000 outcomes, 1.98 MB of text: decoded whole
+        # it peaks at 14.6 MB, walked at 8.8 MB (ratio 0.61), the text read from
+        # the file and the 6.4 MB of built event indicators
+        labels = [f"w{i:05d}" for i in range(2000)]
+        doc = {"version": 1, "space": labels, "prior": "uniform", "constraints": [
+            {"type": "event_prob", "event": labels[k % 7::7] + labels[:k], "value": 0.5}
+            for k in range(400)]}
+        path = tmp_path / "many.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert path.stat().st_size >= scenario_module.STREAM_MIN_CHARS
+
+        def peak(load) -> int:
+            tracemalloc.start()
+            try:
+                load()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        decode = peak(lambda: json.loads(path.read_text(encoding="utf-8")))
+        build = peak(lambda: parse_file(str(path)))
+        assert build / decode <= 0.75
 
 
 # one document per failure mode, each with its own code
@@ -290,6 +441,27 @@ class TestRejection:
         with pytest.raises(ConstructionError) as exc:
             parse(json.dumps(doc))
         assert exc.value.code == code
+
+    @pytest.mark.parametrize("section,field,code", [
+        ("constraints", '{"type": "event_prob", "event": %s, "value": 0.5}',
+         "constraint.bad_event"),
+        ("constraints", '{"type": "cond_prob", "event": ["a"], "given": %s, "value": 0.5}',
+         "constraint.bad_event"),
+        ("constraints", '{"type": "partition", "cells": [%s], "weights": [1]}',
+         "constraint.bad_cells"),
+        ("queries", '{"type": "prob", "event": %s}', "query.bad_event"),
+        ("forecasts", '{"event": %s, "value": 0.5}', "forecast.bad_entry"),
+    ])
+    def test_non_string_label_is_a_bad_event_beside_an_unknown_one(self, section, field, code):
+        # the unknown label alone would be event.unknown_label; the label that
+        # is no string makes the whole field malformed
+        entries = {"constraints": "[]", section: "[" + field % '[1, "zz"]' + "]"}
+        doc = '{"space": ["a"], "prior": "uniform", %s}' % ", ".join(
+            f'"{key}": {value}' for key, value in entries.items())
+        with pytest.raises(ConstructionError) as exc:
+            parse(doc)
+        assert exc.value.code == code
+        assert str(exc.value).endswith("must be an array of outcome labels, got [1, 'zz']")
 
     def test_validation_error_is_another_name_for_construction_error(self):
         assert ValidationError is ConstructionError
