@@ -48,9 +48,9 @@ class CellInfo:
 
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
-        if self.cell_index < 0:
+        if type(self.cell_index) is not int or self.cell_index < 0:  # a bool is no index either
             raise ConstructionError(
-                "cellinfo.bad_index", f"cell_index must be nonnegative, got {self.cell_index}"
+                "cellinfo.bad_index", f"cell_index must be an int >= 0, got {self.cell_index!r}"
             )
         for c in self.constraints:
             if not isinstance(c, (EventProb, CondProb)):

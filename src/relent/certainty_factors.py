@@ -66,6 +66,7 @@ def divergence_curve(
     p_h_given_not_e * (1 - q): non-increasing in q and exactly zero at
     q = 1, so the shortcut is best for near-certain evidence.
     """
+    EvidenceScenario(p_h_given_e, p_h_given_not_e, 1.0)  # checks the conditionals on any grid
     points: list[tuple[float, float]] = []
     for q in q_grid:
         try:

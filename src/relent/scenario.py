@@ -25,23 +25,21 @@ system:
       "forecasts": [{"event": ["rain"], "value": 0.7}]
     }
 
-Each constraint and query kind is described once, by its row in
-``_CONSTRAINT_KINDS`` or ``_QUERY_KINDS``; parsing, the unknown-key
-check and ``serialize`` all read that row. A document of at least
-``STREAM_MIN_CHARS`` characters is built while it is decoded: the top
-level one member at a time, ``"constraints"`` and ``"queries"`` one
-entry at a time, so that a parse holds the text, the values built so far
-and one decoded member or entry, never the whole decoded document. A
-shorter document, and any document that walk cannot finish, valid or
-not, is decoded whole and then built, each decoded section released as
-soon as its value is built; only that path raises, so errors do not
-depend on the size. A file that is not UTF-8, malformed JSON and JSON
-that nests too deeply raise ParseError, malformed JSON with position;
-schema and invariant violations raise ConstructionError with a distinct
-code naming the offense, the domain constructors' own codes passing
-through unchanged. Reports are line-oriented text with every float
-printed to ten significant digits, so identical inputs yield
-byte-identical output.
+Each top-level section is described once, by its row in ``_SECTIONS``,
+and each constraint and query kind by its row in ``_CONSTRAINT_KINDS``
+or ``_QUERY_KINDS``; parsing, the unknown-key checks and ``serialize``
+read those rows. A document of at least ``STREAM_MIN_CHARS`` characters
+is built while it is decoded: the top level one member at a time,
+``"constraints"`` and ``"queries"`` one entry at a time, so that a parse
+never holds the whole decoded document. A shorter document, and any
+document that walk cannot finish, valid or not, is decoded whole and
+then built; only that path raises, so errors do not depend on the size.
+A file that is not UTF-8, malformed JSON and JSON that nests too deeply
+raise ParseError, malformed JSON with position; schema and invariant
+violations raise ConstructionError with a distinct code naming the
+offense, the domain constructors' own codes passing through unchanged.
+Reports are line-oriented text with every float printed to ten
+significant digits, so identical inputs yield byte-identical output.
 """
 
 from __future__ import annotations
@@ -50,6 +48,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Iterable, Sequence, Union
 
 import numpy as np
@@ -70,8 +69,6 @@ from .spaces import (
 )
 
 LN2 = math.log(2.0)
-
-TOP_LEVEL_KEYS = {"version", "space", "prior", "constraints", "queries", "forecasts"}
 
 
 def fmt10(x: float) -> str:
@@ -266,17 +263,6 @@ def _entry_to_json(obj: Any, kinds: dict) -> dict:
     raise TypeError(f"not a constraint or query: {obj!r}")
 
 
-def _decode(text: str) -> Any:
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(e.msg, line=e.lineno, column=e.colno) from e
-    except ValueError as e:  # an integer literal past the interpreter's digit limit
-        raise ParseError(str(e)) from e
-    except RecursionError:
-        raise ParseError("the document nests too deeply to decode") from None
-
-
 def _read(path: str) -> str:
     """The text of the UTF-8 file at ``path``."""
     try:
@@ -287,24 +273,17 @@ def _read(path: str) -> str:
 
 
 def _entries(space: SampleSpace, raw: Any, name: str, section: str, kinds: dict) -> tuple:
-    """Each constraint or query of the array ``raw``, each dropped from it once it is built."""
+    """Each constraint or query of the array ``raw``."""
     if not isinstance(raw, list):
         raise ConstructionError(f"{name}.not_array", f'"{name}" must be an array')
-    values = []
-    for i, obj in enumerate(raw):
-        values.append(_parse_entry(space, obj, f'"{name}"[{i}]', section, kinds))
-        raw[i] = None
-    return tuple(values)
+    return tuple(_parse_entry(space, obj, f'"{name}"[{i}]', section, kinds)
+                 for i, obj in enumerate(raw))
 
 
 def _version(raw: Any) -> None:
     # JSON true parses to True, which equals 1 in Python
     if isinstance(raw, bool) or raw != 1:
         raise ConstructionError("file.bad_version", f"unsupported version {raw!r}")
-
-
-def _space(raw: Any) -> SampleSpace:
-    return SampleSpace(tuple(_labels(raw, "space.not_label_array", '"space"')))
 
 
 def _prior(space: SampleSpace, raw: Any) -> Distribution:
@@ -329,36 +308,43 @@ def _forecasts(space: SampleSpace, raw: Any) -> ForecastSystem:
                              "forecast.bad_entry", f"{where}.event"))
         values.append(_number(_required(entry, "value", "forecast.bad_entry", where),
                               "forecast.bad_entry", f"{where}.value"))
-    # all at once: a book's entries are many and small, and released one
-    # by one they leave memory pinned by the events built in between
-    raw.clear()
     return ForecastSystem(space, tuple(events), tuple(values))
 
 
-def _scenario(data: Any) -> Scenario:
-    """Build and validate a scenario from its decoded document.
+# Each top-level key, in the order its errors are reported: whether a document
+# must have it, and the builder of its value from the space (None before
+# "space") and its decoded value. The walk builds "constraints" and "queries",
+# partials of _entries, one entry at a time from the partials' keywords.
+_SECTIONS = {
+    "version": (False, lambda _, raw: _version(raw)),
+    "space": (True, lambda _, raw: SampleSpace(_labels(raw, "space.not_label_array", '"space"'))),
+    "prior": (True, _prior),
+    "constraints": (True, partial(_entries, name="constraints", section="constraint",
+                                  kinds=_CONSTRAINT_KINDS)),
+    "queries": (False, partial(_entries, name="queries", section="query", kinds=_QUERY_KINDS)),
+    "forecasts": (False, _forecasts),
+}
 
-    The raw prior, each raw constraint and query, and the raw forecasts are
-    released from ``data`` as soon as their value is built, so the decoded
-    document and the built scenario never coexist in full.
-    """
+
+def _assemble(built: dict[str, Any]) -> Scenario:
+    """The scenario of the sections built from a document, keyed as in it."""
+    built.pop("version", None)  # checked, not kept
+    return Scenario(**built)
+
+
+def _scenario(data: Any) -> Scenario:
+    """Build and validate a scenario from its decoded document."""
     if not isinstance(data, dict):
         raise ConstructionError(
             "file.not_object", "the top level of a scenario must be a JSON object"
         )
-    _object_keys(data, TOP_LEVEL_KEYS, "file.unknown_key", "the scenario")
-    if "version" in data:
-        _version(data["version"])
-    space = _space(_required(data, "space", "space.missing", "the scenario"))
-    prior = _prior(space, _required(data, "prior", "prior.missing", "the scenario"))
-    data["prior"] = None
-    raw_constraints = _required(data, "constraints", "constraints.missing", "the scenario")
-    constraints = _entries(space, raw_constraints, "constraints", "constraint", _CONSTRAINT_KINDS)
-    queries: tuple[Query, ...] = ()
-    if "queries" in data:
-        queries = _entries(space, data["queries"], "queries", "query", _QUERY_KINDS)
-    forecasts = _forecasts(space, data["forecasts"]) if "forecasts" in data else None
-    return Scenario(space, prior, constraints, queries, forecasts)
+    _object_keys(data, _SECTIONS.keys(), "file.unknown_key", "the scenario")
+    built: dict[str, Any] = {}
+    for key, (required, build) in _SECTIONS.items():
+        if required or key in data:
+            raw = _required(data, key, f"{key}.missing", "the scenario")
+            built[key] = build(built.get("space"), raw)
+    return _assemble(built)
 
 
 #: Texts of at least this many characters are built while they are
@@ -367,17 +353,6 @@ STREAM_MIN_CHARS = 1 << 20
 
 _WHITESPACE = re.compile(r"[ \t\n\r]*")  # the whitespace JSON allows between tokens
 _raw_decode = json.JSONDecoder().raw_decode
-# the sections that are built from their raw value at once, and what builds them
-_WHOLE_SECTIONS = {
-    "version": lambda space, raw: _version(raw),
-    "space": lambda space, raw: _space(raw),
-    "prior": _prior,
-    "forecasts": _forecasts,
-}
-_ENTRY_SECTIONS = {
-    "constraints": ("constraint", _CONSTRAINT_KINDS),
-    "queries": ("query", _QUERY_KINDS),
-}
 
 
 class _Unwalkable(Exception):
@@ -394,10 +369,10 @@ def _token(text: str, i: int, allowed: str) -> tuple[str, int]:
     return c, _WHITESPACE.match(text, i + 1).end()
 
 
-def _walk_entries(text: str, i: int, space: SampleSpace, name: str) -> tuple[tuple, int]:
+def _walk_entries(text: str, i: int, space: SampleSpace, name: str, section: str,
+                  kinds: dict) -> tuple[tuple, int]:
     """The entries of the array at ``i``, each built as soon as it is decoded, and the
     position after the array."""
-    section, kinds = _ENTRY_SECTIONS[name]
     _, i = _token(text, i, "[")
     values = []
     if text.startswith("]", i):
@@ -411,20 +386,11 @@ def _walk_entries(text: str, i: int, space: SampleSpace, name: str) -> tuple[tup
             return tuple(values), i
 
 
-def _walk_member(text: str, i: int, key: str, space: SampleSpace | None) -> tuple[Any, int]:
-    """The built value of the top-level member ``key`` whose value starts at ``i``, and
-    the position after that value; its raw value is gone once this returns."""
-    if key in _ENTRY_SECTIONS:
-        return _walk_entries(text, i, space, key)
-    raw, i = _raw_decode(text, i)
-    return _WHOLE_SECTIONS[key](space, raw), i
-
-
 def _walk(text: str) -> Scenario:
     """Build a scenario while its text is decoded: the top-level object one member at
     a time, ``"constraints"`` and ``"queries"`` one entry at a time.
 
-    Raises as soon as the document is not one that ``_scenario(_decode(text))``
+    Raises as soon as the document is not one that the whole-document path
     builds from the same values: malformed or trailing text, a key that is
     unknown or repeated, a section before ``"space"``, a required section
     missing, or any error from a builder.
@@ -433,46 +399,59 @@ def _walk(text: str) -> Scenario:
     built: dict[str, Any] = {}
     while True:
         key, i = _raw_decode(text, i)
-        if (not isinstance(key, str) or key not in TOP_LEVEL_KEYS or key in built
+        if (not isinstance(key, str) or key not in _SECTIONS or key in built
                 or (key not in ("version", "space") and "space" not in built)):
             raise _Unwalkable
         _, i = _token(text, i, ":")
-        built[key], i = _walk_member(text, i, key, built.get("space"))
+        build = _SECTIONS[key][1]
+        if isinstance(build, partial):  # "constraints" or "queries"
+            built[key], i = _walk_entries(text, i, built.get("space"), **build.keywords)
+        else:
+            raw, i = _raw_decode(text, i)
+            built[key] = build(built.get("space"), raw)
+            del raw  # before the next member is decoded
         c, i = _token(text, i, ",}")
         if c == "}":
             break
-    if i != len(text) or not {"prior", "constraints"} <= built.keys():
+    if i != len(text) or any(required and key not in built
+                             for key, (required, _) in _SECTIONS.items()):
         raise _Unwalkable
-    return Scenario(built["space"], built["prior"], built["constraints"],
-                    built.get("queries", ()), built.get("forecasts"))
+    return _assemble(built)
 
 
-def _scenario_from_text(text: str) -> Scenario:
-    """The scenario of a document's text; ``parse`` and ``parse_file`` both end here.
+def parse(document: str | bytes | bytearray) -> Scenario:
+    """Parse and fully validate one scenario document.
 
-    A text of at least ``STREAM_MIN_CHARS`` characters is first walked, so
-    that no more than one constraint or query is held decoded at a time. A
-    document the walk cannot finish, valid or not, goes through the
-    whole-document path, which reports every error.
+    Bytes are decoded as ``json.loads`` decodes them. A text of at least
+    ``STREAM_MIN_CHARS`` characters is first walked, so that no more than
+    one constraint or query is held decoded at a time. A document the walk
+    cannot finish, valid or not, is decoded whole and then built, which
+    reports every error.
     """
-    if len(text) >= STREAM_MIN_CHARS:
+    if isinstance(document, (bytes, bytearray)):
         try:
-            return _walk(text)
+            document = document.decode(json.detect_encoding(document), "surrogatepass")
+        except UnicodeDecodeError as e:
+            raise ParseError(str(e)) from e
+    if len(document) >= STREAM_MIN_CHARS:
+        try:
+            return _walk(document)
         except (_Unwalkable, ValueError, RecursionError):  # ValueError: JSONDecodeError,
             pass  # ConstructionError; the whole-document path says what is wrong
-    data = _decode(text)
-    del text  # parse_file's text is gone before the scenario is built
+    try:
+        data = json.loads(document)
+    except json.JSONDecodeError as e:
+        raise ParseError(e.msg, line=e.lineno, column=e.colno) from e
+    except ValueError as e:  # an integer literal past the interpreter's digit limit
+        raise ParseError(str(e)) from e
+    except RecursionError:
+        raise ParseError("the document nests too deeply to decode") from None
     return _scenario(data)
-
-
-def parse(document: str) -> Scenario:
-    """Parse and fully validate one scenario document."""
-    return _scenario_from_text(document)
 
 
 def parse_file(path: str) -> Scenario:
     """Parse and fully validate the scenario file at ``path``, which must be UTF-8."""
-    return _scenario_from_text(_read(path))
+    return parse(_read(path))
 
 
 def serialize(sc: Scenario) -> str:

@@ -36,6 +36,13 @@ class TestCellInfo:
             CellInfo(-1, ())
         assert ei.value.code == "cellinfo.bad_index"
 
+    @pytest.mark.parametrize("index", [1.5, "1", True], ids=["float", "string", "bool"])
+    def test_rejects_an_index_that_is_not_an_int(self, index):
+        with pytest.raises(ConstructionError) as ei:
+            CellInfo(index, ())
+        assert ei.value.code == "cellinfo.bad_index"
+        assert str(ei.value) == f"cell_index must be an int >= 0, got {index!r}"
+
     def test_rejects_expectation(self):
         f = RandomVariable(DIE, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
         with pytest.raises(ConstructionError) as ei:

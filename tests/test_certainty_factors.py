@@ -77,6 +77,16 @@ class TestDivergenceCurve:
         with pytest.raises(DomainError):
             divergence_curve(0.5, 0.5, (0.5, 1.5))
 
+    @pytest.mark.parametrize("grid", [(), (0.5,)], ids=["empty", "one_value"])
+    def test_conditionals_validated_on_any_grid(self, grid):
+        for conditionals in ((5.0, 0.3), (0.9, -0.1)):
+            with pytest.raises(ConstructionError) as ei:
+                divergence_curve(*conditionals, grid)
+            with pytest.raises(ConstructionError) as direct:
+                EvidenceScenario(*conditionals, 0.5)
+            assert ei.value.code == "scenario.bad_probability"
+            assert str(ei.value) == str(direct.value)
+
     @pytest.mark.parametrize("bad", ["x", None, [0.5]], ids=["string", "none", "list"])
     def test_non_numeric_grid_values_are_domain_errors(self, bad):
         with pytest.raises(DomainError) as ei:

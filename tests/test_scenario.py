@@ -125,10 +125,28 @@ class TestParse:
         assert str(exc.value) == f"the file is not UTF-8: invalid start byte at byte offset {offset}"
         assert exc.value.line is None
 
-    def test_parse_file_releases_each_section_as_it_is_built(self, tmp_path, monkeypatch):
-        # decoded whole, the text is gone before building starts, and each raw
-        # constraint, query and forecast once its value exists, so the peak is
-        # the decode's; walked, at most one raw entry exists at a time
+    @pytest.mark.parametrize("padding", [0, scenario_module.STREAM_MIN_CHARS],
+                             ids=["whole", "walked"])
+    def test_bytes_are_decoded_as_json_loads_decodes_them(self, padding):
+        document = (RICH_DOCUMENT + " " * padding).encode()
+        assert parse(document) == parse(bytearray(document)) == parse(RICH_DOCUMENT)
+        assert parse("\ufeff".encode() + document) == parse(RICH_DOCUMENT)  # the UTF-8 BOM
+        assert parse((RICH_DOCUMENT + " " * padding).encode("utf-16")) == parse(RICH_DOCUMENT)
+
+    @pytest.mark.parametrize("padding", [0, scenario_module.STREAM_MIN_CHARS],
+                             ids=["whole", "walked"])
+    def test_bytes_that_are_not_utf8_are_a_parse_error(self, padding):
+        text = (RICH_DOCUMENT + " " * padding).encode()
+        offset = text.index(b'"d"')
+        with pytest.raises(ParseError) as exc:
+            parse(text[:offset] + b"\xff" + text[offset:])
+        assert str(exc.value) == (f"'utf-8' codec can't decode byte 0xff in position {offset}: "
+                                  "invalid start byte")
+        assert exc.value.line is None
+
+    def test_parse_file_releases_each_section_as_it_is_built(self, tmp_path):
+        # walked, each raw member and each raw constraint or query is gone once
+        # its value exists, so the peak stays near the decode's
         n = 20_000
         labels = [f"outcome_{i:06d}" for i in range(n)]
         half, rest = labels[: n // 2], labels[n // 2:]
@@ -150,11 +168,10 @@ class TestParse:
             finally:
                 tracemalloc.stop()
 
+        assert path.stat().st_size >= scenario_module.STREAM_MIN_CHARS
         decode = peak(lambda: json.loads(path.read_text(encoding="utf-8")))
-        for threshold in (scenario_module.STREAM_MIN_CHARS, path.stat().st_size + 1):
-            monkeypatch.setattr(scenario_module, "STREAM_MIN_CHARS", threshold)
-            build = peak(lambda: parse_file(str(path)))
-            assert build / decode <= 1.15, threshold
+        build = peak(lambda: parse_file(str(path)))
+        assert build / decode <= 1.15
 
     def test_malformed_json_reports_position(self):
         with pytest.raises(ParseError) as exc:
