@@ -263,11 +263,19 @@ def _entry_to_json(obj: Any, kinds: dict) -> dict:
     raise TypeError(f"not a constraint or query: {obj!r}")
 
 
+def _decode(data: bytes | bytearray) -> str:
+    """The text of JSON ``data``, decoded as ``json.loads`` decodes bytes (a UTF-8
+    byte-order mark is dropped)."""
+    return data.decode(json.detect_encoding(data), "surrogatepass")
+
+
 def _read(path: str) -> str:
-    """The text of the UTF-8 file at ``path``."""
+    """The text of the file at ``path``, decoded as :func:`parse` decodes bytes; the
+    bytes are gone once it returns."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        return _decode(data)
     except UnicodeDecodeError as e:  # the whole file is decoded at once, so offsets are the file's
         raise ParseError(f"the file is not UTF-8: {e.reason} at byte offset {e.start}") from e
 
@@ -430,7 +438,7 @@ def parse(document: str | bytes | bytearray) -> Scenario:
     """
     if isinstance(document, (bytes, bytearray)):
         try:
-            document = document.decode(json.detect_encoding(document), "surrogatepass")
+            document = _decode(document)
         except UnicodeDecodeError as e:
             raise ParseError(str(e)) from e
     if len(document) >= STREAM_MIN_CHARS:
@@ -450,7 +458,8 @@ def parse(document: str | bytes | bytearray) -> Scenario:
 
 
 def parse_file(path: str) -> Scenario:
-    """Parse and fully validate the scenario file at ``path``, which must be UTF-8."""
+    """Parse and fully validate the scenario file at ``path``, which must be UTF-8
+    (a byte-order mark is allowed)."""
     return parse(_read(path))
 
 

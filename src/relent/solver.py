@@ -21,15 +21,18 @@ direction is taken only if the dual rises by at least ARMIJO times t
 times the slope ``grad . step``, so a step that promises much and gains
 little, such as one that collapses the posterior onto a single outcome,
 is halved instead; a full step near the optimum gains about half the
-slope and is always taken. Each step costs one symmetric product: the
-Hessian is B B^T - (A p)(A p)^T with B = A diag(sqrt p), written into
-one workspace allocated per solve, and once the full step is rejected
-the line search computes A^T step and moves A^T lam along it, so each
-further trial costs O(n) instead of a product with A. On an infeasible
-set the dual is unbounded, and each iterate is tested as a proof of
-that: every distribution p on the support has
-lam . (A p) <= max_i (A^T lam)_i, so an iterate with ``lam . targets``
-above that bound rules out any posterior.
+slope and is always taken. Each step forms the Hessian
+A diag(p) A^T - (A p)(A p)^T from column blocks of HESS_BLOCK outcomes:
+one workspace of m x min(n, HESS_BLOCK) floats, allocated per solve, is
+refilled with each block of B = A diag(sqrt p) and adds one symmetric
+product, so the solve holds A plus O(m HESS_BLOCK + n) floats and a
+space of at most HESS_BLOCK outcomes takes the single product B B^T.
+Once the full step is rejected the line search computes A^T step and
+moves A^T lam along it, so each further trial costs O(n) instead of a
+product with A. On an infeasible set the dual is unbounded, and each
+iterate is tested as a proof of that: every distribution p on the
+support has lam . (A p) <= max_i (A^T lam)_i, so an iterate with
+``lam . targets`` above that bound rules out any posterior.
 """
 
 from __future__ import annotations
@@ -46,11 +49,15 @@ from .constraints import CondProb, Constraint, EventProb, PartitionWeights
 from .errors import ConstructionError, DegenerateConditional, InfeasibleConstraint, NonConvergence
 from .spaces import ZERO_MASS, Distribution, Event, Partition, _finite_scalar
 
-#: Diagonal regularization added to the dual Hessian B B^T - (A p)(A p)^T,
-#: with B = A diag(sqrt p), so redundant constraint rows (for example the
-#: cells of a partition, whose targets already sum to one) cannot make the
-#: Newton solve singular.
+#: Diagonal regularization added to the dual Hessian A diag(p) A^T - (A p)(A p)^T,
+#: so redundant constraint rows (for example the cells of a partition, whose
+#: targets already sum to one) cannot make the Newton solve singular.
 HESS_EPS = 1e-12
+
+#: Columns per block of the Hessian's product: each solve's workspace holds
+#: this many columns of B = A diag(sqrt p) at most, so its size does not grow
+#: with the space, and a block stays in cache while BLAS reads it.
+HESS_BLOCK = 1 << 14
 
 #: Relative margin by which ``lam . b`` must exceed ``max_i (A^T lam)_i`` for
 #: a dual iterate to prove infeasibility; far above the rounding of both sides.
@@ -92,6 +99,12 @@ class SolverOptions:
                 "options.bad_max_iter",
                 f"max_iter must be an int of at least 1, got {self.max_iter!r}",
             )
+        if not isinstance(self.use_fast_paths, (bool, np.bool_)):  # "no" would be truthy
+            raise ConstructionError(
+                "options.bad_use_fast_paths",
+                f"use_fast_paths must be a bool, got {self.use_fast_paths!r}",
+            )
+        object.__setattr__(self, "use_fast_paths", bool(self.use_fast_paths))
 
 
 @dataclass(frozen=True)
@@ -156,6 +169,23 @@ def _check_conditionals(posterior: Distribution, constraints: Sequence[Constrain
             )
 
 
+def _weighted_gram(A: np.ndarray, p: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """A diag(p) A^T as the sum, over column blocks of ``work``'s width, of B B^T
+    with B = A diag(sqrt p) on the block, each written into ``work``."""
+    n, width = A.shape[1], work.shape[1]
+    gram = None
+    for s in range(0, n, width):
+        e = min(s + width, n)
+        block = work[:, : e - s]
+        np.multiply(A[:, s:e], np.sqrt(p[s:e]), out=block)
+        product = block @ block.T  # symmetric, so BLAS forms one triangle (syrk)
+        if gram is None:
+            gram = product
+        else:
+            gram += product
+    return gram
+
+
 def _dual_newton(
     q: np.ndarray, A: np.ndarray, b: np.ndarray, options: SolverOptions
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -169,18 +199,21 @@ def _dual_newton(
     """
     logq = np.log(q)
     lam = np.zeros(A.shape[0])
-    row_max = np.abs(A).max(axis=1)
+    row_max = np.maximum(A.max(axis=1), -A.min(axis=1))  # max |A_ij| without |A|
 
     def evaluate(at: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """The given A^T lam, the posterior it induces, and log Z(lam)."""
-        logits = logq + at
-        shift = float(logits.max())
-        z = np.exp(logits - shift)
+        z = logq + at  # the one n-vector each evaluation allocates
+        shift = float(z.max())
+        z -= shift
+        np.exp(z, out=z)
         total = float(z.sum())
-        return at, z / total, shift + math.log(total)
+        z /= total
+        return at, z, shift + math.log(total)
 
     at, p, logz = evaluate(A.T @ lam)
-    B = np.empty_like(A)  # the Hessian's workspace, refilled in place each step
+    # the Hessian's workspace, refilled in place with each block of each step
+    work = np.empty((A.shape[0], min(A.shape[1], HESS_BLOCK)))
     iterations, stall = 0, ""
     while True:
         Ap = A @ p
@@ -201,8 +234,7 @@ def _dual_newton(
                 )
         if iterations >= options.max_iter:
             break
-        np.multiply(A, np.sqrt(p), out=B)
-        hess = B @ B.T  # symmetric, so BLAS forms one triangle (syrk)
+        hess = _weighted_gram(A, p, work)
         hess -= np.outer(Ap, Ap)
         hess.flat[:: len(hess) + 1] += HESS_EPS
         try:

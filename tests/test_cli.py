@@ -262,6 +262,20 @@ class TestUpdate:
         assert run_main(capsys, "update", str(bad)) == (
             3, "", "parse error: the file is not UTF-8: invalid start byte at byte offset 17\n")
 
+    def test_file_with_a_utf8_bom_reads_as_the_file_without_it(self, capsys, tmp_path):
+        path = tmp_path / "die.json"
+        path.write_bytes(b"\xef\xbb\xbf" + Path(DIE).read_bytes())
+        golden = SCENARIOS.parent / "tests" / "golden" / "update_die.out"
+        assert run_main(capsys, "update", str(path)) == (0, golden.read_text(encoding="utf-8"), "")
+
+    def test_file_with_an_encoded_surrogate_exits_3(self, capsys, tmp_path):
+        # files are decoded as parse decodes bytes ("surrogatepass"), so the label
+        # is read and then rejected
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"space": ["a\xed\xa0\x80", "b"], "prior": "uniform", "constraints": []}')
+        assert run_main(capsys, "update", str(bad)) == (
+            3, "", "invalid input [space.bad_label]: outcome label 'a\\ud800' is not writable text\n")
+
     def test_label_that_cannot_be_written_exits_3(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"space": ["a\\ud800", "b"], "prior": "uniform", "constraints": [], '

@@ -125,6 +125,14 @@ class TestParse:
         assert str(exc.value) == f"the file is not UTF-8: invalid start byte at byte offset {offset}"
         assert exc.value.line is None
 
+    def test_file_with_a_utf8_bom_is_read_as_parse_reads_its_bytes(self, tmp_path):
+        path = tmp_path / "die.json"
+        path.write_bytes("\ufeff".encode() + (ROOT / "scenarios" / "die.json").read_bytes())
+        sc = parse_file(str(path))
+        report = maxent_update(sc.prior, sc.constraints)
+        text = emit_report(report) + "\n".join(run_queries(report.posterior, sc.queries)) + "\n"
+        assert text.encode() == (ROOT / "tests" / "golden" / "update_die.out").read_bytes()
+
     @pytest.mark.parametrize("padding", [0, scenario_module.STREAM_MIN_CHARS],
                              ids=["whole", "walked"])
     def test_bytes_are_decoded_as_json_loads_decodes_them(self, padding):

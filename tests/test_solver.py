@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +23,12 @@ from relent.errors import (
 from relent.information import relative_entropy
 from relent.scenario import emit_report, parse_file
 from relent.solver import (
+    HESS_BLOCK,
     HESS_EPS,
     SolverOptions,
     UpdateReport,
+    _dual_newton,
+    _weighted_gram,
     jeffrey_update,
     maxent_update,
 )
@@ -424,6 +428,77 @@ class TestNewtonSteps:
                         rtol=0.0, atol=1e-9)
 
 
+class TestBlockedHessian:
+    @staticmethod
+    def _gram(n, m=12, seed=5):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(m, n))
+        p = rng.dirichlet(np.ones(n))
+        B = A * np.sqrt(p)
+        return _weighted_gram(A, p, np.empty((m, min(n, HESS_BLOCK)))), B @ B.T
+
+    def test_one_block_is_the_single_product(self):
+        gram, single = self._gram(HESS_BLOCK)
+        assert gram.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("n", [HESS_BLOCK + 1, 3 * HESS_BLOCK + 7])
+    def test_blocks_sum_to_the_single_product(self, n):
+        gram, single = self._gram(n)
+        assert np.abs(gram - single).max() <= 1e-13 * np.abs(single).max()
+
+    def test_dual_holds_less_than_its_matrix(self):
+        # 8 event and 8 expectation rows on 100 000 outcomes, targets read off a
+        # tilt p* of q along them; A is 12.2 MiB, and a workspace the size of A,
+        # or a copy such as |A|, would alone reach it
+        rng = np.random.default_rng(3)
+        n = 100_000
+        q = rng.uniform(0.2, 1.8, n)
+        q /= q.sum()
+        A = np.vstack([rng.random((8, n)) < 0.4, rng.normal(size=(8, n))]).astype(float)
+        logits = np.log(q) + rng.normal(scale=0.3, size=16) @ A
+        p_star = np.exp(logits - logits.max())
+        p_star /= p_star.sum()
+        tracemalloc.start()
+        try:
+            p, _, _ = _dual_newton(q, A, A @ p_star, SolverOptions())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < A.nbytes
+        assert np.abs(p - p_star).sum() <= 1e-9
+
+    @pytest.mark.parametrize("options", [SolverOptions(), NO_FAST], ids=["fast", "no_fast"])
+    def test_tilted_problem_over_three_blocks(self, options):
+        # expectation, event and cond_prob rows on 40 000 outcomes; the tilt is
+        # along x, E, g and t∧g, which span the compiled rows (the conditional's
+        # row is t∧g - v g), so p* is the I-projection
+        n = 40_000
+        assert 2 * HESS_BLOCK < n <= 3 * HESS_BLOCK
+        rng = np.random.default_rng(8)
+        space = space_of(n)
+        q = rng.uniform(0.2, 1.8, n)
+        q /= q.sum()
+        x = np.round(rng.normal(size=n), 6)
+        event, given = rng.random(n) < 0.4, rng.random(n) < 0.5
+        both = given & (rng.random(n) < 0.5)
+        logits = np.log(q) + np.array([0.3, -0.8, 0.5, 0.9]) @ np.array([x, event, given, both])
+        p_star = np.exp(logits - logits.max())
+        p_star /= p_star.sum()
+
+        def subset(mask):
+            return space.subset(*(space.outcomes[i] for i in np.flatnonzero(mask)))
+
+        constraints = [
+            Expectation(RandomVariable(space, tuple(x)), float(x @ p_star)),
+            EventProb(subset(event), float(p_star[event].sum())),
+            EventProb(subset(given), float(p_star[given].sum())),
+            CondProb(subset(both), subset(given), float(p_star[both].sum() / p_star[given].sum())),
+        ]
+        rep = maxent_update(Distribution.from_array(space, q), constraints, options)
+        assert rep.method == "dual_newton" and rep.final_residual <= options.tol
+        assert np.abs(rep.posterior.array - p_star).sum() <= 1e-9
+
+
 class TestMaxentFailureModes:
     def test_triage_infeasibility_raised_before_solving(self):
         s = space_of(3)
@@ -554,6 +629,17 @@ class TestMaxentFailureModes:
         with pytest.raises(ConstructionError) as ei:
             SolverOptions(max_iter=bad)
         assert ei.value.code == "options.bad_max_iter"
+
+    @pytest.mark.parametrize("bad", ["no", None, 0, 1])
+    def test_use_fast_paths_must_be_a_bool(self, bad):
+        # "no" is truthy, so taken as given it would turn Jeffrey's closed form on
+        with pytest.raises(ConstructionError) as ei:
+            SolverOptions(use_fast_paths=bad)
+        assert ei.value.code == "options.bad_use_fast_paths"
+
+    @pytest.mark.parametrize("flag", [True, False, np.True_])
+    def test_use_fast_paths_accepts_a_bool(self, flag):
+        assert SolverOptions(use_fast_paths=flag).use_fast_paths is bool(flag)
 
 
 def _random_event(rng, space):
