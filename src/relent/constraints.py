@@ -2,11 +2,11 @@
 
 Every constraint kind compiles to one or more rows
 ``sum_i coeffs[i] * posterior[i] = target``, and the rows of an update
-form one linear system ``A p = b``: ``A`` is a read-only matrix with a
-column per outcome of the space, in its order, and ``b`` the targets.
-The solver compiles each constraint exactly once per update, and
-feasibility screening, the no-op check, Jeffrey's rule, the dual and the
-final residual all read that one system.
+form one :class:`System`: ``A p = b``, with a column of ``A`` per
+outcome of the space, plus the constraint each row came from. The
+solver compiles each constraint exactly once per update, and every step
+of the update, from feasibility screening to the final residual, reads
+that one system, never the constraint kinds.
 
 Construction validates structure (finiteness, space agreement,
 weight-vector invariants); whether a *target* is achievable from a
@@ -142,24 +142,37 @@ def compile_constraint(c: Constraint, space: SampleSpace) -> tuple[tuple[np.ndar
     raise TypeError(f"not a constraint: {c!r}")
 
 
-def compile_all(
-    constraints: Sequence[Constraint], space: SampleSpace
-) -> tuple[np.ndarray, np.ndarray]:
-    """The system ``(A, b)`` of ``constraints``, rows in compilation order; ``A`` is C-ordered."""
-    rows = [row for c in constraints for row in compile_constraint(c, space)]
+@dataclass(frozen=True, eq=False)
+class System:
+    """Compiled rows ``A p = b``, ``A`` read-only and C-ordered: row j came from constraint
+    ``source[j]`` and has conditioning event ``given[j]``, None unless it is conditional."""
+
+    A: np.ndarray
+    b: np.ndarray
+    source: tuple[int, ...]
+    given: tuple[Event | None, ...]
+
+
+def compile_all(constraints: Sequence[Constraint], space: SampleSpace) -> System:
+    """The :class:`System` of ``constraints``, each compiled once, rows in their order."""
+    rows, source, given = [], [], []
+    for k, c in enumerate(constraints):
+        c_rows = compile_constraint(c, space)
+        rows += c_rows
+        source += [k] * len(c_rows)
+        given += [c.given if isinstance(c, CondProb) else None] * len(c_rows)
     A = np.array([coeffs for coeffs, _ in rows]).reshape(len(rows), len(space))
     A.flags.writeable = False
-    return A, np.array([target for _, target in rows], dtype=float)
+    return System(A, np.array([t for _, t in rows], dtype=float), tuple(source), tuple(given))
 
 
-def residual(dist: Distribution, system: tuple[np.ndarray, np.ndarray]) -> float:
+def residual(dist: Distribution, system: System) -> float:
     """Largest absolute violation of ``A p = b`` under ``dist``, each row's ``a @ p`` exactly."""
-    A, b = system
-    return float(np.abs(_row_dots(A, dist.array) - b).max(initial=0.0))
+    return float(np.abs(_row_dots(system.A, dist.array) - system.b).max(initial=0.0))
 
 
 def triage_feasibility(
-    system: tuple[np.ndarray, np.ndarray], prior: Distribution, tol: float
+    system: System, prior: Distribution, tol: float
 ) -> tuple[tuple[str, ...], np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """One pass over the rows of a compiled ``system``: certificates and pins.
 
@@ -189,7 +202,7 @@ def triage_feasibility(
     keeps the outcomes where its row attains its extreme, so the live
     support never becomes empty.
     """
-    A, b = system[0], system[1].tolist()
+    A, b = system.A, system.b.tolist()
     if A.shape[1] != len(prior.space):
         raise SpaceMismatch("constraint lives on a different sample space")
     active = list(range(len(b)))

@@ -34,7 +34,7 @@ is built while it is decoded: the top level one member at a time,
 never holds the whole decoded document. A shorter document, and any
 document that walk cannot finish, valid or not, is decoded whole and
 then built; only that path raises, so errors do not depend on the size.
-A file that is not UTF-8, malformed JSON and JSON that nests too deeply
+Bytes that do not decode, malformed JSON and JSON that nests too deeply
 raise ParseError, malformed JSON with position; schema and invariant
 violations raise ConstructionError with a distinct code naming the
 offense, the domain constructors' own codes passing through unchanged.
@@ -265,8 +265,13 @@ def _entry_to_json(obj: Any, kinds: dict) -> dict:
 
 def _decode(data: bytes | bytearray) -> str:
     """The text of JSON ``data``, decoded as ``json.loads`` decodes bytes (a UTF-8
-    byte-order mark is dropped)."""
-    return data.decode(json.detect_encoding(data), "surrogatepass")
+    byte-order mark is dropped), or a ParseError naming the encoding and the offset."""
+    encoding = json.detect_encoding(data)
+    try:
+        return data.decode(encoding, "surrogatepass")
+    except UnicodeDecodeError as e:  # utf-8-sig counts offsets from after its 3-byte mark
+        raise ParseError(f"the file is not {encoding.upper()}: {e.reason} at byte offset "
+                         f"{e.start + 3 * (encoding == 'utf-8-sig')}") from e
 
 
 def _read(path: str) -> str:
@@ -274,10 +279,7 @@ def _read(path: str) -> str:
     bytes are gone once it returns."""
     with open(path, "rb") as fh:
         data = fh.read()
-    try:
-        return _decode(data)
-    except UnicodeDecodeError as e:  # the whole file is decoded at once, so offsets are the file's
-        raise ParseError(f"the file is not UTF-8: {e.reason} at byte offset {e.start}") from e
+    return _decode(data)
 
 
 def _entries(space: SampleSpace, raw: Any, name: str, section: str, kinds: dict) -> tuple:
@@ -437,10 +439,7 @@ def parse(document: str | bytes | bytearray) -> Scenario:
     reports every error.
     """
     if isinstance(document, (bytes, bytearray)):
-        try:
-            document = _decode(document)
-        except UnicodeDecodeError as e:
-            raise ParseError(str(e)) from e
+        document = _decode(document)
     if len(document) >= STREAM_MIN_CHARS:
         try:
             return _walk(document)
@@ -458,8 +457,8 @@ def parse(document: str | bytes | bytearray) -> Scenario:
 
 
 def parse_file(path: str) -> Scenario:
-    """Parse and fully validate the scenario file at ``path``, which must be UTF-8
-    (a byte-order mark is allowed)."""
+    """Parse and fully validate the scenario file at ``path``, whose bytes are decoded
+    as :func:`parse` decodes bytes."""
     return parse(_read(path))
 
 

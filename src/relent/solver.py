@@ -7,9 +7,9 @@ value the row takes on the outcomes still possible) has no finite
 multiplier; it shrinks the support instead, to the outcomes where the
 row attains that extreme (mass can never re-enter a zeroed outcome),
 and with no other constraint left the update is conditioning on that
-support. A lone partition reweighting has Jeffrey's closed form. The
-general case is solved in the dual on the pinned support: the optimum
-has the form
+support. Disjoint 0/1 rows of one constraint have Jeffrey's closed form.
+The general case is solved in the dual on the pinned support: the
+optimum has the form
 
     posterior_i  proportional to  prior_i * exp(sum_j lam_j * coeffs[j][i])
 
@@ -45,9 +45,9 @@ import numpy as np
 
 from . import constraints as _constraints
 from . import information
-from .constraints import CondProb, Constraint, EventProb, PartitionWeights
+from .constraints import Constraint, PartitionWeights, System
 from .errors import ConstructionError, DegenerateConditional, InfeasibleConstraint, NonConvergence
-from .spaces import ZERO_MASS, Distribution, Event, Partition, _finite_scalar
+from .spaces import ZERO_MASS, Distribution, Partition, _finite_scalar
 
 #: Diagonal regularization added to the dual Hessian A diag(p) A^T - (A p)(A p)^T,
 #: so redundant constraint rows (for example the cells of a partition, whose
@@ -79,11 +79,12 @@ class SolverOptions:
     tol is the convergence threshold on the largest absolute constraint
     violation, and also how far a target may lie beyond its row's range
     before triage calls it infeasible; max_iter is the budget of Newton
-    steps. use_fast_paths lets a lone partition reweighting, or a lone
-    event target strictly between 0 and 1, take Jeffrey's closed form
-    instead of the dual; it changes nothing else. The dual iteration
-    always starts from zero multipliers. Each field has a caller: the
-    CLI's ``--tol`` and ``--max-iter``, and the acceptance gate, which
+    steps. use_fast_paths lets the rows of one constraint take Jeffrey's
+    closed form instead of the dual: as cells, if they are disjoint 0/1
+    rows covering the space, or a lone 0/1 row with a target strictly
+    between 0 and 1 and its complement; it changes nothing else. The dual
+    iteration always starts from zero multipliers. Each field has a caller:
+    the CLI's ``--tol`` and ``--max-iter``, and the acceptance gate, which
     turns the fast paths off to check the dual against Jeffrey's rule.
     """
 
@@ -140,32 +141,33 @@ def jeffrey_update(
     """
     spec = PartitionWeights(partition, tuple(weights))
     targets = [w for _, w in _constraints.compile_constraint(spec, prior.space)]
-    return _jeffrey(prior, partition.cells, targets, list(map(prior.prob, partition.cells)))
+    masses = list(map(prior.prob, partition.cells))
+    for cell, w, m in zip(partition.cells, targets, masses):
+        if w != 0.0 and m == 0.0:
+            raise InfeasibleConstraint(f"cell {cell.describe()} has zero prior mass "
+                                       f"but target weight {w:g}")
+    return _jeffrey(prior, [cell.indicator for cell in partition.cells], targets, masses)
 
 
 def _jeffrey(
-    prior: Distribution, cells: Sequence[Event], weights: Sequence[float], masses: Sequence[float]
+    prior: Distribution, cells: Sequence[np.ndarray], weights: list[float], masses: list[float]
 ) -> Distribution:
-    """Jeffrey's rule on disjoint covering ``cells``, checked ``weights`` and prior ``masses``."""
+    """Jeffrey's rule on disjoint covering 0/1 rows ``cells``, ``weights`` and prior ``masses``
+    (positive wherever a weight is nonzero)."""
     out = np.zeros(len(prior.space))
     for cell, w, m in zip(cells, weights, masses):
-        if w == 0.0:
-            continue
-        if m == 0.0:
-            raise InfeasibleConstraint(
-                f"cell {cell.describe()} has zero prior mass but target weight {w:g}"
-            )
-        out += prior.array * cell.indicator / m * w  # at most 1 before * w, even for a subnormal m
+        if w != 0.0:
+            out += prior.array * cell / m * w  # at most 1 before * w, even for a subnormal m
     return Distribution.from_array(prior.space, out)
 
 
-def _check_conditionals(posterior: Distribution, constraints: Sequence[Constraint]) -> None:
+def _check_conditionals(posterior: Distribution, system: System, constraints: Sequence) -> None:
     # the linearized form of P(a|b) = v is vacuous when P(b) ends up zero
-    for c in constraints:
-        if isinstance(c, CondProb) and posterior.prob(c.given) <= ZERO_MASS:
+    for j, given in enumerate(system.given):
+        if given is not None and posterior.prob(given) <= ZERO_MASS:
             raise DegenerateConditional(
-                f"conditioning event of {c.describe()} has zero posterior "
-                "probability; the conditional constraint holds only vacuously"
+                f"conditioning event of {constraints[system.source[j]].describe()} has zero "
+                "posterior probability; the conditional constraint holds only vacuously"
             )
 
 
@@ -266,18 +268,19 @@ def _dual_newton(
 
 
 def _lone_reweighting(
-    constraints: tuple[Constraint, ...], system: tuple[np.ndarray, np.ndarray], prior: Distribution
-) -> tuple[tuple[Event, ...], list[float], list[float]] | None:
-    """Cells, weights (``system``'s targets) and masses of a lone reweighting of cells with mass."""
-    c = constraints[0] if len(constraints) == 1 else None
-    b = system[1].tolist()
-    if isinstance(c, PartitionWeights):
-        cells, weights = c.partition.cells, b
-    elif isinstance(c, EventProb) and 0.0 < b[0] < 1.0:
-        cells, weights = (c.event, c.event.complement()), [b[0], 1.0 - b[0]]
+    system: System, prior: Distribution
+) -> tuple[Sequence[np.ndarray], list[float], list[float]] | None:
+    """Cells, weights and masses of Jeffrey's rule on ``system``, or None if it does not apply."""
+    A, b = system.A, system.b.tolist()
+    if len(b) == 1 and 0.0 < b[0] < 1.0 and ((A[0] == 0.0) | (A[0] == 1.0)).all():
+        cells, weights = (A[0], 1.0 - A[0]), [b[0], 1.0 - b[0]]
+    # n nonzeros and every column summing to 1: a single 1 in each column
+    elif (b and system.source[0] == system.source[-1]
+          and np.count_nonzero(A) == A.shape[1] and (A.sum(axis=0) == 1.0).all()):
+        cells, weights = A, b
     else:
         return None
-    masses = [prior.prob(cell) for cell in cells]
+    masses = [float(prior.array @ cell) for cell in cells]
     massless = any(w > 0.0 and m == 0.0 for w, m in zip(weights, masses))
     return None if massless else (cells, weights, masses)
 
@@ -307,12 +310,12 @@ def maxent_update(
 
     r0 = _constraints.residual(prior, system)
     if r0 <= options.tol:
-        _check_conditionals(prior, constraints)
-        return UpdateReport(prior, (0.0,) * len(system[1]), 0, r0, 0.0, "no_op")
+        _check_conditionals(prior, system, constraints)
+        return UpdateReport(prior, (0.0,) * len(system.b), 0, r0, 0.0, "no_op")
 
     multipliers: tuple[float, ...] = ()
     iterations = 0
-    reweighting = _lone_reweighting(constraints, system, prior) if options.use_fast_paths else None
+    reweighting = _lone_reweighting(system, prior) if options.use_fast_paths else None
     if reweighting is not None:
         posterior = _jeffrey(prior, *reweighting)
         method: Method = "jeffrey"
@@ -332,7 +335,7 @@ def maxent_update(
         posterior = Distribution.from_array(prior.space, full)
         method = "dual_newton"
 
-    _check_conditionals(posterior, constraints)
+    _check_conditionals(posterior, system, constraints)
     return UpdateReport(
         posterior,
         multipliers,

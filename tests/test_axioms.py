@@ -254,16 +254,18 @@ class TestAxiom4Full:
         rng = np.random.default_rng(7)
         for trial in range(20):
             prior, part, m = random_case(rng, n_max=8)
-            infos = []
+            events, conditionals = [], []
             for i, cell in enumerate(part.cells[:2]):
                 members = cell.labels
                 if len(members) < 2:
                     continue
                 a = prior.space.subset(members[0])
                 v = float(rng.uniform(0.1, 0.9))
-                infos.append(CellInfo(i, (EventProb(a, v),)))
-            rep = check_axiom4_full(prior, part, m, infos, tol=1e-8)
-            assert rep.passed, f"trial {trial}: deviation {rep.max_deviation}"
+                events.append(CellInfo(i, (EventProb(a, v),)))
+                conditionals.append(CellInfo(i, (CondProb(a, cell, v),)))  # the same pin
+            for infos in (events, conditionals):
+                rep = check_axiom4_full(prior, part, m, infos, tol=1e-8)
+                assert rep.passed, f"trial {trial}: deviation {rep.max_deviation}"
 
 
 def rep_passed(rep: AxiomReport) -> bool:

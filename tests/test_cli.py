@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import relent
 from relent.axioms import AxiomReport
 from relent.cli import main
 from relent.errors import SpaceMismatch
@@ -24,6 +25,10 @@ IMPOSSIBLE = str(SCENARIOS / "impossible_target.json")
 DATA = Path(__file__).resolve().parent / "data"
 LINE_SEARCH_INFEASIBLE = str(DATA / "line_search_infeasible.json")
 LINE_SEARCH_FEASIBLE = str(DATA / "line_search_feasible.json")
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in relent.__all__ if not hasattr(relent, name)] == []
 
 
 def run_main(capsys, *argv):
@@ -261,6 +266,9 @@ class TestUpdate:
         bad.write_bytes(b'{"space": ["a", "\xff"], "prior": "uniform", "constraints": []}')
         assert run_main(capsys, "update", str(bad)) == (
             3, "", "parse error: the file is not UTF-8: invalid start byte at byte offset 17\n")
+        bad.write_bytes(b'\x00{"space": ["a"]}')  # JSON's rule picks UTF-16-BE for a leading NUL
+        assert run_main(capsys, "update", str(bad)) == (
+            3, "", "parse error: the file is not UTF-16-BE: truncated data at byte offset 16\n")
 
     def test_file_with_a_utf8_bom_reads_as_the_file_without_it(self, capsys, tmp_path):
         path = tmp_path / "die.json"

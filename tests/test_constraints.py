@@ -9,6 +9,7 @@ from relent.constraints import (
     EventProb,
     Expectation,
     PartitionWeights,
+    System,
     compile_all,
     compile_constraint,
     residual,
@@ -111,21 +112,40 @@ class TestCompile:
         p = Partition.from_labels(abc, [("a",), ("b", "c")])
         c = PartitionWeights(p, (0.3, 0.7 + 2e-10))
         assert c.weights == (0.3, 0.7 + 2e-10)  # stored as given
-        _, b = compile_all([c], abc)
+        b = compile_all([c], abc).b
         assert b.tolist() == [0.3 / (1.0 + 2e-10), (0.7 + 2e-10) / (1.0 + 2e-10)]
 
     def test_compile_all_concatenates(self, abc):
         p = Partition.from_labels(abc, [("a",), ("b",), ("c",)])
-        A, b = compile_all(
+        system = compile_all(
             [EventProb(abc.subset("a"), 0.2), PartitionWeights(p, (0.2, 0.3, 0.5))], abc
         )
-        assert_allclose(A, [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        assert b.tolist() == [0.2, 0.2, 0.3, 0.5]
+        assert_allclose(
+            system.A, [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        )
+        assert system.b.tolist() == [0.2, 0.2, 0.3, 0.5]
+
+    def test_rows_know_their_constraint_and_conditioning_event(self, abc):
+        p = Partition.from_labels(abc, [("a",), ("b", "c")])
+        f = RandomVariable(abc, (1.0, 2.0, 6.0))
+        first, second = abc.subset("a", "b"), abc.subset("b", "c")
+        system = compile_all([
+            CondProb(abc.subset("a"), first, 0.25),
+            PartitionWeights(p, (0.3, 0.7)),
+            Expectation(f, 2.5),
+            EventProb(abc.subset("c"), 0.4),
+            CondProb(abc.subset("c"), second, 0.5),
+        ], abc)
+        assert system.source == (0, 1, 1, 2, 3, 4)
+        assert len(system.given) == 6
+        assert system.given[0] is first and system.given[5] is second  # no copies
+        assert system.given[1:5] == (None,) * 4
 
     @pytest.mark.parametrize("count", [0, 1, 3])
     def test_compiled_matrix_is_read_only_and_c_ordered(self, abc, count):
         f = RandomVariable(abc, (1.0, 2.0, 6.0))
-        A, b = compile_all([Expectation(f, 2.5)] * count, abc)
+        system = compile_all([Expectation(f, 2.5)] * count, abc)
+        A, b = system.A, system.b
         assert A.shape == (count, 3) and b.shape == (count,) and b.dtype == float
         assert A.flags.c_contiguous and not A.flags.writeable
         with pytest.raises(ValueError):
@@ -164,8 +184,8 @@ class TestResidual:
 
 def per_row_residual(dist, system):
     """The reference: one 1-D ``a @ p`` per row, in a Python loop."""
-    A, b = system
-    return max((abs(float(a @ dist.array) - t) for a, t in zip(A, b.tolist())), default=0.0)
+    return max((abs(float(a @ dist.array) - t) for a, t in zip(system.A, system.b.tolist())),
+               default=0.0)
 
 
 class TestResidualKernel:
@@ -179,9 +199,10 @@ class TestResidualKernel:
             dist = Distribution(space_of(n), p / p.sum())
             A = rng.normal(size=(m, n)) * 10.0 ** rng.uniform(0.0, 9.0, size=(m, 1))
             b = A @ dist.array + rng.normal(size=m) * 10.0 ** rng.uniform(-12.0, 0.0, size=m)
-            got = residual(dist, (A, b))
+            system = System(A, b, tuple(range(m)), (None,) * m)
+            got = residual(dist, system)
             assert type(got) is float
-            assert got == per_row_residual(dist, (A, b)), (m, n)
+            assert got == per_row_residual(dist, system), (m, n)
 
 
 def triage(constraints, prior):

@@ -124,6 +124,13 @@ class TestParse:
             parse_file(str(path))
         assert str(exc.value) == f"the file is not UTF-8: invalid start byte at byte offset {offset}"
         assert exc.value.line is None
+        # JSON's rule picks UTF-16-BE for a leading NUL; the odd length cuts it short,
+        # and the file and its bytes fail alike
+        path.write_bytes(b'\x00{"space": ["a"]}')
+        for read in (lambda: parse_file(str(path)), lambda: parse(path.read_bytes())):
+            with pytest.raises(ParseError) as exc:
+                read()
+            assert str(exc.value) == "the file is not UTF-16-BE: truncated data at byte offset 16"
 
     def test_file_with_a_utf8_bom_is_read_as_parse_reads_its_bytes(self, tmp_path):
         path = tmp_path / "die.json"
@@ -148,8 +155,11 @@ class TestParse:
         offset = text.index(b'"d"')
         with pytest.raises(ParseError) as exc:
             parse(text[:offset] + b"\xff" + text[offset:])
-        assert str(exc.value) == (f"'utf-8' codec can't decode byte 0xff in position {offset}: "
-                                  "invalid start byte")
+        assert str(exc.value) == f"the file is not UTF-8: invalid start byte at byte offset {offset}"
+        with pytest.raises(ParseError) as exc:  # offsets count the byte-order mark
+            parse(b"\xef\xbb\xbf" + text[:offset] + b"\xff" + text[offset:])
+        assert str(exc.value) == (
+            f"the file is not UTF-8-SIG: invalid start byte at byte offset {offset + 3}")
         assert exc.value.line is None
 
     def test_parse_file_releases_each_section_as_it_is_built(self, tmp_path):

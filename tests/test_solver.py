@@ -177,6 +177,18 @@ class TestMaxentFastPaths:
         assert rep.method == "jeffrey"
         assert_allclose(rep.posterior.array, [0.32, 0.48, 0.12, 0.08], rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("target", [0.8, 0.3])
+    def test_a_0_1_expectation_is_its_event(self, target):
+        # the rows alone decide: a variable taking only 0 and 1 is the event where it is 1
+        indicator = RandomVariable(TIGER_SPACE, tuple(TIGER_EVENT.indicator.tolist()))
+        rep = maxent_update(TIGER_PRIOR, [Expectation(indicator, target)])
+        pin = maxent_update(TIGER_PRIOR, [EventProb(TIGER_EVENT, target)])
+        assert rep.method == pin.method == "jeffrey"
+        assert rep.posterior.array.tobytes() == pin.posterior.array.tobytes()
+        assert emit_report(rep) == emit_report(pin)
+        assert maxent_update(
+            TIGER_PRIOR, [Expectation(indicator, target)], NO_FAST).method == "dual_newton"
+
     def test_fast_paths_can_be_disabled(self):
         rep = maxent_update(TIGER_PRIOR, [EventProb(TIGER_EVENT, 0.8)], NO_FAST)
         assert rep.method == "dual_newton"
@@ -358,7 +370,8 @@ def _log_z(logits):
 class TestNewtonSteps:
     def test_halved_trials_keep_posterior_and_multipliers_consistent(self):
         prior, constraints, p_star = _hard_tilt(26)
-        A, b = compile_all(constraints, prior.space)
+        system = compile_all(constraints, prior.space)
+        A, b = system.A, system.b
         logq = np.log(prior.array)
         # the full first Newton step from lam = 0, where the dual is 0, lowers the dual,
         # so the line search halves it, as it does several later steps
@@ -795,8 +808,8 @@ class TestFastPathAgreement:
         rep = maxent_update(prior, [EventProb(event, v)])
         assert rep.posterior.prob(event) == pytest.approx(v, abs=1e-9)
         assert rep.objective <= 1e-12
-        rows = compile_all([EventProb(event, v)], prior.space)
-        assert residual(rep.posterior, rows) == rep.final_residual
+        system = compile_all([EventProb(event, v)], prior.space)
+        assert residual(rep.posterior, system) == rep.final_residual
 
     @given(positive_distributions(min_size=2, max_size=6), st.data())
     @settings(max_examples=40, deadline=None)
