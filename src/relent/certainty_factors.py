@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ConstructionError, DomainError
 from .spaces import _finite_scalar
 
 
@@ -62,17 +61,15 @@ def divergence_curve(
 ) -> tuple[tuple[float, float], ...]:
     """Absolute gap between exact and shortcut posteriors at each q in the grid.
 
-    Each grid value must be a probability. The gap equals
+    Each grid value must be a probability, or ``scenario.bad_probability``
+    is raised as for a bad conditional. The gap equals
     p_h_given_not_e * (1 - q): non-increasing in q and exactly zero at
     q = 1, so the shortcut is best for near-certain evidence.
     """
     EvidenceScenario(p_h_given_e, p_h_given_not_e, 1.0)  # checks the conditionals on any grid
     points: list[tuple[float, float]] = []
     for q in q_grid:
-        try:
-            q = _probability(q, "each q grid value")
-        except ConstructionError as exc:
-            raise DomainError(str(exc)) from None
+        q = _probability(q, "each q grid value")
         sc = EvidenceScenario(p_h_given_e, p_h_given_not_e, q)
         points.append((q, abs(jeffrey_posterior(sc) - cf_approx_posterior(sc))))
     return tuple(points)

@@ -22,9 +22,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ConstructionError, SpaceMismatch
-from .spaces import Distribution, Event, Partition, RandomVariable, SampleSpace
-from .spaces import _finite_array, _finite_scalar, _require_simplex, _row_dots
+from .errors import ConstructionError
+from .spaces import Distribution, Event, Partition, RandomVariable, SampleSpace, _row_dots
+from .spaces import _finite_array, _finite_scalar, _require_same_space, _require_simplex
 
 
 def _require_finite(value: float, what: str) -> float:
@@ -127,8 +127,7 @@ Constraint = Union[EventProb, Expectation, CondProb, PartitionWeights]
 
 def compile_constraint(c: Constraint, space: SampleSpace) -> tuple[tuple[np.ndarray, float], ...]:
     """Lower one constraint to ``(coeffs, target)`` rows aligned to ``space``."""
-    if c.space != space:
-        raise SpaceMismatch("constraint lives on a different sample space")
+    _require_same_space(c.space, space, "constraint")
     if isinstance(c, EventProb):
         return ((c.event.indicator, c.value),)
     if isinstance(c, Expectation):
@@ -204,7 +203,8 @@ def triage_feasibility(
     """
     A, b = system.A, system.b.tolist()
     if A.shape[1] != len(prior.space):
-        raise SpaceMismatch("constraint lives on a different sample space")
+        raise ConstructionError("constraint.space_mismatch",
+                                "constraint lives on a different sample space")
     active = list(range(len(b)))
     live = prior.support
     while True:

@@ -1,8 +1,8 @@
 """Exception hierarchy shared by every module in the package.
 
 :class:`ConstructionError` is the one error that carries a stable
-``code``: the domain constructors, the scenario loader and the CLI all
-raise it for input that breaks an invariant or the scenario schema.
+``code``, raised for input that breaks an invariant or the scenario
+schema and for an argument outside a function's domain.
 """
 
 from __future__ import annotations
@@ -13,11 +13,12 @@ class RelentError(Exception):
 
 
 class ConstructionError(RelentError, ValueError):
-    """An invariant or the scenario schema was violated while building a value.
+    """An invariant or the scenario schema was violated while building a value,
+    or an argument lies outside a function's domain.
 
     ``code`` is a stable machine-readable identifier, one distinct code per
-    invariant or schema offense (``dist.sum_not_one``, ``prior.bad_number``),
-    so callers can map failures to precise diagnostics.
+    offense (``dist.sum_not_one``, ``event.space_mismatch``), so callers
+    can map failures to precise diagnostics.
     """
 
     def __init__(self, code: str, message: str):
@@ -25,20 +26,8 @@ class ConstructionError(RelentError, ValueError):
         self.code = code
 
 
-class SpaceMismatch(RelentError):
-    """Two values that must live on the same sample space do not."""
-
-
 class ZeroMassEvent(RelentError):
     """Conditioning on an event whose probability is below the zero-mass threshold."""
-
-
-class DomainError(RelentError):
-    """A scalar argument lies outside the documented domain."""
-
-
-class SupportViolation(RelentError):
-    """A posterior puts mass on an outcome where the prior has none."""
 
 
 class InfeasibleConstraint(RelentError):

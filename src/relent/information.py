@@ -12,20 +12,20 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, SpaceMismatch, SupportViolation
-from .spaces import Distribution, JointDistribution, marginal
+from .errors import ConstructionError
+from .spaces import Distribution, JointDistribution, _finite_scalar, marginal
 
 
 def self_information(p: float) -> float:
     """Surprisal -log(p) of an event with probability ``p``.
 
-    Defined for p in (0, 1]: zero for the certain event, increasing
-    without bound as p falls toward zero. Additive over independent
-    events, which is what forces the logarithmic form.
+    Defined for p in (0, 1], and ``information.bad_probability``
+    otherwise: zero for the certain event, increasing without bound as
+    p falls toward zero. Additive over independent events, which is
+    what forces the logarithmic form.
     """
-    p = float(p)
-    if not math.isfinite(p) or p <= 0.0 or p > 1.0:
-        raise DomainError(f"self-information needs a probability in (0, 1], got {p!r}")
+    p = _finite_scalar(p, "information.bad_probability",
+                       "self-information needs a probability in (0, 1]", lambda x: 0.0 < x <= 1.0)
     return -math.log(p)
 
 
@@ -43,21 +43,21 @@ def relative_entropy(posterior: Distribution, prior: Distribution) -> float:
     This is the objective that belief updates maximize, so larger
     (closer to zero) means the posterior stays nearer the prior.
 
-    Raises :class:`SupportViolation` if the posterior puts mass on an
-    outcome the prior rules out; such a posterior is infinitely far
-    from the prior.
+    Raises :class:`ConstructionError`, ``dist.outside_support``, if the
+    posterior puts mass on an outcome the prior rules out; such a
+    posterior is infinitely far from the prior.
     """
     if posterior.space != prior.space:
-        raise SpaceMismatch("posterior and prior live on different sample spaces")
+        raise ConstructionError("dist.space_mismatch",
+                                "posterior and prior live on different sample spaces")
     post = posterior.array
     pri = prior.array
     live = post > 0.0
     escaped = live & ~(pri > 0.0)
     if escaped.any():
         bad = [posterior.space.outcomes[i] for i in np.flatnonzero(escaped)]
-        raise SupportViolation(
-            f"posterior has mass on outcomes the prior excludes: {bad}"
-        )
+        raise ConstructionError("dist.outside_support",
+                                f"posterior has mass on outcomes the prior excludes: {bad}")
     return float(-(post[live] @ (np.log(post[live]) - np.log(pri[live]))))
 
 

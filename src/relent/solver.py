@@ -142,10 +142,10 @@ def jeffrey_update(
     spec = PartitionWeights(partition, tuple(weights))
     targets = [w for _, w in _constraints.compile_constraint(spec, prior.space)]
     masses = list(map(prior.prob, partition.cells))
-    for cell, w, m in zip(partition.cells, targets, masses):
-        if w != 0.0 and m == 0.0:
+    for j, (cell, w, m) in enumerate(zip(partition.cells, targets, masses)):
+        if w != 0.0 and m == 0.0:  # row j is 0 wherever the prior has mass
             raise InfeasibleConstraint(f"cell {cell.describe()} has zero prior mass "
-                                       f"but target weight {w:g}")
+                                       f"but target weight {w:g} (witness y = +e_{j})")
     return _jeffrey(prior, [cell.indicator for cell in partition.cells], targets, masses)
 
 

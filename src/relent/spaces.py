@@ -18,7 +18,7 @@ from typing import Iterable, Literal, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConstructionError, SpaceMismatch, ZeroMassEvent
+from .errors import ConstructionError, ZeroMassEvent
 
 #: Probabilities at or below this threshold count as exactly zero mass.
 #: Distinguishes true zeros from rounding dust and guards renormalization.
@@ -178,9 +178,10 @@ def _unknown_labels(labels: Iterable[object], known: Mapping[str, int]) -> list:
     return sorted(unknown, key=str)
 
 
-def _require_same_space(a: SampleSpace, b: SampleSpace, what: str) -> None:
+def _require_same_space(a: SampleSpace, b: SampleSpace, kind: str, noun: str = "") -> None:
     if a != b:
-        raise SpaceMismatch(f"{what} lives on a different sample space")
+        raise ConstructionError(f"{kind}.space_mismatch",
+                                f"{noun or kind} lives on a different sample space")
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -422,7 +423,7 @@ def condition(dist: Distribution, e: Event) -> Distribution:
 
 def expectation(dist: Distribution, f: RandomVariable) -> float:
     """Weighted mean of ``f`` under ``dist``."""
-    _require_same_space(dist.space, f.space, "random variable")
+    _require_same_space(dist.space, f.space, "variable", "random variable")
     return float(dist.array @ f.array)
 
 
@@ -432,7 +433,7 @@ def marginal(j: JointDistribution, axis: Literal["row", "col"]) -> Distribution:
         return Distribution.from_array(j.row_space, j.array.sum(axis=1))
     if axis == "col":
         return Distribution.from_array(j.col_space, j.array.sum(axis=0))
-    raise ValueError(f"axis must be 'row' or 'col', got {axis!r}")
+    raise ConstructionError("joint.bad_axis", f"axis must be 'row' or 'col', got {axis!r}")
 
 
 def conditional_prob(dist: Distribution, a: Event, b: Event) -> float:

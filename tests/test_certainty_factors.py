@@ -9,7 +9,7 @@ from relent.certainty_factors import (
     divergence_curve,
     jeffrey_posterior,
 )
-from relent.errors import ConstructionError, DomainError
+from relent.errors import ConstructionError
 from relent.solver import jeffrey_update
 from relent.spaces import Distribution, Partition, SampleSpace
 
@@ -74,8 +74,9 @@ class TestDivergenceCurve:
             assert d == 0.0
 
     def test_grid_values_validated(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConstructionError) as ei:
             divergence_curve(0.5, 0.5, (0.5, 1.5))
+        assert ei.value.code == "scenario.bad_probability"
 
     @pytest.mark.parametrize("grid", [(), (0.5,)], ids=["empty", "one_value"])
     def test_conditionals_validated_on_any_grid(self, grid):
@@ -88,9 +89,10 @@ class TestDivergenceCurve:
             assert str(ei.value) == str(direct.value)
 
     @pytest.mark.parametrize("bad", ["x", None, [0.5]], ids=["string", "none", "list"])
-    def test_non_numeric_grid_values_are_domain_errors(self, bad):
-        with pytest.raises(DomainError) as ei:
+    def test_non_numeric_grid_values_have_the_code(self, bad):
+        with pytest.raises(ConstructionError) as ei:
             divergence_curve(0.9, 0.3, [0.5, bad])
+        assert ei.value.code == "scenario.bad_probability"
         assert str(ei.value).startswith("each q grid value must be a probability in [0, 1], got ")
 
 

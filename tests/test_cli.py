@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import relent
+from relent import errors
 from relent.axioms import AxiomReport
 from relent.cli import main
-from relent.errors import SpaceMismatch
+from relent.errors import RelentError
 from relent.solver import SolverOptions, maxent_update
 
 from conftest import JOINTLY_INFEASIBLE_PINS, JOINTLY_INFEASIBLE_PRIOR
@@ -322,12 +323,24 @@ class TestUpdate:
         assert err.endswith(f"relent update: error: argument {flag}: {complaint}\n")
 
     def test_any_other_relent_error_exits_3(self, capsys, monkeypatch):
-        def mismatch(*args):
-            raise SpaceMismatch("constraint lives on a different sample space")
+        def failing(*args):
+            raise RelentError("something else went wrong")
 
-        monkeypatch.setattr("relent.cli.maxent_update", mismatch)
-        assert run_main(capsys, "update", DIE) == (
-            3, "", "error: constraint lives on a different sample space\n")
+        monkeypatch.setattr("relent.cli.maxent_update", failing)
+        assert run_main(capsys, "update", DIE) == (3, "", "error: something else went wrong\n")
+
+    @pytest.mark.parametrize("cls", dict.fromkeys(  # ValidationError names ConstructionError
+        c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, RelentError)
+    ), ids=lambda c: c.__name__)
+    def test_every_error_class_has_an_exit_status(self, capsys, monkeypatch, cls):
+        # main() turns every error class into an exit status, never a traceback
+        def failing(*args):
+            raise cls("x.y", "z") if cls is errors.ConstructionError else cls("z")
+
+        monkeypatch.setattr("relent.cli.maxent_update", failing)
+        code, _, err = run_main(capsys, "update", DIE)
+        assert code in (2, 3, 4)
+        assert "Traceback" not in err
 
     def test_tol_and_max_iter_flags_reach_the_solver(self, capsys, monkeypatch):
         seen = []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from relent.errors import DomainError, SpaceMismatch, SupportViolation
+from relent.errors import ConstructionError
 from relent.information import (
     conditional_entropy,
     entropy,
@@ -29,8 +29,17 @@ class TestSelfInformation:
 
     @pytest.mark.parametrize("bad", [0.0, -0.25, 1.0000001, float("nan"), float("inf")])
     def test_domain_enforced(self, bad):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConstructionError) as ei:
             self_information(bad)
+        assert ei.value.code == "information.bad_probability"
+        assert str(ei.value) == f"self-information needs a probability in (0, 1], got {bad!r}"
+
+    @pytest.mark.parametrize("bad", ["x", None, [0.5], 10**400],
+                             ids=["string", "none", "list", "huge_int"])
+    def test_no_builtin_error_leaks(self, bad):
+        with pytest.raises(ConstructionError) as ei:
+            self_information(bad)
+        assert ei.value.code == "information.bad_probability"
 
     @given(
         st.floats(min_value=1e-6, max_value=1.0),
@@ -83,8 +92,9 @@ class TestRelativeEntropy:
         s = space_of(2)
         post = Distribution(s, (0.5, 0.5))
         prior = Distribution(s, (1.0, 0.0))
-        with pytest.raises(SupportViolation):
+        with pytest.raises(ConstructionError) as ei:
             relative_entropy(post, prior)
+        assert ei.value.code == "dist.outside_support"
 
     def test_posterior_may_drop_support(self):
         s = space_of(2)
@@ -93,11 +103,12 @@ class TestRelativeEntropy:
         assert relative_entropy(post, prior) == pytest.approx(-LN2, abs=1e-15)
 
     def test_space_mismatch_rejected(self):
-        with pytest.raises(SpaceMismatch):
+        with pytest.raises(ConstructionError) as ei:
             relative_entropy(
                 Distribution.uniform(space_of(2)),
                 Distribution.uniform(SampleSpace(("x", "y"))),
             )
+        assert ei.value.code == "dist.space_mismatch"
 
     @given(positive_distributions(), st.data())
     def test_nonpositive(self, prior, data):

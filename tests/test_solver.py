@@ -113,7 +113,9 @@ class TestJeffreyUpdate:
         s = space_of(3)
         prior = Distribution(s, (0.0, 0.5, 0.5))
         part = Partition.from_labels(s, [("w0",), ("w1", "w2")])
-        with pytest.raises(InfeasibleConstraint):
+        # cell 0 is row 0 of the compiled system, as maxent_update certifies it
+        witness = r"^cell \{w0\} has zero prior mass but target weight 0\.3 \(witness y = \+e_0\)$"
+        with pytest.raises(InfeasibleConstraint, match=witness):
             jeffrey_update(prior, part, (0.3, 0.7))
 
     def test_invalid_weights_rejected_at_construction(self):

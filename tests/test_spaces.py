@@ -9,8 +9,15 @@ from numpy.testing import assert_allclose
 
 from relent.certainty_factors import EvidenceScenario
 from relent.coherence import ForecastSystem
-from relent.constraints import EventProb, PartitionWeights
-from relent.errors import ConstructionError, SpaceMismatch, ZeroMassEvent
+from relent.constraints import (
+    EventProb,
+    PartitionWeights,
+    compile_all,
+    compile_constraint,
+    triage_feasibility,
+)
+from relent.errors import ConstructionError, ZeroMassEvent
+from relent.information import relative_entropy
 from relent.solver import SolverOptions
 from relent.spaces import (
     Distribution,
@@ -128,8 +135,9 @@ class TestEvent:
     def test_cross_space_rejected(self):
         e = SampleSpace(("a", "b")).subset("a")
         f = SampleSpace(("x", "y")).subset("x")
-        with pytest.raises(SpaceMismatch):
+        with pytest.raises(ConstructionError) as ei:
             e.intersect(f)
+        assert ei.value.code == "event.space_mismatch"
 
 
 class TestDistribution:
@@ -393,8 +401,10 @@ class TestJointDistribution:
 
     def test_marginal_rejects_unknown_axis(self):
         j = JointDistribution.identity_coupling(Distribution.uniform(space_of(2)))
-        with pytest.raises(ValueError, match="axis must be 'row' or 'col', got 'diag'"):
+        with pytest.raises(ConstructionError) as ei:
             marginal(j, "diag")
+        assert ei.value.code == "joint.bad_axis"
+        assert str(ei.value) == "axis must be 'row' or 'col', got 'diag'"
 
 
 class TestCondition:
@@ -442,8 +452,9 @@ class TestExpectation:
     def test_cross_space_rejected(self):
         d = Distribution.uniform(space_of(2))
         f = RandomVariable(space_of(3), (1.0, 2.0, 3.0))
-        with pytest.raises(SpaceMismatch):
+        with pytest.raises(ConstructionError) as ei:
             expectation(d, f)
+        assert ei.value.code == "variable.space_mismatch"
 
     @given(positive_distributions())
     def test_constant_variable(self, d: Distribution):
@@ -511,6 +522,44 @@ def test_malformed_numbers_raise_the_kinds_code(build, code):
     with pytest.raises(ConstructionError) as ei:
         build()
     assert ei.value.code == code
+
+
+_D = Distribution.uniform(_S)
+_T = space_of(3)
+_OTHER = _T.subset("w0")
+_SPACE = "lives on a different sample space"
+
+
+@pytest.mark.parametrize("call, code, message", [
+    (lambda: _A.intersect(_OTHER), "event.space_mismatch", f"event {_SPACE}"),
+    (lambda: _A.difference(_OTHER), "event.space_mismatch", f"event {_SPACE}"),
+    (lambda: _A.issubset(_OTHER), "event.space_mismatch", f"event {_SPACE}"),
+    (lambda: _D.prob(_OTHER), "event.space_mismatch", f"event {_SPACE}"),
+    (lambda: condition(_D, _OTHER), "event.space_mismatch", f"event {_SPACE}"),
+    (lambda: conditional_prob(_D, _OTHER, _A), "event.space_mismatch", f"event {_SPACE}"),
+    (lambda: conditional_prob(_D, _A, _OTHER), "event.space_mismatch", f"event {_SPACE}"),
+    (lambda: expectation(_D, RandomVariable(_T, (1.0, 2.0, 3.0))), "variable.space_mismatch",
+     f"random variable {_SPACE}"),
+    (lambda: compile_constraint(EventProb(_OTHER, 0.5), _S), "constraint.space_mismatch",
+     f"constraint {_SPACE}"),
+    (lambda: triage_feasibility(compile_all([EventProb(_OTHER, 0.5)], _T), _D, 1e-10),
+     "constraint.space_mismatch", f"constraint {_SPACE}"),
+    (lambda: relative_entropy(_D, Distribution.uniform(_T)), "dist.space_mismatch",
+     "posterior and prior live on different sample spaces"),
+    (lambda: relative_entropy(_D, Distribution(_S, (1.0, 0.0))), "dist.outside_support",
+     "posterior has mass on outcomes the prior excludes: ['w1']"),
+    (lambda: marginal(JointDistribution.identity_coupling(_D), "diag"), "joint.bad_axis",
+     "axis must be 'row' or 'col', got 'diag'"),
+], ids=[
+    "intersect", "difference", "issubset", "prob", "condition", "conditional-prob-target",
+    "conditional-prob-given", "expectation", "compile-constraint", "triage", "relative-entropy-space",
+    "relative-entropy-support", "marginal-axis",
+])
+def test_bad_arguments_raise_the_kinds_code(call, code, message):
+    with pytest.raises(ConstructionError) as ei:
+        call()
+    assert ei.value.code == code
+    assert str(ei.value) == message
 
 
 def test_ragged_input_is_named_in_the_message():
