@@ -35,10 +35,10 @@ class InfeasibleConstraint(RelentError):
 
     ``reason`` is the certificate, in words, and names a stake vector: a
     row whose target lies beyond its range on the outcomes still possible
-    (the stake y = +e_j or -e_j loses in every one of them), whatever kind
-    of constraint the row came from; or the dual multipliers lam that
-    separate the targets b from every distribution on the prior's support
-    (lam . b exceeds max_i (A^T lam)_i).
+    (y = +e_j or -e_j loses in every one of them), whatever its kind; a
+    stake y on dependent active rows (y . b misses the one value y . A_i
+    takes there by over |y|_1 tol); or dual multipliers lam that separate b
+    from every distribution on the support (lam . b > max_i (A^T lam)_i).
     """
 
     def __init__(self, reason: str):

@@ -14,24 +14,20 @@ optimum has the form
     posterior_i  proportional to  prior_i * exp(sum_j lam_j * coeffs[j][i])
 
 and the multipliers ``lam`` maximize the concave dual
-``lam . targets - log Z(lam)``. A damped Newton iteration on that dual
-converges quadratically near the optimum. Its line search asks for
-sufficient increase (Armijo): a step of length t along the Newton
-direction is taken only if the dual rises by at least ARMIJO times t
-times the slope ``grad . step``, so a step that promises much and gains
-little, such as one that collapses the posterior onto a single outcome,
-is halved instead; a full step near the optimum gains about half the
-slope and is always taken. Each step forms the Hessian
-A diag(p) A^T - (A p)(A p)^T from column blocks of HESS_BLOCK outcomes:
-one workspace of m x min(n, HESS_BLOCK) floats, allocated per solve, is
-refilled with each block of B = A diag(sqrt p) and adds one symmetric
-product, so the solve holds A plus O(m HESS_BLOCK + n) floats and a
-space of at most HESS_BLOCK outcomes takes the single product B B^T.
-Once the full step is rejected the line search computes A^T step and
-moves A^T lam along it, so each further trial costs O(n) instead of a
-product with A. On an infeasible set the dual is unbounded, and each
-iterate is tested as a proof of that: every distribution p on the
-support has lam . (A p) <= max_i (A^T lam)_i, so an iterate with
+``lam . targets - log Z(lam)``. Before the first step, row k leaves the
+dual, with multiplier 0, when the rows kept before it span it on the
+live support: with matrix_rank's threshold t times each row's sum of
+squares added to the rows' covariance at uniform weights, k's Cholesky
+pivot is under sqrt(t) times its variance, and its stake y (y_k = 1)
+gives one value y . A_i, up to rounding, on every outcome. If
+y . targets misses that value by more than |y|_1 tol, y certifies that
+no posterior meets every row within tol; otherwise the group's targets
+move until they agree (Lawson's reweighted least squares, toward moving
+none by more than tol). Damped Newton steps on the kept rows, each taken only
+if the dual rises by ARMIJO times its slope, stop once every active row
+is within tol of its target. On an infeasible set the dual is unbounded,
+and each iterate is tested as a proof of that: every distribution p on
+the support has lam . (A p) <= max_i (A^T lam)_i, so an iterate with
 ``lam . targets`` above that bound rules out any posterior.
 """
 
@@ -49,9 +45,8 @@ from .constraints import Constraint, PartitionWeights, System
 from .errors import ConstructionError, DegenerateConditional, InfeasibleConstraint, NonConvergence
 from .spaces import ZERO_MASS, Distribution, Partition, _finite_scalar
 
-#: Diagonal regularization added to the dual Hessian A diag(p) A^T - (A p)(A p)^T,
-#: so redundant constraint rows (for example the cells of a partition, whose
-#: targets already sum to one) cannot make the Newton solve singular.
+#: Added to the dual Hessian's diagonal. Dependent rows leave before the first step, so it
+#: only damps a step whose Hessian is near singular because a row has tiny prior mass.
 HESS_EPS = 1e-12
 
 #: Columns per block of the Hessian's product: each solve's workspace holds
@@ -112,10 +107,11 @@ class SolverOptions:
 class UpdateReport:
     """Posterior plus the evidence that it actually solves the problem.
 
-    multipliers are the dual coordinates of the active compiled rows,
-    in compilation order; Jeffrey's rule and conditioning solve no dual
-    and report an empty tuple, and a no-op update reports an explicit
-    zero per row (the prior itself is dual-optimal there).
+    multipliers are the dual coordinates of the active compiled rows, in
+    compilation order, 0 for a row the live support makes dependent on
+    earlier ones; Jeffrey's rule and conditioning solve no dual and report
+    an empty tuple, and a no-op update reports an explicit zero per row
+    (the prior itself is dual-optimal there).
     final_residual is the worst violation over every compiled row of the
     original constraints, and objective is the posterior's entropy
     relative to the prior (nonpositive; zero only for a no-op).
@@ -171,21 +167,48 @@ def _check_conditionals(posterior: Distribution, system: System, constraints: Se
             )
 
 
-def _weighted_gram(A: np.ndarray, p: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """A diag(p) A^T as the sum, over column blocks of ``work``'s width, of B B^T
-    with B = A diag(sqrt p) on the block, each written into ``work``."""
+def _weighted_gram(A: np.ndarray, p: np.ndarray, work: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """A diag(p) A^T on ``rows`` of A: the sum, over column blocks of ``work``'s width, of
+    B B^T with B = A diag(sqrt p) on the block, each written into ``work``."""
     n, width = A.shape[1], work.shape[1]
-    gram = None
     for s in range(0, n, width):
-        e = min(s + width, n)
-        block = work[:, : e - s]
-        np.multiply(A[:, s:e], np.sqrt(p[s:e]), out=block)
+        block = work[:, : min(width, n - s)]
+        np.multiply(A[rows, s : s + width], np.sqrt(p[s : s + width]), out=block)
         product = block @ block.T  # symmetric, so BLAS forms one triangle (syrk)
-        if gram is None:
-            gram = product
-        else:
-            gram += product
+        gram = product if s == 0 else gram + product
     return gram
+
+
+def _independent_rows(A: np.ndarray, b: np.ndarray, row_max: np.ndarray, tol: float):
+    """The rows the Newton system keeps, and the targets it solves for (module docstring)."""
+    m, n = A.shape
+    cov = (sq := A @ A.T) - np.outer(total := A.sum(axis=1), total / n)  # n times the covariance
+    tiny, var, ss = max(m, n) * np.finfo(float).eps, cov.diagonal(), sq.diagonal()
+    try:  # tiny times each row's sum of squares outweighs the rounding of cov
+        keep = np.linalg.cholesky(cov + np.diag(tiny * ss)).diagonal() ** 2 > math.sqrt(tiny) * var
+    except np.linalg.LinAlgError:  # rounding left no covariance to judge by
+        return slice(None), b
+    if keep.all():
+        return slice(None), b
+    Y = np.eye(m)[drop := ~keep]
+    Y[:, keep] = -np.linalg.solve(cov[keep][:, keep], cov[keep][:, drop]).T
+    lo, hi, absY = (V := Y @ A).min(axis=1), V.max(axis=1), np.abs(Y)
+    gap, half, slack = Y @ b - (lo + hi) / 2, (hi - lo) / 2, m * tiny * (absY @ row_max)
+    exact = half <= slack  # slack bounds the rounding of y . A_i and of y . b
+    for d in np.flatnonzero(exact & (np.abs(gap) - half - slack > absY.sum(axis=1) * tol))[:1]:
+        y = " ".join(f"{c:+}*e_{j}" for j, c in enumerate(Y[d]) if c)
+        raise InfeasibleConstraint(
+            f"active rows {np.flatnonzero(Y[d]).tolist()} are dependent: y . b lies more than "
+            f"|y|_1 tol outside [{float(lo[d])!r}, {float(hi[d])!r}], the range of y . A_i on "
+            f"the outcomes still possible (witness y = {y} over the active rows)")
+    keep[drop] = ~exact
+    Y, gap, share = Y[exact], gap[exact], np.ones(m)
+    for _ in range(m):  # Lawson's reweighting, toward the least largest move
+        move = share * (np.linalg.solve((Y * share) @ Y.T, gap) @ Y)
+        if (most := np.abs(move).max()) <= tol / 2:  # clear of tol, whatever the rounding
+            break
+        share = np.minimum(share * most / np.maximum(np.abs(move), tiny * most), tiny ** -0.5)
+    return np.flatnonzero(keep), b - move
 
 
 def _dual_newton(
@@ -194,10 +217,10 @@ def _dual_newton(
     """Maximize lam . b - log Z(lam) for the reduced, strictly positive prior ``q``.
 
     Returns (posterior on the reduced index, multipliers, accepted
-    steps). Raises :class:`InfeasibleConstraint` at the first iterate that
-    separates ``b`` from every distribution (see the module docstring),
-    and :class:`NonConvergence` when the budget runs out first or no step
-    along the Newton direction, however short, raises the dual.
+    steps). Raises :class:`InfeasibleConstraint` on a dependency or an
+    iterate that separates ``b`` from every distribution (see the module
+    docstring), and :class:`NonConvergence` when the budget runs out first
+    or no step along the Newton direction, however short, raises the dual.
     """
     logq = np.log(q)
     lam = np.zeros(A.shape[0])
@@ -213,14 +236,14 @@ def _dual_newton(
         z /= total
         return at, z, shift + math.log(total)
 
+    rows, target = _independent_rows(A, b, row_max, options.tol)
+    work = np.empty((len(b[rows]), min(A.shape[1], HESS_BLOCK)))  # refilled by each block
     at, p, logz = evaluate(A.T @ lam)
-    # the Hessian's workspace, refilled in place with each block of each step
-    work = np.empty((A.shape[0], min(A.shape[1], HESS_BLOCK)))
-    iterations, stall = 0, ""
+    iterations, stall, step = 0, "", np.zeros_like(lam)  # a dropped row never steps
     while True:
         Ap = A @ p
-        grad = b - Ap
-        res = float(np.max(np.abs(grad)))
+        grad = target - Ap
+        res = float(np.abs(b - Ap).max())  # every active row, against the caller's targets
         if res <= options.tol:
             return p, lam, iterations
         lam_b = float(lam @ b)
@@ -236,21 +259,21 @@ def _dual_newton(
                 )
         if iterations >= options.max_iter:
             break
-        hess = _weighted_gram(A, p, work)
-        hess -= np.outer(Ap, Ap)
+        hess = _weighted_gram(A, p, work, rows)
+        hess -= np.outer(Apk := Ap[rows], Apk)
         hess.flat[:: len(hess) + 1] += HESS_EPS
         try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
-        gval = lam_b - logz
+            step[rows] = np.linalg.solve(hess, grad[rows])
+        except np.linalg.LinAlgError:  # p has left too few outcomes to tell the kept rows apart
+            step[:] = 0.0  # so the line search below stalls
+        gval = float(lam @ target) - logz
         slope = ARMIJO * max(float(grad @ step), 0.0)
         # halve until the step no longer moves lam; t reaches 0 only on a step that is not
         # finite. Trials after the first move A^T lam along d = A^T step, at O(n) each.
         t, d = 1.0, None
-        while t and not np.array_equal(cand := lam + t * step, lam):
+        while t and ((cand := lam + t * step) != lam).any():
             trial = evaluate(A.T @ cand if d is None else at + t * d)
-            if float(cand @ b) - trial[2] >= gval + t * slope - 1e-15 * (1.0 + abs(gval)):
+            if float(cand @ target) - trial[2] >= gval + t * slope - 1e-15 * (1.0 + abs(gval)):
                 break
             if d is None:
                 d = A.T @ step
@@ -329,7 +352,7 @@ def maxent_update(
         if not live.all():
             A = A.compress(live, axis=1)
         p_live, lam, iterations = _dual_newton(q, A, b, options)
-        multipliers = tuple(float(x) for x in lam)
+        multipliers = tuple(lam.tolist())
         full = np.zeros(len(prior.space))
         full[live] = p_live
         posterior = Distribution.from_array(prior.space, full)

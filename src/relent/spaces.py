@@ -39,7 +39,9 @@ def _finite_array(values, shape, kind, shape_code, shape_message, finite_message
     ``shape_message`` may name ``shape`` and ``size`` (entries given, or "ragged").
     """
     try:
-        a = _readonly(np.array(values, dtype=float, order="C"))
+        a = np.array(values, order="C")  # inferred, so text shows in the dtype or as an object
+        a = None if a.dtype.kind not in "biufO" or a.dtype.kind == "O" and any(
+            isinstance(x, (str, bytes)) for x in a.flat) else _readonly(a.astype(float, copy=False))
     except (TypeError, ValueError, OverflowError):  # an entry is not a number, or ragged nesting
         a = None
     try:
@@ -76,7 +78,7 @@ def _require_simplex(a: np.ndarray, kind: str, noun: str, nouns: str) -> None:
 def _finite_scalar(value, code: str, requirement: str, admits=lambda x: True) -> float:
     """``value`` as a float, if finite (an int past the float range is not) and ``admits`` it."""
     try:
-        x = float(value)
+        x = None if isinstance(value, (str, bytes)) else float(value)  # float() parses text
     except OverflowError:
         x = math.inf
     except (TypeError, ValueError):  # not a number at all

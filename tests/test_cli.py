@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -198,6 +199,32 @@ class TestUpdate:
         code, out, err = run_main(capsys, "update", str(doc))
         assert (code, err) == (0, "")
         assert "method: dual_newton" in out
+
+    @pytest.mark.parametrize("eps, expected", [(5e-11, 0), (1.5e-10, 0), (2.5e-10, 2), (1e-9, 2)])
+    def test_complementary_targets_apart_by_eps(self, capsys, tmp_path, eps, expected):
+        # P(a) = 0.3 and P(b or c) = 0.7 + eps: the two rows sum to 1 on every outcome, so
+        # a gap within |y|_1 tol = 2e-10 of the stake y = e_0 + e_1 is spread over both
+        # targets, and a wider one is certified by that stake
+        doc = tmp_path / "pair.json"
+        doc.write_text(json.dumps({
+            "space": ["a", "b", "c"], "prior": "uniform",
+            "constraints": [{"type": "event_prob", "event": ["a"], "value": 0.3},
+                            {"type": "event_prob", "event": ["b", "c"], "value": 0.7 + eps}],
+        }), encoding="utf-8")
+        code, out, err = run_main(capsys, "update", str(doc))
+        assert code == expected
+        if expected == 0:
+            assert err == ""
+            assert float(re.search(r"final_residual: (\S+)", out).group(1)) <= 1e-10
+            return
+        assert out.startswith("infeasible\ncertificate: active rows [0, 1] are dependent")
+        terms = re.search(r"\(witness y = (.*) over the active rows\)", out).group(1)
+        y = dict((int(j), float(c)) for c, j in re.findall(r"([+-][^*\s]+)\*e_(\d+)", terms))
+        rows, targets = [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]], [0.3, 0.7 + eps]
+        stake = [sum(y[j] * rows[j][i] for j in y) for i in range(3)]
+        missed = sum(y[j] * targets[j] for j in y) - stake[0]
+        assert max(stake) - min(stake) <= 1e-15
+        assert abs(missed) > sum(map(abs, y.values())) * 1e-10
 
     def test_non_convergence_exits_4(self, capsys):
         code, _, err = run_main(capsys, "update", DIE, "--max-iter", "1")

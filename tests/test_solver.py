@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import relent.constraints
+import relent.solver
 from relent.constraints import (
     CondProb, EventProb, Expectation, PartitionWeights, compile_all, residual,
 )
@@ -391,29 +393,24 @@ class TestNewtonSteps:
         assert rep.final_residual <= opts.tol
         assert np.abs(rep.posterior.array - p_star).sum() <= 1e-9
 
-    def test_singular_hessian_falls_back_to_least_squares(self, monkeypatch):
-        # two proportional rows with entries near 1e3: the Hessian's diagonal is
-        # about 1e6, HESS_EPS is below its ulp, and solve meets a singular matrix
-        calls = []
-        lstsq = np.linalg.lstsq
-        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+    def test_proportional_rows_leave_the_second_at_zero(self):
+        # two proportional rows with entries near 1e3: the second is twice the first,
+        # so it leaves the Newton system before the first step and its multiplier is 0
         kilo = RandomVariable(DIE_SPACE, DIE_VALUES.array * 1e3)
         twice = RandomVariable(DIE_SPACE, DIE_VALUES.array * 2e3)
         opts = SolverOptions()
         rep = maxent_update(Distribution.uniform(DIE_SPACE),
                             [Expectation(kilo, 4.5e3), Expectation(twice, 9e3)], opts)
-        assert len(calls) >= 1
         assert rep.method == "dual_newton" and rep.final_residual <= opts.tol
+        assert rep.multipliers[1] == 0.0
+        assert rep.multipliers[0] == pytest.approx(DIE_MULTIPLIER / 1e3, abs=1e-12)
         assert_allclose(rep.posterior.array, DIE_POSTERIOR, rtol=0, atol=1e-9)
 
-    @pytest.mark.xfail(strict=True, raises=NonConvergence,
-                       reason="ROADMAP item 1: rank-deficient active rows stall the dual")
     @pytest.mark.parametrize("options", [SolverOptions(), NO_FAST], ids=["fast", "no_fast"])
     def test_more_active_rows_than_live_outcomes(self, options):
         # four expectation rows on two outcomes, each target A p for
-        # p = (0.28236341131690407, 0.717636588683096), which lstsq recovers;
-        # today the line search finds no step that raises the dual after 12
-        # steps, at residual 2.5e-9
+        # p = (0.28236341131690407, 0.717636588683096): on two outcomes every row
+        # is an affine function of the first, so the Newton system keeps that one
         s = SampleSpace(("a", "b"))
         prior = Distribution(s, (0.039872397071877515, 0.9601276029281224))
         rows = [
@@ -424,6 +421,7 @@ class TestNewtonSteps:
         ]
         rep = maxent_update(prior, [Expectation(RandomVariable(s, r), t) for r, t in rows], options)
         assert rep.final_residual <= options.tol
+        assert rep.multipliers[1:] == (0.0, 0.0, 0.0)
         assert_allclose(rep.posterior.array, [0.28236341131690407, 0.717636588683096],
                         rtol=0, atol=1e-9)
 
@@ -441,6 +439,80 @@ class TestNewtonSteps:
         cells, ref_cells = lam[3:], ref_lam[3:]
         assert_allclose(np.subtract.outer(cells, cells), np.subtract.outer(ref_cells, ref_cells),
                         rtol=0.0, atol=1e-9)
+
+
+ABC = SampleSpace(("a", "b", "c"))
+
+
+def _complementary_pair(eps):
+    """P(a) = 0.3 and P(b or c) = 0.7 + eps: the two rows sum to 1 on every outcome."""
+    return [EventProb(ABC.subset("a"), 0.3), EventProb(ABC.subset("b", "c"), 0.7 + eps)]
+
+
+def _stake(message):
+    """The stake y a dependency certificate names, one coefficient per active row."""
+    terms = re.search(r"\(witness y = (.*) over the active rows\)", message).group(1)
+    y = np.zeros(2)
+    for coeff, j in re.findall(r"([+-][^*\s]+)\*e_(\d+)", terms):
+        y[int(j)] = float(coeff)
+    return y
+
+
+class TestDependentRows:
+    @pytest.mark.parametrize("options", [SolverOptions(), NO_FAST], ids=["fast", "no_fast"])
+    @pytest.mark.parametrize("eps", [5e-11, 1.5e-10])
+    def test_gap_within_the_spread_tolerance_is_met(self, options, eps):
+        # the gap eps is within |y|_1 tol = 2e-10 of the stake y = e_0 + e_1, so each
+        # target moves by eps / 2 and the posterior meets both within tol
+        rep = maxent_update(Distribution.uniform(ABC), _complementary_pair(eps), options)
+        assert rep.method == "dual_newton" and rep.final_residual <= options.tol
+        assert rep.final_residual == pytest.approx(eps / 2, rel=1e-3)
+        assert rep.multipliers[1] == 0.0
+        assert_allclose(rep.posterior.array, [0.3, 0.35, 0.35], rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("options", [SolverOptions(), NO_FAST], ids=["fast", "no_fast"])
+    @pytest.mark.parametrize("eps", [2.5e-10, 1e-9])
+    def test_gap_beyond_it_names_the_stake(self, options, eps):
+        prior = Distribution.uniform(ABC)
+        constraints = _complementary_pair(eps)
+        with pytest.raises(InfeasibleConstraint) as info:
+            maxent_update(prior, constraints, options)
+        y = _stake(info.value.reason)
+        system = compile_all(constraints, ABC)
+        # y . A_i is the same on every outcome, and y . b misses it by more than
+        # |y|_1 tol, so no posterior meets both rows within tol
+        gains = y @ system.A - y @ system.b
+        assert np.abs(gains - gains[0]).max() <= 1e-15
+        assert np.abs(gains).min() > np.abs(y).sum() * options.tol
+
+    def test_multipliers_do_not_depend_on_the_block_size(self, monkeypatch):
+        # an expectation and a 4-cell partition on 40 000 outcomes; the cells sum to 1,
+        # so the last leaves the Newton system and the others' multipliers are unique
+        n = 40_000
+        rng = np.random.default_rng(11)
+        space = space_of(n)
+        q = rng.uniform(0.2, 1.8, n)
+        q /= q.sum()
+        x = np.round(rng.normal(size=n), 6)
+        cell = rng.integers(0, 4, n)
+        logits = np.log(q) + 0.4 * x + np.array([0.3, -0.5, 0.2, 0.0])[cell]
+        p_star = np.exp(logits - logits.max())
+        p_star /= p_star.sum()
+        cells = Partition(tuple(space.subset(*(space.outcomes[i] for i in np.flatnonzero(cell == c)))
+                                for c in range(4)))
+        constraints = [
+            Expectation(RandomVariable(space, tuple(x)), float(x @ p_star)),
+            PartitionWeights(cells, tuple(np.bincount(cell, weights=p_star).tolist())),
+        ]
+        prior = Distribution.from_array(space, q)
+        reports = []
+        for block in (1 << 14, 1 << 10):  # one block of the Hessian's product, then 40
+            monkeypatch.setattr(relent.solver, "HESS_BLOCK", block)
+            reports.append(maxent_update(prior, constraints))
+        one, forty = reports
+        assert one.multipliers[-1] == forty.multipliers[-1] == 0.0
+        assert np.abs(np.subtract(one.multipliers, forty.multipliers)).max() <= 1e-12
+        assert np.abs(forty.posterior.array - p_star).sum() <= 1e-9
 
 
 class TestBlockedHessian:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -17,7 +18,7 @@ from relent.constraints import (
     triage_feasibility,
 )
 from relent.errors import ConstructionError, ZeroMassEvent
-from relent.information import relative_entropy
+from relent.information import relative_entropy, self_information
 from relent.solver import SolverOptions
 from relent.spaces import (
     Distribution,
@@ -567,6 +568,31 @@ def test_ragged_input_is_named_in_the_message():
         Distribution(_S, [[0.5], [0.25, 0.25]])
     with pytest.raises(ConstructionError, match="^probability target must be finite, got 'x'$"):
         EventProb(_A, "x")
+
+
+@pytest.mark.parametrize("call, code", [
+    (lambda: EventProb(_A, "0.5"), "constraint.not_finite"),
+    (lambda: PartitionWeights(_CELLS, ("0.25", "0.75")), "constraint.not_finite"),
+    (lambda: Distribution(_S, ["0.25", "0.75"]), "dist.not_finite"),
+    (lambda: Distribution(_S, [0.25, b"0.75"]), "dist.not_finite"),
+    (lambda: Distribution(_S, [Fraction(1, 4), "0.75"]), "dist.not_finite"),
+    (lambda: RandomVariable(_S, np.array(["1", "2"])), "variable.not_finite"),
+    (lambda: self_information("0.5"), "information.bad_probability"),
+    (lambda: SolverOptions(tol="1e-3"), "options.bad_tol"),
+], ids=["event-prob", "partition-weights", "dist", "dist-bytes", "dist-mixed", "variable",
+        "self-information", "tol"])
+def test_text_is_not_a_number(call, code):
+    # float() parses "0.5"; the library takes numbers only, as the scenario loader does
+    with pytest.raises(ConstructionError) as ei:
+        call()
+    assert ei.value.code == code
+
+
+def test_fractions_and_numpy_scalars_are_numbers():
+    assert Distribution(_S, [Fraction(1, 4), np.float32(0.75)]).weights == (0.25, 0.75)
+    assert EventProb(_A, Fraction(1, 2)).value == 0.5
+    assert self_information(np.float64(0.5)) == pytest.approx(math.log(2.0))
+    assert SolverOptions(tol=np.float32(0.5)).tol == 0.5
 
 
 def test_partition_weights_stay_a_tuple_of_floats():
