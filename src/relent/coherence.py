@@ -13,17 +13,15 @@ therefore computes that projection; for exterior points the projection
 is returned as an explicit dominating forecast, so the verdict can be
 checked by direct enumeration rather than taken on faith.
 
-The projection (:func:`_project_to_hull`) is Wolfe's active-set
-minimum-norm method. Each minor step finds the affine minimiser of the
-active vertices S by one ``solve`` of the bordered Gram system
-(S S^T + 1 1^T) y = 1, scaled to sum to one; the loop stops when the
-duality gap closes or when the entering vertex is already active.
-
-Per-world losses come from ``valuation_matrix`` (:func:`world_losses`) in
-one batched call, with no object built and no Python step per world.
-``WorldValuation``, ``world_valuations`` and ``quadratic_loss`` score one
-world at a time and are kept as the reference that the tests enumerate
-against.
+The audit forms the shifted valuations W = V - x once. The squared
+lengths of its rows are the book's per-world losses, and
+:func:`_project_to_hull` finds the point of W's hull nearest the origin
+by Wolfe's active-set minimum-norm method, with the active rows and
+their bordered Gram matrix in buffers that grow by one row per entering
+vertex. :func:`world_losses` scores any forecasts in every world in one
+batched call. ``WorldValuation``, ``world_valuations`` and
+``quadratic_loss`` score one world at a time and are kept as the
+reference that the tests enumerate against.
 """
 
 from __future__ import annotations
@@ -150,8 +148,8 @@ class AdmissibilityVerdict:
     it achieves (equal to the squared projection distance, which the
     hull geometry guarantees as a floor). ``losses`` are the book's
     per-world losses and ``dominating_losses`` the dominator's (empty
-    when admissible), both from :func:`world_losses` in space order;
-    ``margin`` is the minimum of their differences.
+    when admissible), both bit for bit as :func:`world_losses` gives
+    them, in space order; ``margin`` is the minimum of their differences.
     """
 
     admissible: bool
@@ -172,47 +170,60 @@ class AdmissibilityVerdict:
             )
 
 
-def _project_to_hull(vertices: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Euclidean projection of ``x`` onto the convex hull of ``vertices`` (rows).
+def _project_to_hull(W: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Nearest point to the origin of the convex hull of the rows of ``W``.
 
-    Active-set minimum-norm method (Wolfe 1976) on the shifted vertices
-    W = vertices - x. Each major step adds the vertex that the current
-    point z favours most, argmin W @ z; the same product gives the gap
-    z.z - min(W @ z). Each minor step jumps to the affine minimiser of the
-    active rows S: one ``solve`` of the bordered Gram system
-    (S S^T + 1 1^T) y = 1, then alpha = y / sum(y), which meets
-    S S^T alpha = const and sum(alpha) = 1. Adding 1 1^T makes the Gram
-    matrix nonsingular exactly when the active vertices are affinely
-    independent, which the method keeps. When a coefficient would go
-    negative it steps back to the boundary and drops that vertex, so
-    the minor loop runs at most once per active vertex.
+    ``norms`` holds each row's squared length. The audit passes the shifted
+    valuations W = V - x and adds x to the result.
 
-    It stops when the gap is within ``GAP_TOL`` of the vertex scale, or
-    when the entering vertex is already active (no vertex improves on
-    z; solving again would meet a singular Gram matrix). Unlike plain
-    segment line search this reaches the exact face, so projection
-    distances are machine precision and the admissibility threshold is
-    meaningful.
+    Active-set minimum-norm method (Wolfe 1976). Each major step adds the
+    row that the current point z favours most, argmin W @ z; the same
+    product gives the gap z.z - min(W @ z). Each minor step jumps to the
+    affine minimiser of the active rows S: one ``solve`` of the bordered
+    Gram system G y = 1 with G = S S^T + 1 1^T, then alpha = y / sum(y),
+    which meets S S^T alpha = const and sum(alpha) = 1. Adding 1 1^T makes
+    G nonsingular exactly when the active rows are affinely independent,
+    which the method keeps. When a coefficient would go negative it steps
+    back to the boundary and drops that row, so the minor loop runs at
+    most once per active row.
+
+    S and G live in buffers of d + 2 rows: at most d + 1 affinely
+    independent points in R^d, plus the entering one. An entering row j
+    goes to S[k], and S[:k + 1] @ W[j] + 1 becomes G's row and column k;
+    a drop compacts both buffers to the kept indices.
+
+    It stops when the gap is within ``GAP_TOL`` of the row scale, or when
+    the entering row is already active (no row improves on z; solving
+    again would meet a singular G). Unlike plain segment line search this
+    reaches the exact face, so projection distances are machine precision
+    and the admissibility threshold is meaningful.
     """
-    W = vertices - x  # project the origin onto the shifted hull
-    norms = np.einsum("ij,ij->i", W, W)
+    d = W.shape[1]
+    S = np.empty((d + 2, d))
+    G = np.empty((d + 2, d + 2))
+    ones = np.ones(d + 2)
     scale = 1.0 + float(norms.max(initial=0.0))
     active = [int(np.argmin(norms))]
+    S[0] = W[active[0]]
+    G[0, 0] = norms[active[0]] + 1.0
     beta = np.array([1.0])
-    z = W[active[0]].copy()
+    z = S[0].copy()
     for _ in range(MAX_MAJOR_STEPS):
         wz = W @ z
         j = int(np.argmin(wz))
         if float(z @ z) - float(wz[j]) <= GAP_TOL * scale or j in active:
             break
+        k = len(active)
+        S[k] = W[j]
+        G[k, :k + 1] = G[:k + 1, k] = S[:k + 1] @ W[j] + 1.0
         active.append(j)
-        beta = np.append(beta, 0.0)
-        for _minor in range(len(active)):
-            S = W[active]
-            y = np.linalg.solve(S @ S.T + 1.0, np.ones(len(active)))
+        beta = np.concatenate((beta, [0.0]))
+        k += 1
+        for _minor in range(k):
+            y = np.linalg.solve(G[:k, :k], ones[:k])
             alpha = y / y.sum()
             if alpha.min() >= -1e-12:
-                beta = np.clip(alpha, 0.0, None)
+                beta = np.maximum(alpha, 0.0)
                 beta /= beta.sum()
                 break
             # walk toward alpha until the first coefficient hits zero
@@ -220,12 +231,14 @@ def _project_to_hull(vertices: np.ndarray, x: np.ndarray) -> np.ndarray:
                 ratio = np.where(alpha < beta, beta / (beta - alpha), np.inf)
             theta = float(min(1.0, ratio[alpha < 0.0].min()))
             beta = (1.0 - theta) * beta + theta * alpha
-            keep = beta > 1e-14
-            active = [idx for idx, k in zip(active, keep) if k]
+            keep = np.flatnonzero(beta > 1e-14)
+            active = [active[i] for i in keep]
+            k = len(keep)
+            S[:k], G[:k, :k] = S[keep], G[np.ix_(keep, keep)]
             beta = beta[keep]
             beta /= beta.sum()
-        z = W[active].T @ beta
-    return z + x
+        z = beta @ S[:k]
+    return z
 
 
 def audit_admissibility(fs: ForecastSystem) -> AdmissibilityVerdict:
@@ -243,8 +256,10 @@ def audit_admissibility(fs: ForecastSystem) -> AdmissibilityVerdict:
     and the book is reported admissible.
     """
     x = fs.array
-    losses = world_losses(fs, x)
-    projection = _project_to_hull(fs.valuation_matrix, x)
+    W = fs.valuation_matrix - x  # world_losses(fs, x)'s gap rows, formed once
+    losses = _row_dots(W, W)
+    projection = _project_to_hull(W, losses) + x
+    del W  # free it before the report's tuples and the dominator's own gap rows
     if float(np.linalg.norm(projection - x)) > ADMISSIBLE_DIST:
         after = world_losses(fs, projection)
         margin = float((losses - after).min())

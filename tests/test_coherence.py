@@ -286,6 +286,12 @@ def _point(rng, V, where):
     return x
 
 
+def _nearest_hull_point(V, x):
+    """The point of the hull of the rows of ``V`` nearest to ``x``, as the audit finds it."""
+    W = V - x
+    return _project_to_hull(W, np.einsum("ij,ij->i", W, W)) + x
+
+
 class TestProjectionOptimality:
     """pi is the projection of x onto the hull exactly when (v - pi).(x - pi) <= 0 for
     every vertex v: a check that does not depend on how pi was found."""
@@ -293,8 +299,8 @@ class TestProjectionOptimality:
     @staticmethod
     def check(fs):
         V, x = fs.valuation_matrix, fs.array
-        pi = _project_to_hull(V, x)
-        assert float(((V - pi) @ (x - pi)).max()) <= 1e-12
+        pi = _nearest_hull_point(V, x)
+        assert float(((V - pi) @ (x - pi)).max(initial=0.0)) <= 1e-12
         assert audit_admissibility(ForecastSystem(fs.space, fs.events, pi)).admissible
 
     @pytest.mark.parametrize("where", WHERES)
@@ -320,6 +326,71 @@ class TestProjectionOptimality:
         V = (rng.random((256, 16)) < 0.5).astype(float)
         for _ in range(3):
             self.check(_book_from_matrix(V, _point(rng, V, where)))
+
+
+def _check_by_enumeration(fs):
+    """The kernel's point meets the variational inequality, and the audit's dominator,
+    if any, loses less than the book in every world."""
+    TestProjectionOptimality.check(fs)
+    verdict = audit_admissibility(fs)
+    if not verdict.admissible:
+        dom = ForecastSystem(fs.space, fs.events, verdict.dominating)
+        for w in world_valuations(fs):
+            assert quadratic_loss(dom, w) < quadratic_loss(fs, w)
+    return verdict
+
+
+def _table(*rows):
+    return np.array([[float(ch) for ch in row] for row in rows])
+
+
+class TestKernelEdgeCases:
+    """Degenerate books, each with a known nearest point, checked by enumeration."""
+
+    @pytest.mark.parametrize("V, x, nearest", [
+        # four worlds, two of each valuation: the overconfident pair again
+        (_table("10", "10", "01", "01"), (0.7, 0.7), (0.5, 0.5)),
+        # a single world: its valuation is the whole hull
+        (_table("101"), (0.2, 0.3, 0.9), (1.0, 0.0, 1.0)),
+        # six events on three worlds: the hull is a triangle in R^6
+        (_table("110010", "011001", "101100"), (0.5,) * 6, (2 / 3, 2 / 3, 2 / 3, 1 / 3, 1 / 3, 1 / 3)),
+        # the same triangle, from a point inside it
+        (_table("110010", "011001", "101100"), (0.6, 0.7, 0.7, 0.3, 0.3, 0.4), None),
+        # a forecast on a vertex
+        (_table("00", "10", "01", "11"), (1.0, 0.0), None),
+        # the empty book: one point, the empty vector
+        (np.zeros((3, 0)), (), None),
+    ], ids=["duplicate_worlds", "single_world", "more_events_than_worlds", "inside_the_triangle",
+            "on_a_vertex", "empty_book"])
+    def test_degenerate_book(self, V, x, nearest):
+        fs = _book_from_matrix(V, np.array(x, dtype=float))
+        verdict = _check_by_enumeration(fs)
+        assert verdict.admissible == (nearest is None)
+        if nearest is not None:
+            assert_allclose(verdict.dominating, nearest, atol=1e-12)
+        assert_allclose(_nearest_hull_point(V, fs.array), nearest or fs.array, atol=1e-12)
+
+    # two random books (default_rng seeds 129 and 218: 2-9 worlds, 1-6 events, forecasts
+    # uniform on [-0.5, 1.5], rounded here) whose affine minimiser leaves the simplex,
+    # so the kernel walks back and drops a vertex
+    @pytest.mark.parametrize("V, x", [
+        (_table("100", "000", "101", "101", "000", "011"), (0.888, 0.243, 0.649)),
+        (_table("000111", "101011", "001101", "110101", "111010", "000100"),
+         (0.158, 0.041, 0.208, 0.456, 0.329, 0.964)),
+    ], ids=["seed_129", "seed_218"])
+    def test_walk_back_drops_a_vertex(self, V, x, monkeypatch):
+        sizes = []
+        solve = np.linalg.solve
+
+        def recorded(G, rhs):
+            sizes.append(len(rhs))
+            return solve(G, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", recorded)
+        verdict = _check_by_enumeration(_book_from_matrix(V, np.array(x)))
+        assert not verdict.admissible
+        # without a drop each solve has one more active vertex than the last
+        assert any(b <= a for a, b in zip(sizes, sizes[1:]))
 
 
 @st.composite
@@ -363,7 +434,7 @@ class TestWorldLosses:
         assert audit_admissibility(fs).losses == (0.0, 0.0)
 
     @pytest.mark.parametrize("forecasts", [(0.7, 0.7), (0.4, 0.6)])
-    def test_audit_and_report_score_the_book_at_most_twice(self, forecasts, monkeypatch):
+    def test_audit_and_report_score_only_the_dominator(self, forecasts, monkeypatch):
         fs = ForecastSystem(TWO, (E, NOT_E), forecasts)
         calls = []
         real = relent.coherence.world_losses
@@ -375,8 +446,11 @@ class TestWorldLosses:
         monkeypatch.setattr(relent.coherence, "world_losses", counted)
         # the report must not score the book again under any name of its own
         monkeypatch.setattr(relent.scenario, "world_losses", counted, raising=False)
-        emit_report(audit_admissibility(fs), system=fs)
-        assert len(calls) <= 2
+        verdict = audit_admissibility(fs)
+        emit_report(verdict, system=fs)
+        # the book's own losses come from the audit's shifted valuations
+        scored = [tuple(y.tolist()) for _, y in calls]
+        assert scored == ([] if verdict.admissible else [verdict.dominating])
 
     # books() draws 1-6 events; BLAS ddot unrolls by blocks, so cover longer rows too
     @pytest.mark.parametrize("k", [0, 1, 7, 16, 17, 24, 33, 64, 129])
@@ -392,6 +466,7 @@ class TestWorldLosses:
         fs = ForecastSystem(space, events, rng.uniform(-0.5, 1.5, k))
         expected = [quadratic_loss(fs, w) for w in world_valuations(fs)]
         assert world_losses(fs, as_given(fs.array)).tolist() == expected
+        assert list(audit_admissibility(fs).losses) == expected
 
     @pytest.mark.parametrize("forecasts", [[0.5], 0.5, [0.5, 0.5, 0.5]],
                              ids=["one_value", "scalar", "three_values"])
