@@ -366,8 +366,6 @@ class TestKernelEdgeCases:
         fs = _book_from_matrix(V, np.array(x, dtype=float))
         verdict = _check_by_enumeration(fs)
         assert verdict.admissible == (nearest is None)
-        if nearest is not None:
-            assert_allclose(verdict.dominating, nearest, atol=1e-12)
         assert_allclose(_nearest_hull_point(V, fs.array), nearest or fs.array, atol=1e-12)
 
     # two random books (default_rng seeds 129 and 218: 2-9 worlds, 1-6 events, forecasts
