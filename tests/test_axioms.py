@@ -118,10 +118,10 @@ class TestAxiom4b:
         with pytest.raises(InfeasibleConstraint):
             check_axiom4b(prior, part, m, tol=1e-9)
 
-    def test_deterministic_in_seed(self):
+    def test_seed_is_ignored(self):
         prior = Distribution(DIE, (0.1, 0.15, 0.2, 0.25, 0.2, 0.1))
         m = PartitionWeights(EVEN_ODD, (0.6, 0.4))
-        a = check_axiom4b(prior, EVEN_ODD, m, tol=1e-9, seed=42)
+        a = check_axiom4b(prior, EVEN_ODD, m, tol=1e-9, seed=1)
         b = check_axiom4b(prior, EVEN_ODD, m, tol=1e-9, seed=42)
         assert a == b
 
@@ -236,12 +236,22 @@ class TestAxiom4Full:
         assert ei.value.code == "cellinfo.bad_index"
 
     def test_zero_mass_cell_rejected(self):
+        # the joint update gives c mass 0.3, but its conditional prior is undefined
+        s = SampleSpace(("a", "b", "c"))
+        prior = Distribution(s, (0.5, 0.5 - 1e-13, 1e-13))
+        part = Partition.from_labels(s, [("a", "b"), ("c",)])
+        m = PartitionWeights(part, (0.7, 0.3))
+        with pytest.raises(ZeroMassEvent):
+            check_axiom4_full(prior, part, m, [], tol=1e-8)
+
+    def test_zero_mass_zero_weight_cell_skipped(self):
         s = SampleSpace(("a", "b", "c"))
         prior = Distribution(s, (0.5, 0.5, 0.0))
         part = Partition.from_labels(s, [("a", "b"), ("c",)])
         m = PartitionWeights(part, (1.0, 0.0))
-        with pytest.raises(ZeroMassEvent):
-            check_axiom4_full(prior, part, m, [], tol=1e-8)
+        rep = check_axiom4_full(prior, part, m, [], tol=1e-8)
+        assert rep.skipped_cells == (1,)
+        assert [i for i, _ in rep.per_cell] == [0]
 
     def test_zero_weight_cell_skipped(self):
         prior = Distribution.uniform(DIE)
@@ -266,6 +276,54 @@ class TestAxiom4Full:
             for infos in (events, conditionals):
                 rep = check_axiom4_full(prior, part, m, infos, tol=1e-8)
                 assert rep.passed, f"trial {trial}: deviation {rep.max_deviation}"
+
+
+class TestCellScore:
+    """A cell's score is the largest change in probability of any event inside it."""
+
+    @staticmethod
+    def worst_event(post, before, cell):
+        members = cell.labels
+        worst = 0.0
+        for bits in range(1, 2 ** len(members)):
+            a = post.space.subset(*(x for k, x in enumerate(members) if bits >> k & 1))
+            change = conditional_prob(post, a, cell) - conditional_prob(before, a, cell)
+            worst = max(worst, abs(change))
+        return worst
+
+    def test_equals_the_worst_event(self):
+        rng = np.random.default_rng(31)
+        for trial in range(30):
+            prior, part, m = random_case(rng, n_max=8)
+            post = maxent_update(prior, [m]).posterior
+            rep = check_axiom4b(prior, part, m, tol=1e-8)
+            assert [i for i, _ in rep.per_cell] == list(range(len(part.cells)))
+            for i, score in rep.per_cell:
+                cell = part.cells[i]
+                oracle = self.worst_event(post, prior, cell)
+                assert abs(score - oracle) <= 1e-15, f"trial {trial}, cell {i}"
+
+    def test_equals_the_worst_event_for_a_rule_that_moves_conditionals(self, monkeypatch):
+        # a rival right side (the conditional prior raised to the power 1.5) makes
+        # every score large, so the formula is tested away from rounding level
+        def rival(prior, constraints):
+            if constraints:
+                return maxent_update(prior, constraints)
+            w = prior.array ** 1.5
+            return maxent_update(Distribution.from_array(prior.space, w / w.sum()), [])
+
+        monkeypatch.setattr("relent.axioms.maxent_update", rival)
+        rng = np.random.default_rng(32)
+        for trial in range(30):
+            prior, part, m = random_case(rng, n_max=8)
+            post = maxent_update(prior, [m]).posterior
+            rep = check_axiom4b(prior, part, m, tol=1e-8)
+            for i, score in rep.per_cell:
+                cell = part.cells[i]
+                right = rival(condition(prior, cell), []).posterior
+                oracle = self.worst_event(post, right, cell)
+                assert abs(score - oracle) <= 1e-15, f"trial {trial}, cell {i}"
+            assert rep.max_deviation > 1e-3 or all(len(c.labels) == 1 for c in part.cells)
 
 
 def rep_passed(rep: AxiomReport) -> bool:

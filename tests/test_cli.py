@@ -470,8 +470,11 @@ class TestAxioms:
         assert first == second
 
     def test_failed_trial_exits_4_with_the_worst_deviation(self, capsys, monkeypatch):
-        def second_trial_fails(prior, part, weights, tol, seed):
-            return AxiomReport(tol, ((0, 0.25 if seed == 1 else 0.0),))
+        calls = []
+
+        def second_trial_fails(prior, part, weights, tol):
+            calls.append(None)
+            return AxiomReport(tol, ((0, 0.25 if len(calls) == 2 else 0.0),))
 
         monkeypatch.setattr("relent.cli.check_axiom4b", second_trial_fails)
         assert run_main(capsys, "axioms", "--trials", "3") == (
