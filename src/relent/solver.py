@@ -43,7 +43,7 @@ from . import constraints as _constraints
 from . import information
 from .constraints import Constraint, PartitionWeights, System
 from .errors import ConstructionError, DegenerateConditional, InfeasibleConstraint, NonConvergence
-from .spaces import ZERO_MASS, Distribution, Partition, _finite_scalar
+from .spaces import ZERO_MASS, Distribution, Partition, _finite_scalar, _reweight
 
 #: Added to the dual Hessian's diagonal. Dependent rows leave before the first step, so it
 #: only damps a step whose Hessian is near singular because a row has tiny prior mass.
@@ -132,8 +132,9 @@ def jeffrey_update(
 
     This is the maximum-relative-entropy posterior for the constraints
     P(cell_i) = weights[i], compiled as :func:`maxent_update` compiles
-    them. Raises :class:`InfeasibleConstraint` when a cell with zero prior
-    mass is assigned positive weight.
+    them; :func:`~relent.spaces.condition` is the same kernel on one cell
+    of weight 1. Raises :class:`InfeasibleConstraint` when a cell with
+    zero prior mass is assigned positive weight.
     """
     spec = PartitionWeights(partition, tuple(weights))
     targets = [w for _, w in _constraints.compile_constraint(spec, prior.space)]
@@ -142,19 +143,7 @@ def jeffrey_update(
         if w != 0.0 and m == 0.0:  # row j is 0 wherever the prior has mass
             raise InfeasibleConstraint(f"cell {cell.describe()} has zero prior mass "
                                        f"but target weight {w:g} (witness y = +e_{j})")
-    return _jeffrey(prior, [cell.indicator for cell in partition.cells], targets, masses)
-
-
-def _jeffrey(
-    prior: Distribution, cells: Sequence[np.ndarray], weights: list[float], masses: list[float]
-) -> Distribution:
-    """Jeffrey's rule on disjoint covering 0/1 rows ``cells``, ``weights`` and prior ``masses``
-    (positive wherever a weight is nonzero)."""
-    out = np.zeros(len(prior.space))
-    for cell, w, m in zip(cells, weights, masses):
-        if w != 0.0:
-            out += prior.array * cell / m * w  # at most 1 before * w, even for a subnormal m
-    return Distribution.from_array(prior.space, out)
+    return _reweight(prior, [cell.indicator for cell in partition.cells], targets, masses)
 
 
 def _check_conditionals(posterior: Distribution, system: System, constraints: Sequence) -> None:
@@ -340,11 +329,10 @@ def maxent_update(
     iterations = 0
     reweighting = _lone_reweighting(system, prior) if options.use_fast_paths else None
     if reweighting is not None:
-        posterior = _jeffrey(prior, *reweighting)
+        posterior = _reweight(prior, *reweighting)
         method: Method = "jeffrey"
-    elif not b.size:
-        kept = live.astype(float)
-        posterior = Distribution.from_array(prior.space, prior.array * kept / (prior.array @ kept))
+    elif not b.size:  # Jeffrey's rule on the face: one cell, weight 1
+        posterior = _reweight(prior, (kept := live.astype(float),), (1.0,), (prior.array @ kept,))
         method = "conditionalization"
     else:
         q = prior.array[live]

@@ -410,8 +410,18 @@ class JointDistribution(_ArrayValued):
 # ---------------------------------------------------------------------------
 
 
+def _reweight(dist: Distribution, cells, weights, masses) -> Distribution:
+    """Jeffrey's rule: each disjoint 0/1 row of ``cells`` with a nonzero weight, rescaled
+    from its mass under ``dist`` (positive wherever its weight is nonzero) to its weight."""
+    out = np.zeros(len(dist.space))
+    for cell, w, m in zip(cells, weights, masses):
+        if w != 0.0:
+            out += dist.array * cell / m * w  # at most 1 before * w, even for a subnormal m
+    return Distribution.from_array(dist.space, out)
+
+
 def condition(dist: Distribution, e: Event) -> Distribution:
-    """Restrict ``dist`` to ``e`` and renormalize.
+    """Restrict ``dist`` to ``e`` and renormalize: Jeffrey's rule's kernel on one cell, weight 1.
 
     Outcomes outside ``e`` get weight zero. Raises :class:`ZeroMassEvent`
     when P(e) is at or below the zero-mass threshold.
@@ -420,7 +430,7 @@ def condition(dist: Distribution, e: Event) -> Distribution:
     mass = dist.prob(e)
     if mass <= ZERO_MASS:
         raise ZeroMassEvent(f"cannot condition on {e.describe()} with probability {mass!r}")
-    return Distribution.from_array(dist.space, dist.array * e.indicator / mass)
+    return _reweight(dist, (e.indicator,), (1.0,), (mass,))
 
 
 def expectation(dist: Distribution, f: RandomVariable) -> float:
