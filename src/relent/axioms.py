@@ -23,7 +23,8 @@ import numpy as np
 from .constraints import CondProb, Constraint, EventProb, PartitionWeights
 from .errors import ConstructionError
 from .solver import maxent_update
-from .spaces import ZERO_MASS, Distribution, Event, Partition, SampleSpace, condition
+from .spaces import ZERO_MASS, Distribution, Event, Partition, SampleSpace, _finite_scalar
+from .spaces import _integer, condition
 
 @dataclass(frozen=True)
 class CellInfo:
@@ -40,10 +41,7 @@ class CellInfo:
 
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
-        if type(self.cell_index) is not int or self.cell_index < 0:  # a bool is no index either
-            raise ConstructionError(
-                "cellinfo.bad_index", f"cell_index must be an int >= 0, got {self.cell_index!r}"
-            )
+        _integer(self.cell_index, "cellinfo.bad_index", "cell_index must be an int >= 0", 0)
         for c in self.constraints:
             if not isinstance(c, (EventProb, CondProb)):
                 raise ConstructionError(
@@ -120,7 +118,9 @@ def check_axiom4_full(
     zero) are skipped and flagged; every other cell is conditioned, so
     one without prior mass raises :class:`ZeroMassEvent`. Solver
     failures (infeasible or non-convergent joint constraints) propagate.
+    ``tol`` must be finite and nonnegative.
     """
+    tol = _finite_scalar(tol, "axiom.bad_tol", "tol must be nonnegative", lambda x: x >= 0.0)
     if m.partition != part:
         raise ConstructionError(
             "axiom.partition_mismatch",
@@ -177,7 +177,9 @@ def random_reweighting_case(
 
     Priors and weights are kept away from the simplex boundary so every
     cell has comparable conditionals before and after the update.
+    ``n_max``, the largest space drawn, is an int of at least 2.
     """
+    _integer(n_max, "axiom.bad_n_max", "n_max must be an int of at least 2", 2)
     n = int(rng.integers(2, n_max + 1))
     space = SampleSpace(tuple(f"w{i}" for i in range(n)))
     prior = Distribution.from_array(space, rng.dirichlet(np.ones(n) * 2.0) * 0.98 + 0.02 / n)

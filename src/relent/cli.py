@@ -7,7 +7,8 @@ Exit codes are part of the contract:
       certificate saying why (impossible constraint set, conditioning
       on a zero-mass event, or a dominated forecast system)
 * 3 - the input failed to parse or validate, or a flag is malformed
-* 4 - the solver or a property trial failed to converge
+* 4 - the solver, the audit's hull projection or a property trial failed
+      to converge
 
 Reports go to stdout, diagnostics to stderr.
 """

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConstructionError
+from .errors import ConstructionError, NonConvergence
 from .spaces import Distribution, Event, SampleSpace, _ArrayValued, _finite_array, _readonly
 from .spaces import _row_dots
 
@@ -194,9 +194,11 @@ def _project_to_hull(W: np.ndarray, norms: np.ndarray) -> np.ndarray:
 
     It stops when the gap is within ``GAP_TOL`` of the row scale, or when
     the entering row is already active (no row improves on z; solving
-    again would meet a singular G). Unlike plain segment line search this
-    reaches the exact face, so projection distances are machine precision
-    and the admissibility threshold is meaningful.
+    again would meet a singular G); if neither happens within
+    ``MAX_MAJOR_STEPS`` it raises :class:`NonConvergence`. Unlike plain
+    segment line search this reaches the exact face, so projection
+    distances are machine precision and the admissibility threshold is
+    meaningful.
     """
     d = W.shape[1]
     S = np.empty((d + 2, d))
@@ -238,6 +240,10 @@ def _project_to_hull(W: np.ndarray, norms: np.ndarray) -> np.ndarray:
             beta = beta[keep]
             beta /= beta.sum()
         z = beta @ S[:k]
+    else:  # an unfinished projection would call a dominated book admissible
+        gap = float(z @ z) - float((W @ z).min())
+        raise NonConvergence(f"the hull projection stopped after {MAX_MAJOR_STEPS} major steps "
+                             f"with gap {gap:g} above {GAP_TOL * scale:g}")
     return z
 
 
@@ -253,7 +259,8 @@ def audit_admissibility(fs: ForecastSystem) -> AdmissibilityVerdict:
     Just beyond ``ADMISSIBLE_DIST`` the true margin (about 1e-18) is below
     the rounding of the losses, so the computed one can come out at or
     below zero: no dominator can be checked at float64 precision there,
-    and the book is reported admissible.
+    and the book is reported admissible. Raises :class:`NonConvergence`
+    when the projection does not finish.
     """
     x = fs.array
     W = fs.valuation_matrix - x  # world_losses(fs, x)'s gap rows, formed once

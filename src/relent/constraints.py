@@ -127,6 +127,8 @@ Constraint = Union[EventProb, Expectation, CondProb, PartitionWeights]
 
 def compile_constraint(c: Constraint, space: SampleSpace) -> tuple[tuple[np.ndarray, float], ...]:
     """Lower one constraint to ``(coeffs, target)`` rows aligned to ``space``."""
+    if not isinstance(c, Constraint):  # before c.space, which another object may lack
+        raise TypeError(f"not a constraint: {c!r}")
     _require_same_space(c.space, space, "constraint")
     if isinstance(c, EventProb):
         return ((c.event.indicator, c.value),)
@@ -135,10 +137,8 @@ def compile_constraint(c: Constraint, space: SampleSpace) -> tuple[tuple[np.ndar
     if isinstance(c, CondProb):
         coeffs = c.target.intersect(c.given).indicator - c.value * c.given.indicator
         return ((coeffs, 0.0),)
-    if isinstance(c, PartitionWeights):
-        total = math.fsum(c.weights)
-        return tuple((cell.indicator, w / total) for cell, w in zip(c.partition.cells, c.weights))
-    raise TypeError(f"not a constraint: {c!r}")
+    total = math.fsum(c.weights)  # a PartitionWeights
+    return tuple((cell.indicator, w / total) for cell, w in zip(c.partition.cells, c.weights))
 
 
 @dataclass(frozen=True, eq=False)

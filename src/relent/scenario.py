@@ -485,6 +485,11 @@ def serialize(sc: Scenario) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _check_units(units: str) -> None:
+    if units not in ("nats", "bits"):
+        raise ConstructionError("report.bad_units", f"units must be nats or bits, got {units!r}")
+
+
 def _info_value(nats: float, units: str) -> str:
     if units == "bits":
         return f"{fmt10(nats / LN2)} bits"
@@ -560,8 +565,10 @@ def emit_report(
     ``units`` converts the information values of an update report (and
     only those) to bits when set. For admissibility verdicts, pass the
     audited system to get per-world loss tables: the losses are the
-    verdict's, the world names the system's.
+    verdict's, the world names the system's. Raises :class:`ConstructionError`
+    (``report.bad_units``) for units other than "nats" or "bits".
     """
+    _check_units(units)
     if isinstance(report, UpdateReport):
         lines = _emit_update(report, units)
     elif isinstance(report, AdmissibilityVerdict):
@@ -575,8 +582,9 @@ def run_queries(dist: Distribution, queries: Sequence[Query], units: str = "nats
     """Answer each query against ``dist``, one entry per answer.
 
     Each entry is one report line, except the posterior's, which spans
-    a heading line and one line per outcome.
+    a heading line and one line per outcome. ``units`` is "nats" or "bits".
     """
+    _check_units(units)
     lines: list[str] = []
     for q in queries:
         if isinstance(q, ProbQuery):

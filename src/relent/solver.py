@@ -43,7 +43,7 @@ from . import constraints as _constraints
 from . import information
 from .constraints import Constraint, PartitionWeights, System
 from .errors import ConstructionError, DegenerateConditional, InfeasibleConstraint, NonConvergence
-from .spaces import ZERO_MASS, Distribution, Partition, _finite_scalar, _reweight
+from .spaces import ZERO_MASS, Distribution, Partition, _finite_scalar, _integer, _reweight
 
 #: Added to the dual Hessian's diagonal. Dependent rows leave before the first step, so it
 #: only damps a step whose Hessian is near singular because a row has tiny prior mass.
@@ -90,11 +90,7 @@ class SolverOptions:
     def __post_init__(self):
         object.__setattr__(self, "tol", _finite_scalar(
             self.tol, "options.bad_tol", "tol must be positive", lambda x: x > 0.0))
-        if type(self.max_iter) is not int or self.max_iter < 1:  # a bool is no budget either
-            raise ConstructionError(
-                "options.bad_max_iter",
-                f"max_iter must be an int of at least 1, got {self.max_iter!r}",
-            )
+        _integer(self.max_iter, "options.bad_max_iter", "max_iter must be an int of at least 1", 1)
         if not isinstance(self.use_fast_paths, (bool, np.bool_)):  # "no" would be truthy
             raise ConstructionError(
                 "options.bad_use_fast_paths",

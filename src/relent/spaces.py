@@ -88,6 +88,13 @@ def _finite_scalar(value, code: str, requirement: str, admits=lambda x: True) ->
     return x
 
 
+def _integer(value, code: str, requirement: str, low: int) -> int:
+    """``value`` if it is an int of at least ``low``; a bool is no count or index."""
+    if type(value) is not int or value < low:
+        raise ConstructionError(code, f"{requirement}, got {value!r}")
+    return value
+
+
 def _row_dots(M: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Each ``M[i] @ V``, or ``M[i] @ V[i]`` for a matrix ``V``, rounded as the 1-D ``a @ p``.
 
@@ -201,6 +208,9 @@ class Event(_ArrayValued):
     indicator: np.ndarray
 
     def __init__(self, space: SampleSpace, members: Iterable[str]):
+        if isinstance(members, str):  # iterated, "ab" would be the event {a, b}
+            raise ConstructionError(
+                "event.bad_members", f"members must be a collection of labels, got {members!r}")
         labels = members if isinstance(members, (list, tuple)) else tuple(members)
         try:
             positions = np.fromiter(map(space.index.__getitem__, labels), np.intp, len(labels))

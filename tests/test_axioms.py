@@ -328,3 +328,38 @@ class TestCellScore:
 
 def rep_passed(rep: AxiomReport) -> bool:
     return rep.passed
+
+
+class TestArguments:
+    """The axiom helpers check their numbers with the spaces rules, and give their own codes."""
+
+    @pytest.mark.parametrize("tol", [-1e-9, float("nan"), float("inf"), "1e-8", None])
+    @pytest.mark.parametrize("check", [
+        lambda tol: check_axiom4b(Distribution.uniform(DIE), EVEN_ODD,
+                                  PartitionWeights(EVEN_ODD, (0.8, 0.2)), tol),
+        lambda tol: check_axiom4_full(Distribution.uniform(DIE), EVEN_ODD,
+                                      PartitionWeights(EVEN_ODD, (0.8, 0.2)), (), tol),
+    ], ids=["4b", "4full"])
+    def test_tol_must_be_finite_and_nonnegative(self, check, tol):
+        # a negative or NaN tol would fail every check
+        with pytest.raises(ConstructionError) as ei:
+            check(tol)
+        assert ei.value.code == "axiom.bad_tol"
+        assert str(ei.value).startswith("tol must be nonnegative, got ")
+
+    def test_zero_tol_is_exactness(self):
+        m = PartitionWeights(EVEN_ODD, (0.5, 0.5))  # the prior already meets it: no move
+        rep = check_axiom4b(Distribution.uniform(DIE), EVEN_ODD, m, 0)
+        assert rep.tol == 0.0 and rep.passed
+
+    @pytest.mark.parametrize("n_max", [1, 0, -3, True, 2.5, "10", None])
+    def test_n_max_must_be_an_int_of_at_least_2(self, n_max):
+        # 1, 0 and True used to reach numpy's bare "low >= high"; 2.5 was taken
+        with pytest.raises(ConstructionError) as ei:
+            random_case(np.random.default_rng(0), n_max)
+        assert ei.value.code == "axiom.bad_n_max"
+        assert str(ei.value) == f"n_max must be an int of at least 2, got {n_max!r}"
+
+    def test_n_max_of_2_draws_two_outcomes(self):
+        prior, part, _ = random_case(np.random.default_rng(0), 2)
+        assert len(prior.space) == 2 and len(part.cells) == 2

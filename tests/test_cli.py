@@ -25,6 +25,7 @@ BOOK = str(SCENARIOS / "overconfident_book.json")
 IMPOSSIBLE = str(SCENARIOS / "impossible_target.json")
 # an event pinned near 0.95 whose prior mass is about 0.01, plus an expectation
 DATA = Path(__file__).resolve().parent / "data"
+GOLDEN = DATA.parent / "golden"
 LINE_SEARCH_INFEASIBLE = str(DATA / "line_search_infeasible.json")
 LINE_SEARCH_FEASIBLE = str(DATA / "line_search_feasible.json")
 
@@ -455,6 +456,15 @@ class TestAudit:
     def test_scenario_without_forecasts_exits_3(self, capsys):
         assert run_main(capsys, "audit", DIE) == (
             3, "", 'invalid input [forecasts.missing]: audit needs a "forecasts" section\n')
+
+    def test_unfinished_hull_projection_exits_4(self, capsys, monkeypatch):
+        # one major step leaves the dominated book's projection far from the hull's
+        # nearest point; reported admissible, it would exit 0 with no dominator
+        monkeypatch.setattr("relent.coherence.MAX_MAJOR_STEPS", 1)
+        code, out, err = run_main(capsys, "audit", str(GOLDEN / "audit_dominated_64.json"))
+        assert (code, out) == (4, "")
+        assert re.fullmatch(r"did not converge: the hull projection stopped after 1 major steps "
+                            r"with gap \S+ above \S+\n", err)
 
 
 class TestAxioms:

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,12 +20,13 @@ from relent.coherence import (
     world_losses,
     world_valuations,
 )
-from relent.errors import ConstructionError
-from relent.scenario import emit_report
+from relent.errors import ConstructionError, NonConvergence
+from relent.scenario import emit_report, parse_file
 from relent.spaces import Distribution, SampleSpace
 
 from conftest import brute_force_dominator
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 TWO = SampleSpace(("yes", "no"))
 E = TWO.subset("yes")
 NOT_E = TWO.subset("no")
@@ -154,6 +157,19 @@ class TestAuditKnownCases:
         verdict = audit_admissibility(fs)
         assert not verdict.admissible
         assert_allclose(verdict.dominating, (1.0,), atol=1e-9)
+
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_unfinished_projection_is_nonconvergence(self, monkeypatch, steps):
+        # with the budget cut, the projection stops short of the hull's nearest
+        # point; it used to come back as an admissible verdict with margin 0
+        fs = parse_file(str(GOLDEN / "audit_dominated_64.json")).forecasts
+        assert not audit_admissibility(fs).admissible
+        monkeypatch.setattr(relent.coherence, "MAX_MAJOR_STEPS", steps)
+        with pytest.raises(NonConvergence, match=rf"^the hull projection stopped after {steps} "
+                                                 r"major steps with gap \S+ above \S+$") as ei:
+            audit_admissibility(fs)
+        gap = float(re.search(r"gap (\S+)", str(ei.value)).group(1))
+        assert gap > 1e-3
 
     def test_margin_equals_squared_projection_distance(self):
         fs = ForecastSystem(TWO, (E, NOT_E), (0.7, 0.7))

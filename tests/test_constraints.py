@@ -68,6 +68,16 @@ class TestConstruction:
 
 
 class TestCompile:
+    @pytest.mark.parametrize("call", [
+        lambda space: compile_constraint(object(), space),
+        lambda space: compile_all([EventProb(space.subset("a"), 0.5), "a"], space),
+        lambda space: maxent_update(Distribution.uniform(space), [0.5]),
+    ], ids=["compile_constraint", "compile_all", "maxent_update"])
+    def test_an_object_that_is_not_a_constraint_is_a_type_error(self, abc, call):
+        # checked before its space is read, which such an object may not have
+        with pytest.raises(TypeError, match=r"^not a constraint: "):
+            call(abc)
+
     def test_event_prob_row(self, abc):
         ((coeffs, target),) = compile_constraint(EventProb(abc.subset("a", "c"), 0.8), abc)
         assert_allclose(coeffs, [1.0, 0.0, 1.0])

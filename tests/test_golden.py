@@ -6,7 +6,10 @@ relent and checked in, so a change that moves a single byte of a report
 just a change that makes two runs disagree. ``midsize.json`` is a
 500-outcome document with every constraint and query kind; its targets
 were read off a tilted copy of its prior, so the constraint set is
-feasible and the dual solver answers it.
+feasible and the dual solver answers it. ``update_conditioning.json``
+pins every row to a face (an event target of 1, a cell weight of 0), so
+its report is the prior conditioned on that face. A case that exits 0
+writes nothing to stderr.
 """
 
 import json
@@ -26,9 +29,11 @@ def test_report_bytes_match_golden(name, capsys, monkeypatch):
     case = CASES[name]
     monkeypatch.chdir(ROOT)
     code = main(case["argv"])
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert code == case["exit"]
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+    if code == 0:
+        assert err == ""
 
 
 def test_every_golden_file_has_a_case():

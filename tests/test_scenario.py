@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from relent.coherence import ForecastSystem
 from relent.constraints import CondProb, EventProb, Expectation, PartitionWeights
 from relent.cli import main
+from relent.demos import demo_die
 from relent.errors import ConstructionError, ParseError, ValidationError
 from relent.information import entropy
 import relent.scenario as scenario_module
@@ -37,6 +38,10 @@ from relent.solver import maxent_update
 from relent.spaces import Distribution, Event, Partition, RandomVariable, SampleSpace
 
 from conftest import distributions, positive_distributions
+
+_DIE = SampleSpace(tuple(f"face{k}" for k in range(1, 7)))
+_DIE_PRIOR = Distribution.uniform(_DIE)
+_DIE_SIX = _DIE.subset("face6")
 
 RICH_DOCUMENT = """
 {
@@ -747,6 +752,31 @@ class TestQueries:
         assert "\n".join(lines) == "\n".join(
             ["distribution:", "  a 0.5", "  b 0.25", "  c 0.125", "  d 0.125"]
         )
+
+    def test_an_object_that_is_not_a_query_is_a_type_error(self):
+        with pytest.raises(TypeError, match=r"^not a query: 'entropy'$"):
+            run_queries(self.dist, [EntropyQuery(), "entropy"])
+
+
+@pytest.mark.parametrize("units", ["BITS", "kelvin", "", None])
+@pytest.mark.parametrize("render", [
+    lambda units: emit_report(maxent_update(_DIE_PRIOR, [EventProb(_DIE_SIX, 0.5)]), units=units),
+    lambda units: run_queries(_DIE_PRIOR, [ProbQuery(_DIE_SIX)], units),
+    lambda units: demo_die(units),
+], ids=["emit_report", "run_queries", "demo_die"])
+def test_units_other_than_nats_or_bits_are_rejected(render, units):
+    # any value but "bits" used to print nats, even where no information value is shown
+    with pytest.raises(ConstructionError) as ei:
+        render(units)
+    assert ei.value.code == "report.bad_units"
+    assert str(ei.value) == f"units must be nats or bits, got {units!r}"
+
+
+def test_serializing_an_object_that_is_not_a_constraint_is_a_type_error():
+    sc = parse(RICH_DOCUMENT)
+    bogus = Scenario(sc.space, sc.prior, (*sc.constraints, "event_prob"))
+    with pytest.raises(TypeError, match=r"^not a constraint or query: 'event_prob'$"):
+        serialize(bogus)
 
 
 class TestFormatting:

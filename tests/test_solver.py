@@ -125,6 +125,20 @@ class TestJeffreyUpdate:
         with pytest.raises(ConstructionError):
             jeffrey_update(TIGER_PRIOR, part, (0.8, 0.8))
 
+    @given(positive_distributions(min_size=2), st.data())
+    def test_conditioning_is_jeffrey_on_the_event_and_its_complement(self, prior, data):
+        # one kernel: the same bits from condition, from jeffrey_update with weights
+        # (1, 0) and from maxent_update's pin, which conditions on the face
+        labels = data.draw(st.lists(st.sampled_from(prior.space.outcomes), min_size=1,
+                                    max_size=len(prior.space) - 1, unique=True))
+        e = prior.space.subset(*labels)
+        bits = condition(prior, e).array.tobytes()
+        jeffrey = jeffrey_update(prior, Partition((e, e.complement())), (1.0, 0.0))
+        assert jeffrey.array.tobytes() == bits
+        pinned = maxent_update(prior, [EventProb(e, 1.0)])
+        assert pinned.method == "conditionalization"
+        assert pinned.posterior.array.tobytes() == bits
+
     @given(positive_distributions(min_size=3, max_size=6), st.data())
     @settings(max_examples=40)
     def test_hits_requested_weights(self, prior, data):
@@ -705,6 +719,25 @@ class TestMaxentFailureModes:
                 Distribution.uniform(DIE_SPACE), [Expectation(DIE_VALUES, 4.5)], opts
             )
 
+    @pytest.mark.parametrize("fails_at", [1, 2])
+    def test_a_singular_newton_system_stalls_the_line_search(self, monkeypatch, fails_at):
+        # one independent row, so no row leaves the dual and every solve is a Newton step;
+        # a LinAlgError there gives a zero step, which no halving can turn into a rise
+        calls, solve = [], np.linalg.solve
+
+        def failing(a, b):
+            calls.append(None)
+            if len(calls) == fails_at:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", failing)
+        stall = (rf"^update stopped after {fails_at - 1} Newton steps with residual \S+ above "
+                 r"tol 1e-10: no step along the Newton direction raised the dual$")
+        with pytest.raises(NonConvergence, match=stall):
+            maxent_update(Distribution.uniform(DIE_SPACE), [Expectation(DIE_VALUES, 4.5)])
+        assert len(calls) == fails_at
+
     def test_options_validation(self):
         with pytest.raises(ConstructionError):
             SolverOptions(tol=0.0)
@@ -716,6 +749,7 @@ class TestMaxentFailureModes:
         with pytest.raises(ConstructionError) as ei:
             SolverOptions(max_iter=bad)
         assert ei.value.code == "options.bad_max_iter"
+        assert str(ei.value) == f"max_iter must be an int of at least 1, got {bad!r}"
 
     @pytest.mark.parametrize("bad", ["no", None, 0, 1])
     def test_use_fast_paths_must_be_a_bool(self, bad):

@@ -28,6 +28,7 @@ from relent.spaces import (
     RandomVariable,
     SUM_TOL,
     SampleSpace,
+    _integer,
     condition,
     conditional_prob,
     expectation,
@@ -123,6 +124,19 @@ class TestEvent:
         assert e.describe() == "{b, m, z}"
         assert Event(s, ()).labels == []
         assert Event(s, ()).describe() == "{}"
+
+    @pytest.mark.parametrize("build", [
+        lambda s: Event(s, "ab"),
+        lambda s: Partition.from_labels(s, ["ab", ["c"]]),
+    ], ids=["event", "partition-cell"])
+    def test_a_string_is_not_a_collection_of_labels(self, build):
+        # iterated, "ab" would be the event {a, b}
+        s = SampleSpace(("a", "b", "c", "ab"))
+        with pytest.raises(ConstructionError) as ei:
+            build(s)
+        assert ei.value.code == "event.bad_members"
+        assert str(ei.value) == "members must be a collection of labels, got 'ab'"
+        assert s.subset("ab").labels == ["ab"]
 
     def test_set_algebra(self):
         s = SampleSpace(("a", "b", "c", "d"))
@@ -438,6 +452,15 @@ class TestCondition:
         assert_allclose(twice.array, once.array, rtol=0, atol=1e-15)
         assert once.prob(e) == pytest.approx(1.0)
 
+    @given(positive_distributions(), st.data())
+    def test_bits_of_the_restricted_weights_over_the_mass(self, d: Distribution, data):
+        labels = data.draw(
+            st.lists(st.sampled_from(d.space.outcomes), min_size=1, unique=True)
+        )
+        e = d.space.subset(*labels)
+        expected = d.array * e.indicator / d.prob(e)
+        assert condition(d, e).array.tobytes() == expected.tobytes()
+
     @given(positive_distributions())
     def test_whole_space_is_identity(self, d: Distribution):
         assert_allclose(condition(d, d.space.whole()).array, d.array, rtol=0, atol=1e-15)
@@ -593,6 +616,29 @@ def test_fractions_and_numpy_scalars_are_numbers():
     assert EventProb(_A, Fraction(1, 2)).value == 0.5
     assert self_information(np.float64(0.5)) == pytest.approx(math.log(2.0))
     assert SolverOptions(tol=np.float32(0.5)).tol == 0.5
+
+
+@pytest.mark.parametrize("value", [0, -1, 2.0, 2.5, True, "3", None, np.int64(3)])
+def test_integer_rule_takes_an_int_at_least_the_bound(value):
+    # a bool is an int to Python, but no count or index; nor is a numpy integer
+    with pytest.raises(ConstructionError) as ei:
+        _integer(value, "kind.bad_count", "count must be an int of at least 1", 1)
+    assert ei.value.code == "kind.bad_count"
+    assert str(ei.value) == f"count must be an int of at least 1, got {value!r}"
+
+
+def test_integer_rule_returns_the_int():
+    assert _integer(1, "kind.bad_count", "count must be an int of at least 1", 1) == 1
+    assert _integer(10**30, "kind.bad_count", "count must be an int of at least 1", 1) == 10**30
+
+
+def test_array_values_of_another_type_are_unequal():
+    d = Distribution.uniform(_S)
+    v = RandomVariable(_S, d.array)
+    assert d.__eq__(v) is NotImplemented
+    assert d != v and v != d
+    assert d != "w0" and d != d.weights
+    assert d == Distribution.uniform(_S) and hash(d) == hash(Distribution.uniform(_S))
 
 
 def test_partition_weights_stay_a_tuple_of_floats():
