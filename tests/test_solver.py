@@ -738,6 +738,19 @@ class TestMaxentFailureModes:
             maxent_update(Distribution.uniform(DIE_SPACE), [Expectation(DIE_VALUES, 4.5)])
         assert len(calls) == fails_at
 
+    def test_no_covariance_to_judge_by_keeps_every_row(self, monkeypatch):
+        # when rounding leaves the rows' covariance indefinite, no row leaves the dual
+        constraints = [Expectation(DIE_VALUES, 4.5), EventProb(DIE_SPACE.subset("face1"), 0.1)]
+        expected = maxent_update(Distribution.uniform(DIE_SPACE), constraints)
+
+        def indefinite(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", indefinite)
+        report = maxent_update(Distribution.uniform(DIE_SPACE), constraints)
+        assert report.method == "dual_newton" and len(report.multipliers) == 2
+        assert emit_report(report) == emit_report(expected)
+
     def test_options_validation(self):
         with pytest.raises(ConstructionError):
             SolverOptions(tol=0.0)
