@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConstructionError, NonConvergence
 from .spaces import Distribution, Event, SampleSpace, _ArrayValued, _finite_array, _readonly
-from .spaces import _row_dots
+from .spaces import _require_same_space, _row_dots
 
 #: Forecasts whose distance to the hull is at or below this are
 #: admissible; beyond it the projection strictly dominates.
@@ -67,10 +67,8 @@ class ForecastSystem(_ArrayValued):
         object.__setattr__(self, "array", _finite_array(
             self.array, (len(events),), "forecast", "forecast.length_mismatch",
             "{shape[0]} events but {size} forecasts", "forecasts must be finite numbers"))
-        if any(e.space != self.space for e in events):
-            raise ConstructionError(
-                "forecast.space_mismatch", "every event must live on the system's space"
-            )
+        for e in events:
+            _require_same_space(e.space, self.space, "forecast", "forecast event")
 
     @classmethod
     def from_distribution(cls, dist: Distribution, events: tuple[Event, ...]) -> "ForecastSystem":

@@ -22,7 +22,6 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ConstructionError
 from .spaces import Distribution, Event, Partition, RandomVariable, SampleSpace, _row_dots
 from .spaces import _finite_array, _finite_scalar, _require_same_space, _require_simplex
 
@@ -82,11 +81,7 @@ class CondProb:
     value: float
 
     def __post_init__(self):
-        if self.target.space != self.given.space:
-            raise ConstructionError(
-                "constraint.space_mismatch",
-                "target and conditioning events live on different spaces",
-            )
+        _require_same_space(self.target.space, self.given.space, "constraint", "conditioning event")
         object.__setattr__(self, "value", _require_finite(self.value, "probability target"))
 
     @property
@@ -143,9 +138,11 @@ def compile_constraint(c: Constraint, space: SampleSpace) -> tuple[tuple[np.ndar
 
 @dataclass(frozen=True, eq=False)
 class System:
-    """Compiled rows ``A p = b``, ``A`` read-only and C-ordered: row j came from constraint
-    ``source[j]`` and has conditioning event ``given[j]``, None unless it is conditional."""
+    """Compiled rows ``A p = b`` on the sample space it names, ``space``: ``A`` is read-only
+    and C-ordered, with a column per outcome, and row j came from constraint ``source[j]``
+    and has conditioning event ``given[j]``, None unless it is conditional."""
 
+    space: SampleSpace
     A: np.ndarray
     b: np.ndarray
     source: tuple[int, ...]
@@ -162,11 +159,13 @@ def compile_all(constraints: Sequence[Constraint], space: SampleSpace) -> System
         given += [c.given if isinstance(c, CondProb) else None] * len(c_rows)
     A = np.array([coeffs for coeffs, _ in rows]).reshape(len(rows), len(space))
     A.flags.writeable = False
-    return System(A, np.array([t for _, t in rows], dtype=float), tuple(source), tuple(given))
+    return System(space, A, np.array([t for _, t in rows], float), tuple(source), tuple(given))
 
 
 def residual(dist: Distribution, system: System) -> float:
-    """Largest absolute violation of ``A p = b`` under ``dist``, each row's ``a @ p`` exactly."""
+    """Largest absolute violation of ``A p = b`` under ``dist``, each row's ``a @ p`` exactly;
+    ``dist`` must live on the system's space (``constraint.space_mismatch``)."""
+    _require_same_space(system.space, dist.space, "constraint")
     return float(np.abs(_row_dots(system.A, dist.array) - system.b).max(initial=0.0))
 
 
@@ -175,6 +174,7 @@ def triage_feasibility(
 ) -> tuple[tuple[str, ...], np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """One pass over the rows of a compiled ``system``: certificates and pins.
 
+    The prior must live on the system's space (``constraint.space_mismatch``).
     Returns ``(reasons, live, (A, b))``. ``reasons`` holds one certificate
     per proof that no posterior on the prior's support meets the rows; an
     empty tuple means the pass found none, and the set may still be jointly
@@ -201,10 +201,8 @@ def triage_feasibility(
     keeps the outcomes where its row attains its extreme, so the live
     support never becomes empty.
     """
+    _require_same_space(system.space, prior.space, "constraint")
     A, b = system.A, system.b.tolist()
-    if A.shape[1] != len(prior.space):
-        raise ConstructionError("constraint.space_mismatch",
-                                "constraint lives on a different sample space")
     active = list(range(len(b)))
     live = prior.support
     while True:

@@ -16,7 +16,7 @@ from .certainty_factors import (
     jeffrey_posterior,
 )
 from .constraints import EventProb, Expectation, PartitionWeights
-from .scenario import emit_divergence, emit_report, fmt10
+from .scenario import _check_units, emit_divergence, emit_report, fmt10
 from .solver import maxent_update
 from .spaces import (
     Distribution,
@@ -101,8 +101,12 @@ def demo_coin(units: str = "nats") -> str:
     return "\n".join(lines) + "\n"
 
 
-def demo_mycin() -> str:
-    """Exact evidence-weighted update vs the certainty-factor shortcut, on an 11-step grid."""
+def demo_mycin(units: str = "nats") -> str:
+    """Exact evidence-weighted update vs the certainty-factor shortcut, on an 11-step grid.
+
+    Its gaps are probabilities, so ``units`` is only checked, as every demo checks it.
+    """
+    _check_units(units)
     p_h_given_e, p_h_given_not_e = 0.9, 0.3
     grid = tuple(float(q) for q in np.linspace(0.0, 1.0, 11))
     table = divergence_curve(p_h_given_e, p_h_given_not_e, grid)
@@ -127,7 +131,7 @@ DEMOS = {
     "die": demo_die,
     "tiger": demo_tiger,
     "coin": demo_coin,
-    "mycin": lambda units="nats": demo_mycin(),
+    "mycin": demo_mycin,
 }
 
 

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import ConstructionError
-from .spaces import Distribution, JointDistribution, _finite_scalar, marginal
+from .spaces import Distribution, JointDistribution, _finite_scalar, _require_same_space, marginal
 
 
 def self_information(p: float) -> float:
@@ -47,9 +47,7 @@ def relative_entropy(posterior: Distribution, prior: Distribution) -> float:
     posterior puts mass on an outcome the prior rules out; such a
     posterior is infinitely far from the prior.
     """
-    if posterior.space != prior.space:
-        raise ConstructionError("dist.space_mismatch",
-                                "posterior and prior live on different sample spaces")
+    _require_same_space(posterior.space, prior.space, "dist", "posterior")
     post = posterior.array
     pri = prior.array
     live = post > 0.0

@@ -536,6 +536,10 @@ def _emit_verdict(verdict: AdmissibilityVerdict, system: ForecastSystem | None) 
         lines.append("dominating: " + " ".join(fmt10(v) for v in verdict.dominating))
     if system is not None:
         outcomes = system.space.outcomes
+        if len(outcomes) != len(verdict.losses):
+            raise ConstructionError(
+                "report.system_mismatch",
+                f"{len(verdict.losses)} world losses but the system has {len(outcomes)} worlds")
         if verdict.admissible:
             row, columns = "world %s: loss %.10g", (outcomes, verdict.losses)
         else:
@@ -566,7 +570,10 @@ def emit_report(
     only those) to bits when set. For admissibility verdicts, pass the
     audited system to get per-world loss tables: the losses are the
     verdict's, the world names the system's. Raises :class:`ConstructionError`
-    (``report.bad_units``) for units other than "nats" or "bits".
+    (``report.bad_units``) for units other than "nats" or "bits", and
+    (``report.system_mismatch``) for a system whose number of worlds is not
+    the verdict's. The verdict names no space, so a system of the audited
+    one's size on other worlds goes unnoticed and lends its names.
     """
     _check_units(units)
     if isinstance(report, UpdateReport):

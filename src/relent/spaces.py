@@ -264,7 +264,7 @@ class Event(_ArrayValued):
 class Distribution(_ArrayValued):
     """Nonnegative weights over a space's outcomes, summing to one.
 
-    Stored as ``array``, a read-only float64 copy; ``weights`` is a tuple view.
+    Stored as ``array``, a read-only float64 copy with no ``-0.0``; ``weights`` is a tuple view.
     """
 
     space: SampleSpace
@@ -275,6 +275,8 @@ class Distribution(_ArrayValued):
             self.array, (len(self.space),), "dist", "dist.length_mismatch",
             "got {size} weights for {shape[0]} outcomes", "weights must be finite numbers"))
         _require_simplex(self.array, "dist", "weight", "weights")
+        if np.signbit(self.array).any():  # only a -0.0 gets past the simplex check
+            object.__setattr__(self, "array", _readonly(self.array + 0.0))
 
     @classmethod
     def uniform(cls, space: SampleSpace) -> "Distribution":
@@ -350,10 +352,7 @@ class Partition:
             raise ConstructionError("partition.empty", "a partition needs at least one cell")
         space = cells[0].space
         for c in cells:
-            if c.space != space:
-                raise ConstructionError(
-                    "partition.space_mismatch", "partition cells live on different spaces"
-                )
+            _require_same_space(c.space, space, "partition", "partition cell")
             if not c.indicator.any():
                 raise ConstructionError("partition.empty_cell", "partition cells must be nonempty")
         coverage = sum(c.indicator for c in cells)

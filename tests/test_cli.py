@@ -66,6 +66,18 @@ class TestUpdate:
         bits = float(next(l for l in bits_out.splitlines() if l.startswith("objective")).split()[1])
         assert bits == pytest.approx(nats / math.log(2.0), rel=1e-9)
 
+    def test_a_negative_zero_prior_weight_prints_as_zero(self, capsys, tmp_path):
+        # P({b}) = 0.5 is met by the prior, so update prints the prior, as info does
+        path = tmp_path / "negative_zero.json"
+        path.write_text('{"space": ["a", "b", "c"], "prior": [-0.0, 0.5, 0.5], "constraints": '
+                        '[{"type": "event_prob", "event": ["b"], "value": 0.5}], "queries": '
+                        '[{"type": "posterior"}]}', encoding="utf-8")
+        for command in ("update", "info"):
+            code, out, err = run_main(capsys, command, str(path))
+            assert (code, err) == (0, "")
+            assert "\n  a 0\n  b 0.5\n  c 0.5\n" in out
+            assert "-0" not in out
+
     def test_infeasible_target_exits_2_with_certificate(self, capsys):
         code, out, err = run_main(capsys, "update", IMPOSSIBLE)
         assert code == 2

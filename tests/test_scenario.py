@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from relent.coherence import ForecastSystem
 from relent.constraints import CondProb, EventProb, Expectation, PartitionWeights
 from relent.cli import main
-from relent.demos import demo_die
+from relent.demos import DEMOS, demo_die, demo_mycin
 from relent.errors import ConstructionError, ParseError, ValidationError
 from relent.information import entropy
 import relent.scenario as scenario_module
@@ -763,13 +763,20 @@ class TestQueries:
     lambda units: emit_report(maxent_update(_DIE_PRIOR, [EventProb(_DIE_SIX, 0.5)]), units=units),
     lambda units: run_queries(_DIE_PRIOR, [ProbQuery(_DIE_SIX)], units),
     lambda units: demo_die(units),
-], ids=["emit_report", "run_queries", "demo_die"])
+    lambda units: DEMOS["mycin"](units),
+], ids=["emit_report", "run_queries", "demo_die", "demo_mycin"])
 def test_units_other_than_nats_or_bits_are_rejected(render, units):
     # any value but "bits" used to print nats, even where no information value is shown
     with pytest.raises(ConstructionError) as ei:
         render(units)
     assert ei.value.code == "report.bad_units"
     assert str(ei.value) == f"units must be nats or bits, got {units!r}"
+
+
+def test_mycin_demo_in_bits_is_its_text_in_nats():
+    # its gaps are probabilities, not information values
+    assert DEMOS["mycin"] is demo_mycin
+    assert demo_mycin("bits") == demo_mycin("nats") == demo_mycin()
 
 
 def test_serializing_an_object_that_is_not_a_constraint_is_a_type_error():
@@ -803,6 +810,20 @@ class TestFormatting:
         assert lines[1].startswith("dominating: 0.5 0.5")
         assert "world s1: loss 0.58 -> 0.5" in lines
         assert lines[-1].startswith("margin: 0.08")
+
+    @pytest.mark.parametrize("worlds", [1, 3], ids=["fewer", "more"])
+    def test_a_system_with_another_number_of_worlds_is_rejected(self, worlds):
+        from relent.coherence import ForecastSystem, audit_admissibility
+
+        space = SampleSpace(("s1", "s2"))
+        verdict = audit_admissibility(ForecastSystem(
+            space, (Event(space, {"s1"}), Event(space, {"s2"})), (0.7, 0.7)))
+        other = SampleSpace(tuple(f"t{k}" for k in range(worlds)))
+        # used to raise a bare ValueError from the table's slice assignment
+        with pytest.raises(ConstructionError) as ei:
+            emit_report(verdict, system=ForecastSystem(other, (other.whole(),), (1.0,)))
+        assert ei.value.code == "report.system_mismatch"
+        assert str(ei.value) == f"2 world losses but the system has {worlds} worlds"
 
     @pytest.mark.parametrize("dominated", [False, True], ids=["admissible", "dominated"])
     def test_world_table_matches_the_per_line_reference(self, dominated):

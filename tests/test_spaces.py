@@ -11,10 +11,12 @@ from numpy.testing import assert_allclose
 from relent.certainty_factors import EvidenceScenario
 from relent.coherence import ForecastSystem
 from relent.constraints import (
+    CondProb,
     EventProb,
     PartitionWeights,
     compile_all,
     compile_constraint,
+    residual,
     triage_feasibility,
 )
 from relent.errors import ConstructionError, ZeroMassEvent
@@ -196,6 +198,14 @@ class TestDistribution:
         d = Distribution.uniform(space_of(3))
         with pytest.raises(ValueError):
             d.array[0] = 0.9
+
+    @pytest.mark.parametrize("weights", [[-0.0, 0.5, 0.5], np.array([0.5, -0.0, 0.5])],
+                             ids=["list", "array"])
+    def test_a_negative_zero_weight_is_stored_as_zero(self, weights):
+        # -0.0 passes the simplex check, and used to print as "-0"
+        d = Distribution(space_of(3), weights)
+        assert [math.copysign(1.0, w) for w in d.weights] == [1.0, 1.0, 1.0]
+        assert not d.array.flags.writeable
 
     @given(distributions())
     def test_simplex_invariants(self, d: Distribution):
@@ -551,6 +561,8 @@ def test_malformed_numbers_raise_the_kinds_code(build, code):
 _D = Distribution.uniform(_S)
 _T = space_of(3)
 _OTHER = _T.subset("w0")
+_XY = SampleSpace(("x", "y"))  # the size of _S, other outcomes
+_ON_XY = compile_all([EventProb(_XY.subset("x"), 0.3)], _XY)
 _SPACE = "lives on a different sample space"
 
 
@@ -566,17 +578,26 @@ _SPACE = "lives on a different sample space"
      f"random variable {_SPACE}"),
     (lambda: compile_constraint(EventProb(_OTHER, 0.5), _S), "constraint.space_mismatch",
      f"constraint {_SPACE}"),
+    (lambda: CondProb(_A, _OTHER, 0.5), "constraint.space_mismatch",
+     f"conditioning event {_SPACE}"),
+    (lambda: Partition((_A, _OTHER)), "partition.space_mismatch", f"partition cell {_SPACE}"),
+    (lambda: ForecastSystem(_S, (_A, _OTHER), (0.5, 0.5)), "forecast.space_mismatch",
+     f"forecast event {_SPACE}"),
     (lambda: triage_feasibility(compile_all([EventProb(_OTHER, 0.5)], _T), _D, 1e-10),
      "constraint.space_mismatch", f"constraint {_SPACE}"),
+    (lambda: triage_feasibility(_ON_XY, _D, 1e-10), "constraint.space_mismatch",
+     f"constraint {_SPACE}"),
+    (lambda: residual(_D, _ON_XY), "constraint.space_mismatch", f"constraint {_SPACE}"),
     (lambda: relative_entropy(_D, Distribution.uniform(_T)), "dist.space_mismatch",
-     "posterior and prior live on different sample spaces"),
+     f"posterior {_SPACE}"),
     (lambda: relative_entropy(_D, Distribution(_S, (1.0, 0.0))), "dist.outside_support",
      "posterior has mass on outcomes the prior excludes: ['w1']"),
     (lambda: marginal(JointDistribution.identity_coupling(_D), "diag"), "joint.bad_axis",
      "axis must be 'row' or 'col', got 'diag'"),
 ], ids=[
     "intersect", "difference", "issubset", "prob", "condition", "conditional-prob-target",
-    "conditional-prob-given", "expectation", "compile-constraint", "triage", "relative-entropy-space",
+    "conditional-prob-given", "expectation", "compile-constraint", "cond-prob", "partition",
+    "forecast-system", "triage", "triage-same-size", "residual-same-size", "relative-entropy-space",
     "relative-entropy-support", "marginal-axis",
 ])
 def test_bad_arguments_raise_the_kinds_code(call, code, message):
