@@ -168,7 +168,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     if sc.forecasts is None:
         raise ConstructionError("forecasts.missing", "audit needs a \"forecasts\" section")
     verdict = audit_admissibility(sc.forecasts)
-    sys.stdout.write(emit_report(verdict, system=sc.forecasts))
+    sys.stdout.write(emit_report(verdict))
     if verdict.admissible:
         return 0
     # a dominated book is an infeasible belief state; the dominating

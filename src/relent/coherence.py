@@ -139,32 +139,35 @@ def quadratic_loss(fs: ForecastSystem, w: WorldValuation) -> float:
 
 @dataclass(frozen=True)
 class AdmissibilityVerdict:
-    """Either a clean bill or an explicit witness of domination.
+    """Either a clean bill or an explicit witness of domination, on the audited ``space``.
 
     When inadmissible, ``dominating`` is the hull projection of the
     forecasts and ``margin`` is the smallest per-world loss improvement
     it achieves (equal to the squared projection distance, which the
     hull geometry guarantees as a floor). ``losses`` are the book's
-    per-world losses and ``dominating_losses`` the dominator's (empty
-    when admissible), both bit for bit as :func:`world_losses` gives
-    them, in space order; ``margin`` is the minimum of their differences.
+    loss in each world of ``space`` and ``dominating_losses`` the
+    dominator's (empty when admissible), both bit for bit as
+    :func:`world_losses` gives them, in space order; ``margin`` is the
+    minimum of their differences. The verdict names its worlds, so it
+    renders its world table without the audited system.
     """
 
+    space: SampleSpace
     admissible: bool
     dominating: tuple[float, ...] | None
     margin: float
-    losses: tuple[float, ...] = ()
+    losses: tuple[float, ...]
     dominating_losses: tuple[float, ...] = ()
 
     def __post_init__(self):
         ok = (self.dominating is None) == self.admissible and (
             (self.margin == 0.0) if self.admissible else (self.margin > 0.0)
-        )
+        ) and len(self.losses) == len(self.space)
         if not ok or len(self.dominating_losses) != (0 if self.admissible else len(self.losses)):
             raise ConstructionError(
                 "verdict.inconsistent",
-                "admissible verdicts carry no dominator, no dominator losses and zero "
-                "margin; inadmissible ones carry all three",
+                "verdicts carry a loss per world; admissible ones carry no dominator, no "
+                "dominator losses and zero margin; inadmissible ones carry all three",
             )
 
 
@@ -269,6 +272,6 @@ def audit_admissibility(fs: ForecastSystem) -> AdmissibilityVerdict:
         after = world_losses(fs, projection)
         margin = float((losses - after).min())
         if margin > 0.0:
-            return AdmissibilityVerdict(False, tuple(projection.tolist()), margin,
+            return AdmissibilityVerdict(fs.space, False, tuple(projection.tolist()), margin,
                                         tuple(losses.tolist()), tuple(after.tolist()))
-    return AdmissibilityVerdict(True, None, 0.0, tuple(losses.tolist()))
+    return AdmissibilityVerdict(fs.space, True, None, 0.0, tuple(losses.tolist()))

@@ -65,6 +65,7 @@ from .spaces import (
     Partition,
     RandomVariable,
     SampleSpace,
+    _require_same_space,
     conditional_prob,
 )
 
@@ -530,25 +531,17 @@ def _emit_update(report: UpdateReport, units: str) -> list[str]:
     return lines
 
 
-def _emit_verdict(verdict: AdmissibilityVerdict, system: ForecastSystem | None) -> list[str]:
-    lines = [f"admissible: {'yes' if verdict.admissible else 'no'}"]
-    if not verdict.admissible:
-        lines.append("dominating: " + " ".join(fmt10(v) for v in verdict.dominating))
-    if system is not None:
-        outcomes = system.space.outcomes
-        if len(outcomes) != len(verdict.losses):
-            raise ConstructionError(
-                "report.system_mismatch",
-                f"{len(verdict.losses)} world losses but the system has {len(outcomes)} worlds")
-        if verdict.admissible:
-            row, columns = "world %s: loss %.10g", (outcomes, verdict.losses)
-        else:
-            row = "world %s: loss %.10g -> %.10g"
-            columns = (outcomes, verdict.losses, verdict.dominating_losses)
-        lines.append(_table(row, columns))
-    if not verdict.admissible:
-        lines.append(f"margin: {fmt10(verdict.margin)}")
-    return lines
+def _emit_verdict(verdict: AdmissibilityVerdict) -> list[str]:
+    outcomes = verdict.space.outcomes
+    if verdict.admissible:
+        return ["admissible: yes", _table("world %s: loss %.10g", (outcomes, verdict.losses))]
+    return [
+        "admissible: no",
+        "dominating: " + " ".join(fmt10(v) for v in verdict.dominating),
+        _table("world %s: loss %.10g -> %.10g",
+               (outcomes, verdict.losses, verdict.dominating_losses)),
+        f"margin: {fmt10(verdict.margin)}",
+    ]
 
 
 def emit_divergence(table: Iterable[tuple[float, float]]) -> str:
@@ -567,19 +560,20 @@ def emit_report(
     """Render an update report or an admissibility verdict as deterministic text.
 
     ``units`` converts the information values of an update report (and
-    only those) to bits when set. For admissibility verdicts, pass the
-    audited system to get per-world loss tables: the losses are the
-    verdict's, the world names the system's. Raises :class:`ConstructionError`
-    (``report.bad_units``) for units other than "nats" or "bits", and
-    (``report.system_mismatch``) for a system whose number of worlds is not
-    the verdict's. The verdict names no space, so a system of the audited
-    one's size on other worlds goes unnoticed and lends its names.
+    only those) to bits when set. An admissibility verdict names its
+    space, so it prints its per-world loss table unaided; ``system``, the
+    audited forecast system, is optional and only checked against it.
+    Raises :class:`ConstructionError` (``report.bad_units``) for units other
+    than "nats" or "bits", and (``report.space_mismatch``) for a system on
+    another space than the verdict's.
     """
     _check_units(units)
     if isinstance(report, UpdateReport):
         lines = _emit_update(report, units)
     elif isinstance(report, AdmissibilityVerdict):
-        lines = _emit_verdict(report, system)
+        if system is not None:
+            _require_same_space(system.space, report.space, "report", "audited system")
+        lines = _emit_verdict(report)
     else:
         raise TypeError(f"not an update report or admissibility verdict: {report!r}")
     return "\n".join(lines) + "\n"

@@ -129,17 +129,15 @@ def jeffrey_update(
     This is the maximum-relative-entropy posterior for the constraints
     P(cell_i) = weights[i], compiled as :func:`maxent_update` compiles
     them; :func:`~relent.spaces.condition` is the same kernel on one cell
-    of weight 1. Raises :class:`InfeasibleConstraint` when a cell with
-    zero prior mass is assigned positive weight.
+    of weight 1. Raises :class:`InfeasibleConstraint`, with the certificate
+    :func:`maxent_update` gives, for any target that the row-range pass
+    rules out at tol 0, such as positive weight on a cell with zero prior mass.
     """
-    spec = PartitionWeights(partition, tuple(weights))
-    targets = [w for _, w in _constraints.compile_constraint(spec, prior.space)]
-    masses = list(map(prior.prob, partition.cells))
-    for j, (cell, w, m) in enumerate(zip(partition.cells, targets, masses)):
-        if w != 0.0 and m == 0.0:  # row j is 0 wherever the prior has mass
-            raise InfeasibleConstraint(f"cell {cell.describe()} has zero prior mass "
-                                       f"but target weight {w:g} (witness y = +e_{j})")
-    return _reweight(prior, [cell.indicator for cell in partition.cells], targets, masses)
+    system = _constraints.compile_all((PartitionWeights(partition, tuple(weights)),), prior.space)
+    reasons, _, _ = _constraints.triage_feasibility(system, prior, 0.0)
+    if reasons:
+        raise InfeasibleConstraint("; ".join(reasons))
+    return _reweight(prior, *_lone_reweighting(system, prior))
 
 
 def _check_conditionals(posterior: Distribution, system: System, constraints: Sequence) -> None:

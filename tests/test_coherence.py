@@ -20,8 +20,10 @@ from relent.coherence import (
     world_losses,
     world_valuations,
 )
-from relent.errors import ConstructionError, NonConvergence
+from relent.constraints import EventProb
+from relent.errors import ConstructionError, InfeasibleConstraint, NonConvergence
 from relent.scenario import emit_report, parse_file
+from relent.solver import SolverOptions, maxent_update
 from relent.spaces import Distribution, SampleSpace
 
 from conftest import brute_force_dominator
@@ -112,16 +114,19 @@ class TestConstruction:
         assert ei.value.code == "valuation.not_binary"
 
     def test_verdict_invariants_enforced(self):
-        with pytest.raises(ConstructionError):
-            AdmissibilityVerdict(True, (0.5,), 0.0)
-        with pytest.raises(ConstructionError):
-            AdmissibilityVerdict(False, None, 0.1)
-        with pytest.raises(ConstructionError):
-            AdmissibilityVerdict(False, (0.5,), 0.0)
-        with pytest.raises(ConstructionError):
-            AdmissibilityVerdict(True, None, 0.0, (0.25,), (0.0,))
-        with pytest.raises(ConstructionError):
-            AdmissibilityVerdict(False, (0.5,), 0.1, (0.25, 0.25), (0.0,))
+        for args in [
+            (True, (0.5,), 0.0, (0.25, 0.25)),
+            (False, None, 0.1, (0.25, 0.25), (0.0, 0.0)),
+            (False, (0.5,), 0.0, (0.25, 0.25), (0.0, 0.0)),
+            (True, None, 0.0, (0.25, 0.25), (0.0, 0.0)),
+            (False, (0.5,), 0.1, (0.25, 0.25), (0.0,)),
+            (True, None, 0.0, (0.25,)),  # a loss for one of TWO's two worlds
+        ]:
+            with pytest.raises(ConstructionError) as ei:
+                AdmissibilityVerdict(TWO, *args)
+            assert ei.value.code == "verdict.inconsistent"
+        AdmissibilityVerdict(TWO, True, None, 0.0, (0.25, 0.25))
+        AdmissibilityVerdict(TWO, False, (0.5,), 0.1, (0.25, 0.25), (0.0, 0.0))
 
 
 class TestAuditKnownCases:
@@ -243,6 +248,35 @@ class TestAuditProperties:
                 dominated += 1
         assert checked == 100
         assert dominated > 10
+
+    def test_admissible_exactly_when_the_update_to_it_is_feasible(self):
+        # the static half and the dynamic half judge one belief state: a book is
+        # admissible exactly when some distribution announces it, which is when
+        # the update from the uniform prior to its forecasts is feasible
+        rng = np.random.default_rng(20261020)
+        verdicts = []
+        for i in range(300):
+            n, k = int(rng.integers(2, 9)), int(rng.integers(1, 6))
+            space = SampleSpace(tuple(f"w{j}" for j in range(n)))
+            events = tuple(space.subset(*(x for x in space.outcomes if rng.random() < 0.5))
+                           for _ in range(k))
+            if i % 2:
+                fs = ForecastSystem(space, events, tuple(rng.uniform(-0.5, 1.5, size=k)))
+            else:
+                dist = Distribution.from_array(space, rng.dirichlet(np.ones(n)))
+                fs = ForecastSystem.from_distribution(dist, events)
+            admissible = audit_admissibility(fs).admissible
+            verdicts.append(admissible)
+            prior = Distribution.uniform(space)
+            pins = [EventProb(e, x) for e, x in zip(events, fs.forecasts)]
+            for fast in (True, False):
+                try:  # NonConvergence fails the test
+                    maxent_update(prior, pins, SolverOptions(use_fast_paths=fast))
+                except InfeasibleConstraint:
+                    assert not admissible, (i, fast)
+                else:
+                    assert admissible, (i, fast)
+        assert 50 < sum(verdicts) < 250  # both verdicts are exercised
 
     def test_duplicate_event_does_not_change_verdict(self):
         rng = np.random.default_rng(31)

@@ -811,7 +811,7 @@ class TestFormatting:
         assert "world s1: loss 0.58 -> 0.5" in lines
         assert lines[-1].startswith("margin: 0.08")
 
-    @pytest.mark.parametrize("worlds", [1, 3], ids=["fewer", "more"])
+    @pytest.mark.parametrize("worlds", [1, 2, 3], ids=["fewer", "same", "more"])
     def test_a_system_with_another_number_of_worlds_is_rejected(self, worlds):
         from relent.coherence import ForecastSystem, audit_admissibility
 
@@ -819,11 +819,12 @@ class TestFormatting:
         verdict = audit_admissibility(ForecastSystem(
             space, (Event(space, {"s1"}), Event(space, {"s2"})), (0.7, 0.7)))
         other = SampleSpace(tuple(f"t{k}" for k in range(worlds)))
-        # used to raise a bare ValueError from the table's slice assignment
+        # used to raise a bare ValueError from the table's slice assignment, and a system
+        # of the same size lent its world names to the table
         with pytest.raises(ConstructionError) as ei:
             emit_report(verdict, system=ForecastSystem(other, (other.whole(),), (1.0,)))
-        assert ei.value.code == "report.system_mismatch"
-        assert str(ei.value) == f"2 world losses but the system has {worlds} worlds"
+        assert ei.value.code == "report.space_mismatch"
+        assert str(ei.value) == "audited system lives on a different sample space"
 
     @pytest.mark.parametrize("dominated", [False, True], ids=["admissible", "dominated"])
     def test_world_table_matches_the_per_line_reference(self, dominated):
@@ -851,6 +852,8 @@ class TestFormatting:
             reference = ["admissible: yes"]
             reference += [f"world {x}: loss {fmt10(b)}" for x, b in worlds]
         assert emit_report(verdict, system=fs) == "\n".join(reference) + "\n"
+        # the verdict names its worlds, so the audited system adds nothing to the text
+        assert emit_report(verdict) == emit_report(verdict, system=fs)
 
     @pytest.mark.parametrize("weights", [
         (0.0, 1.0, 1e-300, 5e-324, 0.0),  # zero, one, tiny and subnormal weights
