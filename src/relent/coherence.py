@@ -6,22 +6,23 @@ event's 0/1 truth value there. A system is admissible when no rival
 forecast does strictly better in every world.
 
 Geometry does all the work: each outcome induces a 0/1 valuation
-vector, and a forecast vector is admissible exactly when it lies in the
-convex hull of those vertices (any exterior point is strictly beaten,
-in every world, by its Euclidean projection onto the hull). The audit
-therefore computes that projection; for exterior points the projection
-is returned as an explicit dominating forecast, so the verdict can be
+vector, its row of V, the bool matrix of the events' masks, and a
+forecast vector is admissible exactly when it lies in the convex hull
+of those vertices (any exterior point is strictly beaten, in every
+world, by its Euclidean projection onto the hull). The audit therefore
+computes that projection; for exterior points the projection is
+returned as an explicit dominating forecast, so the verdict can be
 checked by direct enumeration rather than taken on faith.
 
-The audit forms the shifted valuations W = V - x once. The squared
-lengths of its rows are the book's per-world losses, and
-:func:`_project_to_hull` finds the point of W's hull nearest the origin
-by Wolfe's active-set minimum-norm method, with the active rows and
-their bordered Gram matrix in buffers that grow by one row per entering
-vertex. :func:`world_losses` scores any forecasts in every world in one
-batched call. ``WorldValuation``, ``world_valuations`` and
-``quadratic_loss`` score one world at a time and are kept as the
-reference that the tests enumerate against.
+The audit forms the shifted valuations W = V - x once, in float64 and
+exactly, as from a 0/1 float V. The squared lengths of its rows are the
+book's per-world losses, and :func:`_project_to_hull` finds the point
+of W's hull nearest the origin by Wolfe's active-set minimum-norm
+method, with the active rows and their bordered Gram matrix in buffers
+that grow by one row per entering vertex. :func:`world_losses` scores
+any forecasts in every world in one batched call. ``WorldValuation``,
+``world_valuations`` and ``quadratic_loss`` score one world at a time
+and are kept as the reference that the tests enumerate against.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ class ForecastSystem(_ArrayValued):
 
     @cached_property
     def valuation_matrix(self) -> np.ndarray:
-        """Row per outcome, each contiguous: the 0/1 truth values of every event there."""
-        rows = np.array([e.indicator for e in self.events])
+        """Bool row per outcome, each contiguous: the truth values of every event there."""
+        rows = np.array([e.indicator for e in self.events], bool)
         return _readonly(rows.reshape(len(self.events), len(self.space)).T.copy())
 
 

@@ -121,7 +121,8 @@ Constraint = Union[EventProb, Expectation, CondProb, PartitionWeights]
 
 
 def compile_constraint(c: Constraint, space: SampleSpace) -> tuple[tuple[np.ndarray, float], ...]:
-    """Lower one constraint to ``(coeffs, target)`` rows aligned to ``space``."""
+    """Lower one constraint to ``(coeffs, target)`` rows aligned to ``space``; an event's or
+    a cell's row is its bool mask, the others are float64."""
     if not isinstance(c, Constraint):  # before c.space, which another object may lack
         raise TypeError(f"not a constraint: {c!r}")
     _require_same_space(c.space, space, "constraint")
@@ -138,8 +139,8 @@ def compile_constraint(c: Constraint, space: SampleSpace) -> tuple[tuple[np.ndar
 
 @dataclass(frozen=True, eq=False)
 class System:
-    """Compiled rows ``A p = b`` on the sample space it names, ``space``: ``A`` is read-only
-    and C-ordered, with a column per outcome, and row j came from constraint ``source[j]``
+    """Compiled rows ``A p = b`` on the sample space it names, ``space``: ``A`` is read-only,
+    C-ordered float64, with a column per outcome, and row j came from constraint ``source[j]``
     and has conditioning event ``given[j]``, None unless it is conditional."""
 
     space: SampleSpace
@@ -157,7 +158,8 @@ def compile_all(constraints: Sequence[Constraint], space: SampleSpace) -> System
         rows += c_rows
         source += [k] * len(c_rows)
         given += [c.given if isinstance(c, CondProb) else None] * len(c_rows)
-    A = np.array([coeffs for coeffs, _ in rows]).reshape(len(rows), len(space))
+    # float64 even when every row is an event's mask
+    A = np.array([coeffs for coeffs, _ in rows], float).reshape(len(rows), len(space))
     A.flags.writeable = False
     return System(space, A, np.array([t for _, t in rows], float), tuple(source), tuple(given))
 

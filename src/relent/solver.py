@@ -326,7 +326,7 @@ def maxent_update(
         posterior = _reweight(prior, *reweighting)
         method: Method = "jeffrey"
     elif not b.size:  # Jeffrey's rule on the face: one cell, weight 1
-        posterior = _reweight(prior, (kept := live.astype(float),), (1.0,), (prior.array @ kept,))
+        posterior = _reweight(prior, (live,), (1.0,), (prior.array @ live,))
         method = "conditionalization"
     else:
         q = prior.array[live]

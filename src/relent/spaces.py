@@ -2,10 +2,11 @@
 
 Everything here is immutable after construction and validated eagerly:
 weights are checked against the simplex invariants the moment a
-distribution is built, never lazily. Numeric vectors are stored once, as
-read-only float64 arrays positionally aligned to the owning space's
-fixed outcome order; no reordering ever occurs, so elementwise
-comparisons are well defined everywhere else in the package.
+distribution is built, never lazily. Vectors are stored once, as
+read-only arrays positionally aligned to the owning space's fixed
+outcome order: float64 for numbers, bool for an event's membership. No
+reordering ever occurs, so elementwise comparisons are well defined
+everywhere else in the package.
 """
 
 from __future__ import annotations
@@ -197,9 +198,11 @@ def _require_same_space(a: SampleSpace, b: SampleSpace, kind: str, noun: str = "
 class Event(_ArrayValued):
     """A subset (possibly empty) of a space's outcomes.
 
-    Stored as ``indicator``, a read-only 0/1 vector in outcome order,
+    Stored as ``indicator``, a read-only bool mask in outcome order,
     built while the labels given are checked; ``labels``, ``members``
-    and ``describe`` are derived.
+    and ``describe`` are derived. A float consumer gets the same bits
+    from the mask as from a 0/1 float vector (``array @ mask``,
+    ``array * mask``), and numpy casts it where it is used.
     """
 
     _vector = "indicator"
@@ -220,13 +223,13 @@ class Event(_ArrayValued):
                 "event references labels not in the space: "
                 f"{_unknown_labels(labels, space.index)}",
             ) from None
-        indicator = np.zeros(len(space))
-        indicator[positions] = 1.0
+        indicator = np.zeros(len(space), bool)
+        indicator[positions] = True
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "indicator", _readonly(indicator))
 
     def _derived(self, indicator: np.ndarray) -> "Event":
-        """An event on the same space with the given 0/1 indicator."""
+        """An event on the same space with the given bool mask."""
         e = object.__new__(Event)
         object.__setattr__(e, "space", self.space)
         object.__setattr__(e, "indicator", _readonly(indicator))
@@ -242,19 +245,19 @@ class Event(_ArrayValued):
         return frozenset(self.labels)
 
     def complement(self) -> "Event":
-        return self._derived(1.0 - self.indicator)
+        return self._derived(~self.indicator)
 
     def intersect(self, other: "Event") -> "Event":
         _require_same_space(self.space, other.space, "event")
-        return self._derived(self.indicator * other.indicator)
+        return self._derived(self.indicator & other.indicator)
 
     def difference(self, other: "Event") -> "Event":
         _require_same_space(self.space, other.space, "event")
-        return self._derived(self.indicator * (1.0 - other.indicator))
+        return self._derived(self.indicator & ~other.indicator)
 
     def issubset(self, other: "Event") -> bool:
         _require_same_space(self.space, other.space, "event")
-        return not (self.indicator > other.indicator).any()
+        return not (self.indicator & ~other.indicator).any()
 
     def describe(self) -> str:
         return "{" + ", ".join(sorted(self.labels)) + "}"
@@ -351,18 +354,19 @@ class Partition:
         if not cells:
             raise ConstructionError("partition.empty", "a partition needs at least one cell")
         space = cells[0].space
+        coverage = np.zeros(len(space), np.intp)  # cells holding each outcome
         for c in cells:
             _require_same_space(c.space, space, "partition", "partition cell")
             if not c.indicator.any():
                 raise ConstructionError("partition.empty_cell", "partition cells must be nonempty")
-        coverage = sum(c.indicator for c in cells)
-        overlap = np.flatnonzero(coverage > 1.0)
+            coverage += c.indicator
+        overlap = np.flatnonzero(coverage > 1)
         if overlap.size:
             raise ConstructionError(
                 "partition.overlapping_cells",
                 f"outcomes in more than one cell: {sorted(space.outcomes[i] for i in overlap)}",
             )
-        missing = np.flatnonzero(coverage == 0.0)
+        missing = np.flatnonzero(coverage == 0)
         if missing.size:
             raise ConstructionError(
                 "partition.not_exhaustive",
@@ -420,8 +424,9 @@ class JointDistribution(_ArrayValued):
 
 
 def _reweight(dist: Distribution, cells, weights, masses) -> Distribution:
-    """Jeffrey's rule: each disjoint 0/1 row of ``cells`` with a nonzero weight, rescaled
-    from its mass under ``dist`` (positive wherever its weight is nonzero) to its weight."""
+    """Jeffrey's rule: each disjoint mask or 0/1 row of ``cells`` with a nonzero weight,
+    rescaled from its mass under ``dist`` (positive wherever its weight is nonzero) to its
+    weight."""
     out = np.zeros(len(dist.space))
     for cell, w, m in zip(cells, weights, masses):
         if w != 0.0:

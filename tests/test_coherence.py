@@ -94,7 +94,10 @@ class TestConstruction:
 
     def test_valuation_matrix_has_a_column_per_event(self):
         fs = ForecastSystem(TWO, (NOT_E, E, NOT_E), (0.1, 0.2, 0.3))
-        assert fs.valuation_matrix.tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]
+        assert fs.valuation_matrix.tolist() == [[False, True, False], [True, False, True]]
+        for V in (fs.valuation_matrix, ForecastSystem(TWO, (), ()).valuation_matrix):
+            assert V.dtype == np.bool_
+            assert V.flags.c_contiguous and not V.flags.writeable
         assert ForecastSystem(TWO, (), ()).valuation_matrix.shape == (2, 0)
 
     def test_event_on_another_space_rejected(self):

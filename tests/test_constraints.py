@@ -135,6 +135,18 @@ class TestCompile:
         )
         assert system.b.tolist() == [0.2, 0.2, 0.3, 0.5]
 
+    @pytest.mark.parametrize("constraints", [
+        lambda s: [EventProb(s.subset("a"), 0.2), EventProb(s.subset("b", "c"), 0.5)],
+        lambda s: [PartitionWeights(Partition.from_labels(s, [("a",), ("b", "c")]), (0.4, 0.6))],
+        lambda s: [],
+    ], ids=["events", "partition", "empty"])
+    def test_rows_stack_as_read_only_c_ordered_float64(self, abc, constraints):
+        # an event's row is its bool mask; the system's A is float64 all the same
+        A = compile_all(constraints(abc), abc).A
+        assert A.dtype == np.float64
+        assert A.flags.c_contiguous and not A.flags.writeable
+        assert A.shape[1] == 3
+
     def test_rows_know_their_constraint_and_conditioning_event(self, abc):
         p = Partition.from_labels(abc, [("a",), ("b", "c")])
         f = RandomVariable(abc, (1.0, 2.0, 6.0))

@@ -329,8 +329,9 @@ class TestStreaming:
 
     def test_walk_holds_one_decoded_entry_at_a_time(self, tmp_path):
         # 400 event constraints over 2000 outcomes, 1.98 MB of text: decoded whole
-        # it peaks at 14.6 MB, walked at 8.8 MB (ratio 0.61), the text read from
-        # the file and the 6.4 MB of built event indicators
+        # it peaks at 14.6 MB, walked at 4.0 MB (ratio 0.27), the text read from
+        # the file and the 0.8 MB of built event masks; 0/1 float indicators
+        # would hold 6.4 MB and read 0.61
         labels = [f"w{i:05d}" for i in range(2000)]
         doc = {"version": 1, "space": labels, "prior": "uniform", "constraints": [
             {"type": "event_prob", "event": labels[k % 7::7] + labels[:k], "value": 0.5}
@@ -349,7 +350,7 @@ class TestStreaming:
 
         decode = peak(lambda: json.loads(path.read_text(encoding="utf-8")))
         build = peak(lambda: parse_file(str(path)))
-        assert build / decode <= 0.75
+        assert build / decode <= 0.4
 
 
 # one document per failure mode, each with its own code

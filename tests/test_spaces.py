@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from relent.certainty_factors import EvidenceScenario
-from relent.coherence import ForecastSystem
+from relent.coherence import ForecastSystem, world_losses
 from relent.constraints import (
     CondProb,
     EventProb,
@@ -21,7 +21,7 @@ from relent.constraints import (
 )
 from relent.errors import ConstructionError, ZeroMassEvent
 from relent.information import relative_entropy, self_information
-from relent.solver import SolverOptions
+from relent.solver import SolverOptions, jeffrey_update, maxent_update
 from relent.spaces import (
     Distribution,
     Event,
@@ -31,6 +31,8 @@ from relent.spaces import (
     SUM_TOL,
     SampleSpace,
     _integer,
+    _reweight,
+    _row_dots,
     condition,
     conditional_prob,
     expectation,
@@ -148,6 +150,19 @@ class TestEvent:
         assert e.complement().members == {"c", "d"}
         assert e.difference(f).members == {"a"}
         assert e.intersect(f).issubset(e)
+
+    def test_every_event_is_a_read_only_mask(self):
+        s = SampleSpace(("a", "b", "c", "d", "e"))
+        e, f = s.subset("a", "b", "d"), s.subset("b", "c")
+        events = [e, f, e.complement(), e.intersect(f), e.difference(f), s.whole(),
+                  Event(s, ()), *Partition.from_labels(s, [("a", "c"), ("b", "d", "e")]).cells]
+        for x in events:
+            assert x.indicator.dtype == np.bool_
+            assert x.indicator.nbytes == len(s)
+            assert not x.indicator.flags.writeable
+            with pytest.raises(ValueError):
+                x.indicator[0] = True
+        assert not f.issubset(e) and e.intersect(f).issubset(f)
 
     def test_cross_space_rejected(self):
         e = SampleSpace(("a", "b")).subset("a")
@@ -343,12 +358,17 @@ class TestPartition:
         with pytest.raises(ConstructionError) as ei:
             Partition.from_labels(s, [("a", "b"), ("b", "c")])
         assert ei.value.code == "partition.overlapping_cells"
+        assert str(ei.value) == "outcomes in more than one cell: ['b']"
+        with pytest.raises(ConstructionError) as ei:  # one outcome in three cells
+            Partition.from_labels(s, [("c", "a"), ("c",), ("b", "c")])
+        assert str(ei.value) == "outcomes in more than one cell: ['c']"
 
     def test_rejects_gap(self):
         s = SampleSpace(("a", "b", "c"))
         with pytest.raises(ConstructionError) as ei:
             Partition.from_labels(s, [("a",), ("b",)])
         assert ei.value.code == "partition.not_exhaustive"
+        assert str(ei.value) == "outcomes in no cell: ['c']"
 
     def test_rejects_empty_cell(self):
         s = SampleSpace(("a", "b"))
@@ -666,3 +686,56 @@ def test_partition_weights_stay_a_tuple_of_floats():
     c = PartitionWeights(_CELLS, np.array([0.25, 0.75], dtype=np.float32))
     assert c.weights == (0.25, 0.75)
     assert all(type(w) is float for w in c.weights)
+
+
+_cached_space = cache(space_of)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("n", [3, 100, 8191, 8192, 8193, 100_000, 1 << 18])
+def test_masks_give_the_bits_of_0_1_float_indicators(n, seed):
+    # numpy casts a bool operand in buffers of 8192 elements, so n crosses one
+    rng = np.random.default_rng([seed, n])
+    s = _cached_space(n)
+    w = rng.random(n)
+    w[rng.random(n) < 0.1] = 0.0
+    w[-1] = 0.5  # every event below holds the last outcome, so none is massless
+    prior = Distribution(s, w / w.sum())
+
+    def event(density):
+        mask = rng.random(n) < density
+        mask[-1] = True
+        return Event(s, [s.outcomes[i] for i in np.flatnonzero(mask).tolist()])
+
+    e, g, t = event(0.3), event(0.6), event(0.5)
+    F = {x: x.indicator.astype(float) for x in (e, g, t)}
+
+    assert prior.prob(e) == float(prior.array @ F[e])
+    assert np.array_equal(condition(prior, e).array,
+                          _reweight(prior, (F[e],), (1.0,), (float(prior.array @ F[e]),)).array)
+    report = maxent_update(prior, [EventProb(e, 1.0)])  # conditions on the pinned support
+    live = (prior.support & e.indicator).astype(float)
+    assert report.method == "conditionalization"
+    assert np.array_equal(report.posterior.array,
+                          _reweight(prior, (live,), (1.0,), (prior.array @ live,)).array)
+
+    labels = rng.integers(4, size=n)
+    labels[:4] = np.arange(4)[:n]
+    part = Partition.from_labels(s, [[s.outcomes[i] for i in np.flatnonzero(labels == k)]
+                                     for k in range(min(n, 4))])
+    cells = [c.indicator.astype(float) for c in part.cells]
+    masses = [float(prior.array @ c) for c in cells]
+    weights = rng.random(len(cells)) * (np.array(masses) > 0.0)
+    weights = (weights / weights.sum()).tolist()
+    total = math.fsum(weights)
+    assert np.array_equal(
+        jeffrey_update(prior, part, weights).array,
+        _reweight(prior, cells, [x / total for x in weights], masses).array)
+
+    ((coeffs, _),) = compile_constraint(CondProb(t, g, 0.3), s)
+    assert np.array_equal(coeffs, F[t] * F[g] - 0.3 * F[g])
+
+    events = (e, g, t, e.complement(), g.difference(t))
+    fs = ForecastSystem(s, events, rng.random(len(events)))
+    D = np.array([x.indicator.astype(float) for x in events]).T.copy() - fs.array
+    assert np.array_equal(world_losses(fs, fs.array), _row_dots(D, D))
