@@ -27,6 +27,11 @@ from .spaces import (
 )
 
 
+def _framed(title: str, body: str, *tail: str) -> str:
+    """A demo's text: its title, the report ``body`` and the ``tail`` lines, blank-separated."""
+    return "\n".join([title, "", body.rstrip("\n"), "", *tail]) + "\n"
+
+
 def demo_die(units: str = "nats") -> str:
     """Least-committal die weights with a loaded mean of 4.5."""
     space = SampleSpace(tuple(f"face{k}" for k in range(1, 7)))
@@ -34,16 +39,13 @@ def demo_die(units: str = "nats") -> str:
     pips = RandomVariable(space, tuple(float(k) for k in range(1, 7)))
     report = maxent_update(prior, [Expectation(pips, 4.5)])
     mean = float(report.posterior.array @ pips.array)
-    lines = [
+    return _framed(
         "die with mean pinned to 4.5, uniform prior",
-        "",
-        emit_report(report, units=units).rstrip("\n"),
-        "",
+        emit_report(report, units=units),
         f"posterior mean: {fmt10(mean)}",
         "note: of all distributions with this mean, the posterior is the",
         "one closest to uniform; the weights form a geometric progression.",
-    ]
-    return "\n".join(lines) + "\n"
+    )
 
 
 def demo_tiger(units: str = "nats") -> str:
@@ -56,17 +58,14 @@ def demo_tiger(units: str = "nats") -> str:
     door1 = space.subset("tiger_door1")
     before = conditional_prob(prior, door1, tiger)
     after = conditional_prob(report.posterior, door1, tiger)
-    lines = [
+    return _framed(
         "a growl raises P(tiger) from 0.5 to 0.8",
-        "",
-        emit_report(report, units=units).rstrip("\n"),
-        "",
+        emit_report(report, units=units),
         f"P(door1 | tiger) before: {fmt10(before)}",
         f"P(door1 | tiger) after:  {fmt10(after)}",
         "note: evidence about the tiger/no-tiger split carries no news about",
         "which door, so the conditional is untouched.",
-    ]
-    return "\n".join(lines) + "\n"
+    )
 
 
 def demo_coin(units: str = "nats") -> str:
@@ -86,19 +85,16 @@ def demo_coin(units: str = "nats") -> str:
         "mint_biased_heads", "mint_biased_tails", "street_biased_heads", "street_biased_tails"
     )
     report = maxent_update(prior, [EventProb(heads, 2.0 / 3.0)])
-    lines = [
+    return _framed(
         "told the next toss lands heads with probability 2/3",
-        "",
-        emit_report(report, units=units).rstrip("\n"),
-        "",
+        emit_report(report, units=units),
         f"P(heads) before: {fmt10(prior.prob(heads))}",
         f"P(heads) after:  {fmt10(report.posterior.prob(heads))}",
         f"P(biased | heads) before: {fmt10(conditional_prob(prior, biased, heads))}",
         f"P(biased | heads) after:  {fmt10(conditional_prob(report.posterior, biased, heads))}",
         "note: the propensity claim is read as a direct constraint on the next",
         "toss, so it rescales heads against tails and nothing finer.",
-    ]
-    return "\n".join(lines) + "\n"
+    )
 
 
 def demo_mycin(units: str = "nats") -> str:
@@ -113,18 +109,15 @@ def demo_mycin(units: str = "nats") -> str:
     sc = EvidenceScenario(p_h_given_e, p_h_given_not_e, 0.8)
     exact = jeffrey_posterior(sc)
     shortcut = cf_approx_posterior(sc)
-    lines = [
+    return _framed(
         f"P(H|E) = {fmt10(p_h_given_e)}, P(H|not E) = {fmt10(p_h_given_not_e)},"
         " evidence certainty q swept from 0 to 1",
-        "",
-        emit_divergence(table).rstrip("\n"),
-        "",
+        emit_divergence(table),
         f"at q = 0.8: exact {fmt10(exact)}, shortcut {fmt10(shortcut)},"
         f" gap {fmt10(exact - shortcut)}",
         "note: the shortcut drops the weight the unconfirmed branch still carries;",
         "its error is P(H | not E) * (1 - q), vanishing only as q reaches 1.",
-    ]
-    return "\n".join(lines) + "\n"
+    )
 
 
 DEMOS = {

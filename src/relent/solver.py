@@ -126,18 +126,14 @@ def jeffrey_update(
 ) -> Distribution:
     """Reweight partition cells to ``weights``, preserving odds within each cell.
 
-    This is the maximum-relative-entropy posterior for the constraints
-    P(cell_i) = weights[i], compiled as :func:`maxent_update` compiles
-    them; :func:`~relent.spaces.condition` is the same kernel on one cell
-    of weight 1. Raises :class:`InfeasibleConstraint`, with the certificate
-    :func:`maxent_update` gives, for any target that the row-range pass
-    rules out at tol 0, such as positive weight on a cell with zero prior mass.
+    This is :func:`maxent_update` on one :class:`PartitionWeights` at the default
+    :class:`SolverOptions`: the prior as it is when every weight meets its cell's mass
+    within tol, else Jeffrey's rule (:func:`~relent.spaces.condition` is its kernel on one
+    cell of weight 1). It raises whatever :func:`maxent_update` raises, with the same
+    text: :class:`InfeasibleConstraint` (positive weight beyond tol on a cell with zero
+    prior mass, say) and :class:`NonConvergence` included.
     """
-    system = _constraints.compile_all((PartitionWeights(partition, tuple(weights)),), prior.space)
-    reasons, _, _ = _constraints.triage_feasibility(system, prior, 0.0)
-    if reasons:
-        raise InfeasibleConstraint("; ".join(reasons))
-    return _reweight(prior, *_lone_reweighting(system, prior))
+    return maxent_update(prior, (PartitionWeights(partition, tuple(weights)),)).posterior
 
 
 def _check_conditionals(posterior: Distribution, system: System, constraints: Sequence) -> None:

@@ -440,7 +440,6 @@ def condition(dist: Distribution, e: Event) -> Distribution:
     Outcomes outside ``e`` get weight zero. Raises :class:`ZeroMassEvent`
     when P(e) is at or below the zero-mass threshold.
     """
-    _require_same_space(dist.space, e.space, "event")
     mass = dist.prob(e)
     if mass <= ZERO_MASS:
         raise ZeroMassEvent(f"cannot condition on {e.describe()} with probability {mass!r}")
@@ -464,8 +463,7 @@ def marginal(j: JointDistribution, axis: Literal["row", "col"]) -> Distribution:
 
 def conditional_prob(dist: Distribution, a: Event, b: Event) -> float:
     """P(a | b) = P(a and b) / P(b). Raises :class:`ZeroMassEvent` when P(b) is zero mass."""
-    _require_same_space(dist.space, a.space, "event")
-    _require_same_space(dist.space, b.space, "event")
+    _require_same_space(dist.space, a.space, "event")  # before a zero-mass b can raise
     pb = dist.prob(b)
     if pb <= ZERO_MASS:
         raise ZeroMassEvent(f"conditioning event {b.describe()} has probability {pb!r}")

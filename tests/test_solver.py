@@ -121,9 +121,25 @@ class TestJeffreyUpdate:
         with pytest.raises(InfeasibleConstraint) as maxent:
             maxent_update(prior, [PartitionWeights(part, (0.3, 0.7))])
         assert str(ei.value) == str(maxent.value)
-        # jeffrey_update judges at tol 0: any positive weight on the empty cell raises
-        with pytest.raises(InfeasibleConstraint, match=r"^row 0: target 1e-12 lies outside"):
-            jeffrey_update(prior, part, (1e-12, 1.0 - 1e-12))
+        # jeffrey_update judges at maxent_update's tol: a weight within it of the empty
+        # cell's zero mass is already met, so the prior comes back as it is
+        assert jeffrey_update(prior, part, (1e-12, 1.0 - 1e-12)) is prior
+        # beyond tol it still raises, with maxent_update's certificate
+        beyond = (2e-10, 1.0 - 2e-10)
+        with pytest.raises(InfeasibleConstraint, match=r"^row 0: target 2e-10 lies outside") as ei:
+            jeffrey_update(prior, part, beyond)
+        with pytest.raises(InfeasibleConstraint) as maxent:
+            maxent_update(prior, [PartitionWeights(part, beyond)])
+        assert str(ei.value) == str(maxent.value)
+
+    def test_tiny_weight_beside_a_pinned_cell_is_answered(self):
+        # a weight of 1 pins the support to cell {a}, and 1e-17 on {b, c} lies within tol
+        # of that face, so the request is feasible and gets Jeffrey's closed form
+        s = space_of(3)
+        prior = Distribution(s, (0.2, 0.3, 0.5))
+        part = Partition.from_labels(s, [("w0",), ("w1", "w2")])
+        post = jeffrey_update(prior, part, (1.0, 1e-17))
+        assert_allclose(post.array, [1.0, 3.75e-18, 6.25e-18], rtol=1e-15, atol=0)
 
     def test_invalid_weights_rejected_at_construction(self):
         part = Partition((TIGER_EVENT, TIGER_EVENT.complement()))
@@ -155,6 +171,50 @@ class TestJeffreyUpdate:
         w = data.draw(st.floats(min_value=0.05, max_value=0.95))
         post = jeffrey_update(prior, part, (w, 1.0 - w))
         assert post.prob(part.cells[0]) == pytest.approx(w, abs=1e-12)
+
+
+def _jeffrey_request(rng: np.random.Generator):
+    """A prior on 2-8 outcomes (zeros in half the draws), a partition of 2-5 cells, and
+    weights from one of four classes: Dirichlet(1); the same with one weight set to 0; a 1
+    beside a weight of 10^U(-17, -9); the prior's cell masses plus |N(0, 1e-11)| noise."""
+    n = int(rng.integers(2, 9))
+    prior = rng.dirichlet(np.full(n, 0.5))
+    if rng.random() < 0.5:
+        prior[rng.random(n) < 0.3] = 0.0
+        if not prior.any():
+            prior[rng.integers(n)] = 1.0
+    prior /= prior.sum()
+    k = int(rng.integers(2, min(5, n) + 1))
+    cells = np.split(rng.permutation(n), np.sort(rng.choice(np.arange(1, n), k - 1, replace=False)))
+    kind = int(rng.integers(4))
+    if kind < 2:
+        weights = rng.dirichlet(np.ones(k))
+        if kind == 1:
+            weights[rng.integers(k)] = 0.0
+            weights /= weights.sum()
+    elif kind == 2:
+        weights = np.zeros(k)
+        weights[rng.choice(k, 2, replace=False)] = 1.0, 10.0 ** rng.uniform(-17, -9)
+    else:
+        weights = np.array([prior[c].sum() for c in cells]) + np.abs(rng.normal(0.0, 1e-11, k))
+    space = space_of(n)
+    part = Partition.from_labels(space, [[f"w{i}" for i in sorted(c)] for c in cells])
+    return Distribution.from_array(space, prior), part, tuple(weights.tolist())
+
+
+def test_jeffrey_update_is_maxent_update_on_its_partition():
+    # one door: every request gets maxent_update's posterior bits, or its exception and text
+    rng = np.random.default_rng(20261021)
+    for _ in range(300):
+        prior, part, weights = _jeffrey_request(rng)
+        try:
+            expected = maxent_update(prior, [PartitionWeights(part, weights)]).posterior
+        except (ConstructionError, InfeasibleConstraint, NonConvergence) as err:
+            with pytest.raises(type(err)) as ei:
+                jeffrey_update(prior, part, weights)
+            assert str(ei.value) == str(err)
+        else:
+            assert jeffrey_update(prior, part, weights).array.tobytes() == expected.array.tobytes()
 
 
 class TestMaxentNoOp:
