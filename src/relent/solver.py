@@ -5,11 +5,11 @@ the unique posterior maximizing entropy relative to the prior subject
 to the constraints. A target at a row's extreme (the least or greatest
 value the row takes on the outcomes still possible) has no finite
 multiplier; it shrinks the support instead, to the outcomes where the
-row attains that extreme (mass can never re-enter a zeroed outcome),
-and with no other constraint left the update is conditioning on that
-support. Disjoint 0/1 rows of one constraint have Jeffrey's closed form.
-The general case is solved in the dual on the pinned support: the
-optimum has the form
+row attains that extreme (mass can never re-enter a zeroed outcome).
+Disjoint 0/1 rows of one constraint left there are Jeffrey's cells; the
+live outcomes they miss are one more, with the weight they leave, and
+with no row left that is conditioning on the support. The general case
+is solved in the dual on the pinned support: the optimum has the form
 
     posterior_i  proportional to  prior_i * exp(sum_j lam_j * coeffs[j][i])
 
@@ -74,10 +74,10 @@ class SolverOptions:
     tol is the convergence threshold on the largest absolute constraint
     violation, and also how far a target may lie beyond its row's range
     before triage calls it infeasible; max_iter is the budget of Newton
-    steps. use_fast_paths lets the rows of one constraint take Jeffrey's
-    closed form instead of the dual: as cells, if they are disjoint 0/1
-    rows covering the space, or a lone 0/1 row with a target strictly
-    between 0 and 1 and its complement; it changes nothing else. The dual
+    steps. use_fast_paths lets the rows triage leaves take Jeffrey's closed
+    form instead of the dual when they are disjoint 0/1 rows of one
+    constraint (module docstring); it changes nothing else, since with no
+    row left the update conditions either way. The dual
     iteration always starts from zero multipliers. Each field has a caller:
     the CLI's ``--tol`` and ``--max-iter``, and the acceptance gate, which
     turns the fast paths off to check the dual against Jeffrey's rule.
@@ -269,22 +269,23 @@ def _dual_newton(
     )
 
 
-def _lone_reweighting(
-    system: System, prior: Distribution
-) -> tuple[Sequence[np.ndarray], list[float], list[float]] | None:
-    """Cells, weights and masses of Jeffrey's rule on ``system``, or None if it does not apply."""
-    A, b = system.A, system.b.tolist()
-    if len(b) == 1 and 0.0 < b[0] < 1.0 and ((A[0] == 0.0) | (A[0] == 1.0)).all():
-        cells, weights = (A[0], 1.0 - A[0]), [b[0], 1.0 - b[0]]
-    # n nonzeros and every column summing to 1: a single 1 in each column
-    elif (b and system.source[0] == system.source[-1]
-          and np.count_nonzero(A) == A.shape[1] and (A.sum(axis=0) == 1.0).all()):
-        cells, weights = A, b
-    else:
+def _closed_form(prior: Distribution, system: System, A: np.ndarray, b: np.ndarray, live):
+    """Cells, weights and masses of Jeffrey's rule on the rows triage leaves and the live
+    outcomes they miss (module docstring), or None if it does not apply."""
+    if b.size and system.source[0] != system.source[-1]:
         return None
-    masses = [float(prior.array @ cell) for cell in cells]
-    massless = any(w > 0.0 and m == 0.0 for w, m in zip(weights, masses))
-    return None if massless else (cells, weights, masses)
+    covers = A.sum(axis=0)
+    if not ((A == 0.0) | (A == 1.0)).all() or np.any(covers > 1.0, where=live):
+        return None
+    rest, left = live & (covers == 0.0), 1.0 - math.fsum(b.tolist())
+    if not rest.any():  # rows that cover the live support leave dust at most; more is the dual's
+        if abs(left) > ZERO_MASS:
+            return None
+        left = 0.0  # _reweight skips a cell of weight 0
+    # no mask on the masses: a lone row left has had no pin, and a partition's pins empty
+    # only their own cells, so each row left has its 1s on live or prior-zero outcomes
+    cells = (*A, rest)
+    return cells, (*b.tolist(), left), [float(prior.array @ cell) for cell in cells]
 
 
 def maxent_update(
@@ -295,10 +296,10 @@ def maxent_update(
     """Update ``prior`` to satisfy ``constraints``, moving as little as possible.
 
     One pipeline: the row-range pass of
-    :func:`~relent.constraints.triage_feasibility`, the no-op check,
-    Jeffrey's closed form (only with ``options.use_fast_paths``), then the
-    pinned support: condition on it when no active row is left, else run
-    the dual Newton iteration on it.
+    :func:`~relent.constraints.triage_feasibility`, the no-op check, then
+    on the pinned support either Jeffrey's closed form on the rows left
+    (conditioning when none is left; with rows left, only with
+    ``options.use_fast_paths``) or the dual Newton iteration.
 
     Raises :class:`InfeasibleConstraint`, :class:`NonConvergence`, or
     :class:`DegenerateConditional` (conditioning event driven to zero
@@ -317,13 +318,11 @@ def maxent_update(
 
     multipliers: tuple[float, ...] = ()
     iterations = 0
-    reweighting = _lone_reweighting(system, prior) if options.use_fast_paths else None
+    fast = options.use_fast_paths or not b.size
+    reweighting = _closed_form(prior, system, A, b, live) if fast else None
     if reweighting is not None:
         posterior = _reweight(prior, *reweighting)
-        method: Method = "jeffrey"
-    elif not b.size:  # Jeffrey's rule on the face: one cell, weight 1
-        posterior = _reweight(prior, (live,), (1.0,), (prior.array @ live,))
-        method = "conditionalization"
+        method: Method = "jeffrey" if b.size else "conditionalization"
     else:
         q = prior.array[live]
         q = q / q.sum()

@@ -203,6 +203,8 @@ class TestUpdate:
         assert err != ""
 
     def test_weight_admitted_within_tol_on_a_massless_cell_exits_0(self, capsys, tmp_path):
+        # 5e-11 on the massless {c} lies within tol; the rows left after its pin leave
+        # more than ZERO_MASS unassigned, so the dual answers, not Jeffrey's closed form
         doc = tmp_path / "massless_cell.json"
         doc.write_text(json.dumps({
             "space": ["a", "b", "c"], "prior": [0.5, 0.5, 0.0],

@@ -8,7 +8,9 @@ just a change that makes two runs disagree. ``midsize.json`` is a
 were read off a tilted copy of its prior, so the constraint set is
 feasible and the dual solver answers it. ``update_conditioning.json``
 pins every row to a face (an event target of 1, a cell weight of 0), so
-its report is the prior conditioned on that face. A case that exits 0
+its report is the prior conditioned on that face, and so is
+``update_partition_pin.json``'s, whose cell weights (1, 0) leave no row
+once triage pins them, whatever the fast paths. A case that exits 0
 writes nothing to stderr.
 """
 

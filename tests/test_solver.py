@@ -35,6 +35,7 @@ from relent.solver import (
     maxent_update,
 )
 from relent.spaces import (
+    ZERO_MASS,
     Distribution,
     Partition,
     RandomVariable,
@@ -134,12 +135,15 @@ class TestJeffreyUpdate:
 
     def test_tiny_weight_beside_a_pinned_cell_is_answered(self):
         # a weight of 1 pins the support to cell {a}, and 1e-17 on {b, c} lies within tol
-        # of that face, so the request is feasible and gets Jeffrey's closed form
+        # of that face, so the request is feasible: it conditions on {a}, and the weight
+        # left on {b, c} is its residual
         s = space_of(3)
         prior = Distribution(s, (0.2, 0.3, 0.5))
         part = Partition.from_labels(s, [("w0",), ("w1", "w2")])
         post = jeffrey_update(prior, part, (1.0, 1e-17))
-        assert_allclose(post.array, [1.0, 3.75e-18, 6.25e-18], rtol=1e-15, atol=0)
+        assert post.array.tolist() == [1.0, 0.0, 0.0]
+        rep = maxent_update(prior, [PartitionWeights(part, (1.0, 1e-17))])
+        assert (rep.method, rep.final_residual) == ("conditionalization", 1e-17)
 
     def test_invalid_weights_rejected_at_construction(self):
         part = Partition((TIGER_EVENT, TIGER_EVENT.complement()))
@@ -173,10 +177,11 @@ class TestJeffreyUpdate:
         assert post.prob(part.cells[0]) == pytest.approx(w, abs=1e-12)
 
 
-def _jeffrey_request(rng: np.random.Generator):
+def _jeffrey_request(rng: np.random.Generator, classes: int = 4):
     """A prior on 2-8 outcomes (zeros in half the draws), a partition of 2-5 cells, and
-    weights from one of four classes: Dirichlet(1); the same with one weight set to 0; a 1
-    beside a weight of 10^U(-17, -9); the prior's cell masses plus |N(0, 1e-11)| noise."""
+    weights from one of the first ``classes`` of five: Dirichlet(1); the same with one
+    weight set to 0; a 1 beside a weight of 10^U(-17, -9); the prior's cell masses plus
+    |N(0, 1e-11)| noise; Dirichlet(1) with every massless cell given 10^U(-16, -9)."""
     n = int(rng.integers(2, 9))
     prior = rng.dirichlet(np.full(n, 0.5))
     if rng.random() < 0.5:
@@ -186,17 +191,20 @@ def _jeffrey_request(rng: np.random.Generator):
     prior /= prior.sum()
     k = int(rng.integers(2, min(5, n) + 1))
     cells = np.split(rng.permutation(n), np.sort(rng.choice(np.arange(1, n), k - 1, replace=False)))
-    kind = int(rng.integers(4))
-    if kind < 2:
+    masses = np.array([prior[c].sum() for c in cells])
+    kind = int(rng.integers(classes))
+    if kind in (0, 1, 4):
         weights = rng.dirichlet(np.ones(k))
         if kind == 1:
             weights[rng.integers(k)] = 0.0
-            weights /= weights.sum()
+        if kind == 4:
+            weights[masses == 0.0] = 10.0 ** rng.uniform(-16, -9, np.count_nonzero(masses == 0.0))
+        weights /= weights.sum()
     elif kind == 2:
         weights = np.zeros(k)
         weights[rng.choice(k, 2, replace=False)] = 1.0, 10.0 ** rng.uniform(-17, -9)
     else:
-        weights = np.array([prior[c].sum() for c in cells]) + np.abs(rng.normal(0.0, 1e-11, k))
+        weights = masses + np.abs(rng.normal(0.0, 1e-11, k))
     space = space_of(n)
     part = Partition.from_labels(space, [[f"w{i}" for i in sorted(c)] for c in cells])
     return Distribution.from_array(space, prior), part, tuple(weights.tolist())
@@ -215,6 +223,36 @@ def test_jeffrey_update_is_maxent_update_on_its_partition():
             assert str(ei.value) == str(err)
         else:
             assert jeffrey_update(prior, part, weights).array.tobytes() == expected.array.tobytes()
+
+
+def test_the_closed_form_is_the_pinned_support_update():
+    # one closed form on the rows triage leaves: where the update conditions without the
+    # fast paths, it conditions with them, byte for byte; every Jeffrey answer is the
+    # dual's within 1e-9, meets its rows within tol and misses a total of 1 by dust at most
+    rng = np.random.default_rng(20261022)
+    methods = []
+    for _ in range(300):
+        prior, part, weights = _jeffrey_request(rng, classes=5)
+        if rng.random() < 0.5:
+            constraints = [EventProb(part.cells[0], weights[0])]
+        else:
+            constraints = [PartitionWeights(part, weights)]
+        try:
+            slow = maxent_update(prior, constraints, NO_FAST)
+        except InfeasibleConstraint as err:
+            with pytest.raises(InfeasibleConstraint, match=re.escape(str(err))):
+                maxent_update(prior, constraints)
+            methods.append("infeasible")
+            continue
+        fast = maxent_update(prior, constraints)
+        methods.append(fast.method)
+        if slow.method == "conditionalization":
+            assert emit_report(fast) == emit_report(slow)
+        if fast.method == "jeffrey":
+            assert_allclose(fast.posterior.array, slow.posterior.array, rtol=0, atol=1e-9)
+            assert fast.final_residual <= NO_FAST.tol
+            assert abs(math.fsum(fast.posterior.array.tolist()) - 1.0) <= ZERO_MASS
+    assert methods.count("conditionalization") >= 30 and methods.count("jeffrey") >= 100
 
 
 class TestMaxentNoOp:
@@ -954,9 +992,35 @@ class TestFastPathAgreement:
         assert_allclose(fast.posterior.array, [0.5, 0.5], rtol=0, atol=1e-9)
         assert_allclose(slow.posterior.array, fast.posterior.array, rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("weights", [(1.0, 0.0), (1.0, 1e-17)])
+    def test_a_weight_of_one_conditions_whatever_the_options(self, weights):
+        # the weight 1 pins the support to {a}; the rows triage leaves on it are none, so
+        # both settings condition, and the fast paths change not a byte of the report
+        s = space_of(3)
+        prior = Distribution(s, (0.2, 0.3, 0.5))
+        reweight = [PartitionWeights(Partition.from_labels(s, [("w0",), ("w1", "w2")]), weights)]
+        fast = maxent_update(prior, reweight)
+        slow = maxent_update(prior, reweight, NO_FAST)
+        assert (fast.method, slow.method) == ("conditionalization", "conditionalization")
+        assert emit_report(fast) == emit_report(slow)
+
+    def test_dust_left_by_rows_covering_the_support_is_jeffrey(self):
+        # 5e-13 on the massless {w0} lies within tol, so triage pins that row; the rows left
+        # cover the live support and leave 5e-13 <= ZERO_MASS, so Jeffrey's rule answers
+        s = space_of(3)
+        prior = Distribution(s, (0.0, 0.5, 0.5))
+        cells = Partition.from_labels(s, [("w0",), ("w1",), ("w2",)])
+        rep = maxent_update(prior, [PartitionWeights(cells, (5e-13, 0.3, 0.7 - 5e-13))])
+        assert rep.method == "jeffrey"
+        assert rep.posterior.array[0] == 0.0
+        # the residual is the compiled target of the pinned row, 5e-13 over the exact sum
+        assert rep.final_residual == pytest.approx(5e-13, rel=1e-15)
+        assert_allclose(rep.posterior.array, [0.0, 0.3, 0.7], rtol=0, atol=1e-12)
+
     def test_weight_admitted_within_tol_on_a_massless_cell(self):
-        # triage admits the weight 5e-11 on {c}, which has no prior mass; Jeffrey's
-        # rule alone would call that infeasible, so both settings take the dual
+        # triage admits the weight 5e-11 on {c}, which has no prior mass, and pins its row;
+        # the rows left cover the live support but leave 5e-11, more than ZERO_MASS, which
+        # the closed form would drop, so both settings take the dual, which spreads it
         s = SampleSpace(("a", "b", "c"))
         prior = Distribution(s, (0.5, 0.5, 0.0))
         cells = Partition.from_labels(s, [("a",), ("b",), ("c",)])
