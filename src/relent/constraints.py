@@ -22,6 +22,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .errors import InfeasibleConstraint
 from .spaces import Distribution, Event, Partition, RandomVariable, SampleSpace, _row_dots
 from .spaces import _finite_array, _finite_scalar, _require_same_space, _require_simplex
 
@@ -173,16 +174,17 @@ def residual(dist: Distribution, system: System) -> float:
 
 def triage_feasibility(
     system: System, prior: Distribution, tol: float
-) -> tuple[tuple[str, ...], np.ndarray, tuple[np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, System]:
     """One pass over the rows of a compiled ``system``: certificates and pins.
 
     The prior must live on the system's space (``constraint.space_mismatch``).
-    Returns ``(reasons, live, (A, b))``. ``reasons`` holds one certificate
-    per proof that no posterior on the prior's support meets the rows; an
-    empty tuple means the pass found none, and the set may still be jointly
-    unsatisfiable, which the solver detects. ``live`` masks the outcomes a
-    posterior may still weight, and ``(A, b)`` keeps the rows of ``system``
-    that still need a multiplier.
+    Returns ``(live, rows)``: ``live`` masks the outcomes a posterior may still
+    weight, and ``rows`` is the :class:`System`, on the same space, of the rows that
+    still need a multiplier, each with its ``source`` and ``given``; it is ``system``
+    itself when no row was pinned. Raises :class:`InfeasibleConstraint` with every row
+    certificate, joined by "; ", each a proof that no posterior on the prior's support
+    meets the rows; a set that passes may still be jointly unsatisfiable, which the
+    solver detects.
 
     Every row is judged alike, whatever constraint kind it came from.
     With lo and hi the least and greatest value of row j (in compilation
@@ -216,7 +218,7 @@ def triage_feasibility(
             for j in active if b[j] - hi[j] > tol or lo[j] - b[j] > tol
         ]
         if reasons:
-            break
+            raise InfeasibleConstraint("; ".join(reasons))
         for j in [j for j in active if not lo[j] < b[j] < hi[j]]:
             active.remove(j)
             face = live & (A[j] == (hi[j] if b[j] >= hi[j] else lo[j]))
@@ -225,6 +227,9 @@ def triage_feasibility(
                 break
         else:  # no pin shrank the support, so no row's range can change
             break
-    if len(active) < len(b):
-        A = A[active]
-    return tuple(reasons), live, (A, np.array([b[j] for j in active], dtype=float))
+    if len(active) == len(b):
+        return live, system
+    A = A[active]
+    A.flags.writeable = False
+    return live, System(system.space, A, system.b[active], tuple(system.source[j] for j in active),
+                        tuple(system.given[j] for j in active))

@@ -233,8 +233,8 @@ def _dual_newton(
             if lam_b - bound > margin:
                 raise InfeasibleConstraint(
                     f"dual multipliers lam prove that no posterior on the prior's support "
-                    f"meets the targets b: lam . b = {lam_b:g} exceeds max_i (A^T lam)_i = "
-                    f"{bound:g}, which bounds lam . (A p) for every such posterior p"
+                    f"meets the targets b: lam . b = {lam_b!r} exceeds max_i (A^T lam)_i = "
+                    f"{bound!r}, which bounds lam . (A p) for every such posterior p"
                 )
         if iterations >= options.max_iter:
             break
@@ -269,23 +269,21 @@ def _dual_newton(
     )
 
 
-def _closed_form(prior: Distribution, system: System, A: np.ndarray, b: np.ndarray, live):
-    """Cells, weights and masses of Jeffrey's rule on the rows triage leaves and the live
-    outcomes they miss (module docstring), or None if it does not apply."""
-    if b.size and system.source[0] != system.source[-1]:
+def _closed_form(prior: Distribution, rows: System, live):
+    """Cells, weights and masses of Jeffrey's rule on the rows triage leaves, ``rows``, and
+    the live outcomes they miss (module docstring), or None if it does not apply."""
+    if rows.b.size and rows.source[0] != rows.source[-1]:
         return None
-    covers = A.sum(axis=0)
-    if not ((A == 0.0) | (A == 1.0)).all() or np.any(covers > 1.0, where=live):
+    covers = rows.A.sum(axis=0)
+    if not ((rows.A == 0.0) | (rows.A == 1.0)).all() or np.any(covers > 1.0, where=live):
         return None
-    rest, left = live & (covers == 0.0), 1.0 - math.fsum(b.tolist())
+    rest, left = live & (covers == 0.0), 1.0 - math.fsum(rows.b.tolist())
     if not rest.any():  # rows that cover the live support leave dust at most; more is the dual's
         if abs(left) > ZERO_MASS:
             return None
         left = 0.0  # _reweight skips a cell of weight 0
-    # no mask on the masses: a lone row left has had no pin, and a partition's pins empty
-    # only their own cells, so each row left has its 1s on live or prior-zero outcomes
-    cells = (*A, rest)
-    return cells, (*b.tolist(), left), [float(prior.array @ cell) for cell in cells]
+    cells = (*(rows.A * live), rest)  # another constraint's pin can empty outcomes in a row
+    return cells, (*rows.b.tolist(), left), [float(prior.array @ cell) for cell in cells]
 
 
 def maxent_update(
@@ -295,11 +293,11 @@ def maxent_update(
 ) -> UpdateReport:
     """Update ``prior`` to satisfy ``constraints``, moving as little as possible.
 
-    One pipeline: the row-range pass of
-    :func:`~relent.constraints.triage_feasibility`, the no-op check, then
-    on the pinned support either Jeffrey's closed form on the rows left
-    (conditioning when none is left; with rows left, only with
-    ``options.use_fast_paths``) or the dual Newton iteration.
+    One pipeline: the row-range pass of :func:`~relent.constraints.triage_feasibility`,
+    which raises its row certificates and hands on the live support and the rows it
+    leaves as one :class:`System`, the no-op check, then on the pinned support either
+    Jeffrey's closed form on those rows (conditioning when none is left; with rows
+    left, only with ``options.use_fast_paths``) or the dual Newton iteration.
 
     Raises :class:`InfeasibleConstraint`, :class:`NonConvergence`, or
     :class:`DegenerateConditional` (conditioning event driven to zero
@@ -307,9 +305,7 @@ def maxent_update(
     """
     constraints = tuple(constraints)
     system = _constraints.compile_all(constraints, prior.space)
-    reasons, live, (A, b) = _constraints.triage_feasibility(system, prior, options.tol)
-    if reasons:
-        raise InfeasibleConstraint("; ".join(reasons))
+    live, rows = _constraints.triage_feasibility(system, prior, options.tol)
 
     r0 = _constraints.residual(prior, system)
     if r0 <= options.tol:
@@ -318,17 +314,16 @@ def maxent_update(
 
     multipliers: tuple[float, ...] = ()
     iterations = 0
-    fast = options.use_fast_paths or not b.size
-    reweighting = _closed_form(prior, system, A, b, live) if fast else None
+    fast = options.use_fast_paths or not rows.b.size
+    reweighting = _closed_form(prior, rows, live) if fast else None
     if reweighting is not None:
         posterior = _reweight(prior, *reweighting)
-        method: Method = "jeffrey" if b.size else "conditionalization"
+        method: Method = "jeffrey" if rows.b.size else "conditionalization"
     else:
         q = prior.array[live]
         q = q / q.sum()
-        if not live.all():
-            A = A.compress(live, axis=1)
-        p_live, lam, iterations = _dual_newton(q, A, b, options)
+        A = rows.A if live.all() else rows.A.compress(live, axis=1)
+        p_live, lam, iterations = _dual_newton(q, A, rows.b, options)
         multipliers = tuple(lam.tolist())
         full = np.zeros(len(prior.space))
         full[live] = p_live

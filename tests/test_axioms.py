@@ -11,6 +11,7 @@ from relent.axioms import (
 )
 from relent.constraints import CondProb, EventProb, Expectation, PartitionWeights
 from relent.errors import ConstructionError, InfeasibleConstraint, ZeroMassEvent
+from relent.information import relative_entropy
 from relent.solver import maxent_update
 from relent.spaces import (
     Distribution,
@@ -363,3 +364,55 @@ class TestArguments:
     def test_n_max_of_2_draws_two_outcomes(self):
         prior, part, _ = random_case(np.random.default_rng(0), 2)
         assert len(prior.space) == 2 and len(part.cells) == 2
+
+
+class TestShoreJohnsonProperties:
+    """Seeded checks of two properties of the update that the paper states and the axiom
+    checkers above do not cover."""
+
+    def test_system_independence(self):
+        # Axiom III: evidence on each factor of a product prior, lifted to the product
+        # space, updates the joint to the product of the factor updates
+        rng = np.random.default_rng(20261024)
+        worst = 0.0
+        for _ in range(100):
+            n1, n2 = (int(k) for k in rng.integers(2, 6, size=2))
+            s1 = SampleSpace(tuple(f"x{i}" for i in range(n1)))
+            s2 = SampleSpace(tuple(f"y{j}" for j in range(n2)))
+            joint = SampleSpace(tuple(f"x{i}y{j}" for i in range(n1) for j in range(n2)))
+            q1, q2 = rng.dirichlet(np.ones(n1)), rng.dirichlet(np.ones(n2))
+            f = rng.normal(size=n1)
+            inside = rng.permutation(n2)[: int(rng.integers(1, n2))]
+            mean = float(rng.dirichlet(np.ones(n1)) @ f)
+            mass = float(rng.dirichlet(np.ones(n2))[inside].sum())
+            e2 = s2.subset(*(s2.outcomes[j] for j in inside))
+            p1 = maxent_update(Distribution(s1, q1), [Expectation(RandomVariable(s1, f), mean)])
+            p2 = maxent_update(Distribution(s2, q2), [EventProb(e2, mass)])
+            p = maxent_update(Distribution(joint, np.outer(q1, q2).ravel()), [
+                Expectation(RandomVariable(joint, np.repeat(f, n2)), mean),
+                EventProb(joint.subset(*(f"x{i}y{j}" for i in range(n1) for j in inside)), mass)])
+            product = np.outer(p1.posterior.array, p2.posterior.array).ravel()
+            worst = max(worst, float(np.abs(p.posterior.array - product).max()))
+        assert worst <= 1e-9
+
+    def test_staged_evidence(self):
+        # Csiszar's Pythagorean identity: the update on L1 then on L1 and L2 together is
+        # the update on both at once, and D(p || q) = D(p || p1) + D(p1 || q); the second
+        # stage on L2 alone forgets L1 and lands elsewhere
+        space = SampleSpace(tuple(f"w{i}" for i in range(50)))
+        for seed in range(20):
+            rng = np.random.default_rng([20261025, seed])
+            q = Distribution(space, rng.dirichlet(np.ones(50)))
+            f, e = rng.normal(size=50), rng.random(50) < 0.5
+            tilted = q.array * np.exp(rng.normal() * f + rng.normal() * e)
+            tilted /= tilted.sum()
+            l1 = [Expectation(RandomVariable(space, f), float(tilted @ f))]
+            l2 = [EventProb(space.subset(*np.asarray(space.outcomes)[e]), float(tilted[e].sum()))]
+            p1 = maxent_update(q, l1).posterior
+            staged = maxent_update(p1, l1 + l2).posterior
+            direct = maxent_update(q, l1 + l2).posterior
+            assert_allclose(staged.array, direct.array, rtol=0, atol=1e-9)
+            assert relative_entropy(direct, q) == pytest.approx(
+                relative_entropy(direct, p1) + relative_entropy(p1, q), rel=0, abs=1e-9)
+            forgetful = maxent_update(p1, l2).posterior
+            assert np.abs(forgetful.array - direct.array).sum() > 1e-6

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -584,3 +585,12 @@ class TestParserShell:
         )
         assert result.returncode == 0
         assert "posterior mean: 4.5" in result.stdout
+
+    def test_the_module_runs_as_a_script(self, monkeypatch, capsys):
+        # python -m relent.cli: the __main__ guard exits with main's code
+        monkeypatch.setattr(sys, "argv", ["relent", "demo", "die"])
+        monkeypatch.delitem(sys.modules, "relent.cli")  # else runpy warns of the loaded copy
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("relent.cli", run_name="__main__")
+        assert exc.value.code == 0
+        assert "posterior mean: 4.5" in capsys.readouterr().out

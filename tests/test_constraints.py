@@ -232,42 +232,66 @@ def triage(constraints, prior):
     return triage_feasibility(compile_all(constraints, prior.space), prior, 1e-10)
 
 
+def certificates(constraints, prior):
+    """The row certificates the pass raises on ``constraints``, or "" when it raises none."""
+    try:
+        triage(constraints, prior)
+    except InfeasibleConstraint as err:
+        return err.reason
+    return ""
+
+
 class TestTriage:
     def test_clean_constraints_pass(self, abc):
+        # nothing pinned, so the rows left are the compiled system itself
         prior = Distribution(abc, (0.5, 0.3, 0.2))
-        reasons, live, (A, b) = triage([EventProb(abc.subset("a"), 0.9)], prior)
-        assert reasons == ()
-        assert live.all()
-        assert_allclose(A, [[1.0, 0.0, 0.0]])
-        assert list(b) == [0.9]
+        system = compile_all([EventProb(abc.subset("a"), 0.9)], abc)
+        live, rows = triage_feasibility(system, prior, 1e-10)
+        assert live.all() and rows is system
+        assert_allclose(rows.A, [[1.0, 0.0, 0.0]])
+        assert list(rows.b) == [0.9]
+
+    def test_rows_left_keep_their_source_and_given(self, abc):
+        # the pin on c leaves rows 1-3 as a System on the same space, each row with the
+        # constraint it came from and its conditioning event, its matrix read-only
+        prior = Distribution.uniform(abc)
+        given = abc.subset("a", "b")
+        cells = Partition.from_labels(abc, [("a",), ("b", "c")])
+        system = compile_all([EventProb(abc.subset("c"), 0.0), CondProb(abc.subset("a"), given, 0.3),
+                              PartitionWeights(cells, (0.4, 0.6))], abc)
+        live, rows = triage_feasibility(system, prior, 1e-10)
+        assert list(live) == [True, True, False]
+        assert rows.space is abc and rows.source == (1, 2, 2) and rows.given == (given, None, None)
+        assert rows.A.tobytes() == system.A[1:].tobytes() and not rows.A.flags.writeable
+        assert rows.b.tolist() == system.b[1:].tolist()
 
     def test_probability_out_of_range(self, abc):
         # an event target is judged by its row like any other: beyond tol it is
         # certified with its stake, within tol of 0 or 1 it pins a face
         prior = Distribution.uniform(abc)
         a = abc.subset("a")
-        assert triage([EventProb(a, 1.2)], prior)[0] == (
+        assert certificates([EventProb(a, 1.2)], prior) == (
             "row 0: target 1.2 lies outside [0.0, 1.0], its range on the outcomes still "
-            "possible (witness y = +e_0)",)
-        assert "(witness y = -e_0)" in triage([EventProb(a, -1e-9)], prior)[0][0]
+            "possible (witness y = +e_0)")
+        assert "(witness y = -e_0)" in certificates([EventProb(a, -1e-9)], prior)
         for value, kept in ((1.0 + 5e-11, [True, False, False]), (-5e-11, [False, True, True])):
-            reasons, live, (A, _) = triage([EventProb(a, value)], prior)
-            assert not reasons and list(live) == kept and A.shape == (0, 3)
+            live, rows = triage([EventProb(a, value)], prior)
+            assert list(live) == kept and rows.A.shape == (0, 3)
 
     def test_target_is_judged_by_its_true_distance(self, abc):
         # 1 + 1e-10 rounds to a float 1.0000000827e-10 above 1, beyond tol, although
         # hi + tol rounds to that same float; the difference b - hi is exact
         prior = Distribution.uniform(abc)
         a = abc.subset("a")
-        assert triage([EventProb(a, 1.0 + 1e-10)], prior)[0] == (
+        assert certificates([EventProb(a, 1.0 + 1e-10)], prior) == (
             "row 0: target 1.0000000001 lies outside [0.0, 1.0], its range on the outcomes "
-            "still possible (witness y = +e_0)",)
+            "still possible (witness y = +e_0)")
         with pytest.raises(InfeasibleConstraint, match=r"witness y = \+e_0"):
             maxent_update(prior, [EventProb(a, 1.0 + 1e-10)])
         # every target near an end either gets a certificate or a report within tol
         for k in range(16):
             for value in (1.0 + k * 1e-11, -k * 1e-11):
-                reasons = triage([EventProb(a, value)], prior)[0]
+                reasons = certificates([EventProb(a, value)], prior)
                 assert bool(reasons) == (abs(value - (value > 0.5)) > 1e-10), value
                 if not reasons:
                     assert maxent_update(prior, [EventProb(a, value)]).final_residual <= 1e-10
@@ -278,65 +302,62 @@ class TestTriage:
         prior = Distribution.uniform(abc)
         for value in (-0.1, 1.2):
             c = CondProb(abc.subset("a"), abc.subset("a", "b"), value)
-            reasons, live, (A, _) = triage([c], prior)
-            assert not reasons and list(live) == [False, False, True] and A.shape == (0, 3)
+            live, rows = triage([c], prior)
+            assert list(live) == [False, False, True] and rows.A.shape == (0, 3)
             with pytest.raises(DegenerateConditional, match=r"P\(\{a\} \| \{a, b\}\)"):
                 maxent_update(prior, [c])
         # conditioned on every outcome, the row is nonzero wherever mass can go
         c = CondProb(abc.subset("a"), abc.subset("a", "b", "c"), 1.2)
-        assert "(witness y = +e_0)" in triage([c], prior)[0][0]
+        assert "(witness y = +e_0)" in certificates([c], prior)
 
     def test_expectation_outside_range(self, abc):
         prior = Distribution.uniform(abc)
         f = RandomVariable(abc, (1.0, 2.0, 3.0))
-        above = triage([Expectation(f, 3.5)], prior)[0]
-        below = triage([Expectation(f, 0.5)], prior)[0]
-        assert above and "witness y = +e_0" in above[0]
-        assert below and "witness y = -e_0" in below[0]
+        above = certificates([Expectation(f, 3.5)], prior)
+        below = certificates([Expectation(f, 0.5)], prior)
+        assert above and "witness y = +e_0" in above
+        assert below and "witness y = -e_0" in below
 
     def test_expectation_range_uses_prior_support(self, abc):
         # outcome c carries value 3 but has no prior mass, so 2.5 is unreachable
         prior = Distribution(abc, (0.5, 0.5, 0.0))
         f = RandomVariable(abc, (1.0, 2.0, 3.0))
-        assert triage([Expectation(f, 2.5)], prior)[0]
+        assert certificates([Expectation(f, 2.5)], prior)
 
     def test_expectation_boundary_is_not_certified(self, abc):
-        # attainable by a point mass, so the screen must let it through
+        # attainable by a point mass, so the screen must let it through,
+        # and the point mass is the only posterior: the row fixes its face
         prior = Distribution.uniform(abc)
         f = RandomVariable(abc, (1.0, 2.0, 3.0))
-        reasons, live, (A, b) = triage([Expectation(f, 3.0)], prior)
-        assert not reasons
-        # and the point mass is the only posterior: the row fixes its face
+        live, rows = triage([Expectation(f, 3.0)], prior)
         assert list(live) == [False, False, True]
-        assert A.shape == (0, 3) and b.size == 0
+        assert rows.A.shape == (0, 3) and rows.b.size == 0
         # a least value shared by two outcomes keeps both
         g = RandomVariable(abc, (-2.0, -2.0, 5.0))
-        reasons, live, (A, _) = triage([Expectation(g, -2.0)], prior)
-        assert not reasons
-        assert list(live) == [True, True, False] and A.shape == (0, 3)
+        live, rows = triage([Expectation(g, -2.0)], prior)
+        assert list(live) == [True, True, False] and rows.A.shape == (0, 3)
 
     def test_positive_target_on_zero_mass_event(self, abc):
         prior = Distribution(abc, (0.5, 0.5, 0.0))
-        assert triage([EventProb(abc.subset("c"), 0.1)], prior)[0]
+        assert certificates([EventProb(abc.subset("c"), 0.1)], prior)
         # zero target on a zero-mass event is already satisfied
-        reasons, live, (A, _) = triage([EventProb(abc.subset("c"), 0.0)], prior)
-        assert not reasons
-        assert list(live) == [True, True, False] and A.shape == (0, 3)
+        live, rows = triage([EventProb(abc.subset("c"), 0.0)], prior)
+        assert list(live) == [True, True, False] and rows.A.shape == (0, 3)
 
     def test_positive_weight_on_zero_mass_cell(self, abc):
         prior = Distribution(abc, (0.5, 0.5, 0.0))
         p = Partition.from_labels(abc, [("a", "b"), ("c",)])
-        assert triage([PartitionWeights(p, (0.9, 0.1))], prior)[0]
-        reasons, live, (A, _) = triage([PartitionWeights(p, (1.0, 0.0))], prior)
-        assert not reasons
+        assert certificates([PartitionWeights(p, (0.9, 0.1))], prior)
+        live, rows = triage([PartitionWeights(p, (1.0, 0.0))], prior)
         # the weight-1 row covers the live support, so neither row needs a multiplier
-        assert list(live) == [True, True, False] and A.shape == (0, 3)
+        assert list(live) == [True, True, False] and rows.A.shape == (0, 3)
 
     def test_multiple_reasons_collected(self, abc):
+        # one raise, with every row's certificate joined by "; "
         prior = Distribution(abc, (0.5, 0.5, 0.0))
         f = RandomVariable(abc, (1.0, 2.0, 3.0))
-        reasons = triage([EventProb(abc.subset("c"), 0.1), Expectation(f, 99.0)], prior)[0]
-        assert len(reasons) == 2
+        reasons = certificates([EventProb(abc.subset("c"), 0.1), Expectation(f, 99.0)], prior)
+        assert [r[:6] for r in reasons.split("; ")] == ["row 0:", "row 1:"]
 
     def test_space_mismatch_rejected(self, abc):
         # a system compiled over another space is caught by its width
@@ -350,29 +371,28 @@ class TestTriage:
         # support its least value is 0 at a, so the zero target keeps only a
         prior = Distribution(abc, (0.5, 0.5, 0.0))
         f = RandomVariable(abc, (0.0, 1.0, -3.0))
-        reasons, live, (A, _) = triage([Expectation(f, 0.0)], prior)
-        assert not reasons
-        assert list(live) == [True, False, False] and A.shape == (0, 3)
+        live, rows = triage([Expectation(f, 0.0)], prior)
+        assert list(live) == [True, False, False] and rows.A.shape == (0, 3)
         # with c live, the same zero target is interior and the row stays active
-        reasons, live, (A, b) = triage([Expectation(f, 0.0)], Distribution.uniform(abc))
-        assert not reasons and live.all()
-        assert_allclose(A, [f.array])
-        assert list(b) == [0.0]
+        live, rows = triage([Expectation(f, 0.0)], Distribution.uniform(abc))
+        assert live.all()
+        assert_allclose(rows.A, [f.array])
+        assert list(rows.b) == [0.0]
 
     def test_pins_recheck_rows_on_the_smaller_support(self, abc):
         # pinning P(a, b) = 1 drops c, after which P(b) = 1 fixes b alone and
         # P(c) = 0.2 is beyond its range 0 on what is left
         prior = Distribution.uniform(abc)
         pins = [EventProb(abc.subset("a", "b"), 1.0), EventProb(abc.subset("b"), 1.0)]
-        reasons, live, (A, _) = triage(pins, prior)
-        assert not reasons and list(live) == [False, True, False] and A.shape == (0, 3)
-        reasons = triage(pins + [EventProb(abc.subset("c"), 0.2)], prior)[0]
+        live, rows = triage(pins, prior)
+        assert list(live) == [False, True, False] and rows.A.shape == (0, 3)
+        reasons = certificates(pins + [EventProb(abc.subset("c"), 0.2)], prior)
         assert reasons == ("row 2: target 0.2 lies outside [0.0, 0.0], its range on the "
-                           "outcomes still possible (witness y = +e_2)",)
+                           "outcomes still possible (witness y = +e_2)")
 
     def test_target_within_tol_of_a_whole_support_row_is_not_certified(self, abc):
         prior = Distribution.uniform(abc)
         whole = abc.subset("a", "b", "c")
-        reasons, live, _ = triage([EventProb(whole, float(np.nextafter(1.0, 0.0)))], prior)
-        assert not reasons and live.all()
-        assert triage([EventProb(whole, 0.5)], prior)[0]
+        live, _ = triage([EventProb(whole, float(np.nextafter(1.0, 0.0)))], prior)
+        assert live.all()
+        assert certificates([EventProb(whole, 0.5)], prior)

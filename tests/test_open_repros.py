@@ -15,7 +15,7 @@ import pytest
 
 from relent.cli import main
 from relent.constraints import CondProb, EventProb, PartitionWeights
-from relent.errors import DegenerateConditional
+from relent.errors import DegenerateConditional, InfeasibleConstraint
 from relent.scenario import Scenario, serialize
 from relent.solver import SolverOptions, maxent_update
 from relent.spaces import Distribution, Partition, SampleSpace
@@ -25,14 +25,15 @@ A_OR_B = ABC.subset("a", "b")
 ABCD = SampleSpace(("a", "b", "c", "d"))
 _SNAP_PRIOR = np.array([0.36199459, 0.48180977, 0.0, 0.15619563])
 
-# name: (prior, constraints, expected exit code, the posterior a success must reach or None)
+# name: (prior, constraints, expected exit code, the exception a refusal must raise or the
+# posterior a success must reach or None)
 CASES = {
     # every exactly feasible posterior has P(a or b) = 0, so no conditional is met but
     # vacuously; today the dual returns a posterior with P(a or b) = 1.8e-10 at exit 0
     "conditional_pair": (
         Distribution.uniform(ABC),
         (CondProb(ABC.subset("a"), A_OR_B, 0.8), CondProb(ABC.subset("b"), A_OR_B, 0.8)),
-        2, None),
+        2, DegenerateConditional),
     # within tol of 1, so b goes to zero and a or b keeps its mass; today triage pins
     # the face off a or b and the update ends DegenerateConditional
     "conditional_above_one_within_tol": (
@@ -47,6 +48,13 @@ CASES = {
          EventProb(ABCD.subset("a", "c", "d"), 0.579188672816583),
          EventProb(ABCD.subset("a", "c"), 0.579188672816583)),
         0, None),
+    # P(a) + P(b) <= 1, so some row stays at least 2.5e-10 off, beyond tol; today no dual
+    # iterate proves it and the update ends NonConvergence after 200 steps (at 1e-8 off,
+    # the dual's proof fires)
+    "near_boundary_joint_infeasibility": (
+        Distribution.uniform(ABC),
+        (EventProb(ABC.subset("a"), 0.5 + 5e-10), EventProb(ABC.subset("b"), 0.5)),
+        2, InfeasibleConstraint),
 }
 
 open_repro = pytest.mark.xfail(strict=True, reason="open correctness repro (ROADMAP items 2-4)")
@@ -61,7 +69,7 @@ def test_library(name, fast):
     prior, constraints, code, expected = CASES[name]
     options = SolverOptions(use_fast_paths=fast)
     if code == 2:
-        with pytest.raises(DegenerateConditional):
+        with pytest.raises(expected):
             maxent_update(prior, constraints, options)
         return
     report = maxent_update(prior, constraints, options)

@@ -228,31 +228,41 @@ def test_jeffrey_update_is_maxent_update_on_its_partition():
 def test_the_closed_form_is_the_pinned_support_update():
     # one closed form on the rows triage leaves: where the update conditions without the
     # fast paths, it conditions with them, byte for byte; every Jeffrey answer is the
-    # dual's within 1e-9, meets its rows within tol and misses a total of 1 by dust at most
+    # dual's within 1e-9, meets its rows within tol and misses a total of 1 by dust at most.
+    # The second class puts a whole pin, P(E) = 0 or 1, before or after the constraint, so
+    # the rows left are that constraint's cells on the pin's face
     rng = np.random.default_rng(20261022)
-    methods = []
-    for _ in range(300):
-        prior, part, weights = _jeffrey_request(rng, classes=5)
-        if rng.random() < 0.5:
-            constraints = [EventProb(part.cells[0], weights[0])]
-        else:
-            constraints = [PartitionWeights(part, weights)]
-        try:
-            slow = maxent_update(prior, constraints, NO_FAST)
-        except InfeasibleConstraint as err:
-            with pytest.raises(InfeasibleConstraint, match=re.escape(str(err))):
-                maxent_update(prior, constraints)
-            methods.append("infeasible")
-            continue
-        fast = maxent_update(prior, constraints)
-        methods.append(fast.method)
-        if slow.method == "conditionalization":
-            assert emit_report(fast) == emit_report(slow)
-        if fast.method == "jeffrey":
-            assert_allclose(fast.posterior.array, slow.posterior.array, rtol=0, atol=1e-9)
-            assert fast.final_residual <= NO_FAST.tol
-            assert abs(math.fsum(fast.posterior.array.tolist()) - 1.0) <= ZERO_MASS
-    assert methods.count("conditionalization") >= 30 and methods.count("jeffrey") >= 100
+    methods = {False: [], True: []}
+    for pinned in (False, True):
+        for _ in range(300):
+            prior, part, weights = _jeffrey_request(rng, classes=5)
+            if rng.random() < 0.5:
+                constraints = [EventProb(part.cells[0], weights[0])]
+            else:
+                constraints = [PartitionWeights(part, weights)]
+            if pinned:
+                space = prior.space
+                event = space.subset(*(w for w in space.outcomes if rng.random() < 0.5))
+                constraints.insert(int(rng.integers(2)), EventProb(event, float(rng.integers(2))))
+            try:
+                slow = maxent_update(prior, constraints, NO_FAST)
+            except InfeasibleConstraint as err:
+                with pytest.raises(InfeasibleConstraint, match=re.escape(str(err))):
+                    maxent_update(prior, constraints)
+                methods[pinned].append("infeasible")
+                continue
+            fast = maxent_update(prior, constraints)
+            methods[pinned].append(fast.method)
+            if slow.method == "conditionalization":
+                assert emit_report(fast) == emit_report(slow)
+            if fast.method == "jeffrey":
+                assert_allclose(fast.posterior.array, slow.posterior.array, rtol=0, atol=1e-9)
+                assert fast.final_residual <= NO_FAST.tol
+                assert abs(math.fsum(fast.posterior.array.tolist()) - 1.0) <= ZERO_MASS
+    assert methods[False].count("conditionalization") >= 30
+    assert methods[False].count("jeffrey") >= 100
+    assert methods[True].count("conditionalization") >= 20
+    assert methods[True].count("jeffrey") >= 50
 
 
 class TestMaxentNoOp:
@@ -309,6 +319,29 @@ class TestMaxentFastPaths:
         assert emit_report(rep) == emit_report(pin)
         assert maxent_update(
             TIGER_PRIOR, [Expectation(indicator, target)], NO_FAST).method == "dual_newton"
+
+    @pytest.mark.parametrize("pin_first", [True, False], ids=["pin_first", "pin_second"])
+    @pytest.mark.parametrize("pinned, value, lone, expected", [
+        (("a", "b", "c"), 1.0, None, (0.2, 0.3, 0.5, 0.0)),
+        (("d",), 0.0, None, (0.2, 0.3, 0.5, 0.0)),
+        (("d",), 0.0, 0.4, (0.4, 0.3, 0.3, 0.0)),
+    ], ids=["abc_certain", "d_impossible", "d_impossible_beside_a"])
+    def test_a_pin_leaves_the_other_constraint_to_jeffrey(self, pinned, value, lone, expected,
+                                                          pin_first):
+        # the pin empties d, which the cell {c, d} and the rest {b, c} both hold; the rows
+        # left are one constraint's cells on {a, b, c}, so Jeffrey's rule answers exactly
+        space = SampleSpace(("a", "b", "c", "d"))
+        pin = EventProb(space.subset(*pinned), value)
+        if lone is None:
+            cells = Partition.from_labels(space, [("a",), ("b",), ("c", "d")])
+            other = PartitionWeights(cells, (0.2, 0.3, 0.5))
+        else:
+            other = EventProb(space.subset("a"), lone)
+        constraints = [pin, other] if pin_first else [other, pin]
+        rep = maxent_update(Distribution.uniform(space), constraints)
+        assert (rep.method, rep.iterations, rep.multipliers) == ("jeffrey", 0, ())
+        assert rep.posterior.array.tolist() == list(expected)
+        assert rep.final_residual == 0.0
 
     def test_fast_paths_can_be_disabled(self):
         rep = maxent_update(TIGER_PRIOR, [EventProb(TIGER_EVENT, 0.8)], NO_FAST)
@@ -963,6 +996,19 @@ class TestInfeasibilityCertificate:
                 pass
             missed.append(seed)
         assert missed == []
+
+    @pytest.mark.parametrize("options", [SolverOptions(), NO_FAST], ids=["fast", "no_fast"])
+    def test_the_dual_proof_prints_each_side_in_full(self, options):
+        # P(a) = 0.5 + 1e-8 beside P(b) = 0.5: the two sides of the proof part in the 8th
+        # digit, so the printed lam . b must read above the printed bound
+        s = SampleSpace(("a", "b", "c"))
+        cs = [EventProb(s.subset("a"), 0.5 + 1e-8), EventProb(s.subset("b"), 0.5)]
+        with pytest.raises(InfeasibleConstraint) as ei:
+            maxent_update(Distribution.uniform(s), cs, options)
+        assert ei.value.reason.startswith("dual multipliers lam prove")
+        lhs, rhs = re.search(r"lam \. b = (\S+) exceeds max_i \(A\^T lam\)_i = (\S+),",
+                             ei.value.reason).groups()
+        assert float(lhs) > float(rhs)
 
 
 class TestFastPathAgreement:
