@@ -172,6 +172,13 @@ def residual(dist: Distribution, system: System) -> float:
     return float(np.abs(_row_dots(system.A, dist.array) - system.b).max(initial=0.0))
 
 
+def _refutation(rows: str, payoff: str, lo: float, hi: float, stake: str) -> str:
+    """The text of every :class:`InfeasibleConstraint` an update raises: the stake y on
+    ``rows`` is priced ``payoff``, beyond [lo, hi], y . A_i's range on the live outcomes."""
+    return (f"{rows}: {payoff} lies outside [{float(lo)!r}, {float(hi)!r}], "
+            f"its range on the outcomes still possible (witness y = {stake})")
+
+
 def triage_feasibility(
     system: System, prior: Distribution, tol: float
 ) -> tuple[np.ndarray, System]:
@@ -213,8 +220,8 @@ def triage_feasibility(
         lo = A.min(axis=1, where=live, initial=np.inf).tolist()
         hi = A.max(axis=1, where=live, initial=-np.inf).tolist()
         reasons = [
-            f"row {j}: target {b[j]!r} lies outside [{lo[j]!r}, {hi[j]!r}], its range on the "
-            f"outcomes still possible (witness y = {'+' if b[j] > hi[j] else '-'}e_{j})"
+            _refutation(f"row {j}", f"target {b[j]!r}", lo[j], hi[j],
+                        f"{'+' if b[j] > hi[j] else '-'}e_{j}")
             for j in active if b[j] - hi[j] > tol or lo[j] - b[j] > tol
         ]
         if reasons:

@@ -31,14 +31,12 @@ class ZeroMassEvent(RelentError):
 
 
 class InfeasibleConstraint(RelentError):
-    """No distribution on the prior's support satisfies the constraint set.
+    """No distribution on the prior's support satisfies the constraint set within tol.
 
-    ``reason`` is the certificate, in words, and names a stake vector: a
-    row whose target lies beyond its range on the outcomes still possible
-    (y = +e_j or -e_j loses in every one of them), whatever its kind; a
-    stake y on dependent active rows (y . b misses the one value y . A_i
-    takes there by over |y|_1 tol); or dual multipliers lam that separate b
-    from every distribution on the support (lam . b > max_i (A^T lam)_i).
+    ``reason`` is the certificate, in words: a stake y on the rows (y = +e_j
+    or -e_j for one row) whose price y . b lies outside [min_i y . A_i, max_i
+    y . A_i] on the outcomes a posterior may weight by more than |y|_1 tol, so
+    every such posterior misses some row by more than tol.
     """
 
     def __init__(self, reason: str):

@@ -19,16 +19,15 @@ dual, with multiplier 0, when the rows kept before it span it on the
 live support: with matrix_rank's threshold t times each row's sum of
 squares added to the rows' covariance at uniform weights, k's Cholesky
 pivot is under sqrt(t) times its variance, and its stake y (y_k = 1)
-gives one value y . A_i, up to rounding, on every outcome. If
-y . targets misses that value by more than |y|_1 tol, y certifies that
-no posterior meets every row within tol; otherwise the group's targets
-move until they agree (Lawson's reweighted least squares, toward moving
-none by more than tol). Damped Newton steps on the kept rows, each taken only
-if the dual rises by ARMIJO times its slope, stop once every active row
-is within tol of its target. On an infeasible set the dual is unbounded,
-and each iterate is tested as a proof of that: every distribution p on
-the support has lam . (A p) <= max_i (A^T lam)_i, so an iterate with
-``lam . targets`` above that bound rules out any posterior.
+gives one value y . A_i, up to rounding, on every outcome; the group's
+targets then move until they agree (Lawson's reweighted least squares,
+toward moving none by more than tol). Damped Newton steps on the kept
+rows, each taken only if the dual rises by ARMIJO times its slope, stop
+once every active row is within tol of its target. A stake y refutes the
+targets, here as in triage, when y . targets lies outside y . A_i's range
+on the live outcomes by more than |y|_1 tol plus rounding; here the stakes
+are each such row k's y, and lam at every iterate, since an infeasible
+set's dual is unbounded and lam . targets outgrows max_i (A^T lam)_i.
 """
 
 from __future__ import annotations
@@ -53,10 +52,6 @@ HESS_EPS = 1e-12
 #: this many columns of B = A diag(sqrt p) at most, so its size does not grow
 #: with the space, and a block stays in cache while BLAS reads it.
 HESS_BLOCK = 1 << 14
-
-#: Relative margin by which ``lam . b`` must exceed ``max_i (A^T lam)_i`` for
-#: a dual iterate to prove infeasibility; far above the rounding of both sides.
-SEPARATION_RTOL = 1e-9
 
 #: Armijo's sufficient-increase fraction: a trial lam + t * step is accepted
 #: only if the dual rises by at least ARMIJO * t * (grad . step), so a step that
@@ -158,6 +153,14 @@ def _weighted_gram(A: np.ndarray, p: np.ndarray, work: np.ndarray, rows=slice(No
     return gram
 
 
+def _refute(y: np.ndarray, b: np.ndarray, lo: float, hi: float):
+    """Raise the certificate of the stake ``y`` on the active rows (module docstring)."""
+    stake = " ".join(f"{c:+}*e_{j}" for j, c in enumerate(y.tolist()) if c)
+    raise InfeasibleConstraint(_constraints._refutation(
+        f"active rows {np.flatnonzero(y).tolist()}", f"y . b = {float(y @ b)!r}", lo, hi,
+        f"{stake} over the active rows"))
+
+
 def _independent_rows(A: np.ndarray, b: np.ndarray, row_max: np.ndarray, tol: float):
     """The rows the Newton system keeps, and the targets it solves for (module docstring)."""
     m, n = A.shape
@@ -173,13 +176,9 @@ def _independent_rows(A: np.ndarray, b: np.ndarray, row_max: np.ndarray, tol: fl
     Y[:, keep] = -np.linalg.solve(cov[keep][:, keep], cov[keep][:, drop]).T
     lo, hi, absY = (V := Y @ A).min(axis=1), V.max(axis=1), np.abs(Y)
     gap, half, slack = Y @ b - (lo + hi) / 2, (hi - lo) / 2, m * tiny * (absY @ row_max)
+    for d in np.flatnonzero(np.abs(gap) - half - slack > absY.sum(axis=1) * tol)[:1]:
+        _refute(Y[d], b, lo[d], hi[d])
     exact = half <= slack  # slack bounds the rounding of y . A_i and of y . b
-    for d in np.flatnonzero(exact & (np.abs(gap) - half - slack > absY.sum(axis=1) * tol))[:1]:
-        y = " ".join(f"{c:+}*e_{j}" for j, c in enumerate(Y[d]) if c)
-        raise InfeasibleConstraint(
-            f"active rows {np.flatnonzero(Y[d]).tolist()} are dependent: y . b lies more than "
-            f"|y|_1 tol outside [{float(lo[d])!r}, {float(hi[d])!r}], the range of y . A_i on "
-            f"the outcomes still possible (witness y = {y} over the active rows)")
     keep[drop] = ~exact
     Y, gap, share = Y[exact], gap[exact], np.ones(m)
     for _ in range(m):  # Lawson's reweighting, toward the least largest move
@@ -196,10 +195,10 @@ def _dual_newton(
     """Maximize lam . b - log Z(lam) for the reduced, strictly positive prior ``q``.
 
     Returns (posterior on the reduced index, multipliers, accepted
-    steps). Raises :class:`InfeasibleConstraint` on a dependency or an
-    iterate that separates ``b`` from every distribution (see the module
-    docstring), and :class:`NonConvergence` when the budget runs out first
-    or no step along the Newton direction, however short, raises the dual.
+    steps). Raises :class:`InfeasibleConstraint` when a stake refutes ``b``
+    (see the module docstring), and :class:`NonConvergence` when the budget
+    runs out first or no step along the Newton direction, however short,
+    raises the dual.
     """
     logq = np.log(q)
     lam = np.zeros(A.shape[0])
@@ -216,6 +215,8 @@ def _dual_newton(
         return at, z, shift + math.log(total)
 
     rows, target = _independent_rows(A, b, row_max, options.tol)
+    # a stake's tol per row, plus twice the rounding of the m-term dots lam . b and A^T lam
+    stake_tol = options.tol + 2 * len(b) * np.finfo(float).eps * (row_max + np.abs(b))
     work = np.empty((len(b[rows]), min(A.shape[1], HESS_BLOCK)))  # refilled by each block
     at, p, logz = evaluate(A.T @ lam)
     iterations, stall, step = 0, "", np.zeros_like(lam)  # a dropped row never steps
@@ -225,17 +226,10 @@ def _dual_newton(
         res = float(np.abs(b - Ap).max())  # every active row, against the caller's targets
         if res <= options.tol:
             return p, lam, iterations
-        lam_b = float(lam @ b)
-        margin = SEPARATION_RTOL * (float(np.abs(lam) @ row_max) + abs(lam_b))
-        if lam_b - float(at.max()) > margin:
-            # at may carry the rounding of halved steps; the proof rests on A^T lam itself
-            bound = float((A.T @ lam).max())
-            if lam_b - bound > margin:
-                raise InfeasibleConstraint(
-                    f"dual multipliers lam prove that no posterior on the prior's support "
-                    f"meets the targets b: lam . b = {lam_b!r} exceeds max_i (A^T lam)_i = "
-                    f"{bound!r}, which bounds lam . (A p) for every such posterior p"
-                )
+        lam_b, margin = float(lam @ b), float(np.abs(lam) @ stake_tol)
+        # at may carry the rounding of halved steps; the proof rests on A^T lam itself
+        if lam_b - float(at.max()) > margin and lam_b - float((v := A.T @ lam).max()) > margin:
+            _refute(lam, b, v.min(), v.max())
         if iterations >= options.max_iter:
             break
         hess = _weighted_gram(A, p, work, rows)

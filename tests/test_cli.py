@@ -131,7 +131,8 @@ class TestUpdate:
         path.write_text(json.dumps(doc))
         code, out, err = run_main(capsys, "update", str(path))
         assert code == 2
-        assert out.startswith("infeasible\ncertificate: dual multipliers")
+        assert out.startswith("infeasible\ncertificate: active rows [")
+        assert "its range on the outcomes still possible (witness y = " in out
         assert err != ""
 
     def test_zero_target_on_certain_event_exits_2(self, capsys, tmp_path):
@@ -233,7 +234,7 @@ class TestUpdate:
             assert err == ""
             assert float(re.search(r"final_residual: (\S+)", out).group(1)) <= 1e-10
             return
-        assert out.startswith("infeasible\ncertificate: active rows [0, 1] are dependent")
+        assert out.startswith("infeasible\ncertificate: active rows [0, 1]: y . b = ")
         terms = re.search(r"\(witness y = (.*) over the active rows\)", out).group(1)
         y = dict((int(j), float(c)) for c, j in re.findall(r"([+-][^*\s]+)\*e_(\d+)", terms))
         rows, targets = [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]], [0.3, 0.7 + eps]
@@ -250,7 +251,8 @@ class TestUpdate:
     def test_line_search_past_a_tiny_step_exits_2_when_infeasible(self, capsys):
         code, out, err = run_main(capsys, "update", LINE_SEARCH_INFEASIBLE)
         assert code == 2
-        assert out.startswith("infeasible\ncertificate: dual multipliers")
+        assert out.startswith("infeasible\ncertificate: active rows [")
+        assert "its range on the outcomes still possible (witness y = " in out
         assert err != ""
 
     def test_line_search_past_a_tiny_step_exits_0_when_feasible(self, capsys):

@@ -2,7 +2,7 @@
 
 Each update case runs through the library and through ``relent update``, with the
 fast paths on and off. A fix turns its xfails into passes, and ``strict`` then
-fails the run until the marks come off.
+fails the run until the case joins ``FIXED``, whose cases run as plain tests.
 """
 
 import functools
@@ -48,21 +48,23 @@ CASES = {
          EventProb(ABCD.subset("a", "c", "d"), 0.579188672816583),
          EventProb(ABCD.subset("a", "c"), 0.579188672816583)),
         0, None),
-    # P(a) + P(b) <= 1, so some row stays at least 2.5e-10 off, beyond tol; today no dual
-    # iterate proves it and the update ends NonConvergence after 200 steps (at 1e-8 off,
-    # the dual's proof fires)
+    # P(a) + P(b) <= 1, so some row stays at least 2.5e-10 off, beyond tol; the dual's
+    # multipliers lam are a stake whose lam . b exceeds max_i (A^T lam)_i by over |lam|_1 tol
     "near_boundary_joint_infeasibility": (
         Distribution.uniform(ABC),
         (EventProb(ABC.subset("a"), 0.5 + 5e-10), EventProb(ABC.subset("b"), 0.5)),
         2, InfeasibleConstraint),
 }
 
+#: the cases a fix has flipped
+FIXED = {"near_boundary_joint_infeasibility"}
+
 open_repro = pytest.mark.xfail(strict=True, reason="open correctness repro (ROADMAP items 2-4)")
 both_settings = pytest.mark.parametrize("fast", [True, False], ids=["fast", "slow"])
-every_case = pytest.mark.parametrize("name", list(CASES))
+every_case = pytest.mark.parametrize(
+    "name", [pytest.param(name, marks=() if name in FIXED else open_repro) for name in CASES])
 
 
-@open_repro
 @both_settings
 @every_case
 def test_library(name, fast):
@@ -78,7 +80,6 @@ def test_library(name, fast):
         np.testing.assert_allclose(report.posterior.array, expected, rtol=0, atol=1e-9)
 
 
-@open_repro
 @both_settings
 @every_case
 def test_cli(name, fast, tmp_path, monkeypatch, capsys):

@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 import relent.constraints
 import relent.solver
 from relent.constraints import (
-    CondProb, EventProb, Expectation, PartitionWeights, compile_all, residual,
+    CondProb, EventProb, Expectation, PartitionWeights, compile_all, residual, triage_feasibility,
 )
 from relent.errors import (
     ConstructionError,
@@ -599,13 +599,27 @@ def _complementary_pair(eps):
     return [EventProb(ABC.subset("a"), 0.3), EventProb(ABC.subset("b", "c"), 0.7 + eps)]
 
 
-def _stake(message):
-    """The stake y a dependency certificate names, one coefficient per active row."""
+def _stake(message, m=2):
+    """The stake y a certificate over the active rows names, one coefficient per active row."""
     terms = re.search(r"\(witness y = (.*) over the active rows\)", message).group(1)
-    y = np.zeros(2)
+    y = np.zeros(m)
     for coeff, j in re.findall(r"([+-][^*\s]+)\*e_(\d+)", terms):
         y[int(j)] = float(coeff)
     return y
+
+
+def _assert_refutes(message, prior, constraints, tol):
+    """``message`` is a stake certificate over the rows triage leaves: the stake y it names
+    pays y . b beyond y . A_i's range on the live outcomes by more than |y|_1 tol, and it
+    prints y . b and that range as they are computed here."""
+    live, rows = triage_feasibility(compile_all(constraints, prior.space), prior, tol)
+    y = _stake(message, len(rows.b))
+    values, payoff = y @ rows.A[:, live], float(y @ rows.b)
+    assert message == (
+        f"active rows {np.flatnonzero(y).tolist()}: y . b = {payoff!r} lies outside "
+        f"[{float(values.min())!r}, {float(values.max())!r}], its range on the outcomes still "
+        f"possible (witness y = {message.split('(witness y = ')[1]}")
+    assert max(payoff - values.max(), values.min() - payoff) > np.abs(y).sum() * tol
 
 
 class TestDependentRows:
@@ -783,7 +797,7 @@ class TestMaxentFailureModes:
         for options in (SolverOptions(), NO_FAST):
             with pytest.raises(InfeasibleConstraint) as ei:
                 maxent_update(prior, cs, options)
-            assert "dual multipliers" in ei.value.reason
+            _assert_refutes(ei.value.reason, prior, cs, options.tol)
 
     def test_feasible_boundary_target_at_small_scale_not_called_infeasible(self):
         # a point mass on face1 attains the mean, and is the only posterior that does
@@ -829,7 +843,7 @@ class TestMaxentFailureModes:
         sc = parse_file(str(DATA / "line_search_infeasible.json"))
         with pytest.raises(InfeasibleConstraint) as ei:
             maxent_update(sc.prior, sc.constraints, options)
-        assert ei.value.reason.startswith("dual multipliers lam prove")
+        _assert_refutes(ei.value.reason, sc.prior, sc.constraints, options.tol)
         sc = parse_file(str(DATA / "line_search_feasible.json"))
         rep = maxent_update(sc.prior, sc.constraints, options)
         assert (rep.method, rep.iterations) == ("dual_newton", 7)
@@ -1000,15 +1014,87 @@ class TestInfeasibilityCertificate:
     @pytest.mark.parametrize("options", [SolverOptions(), NO_FAST], ids=["fast", "no_fast"])
     def test_the_dual_proof_prints_each_side_in_full(self, options):
         # P(a) = 0.5 + 1e-8 beside P(b) = 0.5: the two sides of the proof part in the 8th
-        # digit, so the printed lam . b must read above the printed bound
+        # digit, so the printed y . b must read above the printed range by |y|_1 tol
         s = SampleSpace(("a", "b", "c"))
         cs = [EventProb(s.subset("a"), 0.5 + 1e-8), EventProb(s.subset("b"), 0.5)]
         with pytest.raises(InfeasibleConstraint) as ei:
             maxent_update(Distribution.uniform(s), cs, options)
-        assert ei.value.reason.startswith("dual multipliers lam prove")
-        lhs, rhs = re.search(r"lam \. b = (\S+) exceeds max_i \(A\^T lam\)_i = (\S+),",
-                             ei.value.reason).groups()
-        assert float(lhs) > float(rhs)
+        payoff, lo, hi = map(float, re.search(
+            r"^active rows \[0, 1\]: y \. b = (\S+) lies outside \[(\S+), (\S+)\], its range",
+            ei.value.reason).groups())
+        assert payoff - hi > np.abs(_stake(ei.value.reason)).sum() * options.tol
+        assert lo == 0.0  # y . A_c, the stake's payoff on the outcome neither row holds
+        _assert_refutes(ei.value.reason, Distribution.uniform(s), cs, options.tol)
+
+
+SCALES = (1e-6, 1e-3, 1.0, 1e3)
+
+
+def _scaled_row(space, members, scale, target):
+    """E[scale * [outcome in members]] = target."""
+    x = np.zeros(len(space))
+    x[members] = scale
+    return Expectation(RandomVariable(space, tuple(x.tolist())), target)
+
+
+def _near_boundary_pair(rng):
+    """A prior on 3-8 outcomes, an offset delta = 10^U(-10.5, -8), and two rows (E, c, d),
+    each E[scale [outcome in E]] = scale c + d at a given scale.
+
+    Either E1 and E2 are disjoint and miss an outcome, with targets that sum to scale +
+    delta, or E1 lies strictly inside E2, which misses an outcome, with E1's target delta
+    above E2's; either way the least largest miss of the two rows is exactly delta / 2.
+    """
+    n = int(rng.integers(3, 9))
+    prior = Distribution.from_array(space_of(n), rng.dirichlet(np.ones(n)))
+    delta, order, u = 10 ** rng.uniform(-10.5, -8), rng.permutation(n), rng.uniform(0.1, 0.9)
+    if rng.random() < 0.5:
+        k1 = int(rng.integers(1, n - 1))
+        e2 = order[k1 : k1 + int(rng.integers(1, n - k1))]
+        return prior, delta, ((order[:k1], u, 0.0), (e2, 1 - u, delta))
+    k2 = int(rng.integers(2, n))
+    return prior, delta, ((order[: int(rng.integers(1, k2))], u, delta), (order[:k2], u, 0.0))
+
+
+class TestOneToleranceContract:
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("off", [5e-11, 1.5e-10, 3e-10, 1e-9])
+    def test_a_request_is_refused_exactly_when_no_posterior_meets_it(self, scale, off):
+        # E[scale [a]] = scale / 2 + off beside E[scale [b]] = scale / 2 on a uniform prior
+        # over {a, b, c}: P(a) + P(b) <= 1, so the least largest miss is off / 2
+        cs = [_scaled_row(ABC, [0], scale, scale / 2 + off), _scaled_row(ABC, [1], scale, scale / 2)]
+        options = SolverOptions()
+        if off / 2 > options.tol:
+            with pytest.raises(InfeasibleConstraint) as ei:
+                maxent_update(Distribution.uniform(ABC), cs, options)
+            _assert_refutes(ei.value.reason, Distribution.uniform(ABC), cs, options.tol)
+            return
+        try:
+            rep = maxent_update(Distribution.uniform(ABC), cs, options)
+        except NonConvergence:
+            assert scale < 1e-3  # rows of scale 1e-6 meet an absolute tol badly (ROADMAP item 1)
+            return
+        assert rep.final_residual <= options.tol
+
+    def test_near_boundary_requests_are_refused_only_beyond_tol(self):
+        rng = np.random.default_rng(20261042)
+        tol = SolverOptions().tol
+        infeasible = unproven = 0  # unproven ones end NonConvergence (ROADMAP item 4's hull)
+        for _ in range(200):
+            prior, delta, pair = _near_boundary_pair(rng)
+            for scale in SCALES:
+                infeasible += delta / 2 > tol
+                cs = [_scaled_row(prior.space, e, scale, scale * c + d) for e, c, d in pair]
+                try:
+                    rep = maxent_update(prior, cs)
+                except InfeasibleConstraint:
+                    assert delta / 2 > tol, (delta, scale)
+                    continue
+                except NonConvergence:
+                    unproven += delta / 2 > tol
+                    continue
+                assert rep.final_residual <= tol
+        print(f"NonConvergence on {unproven} of the {infeasible} infeasible requests in 800")
 
 
 class TestFastPathAgreement:
