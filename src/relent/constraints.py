@@ -141,12 +141,13 @@ def compile_constraint(c: Constraint, space: SampleSpace) -> tuple[tuple[np.ndar
 @dataclass(frozen=True, eq=False)
 class System:
     """Compiled rows ``A p = b`` on the sample space it names, ``space``: ``A`` is read-only,
-    C-ordered float64, with a column per outcome, and row j came from constraint ``source[j]``
-    and has conditioning event ``given[j]``, None unless it is conditional."""
+    C-ordered float64, with a column per outcome, and row j is compiled row ``index[j]``, from
+    constraint ``source[j]``, with conditioning event ``given[j]`` (None unless conditional)."""
 
     space: SampleSpace
     A: np.ndarray
     b: np.ndarray
+    index: tuple[int, ...]
     source: tuple[int, ...]
     given: tuple[Event | None, ...]
 
@@ -162,7 +163,8 @@ def compile_all(constraints: Sequence[Constraint], space: SampleSpace) -> System
     # float64 even when every row is an event's mask
     A = np.array([coeffs for coeffs, _ in rows], float).reshape(len(rows), len(space))
     A.flags.writeable = False
-    return System(space, A, np.array([t for _, t in rows], float), tuple(source), tuple(given))
+    return System(space, A, np.array([t for _, t in rows], float), tuple(range(len(rows))),
+                  tuple(source), tuple(given))
 
 
 def residual(dist: Distribution, system: System) -> float:
@@ -172,11 +174,32 @@ def residual(dist: Distribution, system: System) -> float:
     return float(np.abs(_row_dots(system.A, dist.array) - system.b).max(initial=0.0))
 
 
-def _refutation(rows: str, payoff: str, lo: float, hi: float, stake: str) -> str:
-    """The text of every :class:`InfeasibleConstraint` an update raises: the stake y on
-    ``rows`` is priced ``payoff``, beyond [lo, hi], y . A_i's range on the live outcomes."""
-    return (f"{rows}: {payoff} lies outside [{float(lo)!r}, {float(hi)!r}], "
-            f"its range on the outcomes still possible (witness y = {stake})")
+@dataclass(frozen=True)
+class Witness:
+    """A stake y that no posterior can meet: coefficients ``stake`` on the compiled ``rows``
+    (row numbers in compilation order) price the targets at ``payoff`` = y . b, which lies
+    outside [lo, hi], y . A_i's range on the live outcomes, so every posterior on them misses
+    y . b, and so some row, by the gap over |y|_1. Its text is every refusal's certificate."""
+
+    rows: tuple[int, ...]
+    stake: tuple[float, ...]
+    payoff: float
+    lo: float
+    hi: float
+
+    def __str__(self) -> str:
+        if len(self.stake) == 1 and abs(self.stake[0]) == 1.0:  # row j's own stake, +e_j or -e_j
+            (j,), (s,) = self.rows, self.stake
+            lo, hi = (self.lo, self.hi) if s > 0 else (-self.hi, -self.lo)
+            where, price = f"row {j}", f"target {s * self.payoff!r}"
+            stake = f"{'+' if s > 0 else '-'}e_{j}"
+        else:
+            lo, hi = self.lo, self.hi
+            where, price = f"active rows {list(self.rows)}", f"y . b = {self.payoff!r}"
+            terms = " ".join(f"{c:+}*e_{j}" for j, c in zip(self.rows, self.stake))
+            stake = f"{terms} over the active rows"
+        return (f"{where}: {price} lies outside [{lo!r}, {hi!r}], "
+                f"its range on the outcomes still possible (witness y = {stake})")
 
 
 def triage_feasibility(
@@ -187,11 +210,11 @@ def triage_feasibility(
     The prior must live on the system's space (``constraint.space_mismatch``).
     Returns ``(live, rows)``: ``live`` masks the outcomes a posterior may still
     weight, and ``rows`` is the :class:`System`, on the same space, of the rows that
-    still need a multiplier, each with its ``source`` and ``given``; it is ``system``
-    itself when no row was pinned. Raises :class:`InfeasibleConstraint` with every row
-    certificate, joined by "; ", each a proof that no posterior on the prior's support
-    meets the rows; a set that passes may still be jointly unsatisfiable, which the
-    solver detects.
+    still need a multiplier, each with its ``index``, ``source`` and ``given``; it is
+    ``system`` itself when no row was pinned. Raises :class:`InfeasibleConstraint` with a
+    :class:`Witness` for every row it refutes, each a proof that no posterior on the
+    prior's support meets the rows; a set that passes may still be jointly
+    unsatisfiable, which the solver detects.
 
     Every row is judged alike, whatever constraint kind it came from.
     With lo and hi the least and greatest value of row j (in compilation
@@ -199,8 +222,8 @@ def triage_feasibility(
 
     * a target more than tol below lo or above hi (lo - b > tol or
       b - hi > tol, differences that are exact near the boundary) is
-      infeasible, and the stake y = -e_j or y = +e_j is the witness: it
-      loses in every live outcome;
+      infeasible, and the stake y = -e_j or y = +e_j, on row j's compiled
+      number, is the witness: it loses in every live outcome;
     * a target at a row's extreme (at or beyond hi, or at or below lo)
       fixes a face: only the outcomes where the row attains that extreme
       can keep mass, so the live support shrinks to them and the row
@@ -219,13 +242,13 @@ def triage_feasibility(
     while True:
         lo = A.min(axis=1, where=live, initial=np.inf).tolist()
         hi = A.max(axis=1, where=live, initial=-np.inf).tolist()
-        reasons = [
-            _refutation(f"row {j}", f"target {b[j]!r}", lo[j], hi[j],
-                        f"{'+' if b[j] > hi[j] else '-'}e_{j}")
+        witnesses = [
+            Witness((system.index[j],), (1.0,), b[j], lo[j], hi[j]) if b[j] > hi[j]
+            else Witness((system.index[j],), (-1.0,), -b[j], -hi[j], -lo[j])
             for j in active if b[j] - hi[j] > tol or lo[j] - b[j] > tol
         ]
-        if reasons:
-            raise InfeasibleConstraint("; ".join(reasons))
+        if witnesses:
+            raise InfeasibleConstraint(*witnesses)
         for j in [j for j in active if not lo[j] < b[j] < hi[j]]:
             active.remove(j)
             face = live & (A[j] == (hi[j] if b[j] >= hi[j] else lo[j]))
@@ -238,5 +261,5 @@ def triage_feasibility(
         return live, system
     A = A[active]
     A.flags.writeable = False
-    return live, System(system.space, A, system.b[active], tuple(system.source[j] for j in active),
-                        tuple(system.given[j] for j in active))
+    return live, System(system.space, A, system.b[active], *(
+        tuple(field[j] for j in active) for field in (system.index, system.source, system.given)))

@@ -33,15 +33,16 @@ class ZeroMassEvent(RelentError):
 class InfeasibleConstraint(RelentError):
     """No distribution on the prior's support satisfies the constraint set within tol.
 
-    ``reason`` is the certificate, in words: a stake y on the rows (y = +e_j
-    or -e_j for one row) whose price y . b lies outside [min_i y . A_i, max_i
-    y . A_i] on the outcomes a posterior may weight by more than |y|_1 tol, so
-    every such posterior misses some row by more than tol.
+    ``witnesses`` are the certificates, each a :class:`~relent.constraints.Witness`: a stake
+    y on the compiled rows whose price y . b lies outside [min_i y . A_i, max_i y . A_i] on
+    the outcomes a posterior may weight by more than |y|_1 tol, so every such posterior
+    misses some row by more than tol. ``reason``, also ``str()``, is their "; "-joined text.
     """
 
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+    def __init__(self, *witnesses):
+        self.witnesses = witnesses
+        self.reason = "; ".join(map(str, witnesses))
+        super().__init__(self.reason)
 
 
 class NonConvergence(RelentError):

@@ -27,7 +27,8 @@ once every active row is within tol of its target. A stake y refutes the
 targets, here as in triage, when y . targets lies outside y . A_i's range
 on the live outcomes by more than |y|_1 tol plus rounding; here the stakes
 are each such row k's y, and lam at every iterate, since an infeasible
-set's dual is unbounded and lam . targets outgrows max_i (A^T lam)_i.
+set's dual is unbounded and lam . targets outgrows max_i (A^T lam)_i. Each
+refusal raises its stake as a ``Witness`` on the rows' compiled numbers.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import constraints as _constraints
 from . import information
-from .constraints import Constraint, PartitionWeights, System
+from .constraints import Constraint, PartitionWeights, System, Witness
 from .errors import ConstructionError, DegenerateConditional, InfeasibleConstraint, NonConvergence
 from .spaces import ZERO_MASS, Distribution, Partition, _finite_scalar, _integer, _reweight
 
@@ -153,15 +154,14 @@ def _weighted_gram(A: np.ndarray, p: np.ndarray, work: np.ndarray, rows=slice(No
     return gram
 
 
-def _refute(y: np.ndarray, b: np.ndarray, lo: float, hi: float):
-    """Raise the certificate of the stake ``y`` on the active rows (module docstring)."""
-    stake = " ".join(f"{c:+}*e_{j}" for j, c in enumerate(y.tolist()) if c)
-    raise InfeasibleConstraint(_constraints._refutation(
-        f"active rows {np.flatnonzero(y).tolist()}", f"y . b = {float(y @ b)!r}", lo, hi,
-        f"{stake} over the active rows"))
+def _refute(y: np.ndarray, index: tuple[int, ...], b: np.ndarray, lo: float, hi: float):
+    """Raise the witness of the stake ``y`` on the compiled rows ``index`` (module docstring)."""
+    k = np.flatnonzero(y).tolist()
+    raise InfeasibleConstraint(Witness(
+        tuple(index[j] for j in k), tuple(y[k].tolist()), float(y @ b), float(lo), float(hi)))
 
 
-def _independent_rows(A: np.ndarray, b: np.ndarray, row_max: np.ndarray, tol: float):
+def _independent_rows(A: np.ndarray, b: np.ndarray, index, row_max: np.ndarray, tol: float):
     """The rows the Newton system keeps, and the targets it solves for (module docstring)."""
     m, n = A.shape
     cov = (sq := A @ A.T) - np.outer(total := A.sum(axis=1), total / n)  # n times the covariance
@@ -177,7 +177,7 @@ def _independent_rows(A: np.ndarray, b: np.ndarray, row_max: np.ndarray, tol: fl
     lo, hi, absY = (V := Y @ A).min(axis=1), V.max(axis=1), np.abs(Y)
     gap, half, slack = Y @ b - (lo + hi) / 2, (hi - lo) / 2, m * tiny * (absY @ row_max)
     for d in np.flatnonzero(np.abs(gap) - half - slack > absY.sum(axis=1) * tol)[:1]:
-        _refute(Y[d], b, lo[d], hi[d])
+        _refute(Y[d], index, b, lo[d], hi[d])
     exact = half <= slack  # slack bounds the rounding of y . A_i and of y . b
     keep[drop] = ~exact
     Y, gap, share = Y[exact], gap[exact], np.ones(m)
@@ -190,15 +190,15 @@ def _independent_rows(A: np.ndarray, b: np.ndarray, row_max: np.ndarray, tol: fl
 
 
 def _dual_newton(
-    q: np.ndarray, A: np.ndarray, b: np.ndarray, options: SolverOptions
+    q: np.ndarray, A: np.ndarray, b: np.ndarray, index: tuple[int, ...], options: SolverOptions
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Maximize lam . b - log Z(lam) for the reduced, strictly positive prior ``q``.
 
-    Returns (posterior on the reduced index, multipliers, accepted
-    steps). Raises :class:`InfeasibleConstraint` when a stake refutes ``b``
-    (see the module docstring), and :class:`NonConvergence` when the budget
-    runs out first or no step along the Newton direction, however short,
-    raises the dual.
+    Returns (posterior on the reduced index, multipliers, accepted steps).
+    Raises :class:`InfeasibleConstraint` when a stake on the rows of ``A``,
+    compiled rows ``index``, refutes ``b`` (see the module docstring), and
+    :class:`NonConvergence` when the budget runs out first or no step along
+    the Newton direction, however short, raises the dual.
     """
     logq = np.log(q)
     lam = np.zeros(A.shape[0])
@@ -214,7 +214,7 @@ def _dual_newton(
         z /= total
         return at, z, shift + math.log(total)
 
-    rows, target = _independent_rows(A, b, row_max, options.tol)
+    rows, target = _independent_rows(A, b, index, row_max, options.tol)
     # a stake's tol per row, plus twice the rounding of the m-term dots lam . b and A^T lam
     stake_tol = options.tol + 2 * len(b) * np.finfo(float).eps * (row_max + np.abs(b))
     work = np.empty((len(b[rows]), min(A.shape[1], HESS_BLOCK)))  # refilled by each block
@@ -229,7 +229,7 @@ def _dual_newton(
         lam_b, margin = float(lam @ b), float(np.abs(lam) @ stake_tol)
         # at may carry the rounding of halved steps; the proof rests on A^T lam itself
         if lam_b - float(at.max()) > margin and lam_b - float((v := A.T @ lam).max()) > margin:
-            _refute(lam, b, v.min(), v.max())
+            _refute(lam, index, b, v.min(), v.max())
         if iterations >= options.max_iter:
             break
         hess = _weighted_gram(A, p, work, rows)
@@ -317,7 +317,7 @@ def maxent_update(
         q = prior.array[live]
         q = q / q.sum()
         A = rows.A if live.all() else rows.A.compress(live, axis=1)
-        p_live, lam, iterations = _dual_newton(q, A, rows.b, options)
+        p_live, lam, iterations = _dual_newton(q, A, rows.b, rows.index, options)
         multipliers = tuple(lam.tolist())
         full = np.zeros(len(prior.space))
         full[live] = p_live

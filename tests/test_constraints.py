@@ -10,6 +10,7 @@ from relent.constraints import (
     Expectation,
     PartitionWeights,
     System,
+    Witness,
     compile_all,
     compile_constraint,
     residual,
@@ -221,7 +222,7 @@ class TestResidualKernel:
             dist = Distribution(space_of(n), p / p.sum())
             A = rng.normal(size=(m, n)) * 10.0 ** rng.uniform(0.0, 9.0, size=(m, 1))
             b = A @ dist.array + rng.normal(size=m) * 10.0 ** rng.uniform(-12.0, 0.0, size=m)
-            system = System(dist.space, A, b, tuple(range(m)), (None,) * m)
+            system = System(dist.space, A, b, tuple(range(m)), tuple(range(m)), (None,) * m)
             got = residual(dist, system)
             assert type(got) is float
             assert got == per_row_residual(dist, system), (m, n)
@@ -261,7 +262,8 @@ class TestTriage:
                               PartitionWeights(cells, (0.4, 0.6))], abc)
         live, rows = triage_feasibility(system, prior, 1e-10)
         assert list(live) == [True, True, False]
-        assert rows.space is abc and rows.source == (1, 2, 2) and rows.given == (given, None, None)
+        assert rows.space is abc and rows.index == (1, 2, 3) and rows.source == (1, 2, 2)
+        assert rows.given == (given, None, None)
         assert rows.A.tobytes() == system.A[1:].tobytes() and not rows.A.flags.writeable
         assert rows.b.tolist() == system.b[1:].tolist()
 
@@ -274,6 +276,10 @@ class TestTriage:
             "row 0: target 1.2 lies outside [0.0, 1.0], its range on the outcomes still "
             "possible (witness y = +e_0)")
         assert "(witness y = -e_0)" in certificates([EventProb(a, -1e-9)], prior)
+        # y = -e_0 prices -b against -A_i's range [-1, -0]
+        with pytest.raises(InfeasibleConstraint) as ei:
+            triage([EventProb(a, -1e-9)], prior)
+        assert ei.value.witnesses == (Witness((0,), (-1.0,), 1e-9, -1.0, -0.0),)
         for value, kept in ((1.0 + 5e-11, [True, False, False]), (-5e-11, [False, True, True])):
             live, rows = triage([EventProb(a, value)], prior)
             assert list(live) == kept and rows.A.shape == (0, 3)
@@ -356,8 +362,13 @@ class TestTriage:
         # one raise, with every row's certificate joined by "; "
         prior = Distribution(abc, (0.5, 0.5, 0.0))
         f = RandomVariable(abc, (1.0, 2.0, 3.0))
-        reasons = certificates([EventProb(abc.subset("c"), 0.1), Expectation(f, 99.0)], prior)
+        cs = [EventProb(abc.subset("c"), 0.1), Expectation(f, 99.0)]
+        reasons = certificates(cs, prior)
         assert [r[:6] for r in reasons.split("; ")] == ["row 0:", "row 1:"]
+        with pytest.raises(InfeasibleConstraint) as ei:
+            triage(cs, prior)
+        assert ei.value.witnesses == (Witness((0,), (1.0,), 0.1, 0.0, 0.0),
+                                      Witness((1,), (1.0,), 99.0, 1.0, 2.0))
 
     def test_space_mismatch_rejected(self, abc):
         # a system compiled over another space is caught by its width
@@ -396,3 +407,29 @@ class TestTriage:
         live, _ = triage([EventProb(whole, float(np.nextafter(1.0, 0.0)))], prior)
         assert live.all()
         assert certificates([EventProb(whole, 0.5)], prior)
+
+
+class TestWitness:
+    def test_a_row_stake_prints_the_row_with_its_own_target_and_range(self):
+        # y = -e_2 prices -b_2 against [-hi, -lo]; the text reads row 2's b_2 and [lo, hi]
+        assert str(Witness((2,), (-1.0,), -0.5, -1.0, -1.0)) == (
+            "row 2: target 0.5 lies outside [1.0, 1.0], its range on the outcomes still "
+            "possible (witness y = -e_2)")
+        assert str(Witness((0,), (1.0,), 1.2, 0.0, 1.0)) == (
+            "row 0: target 1.2 lies outside [0.0, 1.0], its range on the outcomes still "
+            "possible (witness y = +e_0)")
+
+    def test_any_other_stake_prints_its_price_and_every_term(self):
+        assert str(Witness((1, 3), (0.5, -2.0), 0.25, -1.0, 0.0)) == (
+            "active rows [1, 3]: y . b = 0.25 lies outside [-1.0, 0.0], its range on the "
+            "outcomes still possible (witness y = +0.5*e_1 -2.0*e_3 over the active rows)")
+        assert str(Witness((4,), (2.0,), 3.0, 0.0, 2.0)) == (
+            "active rows [4]: y . b = 3.0 lies outside [0.0, 2.0], its range on the "
+            "outcomes still possible (witness y = +2.0*e_4 over the active rows)")
+
+    def test_the_error_carries_its_witnesses_and_joins_their_text(self):
+        witnesses = (Witness((0,), (1.0,), 1.2, 0.0, 1.0),
+                     Witness((1, 2), (1.0, 1.0), 2.5, 1.0, 1.0))
+        err = InfeasibleConstraint(*witnesses)
+        assert err.witnesses == witnesses
+        assert err.reason == str(err) == f"{witnesses[0]}; {witnesses[1]}"

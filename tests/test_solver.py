@@ -47,6 +47,7 @@ from relent.spaces import (
 from conftest import (
     JOINTLY_INFEASIBLE_PINS, JOINTLY_INFEASIBLE_PRIOR, positive_distributions, space_of,
 )
+from sweep import SCALES, _jeffrey_request, _near_boundary_pair, _scaled_row
 
 NO_FAST = SolverOptions(use_fast_paths=False)
 DATA = Path(__file__).resolve().parent / "data"
@@ -175,39 +176,6 @@ class TestJeffreyUpdate:
         w = data.draw(st.floats(min_value=0.05, max_value=0.95))
         post = jeffrey_update(prior, part, (w, 1.0 - w))
         assert post.prob(part.cells[0]) == pytest.approx(w, abs=1e-12)
-
-
-def _jeffrey_request(rng: np.random.Generator, classes: int = 4):
-    """A prior on 2-8 outcomes (zeros in half the draws), a partition of 2-5 cells, and
-    weights from one of the first ``classes`` of five: Dirichlet(1); the same with one
-    weight set to 0; a 1 beside a weight of 10^U(-17, -9); the prior's cell masses plus
-    |N(0, 1e-11)| noise; Dirichlet(1) with every massless cell given 10^U(-16, -9)."""
-    n = int(rng.integers(2, 9))
-    prior = rng.dirichlet(np.full(n, 0.5))
-    if rng.random() < 0.5:
-        prior[rng.random(n) < 0.3] = 0.0
-        if not prior.any():
-            prior[rng.integers(n)] = 1.0
-    prior /= prior.sum()
-    k = int(rng.integers(2, min(5, n) + 1))
-    cells = np.split(rng.permutation(n), np.sort(rng.choice(np.arange(1, n), k - 1, replace=False)))
-    masses = np.array([prior[c].sum() for c in cells])
-    kind = int(rng.integers(classes))
-    if kind in (0, 1, 4):
-        weights = rng.dirichlet(np.ones(k))
-        if kind == 1:
-            weights[rng.integers(k)] = 0.0
-        if kind == 4:
-            weights[masses == 0.0] = 10.0 ** rng.uniform(-16, -9, np.count_nonzero(masses == 0.0))
-        weights /= weights.sum()
-    elif kind == 2:
-        weights = np.zeros(k)
-        weights[rng.choice(k, 2, replace=False)] = 1.0, 10.0 ** rng.uniform(-17, -9)
-    else:
-        weights = masses + np.abs(rng.normal(0.0, 1e-11, k))
-    space = space_of(n)
-    part = Partition.from_labels(space, [[f"w{i}" for i in sorted(c)] for c in cells])
-    return Distribution.from_array(space, prior), part, tuple(weights.tolist())
 
 
 def test_jeffrey_update_is_maxent_update_on_its_partition():
@@ -599,27 +567,34 @@ def _complementary_pair(eps):
     return [EventProb(ABC.subset("a"), 0.3), EventProb(ABC.subset("b", "c"), 0.7 + eps)]
 
 
-def _stake(message, m=2):
-    """The stake y a certificate over the active rows names, one coefficient per active row."""
-    terms = re.search(r"\(witness y = (.*) over the active rows\)", message).group(1)
+def _dense(witness, m):
+    """The stake y of ``witness`` on all ``m`` compiled rows: 0 on each row it does not name."""
     y = np.zeros(m)
-    for coeff, j in re.findall(r"([+-][^*\s]+)\*e_(\d+)", terms):
-        y[int(j)] = float(coeff)
+    y[list(witness.rows)] = witness.stake
     return y
 
 
-def _assert_refutes(message, prior, constraints, tol):
-    """``message`` is a stake certificate over the rows triage leaves: the stake y it names
-    pays y . b beyond y . A_i's range on the live outcomes by more than |y|_1 tol, and it
-    prints y . b and that range as they are computed here."""
-    live, rows = triage_feasibility(compile_all(constraints, prior.space), prior, tol)
-    y = _stake(message, len(rows.b))
-    values, payoff = y @ rows.A[:, live], float(y @ rows.b)
-    assert message == (
-        f"active rows {np.flatnonzero(y).tolist()}: y . b = {payoff!r} lies outside "
-        f"[{float(values.min())!r}, {float(values.max())!r}], its range on the outcomes still "
-        f"possible (witness y = {message.split('(witness y = ')[1]}")
-    assert max(payoff - values.max(), values.min() - payoff) > np.abs(y).sum() * tol
+def _triaged(prior, constraints, tol):
+    """The compiled system of ``constraints`` and the outcomes triage leaves live."""
+    system = compile_all(constraints, prior.space)
+    return system, triage_feasibility(system, prior, tol)[0]
+
+
+def _assert_refutes(exc, system, live, tol):
+    """Each witness ``exc`` carries, checked by enumerating the ``live`` outcomes: a nonzero
+    stake y on compiled rows of ``system``, named in compilation order, whose ``payoff`` is
+    y . b and whose [lo, hi] is y . A_i's range on them, each up to the rounding of its dots,
+    and y . b lies beyond that range by more than |y|_1 tol, so no posterior meets the rows."""
+    assert exc.witnesses and exc.reason == "; ".join(map(str, exc.witnesses))
+    for w in exc.witnesses:
+        assert list(w.rows) == sorted(set(w.rows)) and all(w.stake)
+        y = _dense(w, len(system.b))
+        values, payoff = y @ system.A[:, live], float(y @ system.b)
+        scale = np.abs(y) @ (np.abs(system.A).max(axis=1) + np.abs(system.b))
+        slack = 4 * len(y) * np.finfo(float).eps * scale
+        assert abs(w.payoff - payoff) <= slack
+        assert abs(w.lo - values.min()) <= slack and abs(w.hi - values.max()) <= slack
+        assert max(payoff - values.max(), values.min() - payoff) > np.abs(y).sum() * tol
 
 
 class TestDependentRows:
@@ -641,8 +616,9 @@ class TestDependentRows:
         constraints = _complementary_pair(eps)
         with pytest.raises(InfeasibleConstraint) as info:
             maxent_update(prior, constraints, options)
-        y = _stake(info.value.reason)
+        (w,) = info.value.witnesses
         system = compile_all(constraints, ABC)
+        y = _dense(w, len(system.b))
         # y . A_i is the same on every outcome, and y . b misses it by more than
         # |y|_1 tol, so no posterior meets both rows within tol
         gains = y @ system.A - y @ system.b
@@ -711,7 +687,7 @@ class TestBlockedHessian:
         p_star /= p_star.sum()
         tracemalloc.start()
         try:
-            p, _, _ = _dual_newton(q, A, A @ p_star, SolverOptions())
+            p, _, _ = _dual_newton(q, A, A @ p_star, tuple(range(16)), SolverOptions())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -797,7 +773,7 @@ class TestMaxentFailureModes:
         for options in (SolverOptions(), NO_FAST):
             with pytest.raises(InfeasibleConstraint) as ei:
                 maxent_update(prior, cs, options)
-            _assert_refutes(ei.value.reason, prior, cs, options.tol)
+            _assert_refutes(ei.value, *_triaged(prior, cs, options.tol), options.tol)
 
     def test_feasible_boundary_target_at_small_scale_not_called_infeasible(self):
         # a point mass on face1 attains the mean, and is the only posterior that does
@@ -843,7 +819,7 @@ class TestMaxentFailureModes:
         sc = parse_file(str(DATA / "line_search_infeasible.json"))
         with pytest.raises(InfeasibleConstraint) as ei:
             maxent_update(sc.prior, sc.constraints, options)
-        _assert_refutes(ei.value.reason, sc.prior, sc.constraints, options.tol)
+        _assert_refutes(ei.value, *_triaged(sc.prior, sc.constraints, options.tol), options.tol)
         sc = parse_file(str(DATA / "line_search_feasible.json"))
         rep = maxent_update(sc.prior, sc.constraints, options)
         assert (rep.method, rep.iterations) == ("dual_newton", 7)
@@ -1019,41 +995,31 @@ class TestInfeasibilityCertificate:
         cs = [EventProb(s.subset("a"), 0.5 + 1e-8), EventProb(s.subset("b"), 0.5)]
         with pytest.raises(InfeasibleConstraint) as ei:
             maxent_update(Distribution.uniform(s), cs, options)
-        payoff, lo, hi = map(float, re.search(
-            r"^active rows \[0, 1\]: y \. b = (\S+) lies outside \[(\S+), (\S+)\], its range",
-            ei.value.reason).groups())
-        assert payoff - hi > np.abs(_stake(ei.value.reason)).sum() * options.tol
-        assert lo == 0.0  # y . A_c, the stake's payoff on the outcome neither row holds
-        _assert_refutes(ei.value.reason, Distribution.uniform(s), cs, options.tol)
+        (w,) = ei.value.witnesses
+        assert w.rows == (0, 1) and ei.value.reason.startswith(
+            f"active rows [0, 1]: y . b = {w.payoff!r} lies outside [{w.lo!r}, {w.hi!r}], its range")
+        assert w.payoff - w.hi > np.abs(w.stake).sum() * options.tol
+        assert w.lo == 0.0  # y . A_c, the stake's payoff on the outcome neither row holds
+        _assert_refutes(ei.value, *_triaged(Distribution.uniform(s), cs, options.tol), options.tol)
 
-
-SCALES = (1e-6, 1e-3, 1.0, 1e3)
-
-
-def _scaled_row(space, members, scale, target):
-    """E[scale * [outcome in members]] = target."""
-    x = np.zeros(len(space))
-    x[members] = scale
-    return Expectation(RandomVariable(space, tuple(x.tolist())), target)
-
-
-def _near_boundary_pair(rng):
-    """A prior on 3-8 outcomes, an offset delta = 10^U(-10.5, -8), and two rows (E, c, d),
-    each E[scale [outcome in E]] = scale c + d at a given scale.
-
-    Either E1 and E2 are disjoint and miss an outcome, with targets that sum to scale +
-    delta, or E1 lies strictly inside E2, which misses an outcome, with E1's target delta
-    above E2's; either way the least largest miss of the two rows is exactly delta / 2.
-    """
-    n = int(rng.integers(3, 9))
-    prior = Distribution.from_array(space_of(n), rng.dirichlet(np.ones(n)))
-    delta, order, u = 10 ** rng.uniform(-10.5, -8), rng.permutation(n), rng.uniform(0.1, 0.9)
-    if rng.random() < 0.5:
-        k1 = int(rng.integers(1, n - 1))
-        e2 = order[k1 : k1 + int(rng.integers(1, n - k1))]
-        return prior, delta, ((order[:k1], u, 0.0), (e2, 1 - u, delta))
-    k2 = int(rng.integers(2, n))
-    return prior, delta, ((order[: int(rng.integers(1, k2))], u, delta), (order[:k2], u, 0.0))
+    @pytest.mark.parametrize("options", [SolverOptions(), NO_FAST], ids=["fast", "no_fast"])
+    @pytest.mark.parametrize("pins", [
+        [("a", 0.5 + 1e-8), ("b", 0.5)],  # the dual's multipliers refute the pair
+        [("a", 0.3), ("bc", 0.7 + 1e-9)],  # the rows sum to 1, so their dependency stake does
+    ], ids=["dual", "dependency"])
+    def test_a_stake_names_the_compiled_rows_after_a_pin(self, options, pins):
+        # P(d) = 0 is compiled row 0 and pins d's face, so the stake lies on rows 1 and 2,
+        # numbered as compiled, not as the 0th and 1st of the rows triage leaves
+        s = SampleSpace(("a", "b", "c", "d"))
+        cs = [EventProb(s.subset("d"), 0.0)] + [EventProb(s.subset(*e), v) for e, v in pins]
+        with pytest.raises(InfeasibleConstraint) as ei:
+            maxent_update(Distribution.uniform(s), cs, options)
+        (w,) = ei.value.witnesses
+        assert w.rows == (1, 2)
+        assert ei.value.reason.startswith("active rows [1, 2]: y . b = ")
+        assert ei.value.reason.endswith(
+            f"(witness y = {w.stake[0]:+}*e_1 {w.stake[1]:+}*e_2 over the active rows)")
+        _assert_refutes(ei.value, *_triaged(Distribution.uniform(s), cs, options.tol), options.tol)
 
 
 class TestOneToleranceContract:
@@ -1067,7 +1033,8 @@ class TestOneToleranceContract:
         if off / 2 > options.tol:
             with pytest.raises(InfeasibleConstraint) as ei:
                 maxent_update(Distribution.uniform(ABC), cs, options)
-            _assert_refutes(ei.value.reason, Distribution.uniform(ABC), cs, options.tol)
+            _assert_refutes(ei.value, *_triaged(Distribution.uniform(ABC), cs, options.tol),
+                            options.tol)
             return
         try:
             rep = maxent_update(Distribution.uniform(ABC), cs, options)
@@ -1087,8 +1054,9 @@ class TestOneToleranceContract:
                 cs = [_scaled_row(prior.space, e, scale, scale * c + d) for e, c, d in pair]
                 try:
                     rep = maxent_update(prior, cs)
-                except InfeasibleConstraint:
+                except InfeasibleConstraint as err:
                     assert delta / 2 > tol, (delta, scale)
+                    _assert_refutes(err, *_triaged(prior, cs, tol), tol)
                     continue
                 except NonConvergence:
                     unproven += delta / 2 > tol
