@@ -16,18 +16,16 @@ largest disagreement in probability of any event inside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .constraints import CondProb, Constraint, EventProb, PartitionWeights
 from .errors import ConstructionError
 from .solver import maxent_update
 from .spaces import ZERO_MASS, Distribution, Event, Partition, SampleSpace, _finite_scalar
-from .spaces import _integer, condition
+from .spaces import _Value, _integer, condition
 
-@dataclass(frozen=True)
-class CellInfo:
+
+class CellInfo(_Value):
     """Information about the conditional distribution inside one cell.
 
     Constraints are read against the cell's conditional distribution,
@@ -51,8 +49,7 @@ class CellInfo:
                 )
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(_Value):
     """Worst-case disagreement between the two sides of a consistency check.
 
     per_cell pairs each checked cell index with its deviation.
@@ -62,7 +59,7 @@ class AxiomReport:
 
     tol: float
     per_cell: tuple[tuple[int, float], ...]
-    skipped_cells: tuple[int, ...] = field(default=())
+    skipped_cells: tuple[int, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "per_cell", tuple((int(i), float(d)) for i, d in self.per_cell))

@@ -19,10 +19,9 @@ scope, since the comparison is about the update step only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .spaces import _finite_scalar
+from .spaces import _Value, _finite_scalar
 
 
 def _probability(value: float, name: str) -> float:
@@ -30,8 +29,7 @@ def _probability(value: float, name: str) -> float:
                           f"{name} must be a probability in [0, 1]", lambda x: 0.0 <= x <= 1.0)
 
 
-@dataclass(frozen=True)
-class EvidenceScenario:
+class EvidenceScenario(_Value):
     """One uncertain-evidence situation: the two conditionals and the new certainty q."""
 
     p_h_given_e: float

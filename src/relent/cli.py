@@ -23,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .axioms import check_axiom4b, random_reweighting_case
 from .certainty_factors import divergence_curve
 from .coherence import audit_admissibility
 from .demos import DEMOS
@@ -178,6 +177,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_axioms(args: argparse.Namespace) -> int:
+    from .axioms import check_axiom4b, random_reweighting_case  # only this command runs trials
+
     tol = 1e-8
     worst = 0.0
     passed = 0

@@ -27,7 +27,6 @@ and are kept as the reference that the tests enumerate against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -35,7 +34,7 @@ import numpy as np
 
 from .errors import ConstructionError, NonConvergence
 from .spaces import Distribution, Event, SampleSpace, _ArrayValued, _finite_array, _readonly
-from .spaces import _require_same_space, _row_dots
+from .spaces import _Value, _require_same_space, _row_dots
 
 #: Forecasts whose distance to the hull is at or below this are
 #: admissible; beyond it the projection strictly dominates.
@@ -47,7 +46,6 @@ MAX_MAJOR_STEPS = 10_000
 GAP_TOL = 1e-14
 
 
-@dataclass(frozen=True, eq=False)
 class ForecastSystem(_ArrayValued):
     """Numbers x_i announced for events E_i over one sample space.
 
@@ -100,8 +98,7 @@ def world_losses(fs: ForecastSystem, forecasts: np.ndarray | Sequence[float]) ->
     return _row_dots(diffs, diffs)
 
 
-@dataclass(frozen=True)
-class WorldValuation:
+class WorldValuation(_Value):
     """Truth values v(E_1)..v(E_n) of the events in one world (a reference for the tests)."""
 
     outcome: str
@@ -138,8 +135,7 @@ def quadratic_loss(fs: ForecastSystem, w: WorldValuation) -> float:
     return float(diff @ diff)
 
 
-@dataclass(frozen=True)
-class AdmissibilityVerdict:
+class AdmissibilityVerdict(_Value):
     """Either a clean bill or an explicit witness of domination, on the audited ``space``.
 
     When inadmissible, ``dominating`` is the hull projection of the

@@ -17,22 +17,20 @@ given prior is a separate question answered by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import InfeasibleConstraint
 from .spaces import Distribution, Event, Partition, RandomVariable, SampleSpace, _row_dots
-from .spaces import _finite_array, _finite_scalar, _require_same_space, _require_simplex
+from .spaces import _Value, _finite_array, _finite_scalar, _require_same_space, _require_simplex
 
 
 def _require_finite(value: float, what: str) -> float:
     return _finite_scalar(value, "constraint.not_finite", f"{what} must be finite")
 
 
-@dataclass(frozen=True)
-class EventProb:
+class EventProb(_Value):
     """Pin the posterior probability of an event: P(event) = value.
 
     Out-of-range values are accepted here, so that an impossible *demand*
@@ -51,8 +49,7 @@ class EventProb:
         return self.event.space
 
 
-@dataclass(frozen=True)
-class Expectation:
+class Expectation(_Value):
     """Pin the posterior mean of a random variable: E[variable] = value."""
 
     variable: RandomVariable
@@ -66,8 +63,7 @@ class Expectation:
         return self.variable.space
 
 
-@dataclass(frozen=True)
-class CondProb:
+class CondProb(_Value):
     """Pin a posterior conditional probability: P(target | given) = value.
 
     Compiles to the linearization P(target and given) - value * P(given) = 0,
@@ -93,8 +89,7 @@ class CondProb:
         return f"P({self.target.describe()} | {self.given.describe()}) = {self.value:g}"
 
 
-@dataclass(frozen=True)
-class PartitionWeights:
+class PartitionWeights(_Value):
     """Pin the posterior mass of every cell of a partition at once.
 
     The weights form a full probability vector over cells, so simplex
@@ -138,8 +133,7 @@ def compile_constraint(c: Constraint, space: SampleSpace) -> tuple[tuple[np.ndar
     return tuple((cell.indicator, w / total) for cell, w in zip(c.partition.cells, c.weights))
 
 
-@dataclass(frozen=True, eq=False)
-class System:
+class System(_Value):
     """Compiled rows ``A p = b`` on the sample space it names, ``space``: ``A`` is read-only,
     C-ordered float64, with a column per outcome, and row j is compiled row ``index[j]``, from
     constraint ``source[j]``, with conditioning event ``given[j]`` (None unless conditional)."""
@@ -150,6 +144,10 @@ class System:
     index: tuple[int, ...]
     source: tuple[int, ...]
     given: tuple[Event | None, ...]
+
+    # one compiled system is one update's, so it equals only itself
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 def compile_all(constraints: Sequence[Constraint], space: SampleSpace) -> System:
@@ -174,8 +172,7 @@ def residual(dist: Distribution, system: System) -> float:
     return float(np.abs(_row_dots(system.A, dist.array) - system.b).max(initial=0.0))
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Value):
     """A stake y that no posterior can meet: coefficients ``stake`` on the compiled ``rows``
     (row numbers in compilation order) price the targets at ``payoff`` = y . b, which lies
     outside [lo, hi], y . A_i's range on the live outcomes, so every posterior on them misses

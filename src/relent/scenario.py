@@ -47,7 +47,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, Iterable, Sequence, Union
 
@@ -65,6 +64,7 @@ from .spaces import (
     Partition,
     RandomVariable,
     SampleSpace,
+    _Value,
     _require_same_space,
     conditional_prob,
 )
@@ -82,38 +82,32 @@ def fmt10(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProbQuery:
+class ProbQuery(_Value):
     event: Event
 
 
-@dataclass(frozen=True)
-class CondProbQuery:
+class CondProbQuery(_Value):
     target: Event
     given: Event
 
 
-@dataclass(frozen=True)
-class EntropyQuery:
+class EntropyQuery(_Value):
     pass
 
 
-@dataclass(frozen=True)
-class MutualInfoQuery:
+class MutualInfoQuery(_Value):
     row: Partition
     col: Partition
 
 
-@dataclass(frozen=True)
-class PosteriorQuery:
+class PosteriorQuery(_Value):
     pass
 
 
 Query = Union[ProbQuery, CondProbQuery, EntropyQuery, MutualInfoQuery, PosteriorQuery]
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_Value):
     space: SampleSpace
     prior: Distribution
     constraints: tuple[Constraint, ...]

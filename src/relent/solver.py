@@ -34,7 +34,6 @@ refusal raises its stake as a ``Witness`` on the rows' compiled numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
@@ -44,6 +43,7 @@ from . import information
 from .constraints import Constraint, PartitionWeights, System, Witness
 from .errors import ConstructionError, DegenerateConditional, InfeasibleConstraint, NonConvergence
 from .spaces import ZERO_MASS, Distribution, Partition, _finite_scalar, _integer, _reweight
+from .spaces import _Value
 
 #: Added to the dual Hessian's diagonal. Dependent rows leave before the first step, so it
 #: only damps a step whose Hessian is near singular because a row has tiny prior mass.
@@ -63,8 +63,7 @@ ARMIJO = 0.25
 Method = Literal["dual_newton", "jeffrey", "conditionalization", "no_op"]
 
 
-@dataclass(frozen=True)
-class SolverOptions:
+class SolverOptions(_Value):
     """Tunables for :func:`maxent_update`.
 
     tol is the convergence threshold on the largest absolute constraint
@@ -95,8 +94,7 @@ class SolverOptions:
         object.__setattr__(self, "use_fast_paths", bool(self.use_fast_paths))
 
 
-@dataclass(frozen=True)
-class UpdateReport:
+class UpdateReport(_Value):
     """Posterior plus the evidence that it actually solves the problem.
 
     multipliers are the dual coordinates of the active compiled rows, in

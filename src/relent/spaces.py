@@ -7,14 +7,21 @@ read-only arrays positionally aligned to the owning space's fixed
 outcome order: float64 for numbers, bool for an event's membership. No
 reordering ever occurs, so elementwise comparisons are well defined
 everywhere else in the package.
+
+Every value type of the package, here and in the other modules, derives
+from one base, :class:`_Value`: its fields are its annotated names, and
+the base gives each one its constructor, ``repr``, equality, hashing and
+immutability without generating any code, so that importing the package
+stays cheap. :class:`_ArrayValued` is the base's subclass for values
+compared by a stored array.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import attrgetter
 from typing import Iterable, Literal, Mapping, Sequence
 
 import numpy as np
@@ -105,7 +112,91 @@ def _row_dots(M: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.matmul(M[:, None, :], V[..., None])[:, 0, 0]
 
 
-class _ArrayValued:
+def _tuple_getter(names: tuple[str, ...]):
+    """A function from an object to the tuple of its attributes ``names``."""
+    if len(names) > 1:
+        return attrgetter(*names)  # one C call
+    if names:
+        get = attrgetter(names[0])
+        return lambda obj: (get(obj),)
+    return lambda obj: ()
+
+
+class _Value:
+    """An immutable value whose fields are its class's annotated names, in order.
+
+    Each subclass's fields and their defaults (the class attributes of those names) are
+    read once, when the class is made, and one set of methods serves every subclass:
+    ``__init__`` takes each field by position or keyword, then calls ``__post_init__``,
+    which may check or normalize a field through ``object.__setattr__``; ``repr`` is
+    ``Name(field=value, ...)``; equality and hashing read the fields in order; assignment
+    and deletion raise ``AttributeError``. No code is generated for a subclass.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls):
+        own = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields = (*cls._fields, *own)
+        cls._defaults = {**cls._defaults, **{k: cls.__dict__[k] for k in own if k in cls.__dict__}}
+        cls._values = staticmethod(_tuple_getter(cls._fields))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        # set as a frozen dataclass sets them, so that reads stay fast and no instance dict is
+        # built; any() drains the map in C, since object.__setattr__ returns None
+        any(map(object.__setattr__, repeat(self), fields, args))
+        self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """One value per field, in order: ``args``, then ``kwargs`` or else the defaults."""
+        fields, defaults, cls = self._fields, self._defaults, type(self).__name__
+        values = list(args)
+        for name in fields[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in defaults:
+                values.append(defaults[name])
+            else:
+                raise TypeError(f"{cls}() missing required argument {name!r}")
+        if len(args) > len(fields):
+            raise TypeError(f"{cls}() takes {len(fields)} positional arguments "
+                            f"but {len(args)} were given")
+        if kwargs:  # a field given twice, or no field at all
+            name = next(iter(kwargs))
+            raise TypeError(f"{cls}() got " + (f"multiple values for argument {name!r}"
+                            if name in fields else f"an unexpected keyword argument {name!r}"))
+        return values
+
+    def __post_init__(self) -> None:
+        """Check or normalize the fields once they are set; a subclass's own rule."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+
+class _ArrayValued(_Value):
     """Equality and hashing by the fields named in ``_keys`` and the array named by ``_vector``."""
 
     _keys = ("space",)
@@ -125,8 +216,7 @@ class _ArrayValued:
         return hash((keys, tuple(a.ravel().tolist())))
 
 
-@dataclass(frozen=True)
-class SampleSpace:
+class SampleSpace(_Value):
     """Ordered finite set of distinct outcome labels: strings (a subclass will do), UTF-8 safe."""
 
     outcomes: tuple[str, ...]
@@ -194,7 +284,6 @@ def _require_same_space(a: SampleSpace, b: SampleSpace, kind: str, noun: str = "
                                 f"{noun or kind} lives on a different sample space")
 
 
-@dataclass(frozen=True, init=False, eq=False)
 class Event(_ArrayValued):
     """A subset (possibly empty) of a space's outcomes.
 
@@ -263,7 +352,6 @@ class Event(_ArrayValued):
         return "{" + ", ".join(sorted(self.labels)) + "}"
 
 
-@dataclass(frozen=True, eq=False)
 class Distribution(_ArrayValued):
     """Nonnegative weights over a space's outcomes, summing to one.
 
@@ -304,7 +392,6 @@ class Distribution(_ArrayValued):
         return _readonly(self.array > 0.0)
 
 
-@dataclass(frozen=True, eq=False)
 class RandomVariable(_ArrayValued):
     """A total real-valued function on a space, stored in outcome order.
 
@@ -342,8 +429,7 @@ class RandomVariable(_ArrayValued):
         return tuple(self.array.tolist())
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Value):
     """Pairwise-disjoint nonempty events covering the whole space."""
 
     cells: tuple[Event, ...]
@@ -382,7 +468,6 @@ class Partition:
         return cls(tuple(Event(space, c) for c in cells))
 
 
-@dataclass(frozen=True, eq=False)
 class JointDistribution(_ArrayValued):
     """Probabilities over pairs from a row space and a column space.
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from relent.constraints import Expectation
+from relent.constraints import EventProb, Expectation, PartitionWeights
 from relent.spaces import Distribution, Partition, RandomVariable
 
 from conftest import space_of
@@ -45,6 +45,23 @@ def _jeffrey_request(rng: np.random.Generator, classes: int = 4):
     space = space_of(n)
     part = Partition.from_labels(space, [[f"w{i}" for i in sorted(c)] for c in cells])
     return Distribution.from_array(space, prior), part, tuple(weights.tolist())
+
+
+def _pinned_support_request(rng: np.random.Generator, pinned: bool):
+    """A prior and constraints from ``_jeffrey_request(rng, classes=5)``: one EventProb on
+    its first cell or one PartitionWeights on its partition, each in half the draws; when
+    ``pinned``, a whole pin P(E) = 0 or 1 on a random event E goes before or after it, so
+    the rows triage leaves are that constraint's cells on the pin's face."""
+    prior, part, weights = _jeffrey_request(rng, classes=5)
+    if rng.random() < 0.5:
+        constraints = [EventProb(part.cells[0], weights[0])]
+    else:
+        constraints = [PartitionWeights(part, weights)]
+    if pinned:
+        space = prior.space
+        event = space.subset(*(w for w in space.outcomes if rng.random() < 0.5))
+        constraints.insert(int(rng.integers(2)), EventProb(event, float(rng.integers(2))))
+    return prior, constraints
 
 
 SCALES = (1e-6, 1e-3, 1.0, 1e3)

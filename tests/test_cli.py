@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import re
 import runpy
 import subprocess
@@ -508,7 +509,7 @@ class TestAxioms:
             calls.append(None)
             return AxiomReport(tol, ((0, 0.25 if len(calls) == 2 else 0.0),))
 
-        monkeypatch.setattr("relent.cli.check_axiom4b", second_trial_fails)
+        monkeypatch.setattr("relent.axioms.check_axiom4b", second_trial_fails)
         assert run_main(capsys, "axioms", "--trials", "3") == (
             4, "axiom4b: 2/3 passed, max_deviation = 0.25\n",
             "property trials failed; see report\n")
@@ -592,6 +593,16 @@ class TestParserShell:
         )
         assert result.returncode == 0
         assert "posterior mean: 4.5" in result.stdout
+
+    def test_importing_the_cli_loads_neither_axioms_nor_dataclasses(self):
+        # a launch pays for what relent.cli imports: the axioms trials load on first use, and
+        # no value class is built by code generation (json, numpy and argparse load no dataclasses)
+        code = ("import sys, relent.cli; "
+                "print(sorted({'relent.axioms', 'dataclasses'} & set(sys.modules)))")
+        env = dict(os.environ, PYTHONPATH=str(SCENARIOS.parent / "src"))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                             timeout=120)
+        assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
     def test_the_module_runs_as_a_script(self, monkeypatch, capsys):
         # python -m relent.cli: the __main__ guard exits with main's code

@@ -47,7 +47,8 @@ from relent.spaces import (
 from conftest import (
     JOINTLY_INFEASIBLE_PINS, JOINTLY_INFEASIBLE_PRIOR, positive_distributions, space_of,
 )
-from sweep import SCALES, _jeffrey_request, _near_boundary_pair, _scaled_row
+from sweep import SCALES, _jeffrey_request, _near_boundary_pair, _pinned_support_request
+from sweep import _scaled_row
 
 NO_FAST = SolverOptions(use_fast_paths=False)
 DATA = Path(__file__).resolve().parent / "data"
@@ -203,15 +204,7 @@ def test_the_closed_form_is_the_pinned_support_update():
     methods = {False: [], True: []}
     for pinned in (False, True):
         for _ in range(300):
-            prior, part, weights = _jeffrey_request(rng, classes=5)
-            if rng.random() < 0.5:
-                constraints = [EventProb(part.cells[0], weights[0])]
-            else:
-                constraints = [PartitionWeights(part, weights)]
-            if pinned:
-                space = prior.space
-                event = space.subset(*(w for w in space.outcomes if rng.random() < 0.5))
-                constraints.insert(int(rng.integers(2)), EventProb(event, float(rng.integers(2))))
+            prior, constraints = _pinned_support_request(rng, pinned)
             try:
                 slow = maxent_update(prior, constraints, NO_FAST)
             except InfeasibleConstraint as err:
