@@ -27,7 +27,6 @@ and are kept as the reference that the tests enumerate against.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -52,6 +51,8 @@ class ForecastSystem(_ArrayValued):
     Stored as ``array``, a read-only float64 vector aligned with ``events``;
     ``forecasts`` is a tuple view. Forecasts may fall outside [0, 1]:
     incoherent inputs are exactly the interesting case for the audit.
+    ``valuation_matrix``, set when the system is built, holds a read-only,
+    contiguous bool row per outcome: the truth values of every event there.
     """
 
     _keys = ("space", "events")
@@ -68,6 +69,8 @@ class ForecastSystem(_ArrayValued):
             "{shape[0]} events but {size} forecasts", "forecasts must be finite numbers"))
         for e in events:
             _require_same_space(e.space, self.space, "forecast", "forecast event")
+        rows = np.array([e.indicator for e in events], bool).reshape(len(events), len(self.space))
+        object.__setattr__(self, "valuation_matrix", _readonly(rows.T.copy()))
 
     @classmethod
     def from_distribution(cls, dist: Distribution, events: tuple[Event, ...]) -> "ForecastSystem":
@@ -77,12 +80,6 @@ class ForecastSystem(_ArrayValued):
     @property
     def forecasts(self) -> tuple[float, ...]:
         return tuple(self.array.tolist())
-
-    @cached_property
-    def valuation_matrix(self) -> np.ndarray:
-        """Bool row per outcome, each contiguous: the truth values of every event there."""
-        rows = np.array([e.indicator for e in self.events], bool)
-        return _readonly(rows.reshape(len(self.events), len(self.space)).T.copy())
 
 
 def world_losses(fs: ForecastSystem, forecasts: np.ndarray | Sequence[float]) -> np.ndarray:

@@ -22,8 +22,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import InfeasibleConstraint
-from .spaces import Distribution, Event, Partition, RandomVariable, SampleSpace, _row_dots
-from .spaces import _Value, _finite_array, _finite_scalar, _require_same_space, _require_simplex
+from .spaces import Distribution, Event, Partition, RandomVariable, SampleSpace, _Value, _readonly
+from .spaces import _finite_array, _finite_scalar, _require_same_space, _require_simplex, _row_dots
 
 
 def _require_finite(value: float, what: str) -> float:
@@ -159,8 +159,7 @@ def compile_all(constraints: Sequence[Constraint], space: SampleSpace) -> System
         source += [k] * len(c_rows)
         given += [c.given if isinstance(c, CondProb) else None] * len(c_rows)
     # float64 even when every row is an event's mask
-    A = np.array([coeffs for coeffs, _ in rows], float).reshape(len(rows), len(space))
-    A.flags.writeable = False
+    A = _readonly(np.array([coeffs for coeffs, _ in rows], float).reshape(len(rows), len(space)))
     return System(space, A, np.array([t for _, t in rows], float), tuple(range(len(rows))),
                   tuple(source), tuple(given))
 
@@ -256,7 +255,5 @@ def triage_feasibility(
             break
     if len(active) == len(b):
         return live, system
-    A = A[active]
-    A.flags.writeable = False
-    return live, System(system.space, A, system.b[active], *(
+    return live, System(system.space, _readonly(A[active]), system.b[active], *(
         tuple(field[j] for j in active) for field in (system.index, system.source, system.given)))

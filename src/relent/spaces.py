@@ -12,14 +12,16 @@ Every value type of the package, here and in the other modules, derives
 from one base, :class:`_Value`: its fields are its annotated names, and
 the base gives each one its constructor, ``repr``, equality, hashing and
 immutability without generating any code, so that importing the package
-stays cheap. :class:`_ArrayValued` is the base's subclass for values
+stays cheap. An attribute derived from the fields, such as a space's
+``index``, is set once in ``__post_init__`` through ``object.__setattr__``,
+as a field is, so a value is complete once built and nothing is cached on
+it later. :class:`_ArrayValued` is the base's subclass for values
 compared by a stored array.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from itertools import accumulate, repeat
 from operator import attrgetter
 from typing import Iterable, Literal, Mapping, Sequence
@@ -128,9 +130,10 @@ class _Value:
     Each subclass's fields and their defaults (the class attributes of those names) are
     read once, when the class is made, and one set of methods serves every subclass:
     ``__init__`` takes each field by position or keyword, then calls ``__post_init__``,
-    which may check or normalize a field through ``object.__setattr__``; ``repr`` is
-    ``Name(field=value, ...)``; equality and hashing read the fields in order; assignment
-    and deletion raise ``AttributeError``. No code is generated for a subclass.
+    which may check or normalize a field, and set a derived attribute once, through
+    ``object.__setattr__``; ``repr`` is ``Name(field=value, ...)``; equality and hashing
+    read the fields in order, never a derived attribute; assignment and deletion raise
+    ``AttributeError``. No code is generated for a subclass.
     """
 
     _fields: tuple[str, ...] = ()
@@ -217,7 +220,8 @@ class _ArrayValued(_Value):
 
 
 class SampleSpace(_Value):
-    """Ordered finite set of distinct outcome labels: strings (a subclass will do), UTF-8 safe."""
+    """Ordered finite set of distinct outcome labels: strings (a subclass will do), UTF-8 safe;
+    ``index``, set when the space is built, maps each label to its position."""
 
     outcomes: tuple[str, ...]
 
@@ -236,20 +240,20 @@ class SampleSpace(_Value):
             raise ConstructionError(
                 "space.bad_label", f"outcome label {bad!r} is not writable text"
             ) from None
+        object.__setattr__(self, "index", dict(zip(self.outcomes, range(len(self.outcomes)))))
         if len(self.index) != len(self.outcomes):
             seen: set[str] = set()
             dup = next(x for x in self.outcomes if x in seen or seen.add(x))
             raise ConstructionError("space.duplicate_label", f"duplicate outcome label {dup!r}")
 
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return dict(zip(self.outcomes, range(len(self.outcomes))))
-
     def __len__(self) -> int:
         return len(self.outcomes)
 
     def __contains__(self, label: object) -> bool:
-        return label in self.index
+        try:
+            return label in self.index
+        except TypeError:  # an unhashable label is no outcome
+            return False
 
     def subset(self, *labels: str) -> "Event":
         """Convenience constructor for an event on this space."""
@@ -386,7 +390,7 @@ class Distribution(_ArrayValued):
         _require_same_space(self.space, e.space, "event")
         return float(self.array @ e.indicator)
 
-    @cached_property
+    @property
     def support(self) -> np.ndarray:
         """Boolean mask of outcomes with strictly positive weight."""
         return _readonly(self.array > 0.0)

@@ -8,10 +8,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from relent.constraints import EventProb, Expectation, PartitionWeights
-from relent.spaces import Distribution, Partition, RandomVariable
+from relent.constraints import CondProb, EventProb, Expectation, PartitionWeights
+from relent.spaces import Distribution, Event, Partition, RandomVariable
 
 from conftest import space_of
+
+
+def _random_partition(rng: np.random.Generator, space, k: int):
+    """``k`` cells of ``space`` cut from a random permutation: each cell's outcome positions,
+    and the partition."""
+    n = len(space)
+    cells = np.split(rng.permutation(n), np.sort(rng.choice(np.arange(1, n), k - 1, replace=False)))
+    labels = [[space.outcomes[i] for i in sorted(c)] for c in cells]
+    return cells, Partition.from_labels(space, labels)
 
 
 def _jeffrey_request(rng: np.random.Generator, classes: int = 4):
@@ -26,9 +35,9 @@ def _jeffrey_request(rng: np.random.Generator, classes: int = 4):
         if not prior.any():
             prior[rng.integers(n)] = 1.0
     prior /= prior.sum()
-    k = int(rng.integers(2, min(5, n) + 1))
-    cells = np.split(rng.permutation(n), np.sort(rng.choice(np.arange(1, n), k - 1, replace=False)))
-    masses = np.array([prior[c].sum() for c in cells])
+    space = space_of(n)
+    cells, part = _random_partition(rng, space, int(rng.integers(2, min(5, n) + 1)))
+    k, masses = len(cells), np.array([prior[c].sum() for c in cells])
     kind = int(rng.integers(classes))
     if kind in (0, 1, 4):
         weights = rng.dirichlet(np.ones(k))
@@ -42,8 +51,6 @@ def _jeffrey_request(rng: np.random.Generator, classes: int = 4):
         weights[rng.choice(k, 2, replace=False)] = 1.0, 10.0 ** rng.uniform(-17, -9)
     else:
         weights = masses + np.abs(rng.normal(0.0, 1e-11, k))
-    space = space_of(n)
-    part = Partition.from_labels(space, [[f"w{i}" for i in sorted(c)] for c in cells])
     return Distribution.from_array(space, prior), part, tuple(weights.tolist())
 
 
@@ -91,3 +98,42 @@ def _near_boundary_pair(rng):
         return prior, delta, ((order[:k1], u, 0.0), (e2, 1 - u, delta))
     k2 = int(rng.integers(2, n))
     return prior, delta, ((order[: int(rng.integers(1, k2))], u, delta), (order[:k2], u, 0.0))
+
+
+def _mixed_request(rng: np.random.Generator):
+    """A prior on 3-8 outcomes, Dirichlet(0.5) with outcomes zeroed at random in 40% of the
+    draws, and 2-4 constraints of a random kind (event, expectation, conditional, partition)
+    whose targets are read off a Dirichlet(1) p over every outcome, each constraint's shifted
+    by 0, +-10^U(-11, -8) or N(0, 0.1): a partition's first weight gains the shift and its
+    last loses it. A weight shifted below zero raises ``ConstructionError`` as the request
+    is built, which callers count as a request that fails to build."""
+    n = int(rng.integers(3, 9))
+    prior = rng.dirichlet(np.full(n, 0.5))
+    if rng.random() < 0.4:
+        prior[rng.random(n) < 0.3] = 0.0
+        if not prior.any():
+            prior[rng.integers(n)] = 1.0
+    prior /= prior.sum()
+    space, p = space_of(n), rng.dirichlet(np.ones(n))
+    constraints = []
+    for _ in range(int(rng.integers(2, 5))):
+        kind, which = int(rng.integers(4)), int(rng.integers(3))
+        shift = (0.0, rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-11, -8),
+                 rng.normal(0.0, 0.1))[which]
+        event, given = (Event(space, np.compress(rng.random(n) < 0.5, space.outcomes).tolist())
+                        for _ in range(2))
+        if kind == 0:
+            constraints.append(EventProb(event, float(p @ event.indicator) + shift))
+        elif kind == 1:
+            x = RandomVariable(space, tuple(rng.normal(size=n).tolist()))
+            constraints.append(Expectation(x, float(p @ x.array) + shift))
+        elif kind == 2:
+            mass = float(p @ given.indicator)
+            value = float(p @ (event.indicator & given.indicator)) / mass if mass else 0.0
+            constraints.append(CondProb(event, given, value + shift))
+        else:
+            cells, part = _random_partition(rng, space, int(rng.integers(2, min(4, n) + 1)))
+            weights = np.array([p[c].sum() for c in cells])
+            weights[[0, -1]] += shift, -shift
+            constraints.append(PartitionWeights(part, tuple(weights.tolist())))
+    return Distribution.from_array(space, prior), constraints

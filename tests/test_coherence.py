@@ -107,9 +107,10 @@ class TestConstruction:
 
     def test_valuation_for_unknown_outcome_rejected(self):
         fs = ForecastSystem(TWO, (E,), (0.5,))
-        with pytest.raises(ConstructionError) as ei:
-            WorldValuation.for_outcome(fs, "maybe")
-        assert ei.value.code == "valuation.unknown_outcome"
+        for outcome in ("maybe", 3, None, ["yes"]):  # an unhashable label is no outcome either
+            with pytest.raises(ConstructionError) as ei:
+                WorldValuation.for_outcome(fs, outcome)
+            assert ei.value.code == "valuation.unknown_outcome"
 
     def test_valuations_must_be_binary(self):
         with pytest.raises(ConstructionError) as ei:

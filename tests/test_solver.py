@@ -13,13 +13,14 @@ from numpy.testing import assert_allclose
 import relent.constraints
 import relent.solver
 from relent.constraints import (
-    CondProb, EventProb, Expectation, PartitionWeights, compile_all, residual, triage_feasibility,
+    CondProb, EventProb, Expectation, PartitionWeights, compile_all, residual,
 )
 from relent.errors import (
     ConstructionError,
     DegenerateConditional,
     InfeasibleConstraint,
     NonConvergence,
+    RelentError,
     ZeroMassEvent,
 )
 from relent.information import relative_entropy
@@ -47,8 +48,8 @@ from relent.spaces import (
 from conftest import (
     JOINTLY_INFEASIBLE_PINS, JOINTLY_INFEASIBLE_PRIOR, positive_distributions, space_of,
 )
-from sweep import SCALES, _jeffrey_request, _near_boundary_pair, _pinned_support_request
-from sweep import _scaled_row
+from sweep import SCALES, _jeffrey_request, _mixed_request, _near_boundary_pair
+from sweep import _pinned_support_request, _scaled_row
 
 NO_FAST = SolverOptions(use_fast_paths=False)
 DATA = Path(__file__).resolve().parent / "data"
@@ -568,9 +569,23 @@ def _dense(witness, m):
 
 
 def _triaged(prior, constraints, tol):
-    """The compiled system of ``constraints`` and the outcomes triage leaves live."""
+    """The compiled system of ``constraints`` and the outcomes live when triage stops, whether
+    it hands rows on or refuses some, replayed from its rule: from the prior's support, each
+    pass cuts to the first face that shrinks it, where a row's target sits at or beyond one of
+    the row's extremes on it, until a target lies beyond an extreme by more than tol."""
     system = compile_all(constraints, prior.space)
-    return system, triage_feasibility(system, prior, tol)[0]
+    A, b, live = system.A, system.b, prior.support
+    while True:
+        lo = A.min(axis=1, where=live, initial=np.inf)
+        hi = A.max(axis=1, where=live, initial=-np.inf)
+        if np.any((b - hi > tol) | (lo - b > tol)):
+            return system, live
+        faces = (live & (A[j] == (hi[j] if b[j] >= hi[j] else lo[j]))
+                 for j in np.flatnonzero((b <= lo) | (b >= hi)))
+        face = next((face for face in faces if not np.array_equal(face, live)), None)
+        if face is None:
+            return system, live
+        live = face
 
 
 def _assert_refutes(exc, system, live, tol):
@@ -1056,6 +1071,29 @@ class TestOneToleranceContract:
                     continue
                 assert rep.final_residual <= tol
         print(f"NonConvergence on {unproven} of the {infeasible} infeasible requests in 800")
+
+    def test_every_refusal_of_a_mixed_request_is_proved_by_its_witnesses(self):
+        # a seeded slice of the differential sweep (ROADMAP item 7): 200 requests of 2-4 mixed
+        # rows, each solved with fast paths on and off; only the witness check is asserted,
+        # and every other outcome is counted by class
+        rng = np.random.default_rng(20261040)
+        counts, unbuilt = {}, 0
+        for _ in range(200):
+            try:
+                prior, cs = _mixed_request(rng)
+            except ConstructionError:
+                unbuilt += 1
+                continue
+            for setting, options in (("fast", SolverOptions()), ("no_fast", NO_FAST)):
+                try:
+                    outcome = maxent_update(prior, cs, options).method
+                except InfeasibleConstraint as err:
+                    _assert_refutes(err, *_triaged(prior, cs, options.tol), options.tol)
+                    outcome = "InfeasibleConstraint"
+                except RelentError as err:
+                    outcome = type(err).__name__
+                counts[setting, outcome] = counts.get((setting, outcome), 0) + 1
+        print(f"{unbuilt} of 200 requests fail to build; outcomes {sorted(counts.items())}")
 
 
 class TestFastPathAgreement:

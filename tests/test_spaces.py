@@ -48,6 +48,8 @@ class TestSampleSpace:
         assert len(s) == 3
         assert "b" in s
         assert "z" not in s
+        # a label of another type is no outcome, an unhashable one included
+        assert all(x not in s for x in (3, None, ["a"], {"a": 0}))
         assert s.index == {"a": 0, "b": 1, "c": 2}
 
     def test_rejects_empty(self):

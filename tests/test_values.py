@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from relent.coherence import ForecastSystem
 from relent.constraints import EventProb, System, Witness, compile_all
 from relent.errors import ConstructionError
 from relent.scenario import EntropyQuery, Scenario
@@ -145,3 +146,26 @@ class TestEvent:
         assert space == SampleSpace(("x", "y")) and hash(space) == hash((("x", "y"),))
         _frozen(space, "outcomes")
 
+
+
+class TestDerivedAttributes:
+    """An attribute derived from the fields is set at construction and never cached later."""
+
+    def test_a_forecast_system_is_built_with_its_valuation_matrix(self):
+        fs = ForecastSystem(AB, (Event(AB, ["a"]), AB.whole()), (0.5, 1.0))
+        V = vars(fs)["valuation_matrix"]
+        assert V.tolist() == [[True, True], [False, True]] and not V.flags.writeable
+        assert fs.valuation_matrix is V
+        _frozen(fs, "valuation_matrix")
+
+    def test_a_sample_space_is_built_with_its_index(self):
+        space = SampleSpace(("x", "y"))
+        assert vars(space)["index"] == {"x": 0, "y": 1}
+        assert repr(space) == "SampleSpace(outcomes=('x', 'y'))"
+
+    def test_reading_the_support_caches_nothing(self):
+        d = Distribution(AB, [0.0, 1.0])
+        first, second = d.support, d.support
+        assert first.tolist() == second.tolist() == [False, True]
+        assert not first.flags.writeable
+        assert list(vars(d)) == ["space", "array"]
