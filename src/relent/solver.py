@@ -23,7 +23,14 @@ gives one value y . A_i, up to rounding, on every outcome; the group's
 targets then move until they agree (Lawson's reweighted least squares,
 toward moving none by more than tol). Damped Newton steps on the kept
 rows, each taken only if the dual rises by ARMIJO times its slope, stop
-once every active row is within tol of its target. A stake y refutes the
+once every active row is within tol of its target. The selection's
+covariance and each step's Hessian are Gram products A diag(w) A^T of the
+rows, formed in one place, ``_gram``: a run of at least CELL_INDEX_ROWS
+disjoint 0/1 rows of one constraint (a many-cell partition, found once per
+solve by the test the closed form makes) enters through its cell index,
+as the diagonal of its cell masses, one ``bincount`` table against another
+such run and one weighted ``bincount`` against each other row, and the
+other rows through a dense product. A stake y refutes the
 targets, here as in triage, when y . targets lies outside y . A_i's range
 on the live outcomes by more than |y|_1 tol plus rounding; here the stakes
 are each such row k's y, and lam at every iterate, since an infeasible
@@ -49,10 +56,18 @@ from .spaces import _Value
 #: only damps a step whose Hessian is near singular because a row has tiny prior mass.
 HESS_EPS = 1e-12
 
-#: Columns per block of the Hessian's product: each solve's workspace holds
-#: this many columns of B = A diag(sqrt p) at most, so its size does not grow
-#: with the space, and a block stays in cache while BLAS reads it.
+#: Columns per block of the Hessian's dense product, on the rows outside a cell-index
+#: run (CELL_INDEX_ROWS): each solve's workspace holds this many columns of
+#: B = A diag(sqrt p) on those rows at most, so its size does not grow with the space, and a
+#: block stays in cache while BLAS reads it. The selection's product at unit weights is one
+#: A A^T on those rows, and no workspace is written for a run's rows.
 HESS_BLOCK = 1 << 14
+
+#: Rows of one constraint that are disjoint 0/1 rows, a partition's cells, enter the dual's
+#: Gram products through their cell index, at O(n) per pair of runs and per other row, once
+#: they number at least this many; fewer keep the dense product, at O(n m^2). A solve beside
+#: up to 20 dense rows at n >= 2000 was faster from 32 cells on at every size measured.
+CELL_INDEX_ROWS = 32
 
 #: Armijo's sufficient-increase fraction: a trial lam + t * step is accepted
 #: only if the dual rises by at least ARMIJO * t * (grad . step), so a step that
@@ -140,15 +155,73 @@ def _check_conditionals(posterior: Distribution, system: System, constraints: Se
             )
 
 
-def _weighted_gram(A: np.ndarray, p: np.ndarray, work: np.ndarray, rows=slice(None)) -> np.ndarray:
-    """A diag(p) A^T on ``rows`` of A: the sum, over column blocks of ``work``'s width, of
-    B B^T with B = A diag(sqrt p) on the block, each written into ``work``."""
-    n, width = A.shape[1], work.shape[1]
-    for s in range(0, n, width):
-        block = work[:, : min(width, n - s)]
-        np.multiply(A[rows, s : s + width], np.sqrt(p[s : s + width]), out=block)
-        product = block @ block.T  # symmetric, so BLAS forms one triangle (syrk)
-        gram = product if s == 0 else gram + product
+def _cells(A: np.ndarray, live=True) -> np.ndarray | None:
+    """How many rows of ``A`` cover each outcome, when they are disjoint 0/1 rows on the
+    ``live`` outcomes (a partition's cells, say), else None."""
+    covers = A.sum(axis=0)
+    if not ((A == 0.0) | (A == 1.0)).all() or np.any(covers > 1.0, where=live):
+        return None
+    return covers
+
+
+def _cell_blocks(A: np.ndarray, source: tuple[int, ...]) -> list[tuple[int, int, np.ndarray]]:
+    """Each run of at least CELL_INDEX_ROWS rows of ``A`` from one constraint, by ``source``,
+    that are disjoint 0/1 rows, as (first row, end, cell index): each outcome's row in the
+    run, or the run's length where no row of it covers the outcome."""
+    starts = [j for j in range(len(source)) if not j or source[j] != source[j - 1]]
+    blocks = []
+    for r0, r1 in zip(starts, [*starts[1:], len(source)]):
+        if r1 - r0 >= CELL_INDEX_ROWS and (covers := _cells(run := A[r0:r1])) is not None:
+            blocks.append((r0, r1, np.where(covers == 1.0, run.argmax(axis=0), r1 - r0)))
+    return blocks
+
+
+def _gram(A: np.ndarray, blocks, rows=slice(None)):
+    """The function of weights p (None for unit weights) that gives A diag(p) A^T on ``rows``
+    of A: the one place the dual forms a Gram product (module docstring, HESS_BLOCK), with
+    the rows split by ``blocks`` (:func:`_cell_blocks`) and the workspace set up once."""
+    kept = np.arange(len(A))[rows]
+    parts = [(np.flatnonzero(mine), kept[mine] - r0, r1 - r0 + 1, cell_of)
+             for r0, r1, cell_of in blocks if (mine := (kept >= r0) & (kept < r1)).any()]
+    if parts:
+        dense = np.ones(len(kept), bool)
+        for at, *_ in parts:
+            dense[at] = False
+        d = np.flatnonzero(dense)
+        rows = kept[d]
+    outside = len(kept) - sum(len(at) for at, *_ in parts)  # rows in no run
+    work = np.empty((outside, min(A.shape[1], HESS_BLOCK)))  # for p's products
+
+    def dense_gram(p=None):
+        if p is None:
+            return (B := A[rows]) @ B.T  # symmetric, so BLAS forms one triangle (syrk)
+        n, width = A.shape[1], work.shape[1]
+        for s in range(0, n, width):
+            block = work[:, : min(width, n - s)]
+            np.multiply(A[rows, s : s + width], np.sqrt(p[s : s + width]), out=block)
+            product = block @ block.T
+            gram = product if s == 0 else gram + product
+        return gram
+
+    if not parts:
+        return dense_gram
+
+    def gram(p=None):
+        out = np.zeros((len(kept), len(kept)))
+        if d.size:
+            out[np.ix_(d, d)] = dense_gram(p)
+        for i, (at, cells, size, cell_of) in enumerate(parts):
+            out[at, at] = np.bincount(cell_of, p, size)[cells]  # disjoint: a diagonal block
+            for at2, cells2, size2, cell_of2 in parts[:i]:
+                table = np.bincount(cell_of * size2 + cell_of2, p, size * size2)
+                out[np.ix_(at, at2)] = meet = table.reshape(size, size2)[np.ix_(cells, cells2)]
+                out[np.ix_(at2, at)] = meet.T
+        for j in d:
+            row = A[kept[j]] if p is None else A[kept[j]] * p
+            for at, cells, size, cell_of in parts:
+                out[at, j] = out[j, at] = np.bincount(cell_of, row, size)[cells]
+        return out
+
     return gram
 
 
@@ -159,10 +232,12 @@ def _refute(y: np.ndarray, index: tuple[int, ...], b: np.ndarray, lo: float, hi:
         tuple(index[j] for j in k), tuple(y[k].tolist()), float(y @ b), float(lo), float(hi)))
 
 
-def _independent_rows(A: np.ndarray, b: np.ndarray, index, row_max: np.ndarray, tol: float):
+def _independent_rows(A: np.ndarray, b: np.ndarray, index, row_max: np.ndarray, tol: float,
+                      blocks):
     """The rows the Newton system keeps, and the targets it solves for (module docstring)."""
     m, n = A.shape
-    cov = (sq := A @ A.T) - np.outer(total := A.sum(axis=1), total / n)  # n times the covariance
+    sq = _gram(A, blocks)()
+    cov = sq - np.outer(total := A.sum(axis=1), total / n)  # n times the covariance
     tiny, var, ss = max(m, n) * np.finfo(float).eps, cov.diagonal(), sq.diagonal()
     try:  # tiny times each row's sum of squares outweighs the rounding of cov
         keep = np.linalg.cholesky(cov + np.diag(tiny * ss)).diagonal() ** 2 > math.sqrt(tiny) * var
@@ -188,15 +263,17 @@ def _independent_rows(A: np.ndarray, b: np.ndarray, index, row_max: np.ndarray, 
 
 
 def _dual_newton(
-    q: np.ndarray, A: np.ndarray, b: np.ndarray, index: tuple[int, ...], options: SolverOptions
+    q: np.ndarray, A: np.ndarray, b: np.ndarray, index: tuple[int, ...], source: tuple[int, ...],
+    options: SolverOptions,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Maximize lam . b - log Z(lam) for the reduced, strictly positive prior ``q``.
 
     Returns (posterior on the reduced index, multipliers, accepted steps).
     Raises :class:`InfeasibleConstraint` when a stake on the rows of ``A``,
-    compiled rows ``index``, refutes ``b`` (see the module docstring), and
-    :class:`NonConvergence` when the budget runs out first or no step along
-    the Newton direction, however short, raises the dual.
+    compiled rows ``index`` from constraints ``source``, refutes ``b`` (see
+    the module docstring), and :class:`NonConvergence` when the budget runs
+    out first or no step along the Newton direction, however short, raises
+    the dual.
     """
     logq = np.log(q)
     lam = np.zeros(A.shape[0])
@@ -212,10 +289,11 @@ def _dual_newton(
         z /= total
         return at, z, shift + math.log(total)
 
-    rows, target = _independent_rows(A, b, index, row_max, options.tol)
+    blocks = _cell_blocks(A, source)
+    rows, target = _independent_rows(A, b, index, row_max, options.tol, blocks)
+    hessian = _gram(A, blocks, rows)
     # a stake's tol per row, plus twice the rounding of the m-term dots lam . b and A^T lam
     stake_tol = options.tol + 2 * len(b) * np.finfo(float).eps * (row_max + np.abs(b))
-    work = np.empty((len(b[rows]), min(A.shape[1], HESS_BLOCK)))  # refilled by each block
     at, p, logz = evaluate(A.T @ lam)
     iterations, stall, step = 0, "", np.zeros_like(lam)  # a dropped row never steps
     while True:
@@ -230,7 +308,7 @@ def _dual_newton(
             _refute(lam, index, b, v.min(), v.max())
         if iterations >= options.max_iter:
             break
-        hess = _weighted_gram(A, p, work, rows)
+        hess = hessian(p)
         hess -= np.outer(Apk := Ap[rows], Apk)
         hess.flat[:: len(hess) + 1] += HESS_EPS
         try:
@@ -266,8 +344,7 @@ def _closed_form(prior: Distribution, rows: System, live):
     the live outcomes they miss (module docstring), or None if it does not apply."""
     if rows.b.size and rows.source[0] != rows.source[-1]:
         return None
-    covers = rows.A.sum(axis=0)
-    if not ((rows.A == 0.0) | (rows.A == 1.0)).all() or np.any(covers > 1.0, where=live):
+    if (covers := _cells(rows.A, live)) is None:
         return None
     rest, left = live & (covers == 0.0), 1.0 - math.fsum(rows.b.tolist())
     if not rest.any():  # rows that cover the live support leave dust at most; more is the dual's
@@ -315,7 +392,7 @@ def maxent_update(
         q = prior.array[live]
         q = q / q.sum()
         A = rows.A if live.all() else rows.A.compress(live, axis=1)
-        p_live, lam, iterations = _dual_newton(q, A, rows.b, rows.index, options)
+        p_live, lam, iterations = _dual_newton(q, A, rows.b, rows.index, rows.source, options)
         multipliers = tuple(lam.tolist())
         full = np.zeros(len(prior.space))
         full[live] = p_live

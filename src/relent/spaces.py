@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate, repeat
+from types import MappingProxyType
 from operator import attrgetter
 from typing import Iterable, Literal, Mapping, Sequence
 
@@ -221,7 +222,8 @@ class _ArrayValued(_Value):
 
 class SampleSpace(_Value):
     """Ordered finite set of distinct outcome labels: strings (a subclass will do), UTF-8 safe;
-    ``index``, set when the space is built, maps each label to its position."""
+    ``index``, set when the space is built, maps each label to its position, a read-only view
+    of the dict that events look labels up in."""
 
     outcomes: tuple[str, ...]
 
@@ -240,8 +242,9 @@ class SampleSpace(_Value):
             raise ConstructionError(
                 "space.bad_label", f"outcome label {bad!r} is not writable text"
             ) from None
-        object.__setattr__(self, "index", dict(zip(self.outcomes, range(len(self.outcomes)))))
-        if len(self.index) != len(self.outcomes):
+        object.__setattr__(self, "_index", dict(zip(self.outcomes, range(len(self.outcomes)))))
+        object.__setattr__(self, "index", MappingProxyType(self._index))
+        if len(self._index) != len(self.outcomes):
             seen: set[str] = set()
             dup = next(x for x in self.outcomes if x in seen or seen.add(x))
             raise ConstructionError("space.duplicate_label", f"duplicate outcome label {dup!r}")
@@ -251,7 +254,7 @@ class SampleSpace(_Value):
 
     def __contains__(self, label: object) -> bool:
         try:
-            return label in self.index
+            return label in self._index
         except TypeError:  # an unhashable label is no outcome
             return False
 
@@ -309,7 +312,7 @@ class Event(_ArrayValued):
                 "event.bad_members", f"members must be a collection of labels, got {members!r}")
         labels = members if isinstance(members, (list, tuple)) else tuple(members)
         try:
-            positions = np.fromiter(map(space.index.__getitem__, labels), np.intp, len(labels))
+            positions = np.fromiter(map(space._index.__getitem__, labels), np.intp, len(labels))
         except (KeyError, TypeError):
             raise ConstructionError(
                 "event.unknown_label",

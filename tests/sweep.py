@@ -9,7 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from relent.constraints import CondProb, EventProb, Expectation, PartitionWeights
-from relent.spaces import Distribution, Event, Partition, RandomVariable
+from relent.scenario import Scenario
+from relent.spaces import Distribution, Event, Partition, RandomVariable, SampleSpace
 
 from conftest import space_of
 
@@ -23,19 +24,24 @@ def _random_partition(rng: np.random.Generator, space, k: int):
     return cells, Partition.from_labels(space, labels)
 
 
+def _sparse_prior(rng: np.random.Generator, n: int, zeroed: float) -> np.ndarray:
+    """Dirichlet(0.5) weights on ``n`` outcomes; in a share ``zeroed`` of the draws each is
+    set to 0 with probability 0.3 (one outcome to 1 when none is left), then renormalized."""
+    prior = rng.dirichlet(np.full(n, 0.5))
+    if rng.random() < zeroed:
+        prior[rng.random(n) < 0.3] = 0.0
+        if not prior.any():
+            prior[rng.integers(n)] = 1.0
+    return prior / prior.sum()
+
+
 def _jeffrey_request(rng: np.random.Generator, classes: int = 4):
     """A prior on 2-8 outcomes (zeros in half the draws), a partition of 2-5 cells, and
     weights from one of the first ``classes`` of five: Dirichlet(1); the same with one
     weight set to 0; a 1 beside a weight of 10^U(-17, -9); the prior's cell masses plus
     |N(0, 1e-11)| noise; Dirichlet(1) with every massless cell given 10^U(-16, -9)."""
     n = int(rng.integers(2, 9))
-    prior = rng.dirichlet(np.full(n, 0.5))
-    if rng.random() < 0.5:
-        prior[rng.random(n) < 0.3] = 0.0
-        if not prior.any():
-            prior[rng.integers(n)] = 1.0
-    prior /= prior.sum()
-    space = space_of(n)
+    prior, space = _sparse_prior(rng, n, 0.5), space_of(n)
     cells, part = _random_partition(rng, space, int(rng.integers(2, min(5, n) + 1)))
     k, masses = len(cells), np.array([prior[c].sum() for c in cells])
     kind = int(rng.integers(classes))
@@ -108,12 +114,7 @@ def _mixed_request(rng: np.random.Generator):
     last loses it. A weight shifted below zero raises ``ConstructionError`` as the request
     is built, which callers count as a request that fails to build."""
     n = int(rng.integers(3, 9))
-    prior = rng.dirichlet(np.full(n, 0.5))
-    if rng.random() < 0.4:
-        prior[rng.random(n) < 0.3] = 0.0
-        if not prior.any():
-            prior[rng.integers(n)] = 1.0
-    prior /= prior.sum()
+    prior = _sparse_prior(rng, n, 0.4)
     space, p = space_of(n), rng.dirichlet(np.ones(n))
     constraints = []
     for _ in range(int(rng.integers(2, 5))):
@@ -137,3 +138,38 @@ def _mixed_request(rng: np.random.Generator):
             weights[[0, -1]] += shift, -shift
             constraints.append(PartitionWeights(part, tuple(weights.tolist())))
     return Distribution.from_array(space, prior), constraints
+
+
+def _pin_beside_request(rng: np.random.Generator):
+    """A prior on 3-8 outcomes, Dirichlet(0.5) with outcomes zeroed at random in half the
+    draws, and a whole pin P(E) = 0 or 1, E holding each outcome with probability 1/2, beside
+    either a 2-5-cell partition with Dirichlet(1) weights or its first cell's EventProb at
+    that cell's weight, each in half the draws; the two come in random order."""
+    n = int(rng.integers(3, 9))
+    prior, space = _sparse_prior(rng, n, 0.5), space_of(n)
+    pin = EventProb(Event(space, np.compress(rng.random(n) < 0.5, space.outcomes).tolist()),
+                    float(rng.integers(2)))
+    _, part = _random_partition(rng, space, int(rng.integers(2, min(5, n) + 1)))
+    weights = tuple(rng.dirichlet(np.ones(len(part.cells))).tolist())
+    if rng.random() < 0.5:
+        constraints = [PartitionWeights(part, weights)]
+    else:
+        constraints = [EventProb(part.cells[0], weights[0])]
+    constraints.insert(int(rng.integers(2)), pin)
+    return Distribution.from_array(space, prior), constraints
+
+
+def _contingency_table(rng: np.random.Generator, k: int = 10) -> Scenario:
+    """A uniform k*k*k table fitted to the three pairwise marginals of a random one."""
+    w = len(str(k - 1))  # digits per axis, so labels stay distinct beyond k = 10
+    space = SampleSpace(tuple(f"t{i:0{w}}{j:0{w}}{l:0{w}}"
+                              for i in range(k) for j in range(k) for l in range(k)))
+    truth = rng.dirichlet(np.ones(k ** 3))
+    i, j, l = np.unravel_index(np.arange(k ** 3), (k, k, k))
+    labels = np.asarray(space.outcomes)
+    constraints = []
+    for cell_of in (i * k + j, i * k + l, j * k + l):
+        part = Partition.from_labels(space, [tuple(labels[cell_of == c]) for c in range(k * k)])
+        weights = np.bincount(cell_of, weights=truth, minlength=k * k)
+        constraints.append(PartitionWeights(part, tuple(weights / weights.sum())))
+    return Scenario(space, Distribution.uniform(space), tuple(constraints))

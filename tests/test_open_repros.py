@@ -14,11 +14,13 @@ import numpy as np
 import pytest
 
 from relent.cli import main
-from relent.constraints import CondProb, EventProb, PartitionWeights
+from relent.constraints import CondProb, EventProb
 from relent.errors import DegenerateConditional, InfeasibleConstraint
 from relent.scenario import Scenario, serialize
 from relent.solver import SolverOptions, maxent_update
-from relent.spaces import Distribution, Partition, SampleSpace
+from relent.spaces import Distribution, SampleSpace
+
+from sweep import _contingency_table
 
 ABC = SampleSpace(("a", "b", "c"))
 A_OR_B = ABC.subset("a", "b")
@@ -92,20 +94,6 @@ def test_cli(name, fast, tmp_path, monkeypatch, capsys):
     if code == 0:
         out = capsys.readouterr().out
         assert float(out.split("final_residual: ")[1].split("\n")[0]) <= SolverOptions().tol
-
-
-def _contingency_table(rng: np.random.Generator, k: int = 10) -> Scenario:
-    """A uniform k*k*k table fitted to the three pairwise marginals of a random one."""
-    space = SampleSpace(tuple(f"t{i}{j}{l}" for i in range(k) for j in range(k) for l in range(k)))
-    truth = rng.dirichlet(np.ones(k ** 3))
-    i, j, l = np.unravel_index(np.arange(k ** 3), (k, k, k))
-    labels = np.asarray(space.outcomes)
-    constraints = []
-    for cell_of in (i * k + j, i * k + l, j * k + l):
-        part = Partition.from_labels(space, [tuple(labels[cell_of == c]) for c in range(k * k)])
-        weights = np.bincount(cell_of, weights=truth, minlength=k * k)
-        constraints.append(PartitionWeights(part, tuple(weights / weights.sum())))
-    return Scenario(space, Distribution.uniform(space), tuple(constraints))
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2,

@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 import relent.constraints
 import relent.solver
 from relent.constraints import (
-    CondProb, EventProb, Expectation, PartitionWeights, compile_all, residual,
+    CondProb, EventProb, Expectation, PartitionWeights, compile_all, residual, triage_feasibility,
 )
 from relent.errors import (
     ConstructionError,
@@ -26,18 +26,21 @@ from relent.errors import (
 from relent.information import relative_entropy
 from relent.scenario import emit_report, parse_file
 from relent.solver import (
+    CELL_INDEX_ROWS,
     HESS_BLOCK,
     HESS_EPS,
     SolverOptions,
     UpdateReport,
+    _cell_blocks,
     _dual_newton,
-    _weighted_gram,
+    _gram,
     jeffrey_update,
     maxent_update,
 )
 from relent.spaces import (
     ZERO_MASS,
     Distribution,
+    Event,
     Partition,
     RandomVariable,
     SampleSpace,
@@ -48,8 +51,9 @@ from relent.spaces import (
 from conftest import (
     JOINTLY_INFEASIBLE_PINS, JOINTLY_INFEASIBLE_PRIOR, positive_distributions, space_of,
 )
-from sweep import SCALES, _jeffrey_request, _mixed_request, _near_boundary_pair
-from sweep import _pinned_support_request, _scaled_row
+from sweep import SCALES, _contingency_table, _jeffrey_request, _mixed_request
+from sweep import _near_boundary_pair, _pin_beside_request, _pinned_support_request
+from sweep import _random_partition, _scaled_row
 
 NO_FAST = SolverOptions(use_fast_paths=False)
 DATA = Path(__file__).resolve().parent / "data"
@@ -670,7 +674,7 @@ class TestBlockedHessian:
         A = rng.normal(size=(m, n))
         p = rng.dirichlet(np.ones(n))
         B = A * np.sqrt(p)
-        return _weighted_gram(A, p, np.empty((m, min(n, HESS_BLOCK)))), B @ B.T
+        return _gram(A, [])(p), B @ B.T
 
     def test_one_block_is_the_single_product(self):
         gram, single = self._gram(HESS_BLOCK)
@@ -695,7 +699,8 @@ class TestBlockedHessian:
         p_star /= p_star.sum()
         tracemalloc.start()
         try:
-            p, _, _ = _dual_newton(q, A, A @ p_star, tuple(range(16)), SolverOptions())
+            rows = tuple(range(16))  # each its own constraint
+            p, _, _ = _dual_newton(q, A, A @ p_star, rows, rows, SolverOptions())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -732,6 +737,85 @@ class TestBlockedHessian:
         rep = maxent_update(Distribution.from_array(space, q), constraints, options)
         assert rep.method == "dual_newton" and rep.final_residual <= options.tol
         assert np.abs(rep.posterior.array - p_star).sum() <= 1e-9
+
+
+class TestCellIndexGram:
+    """Partitions of at least CELL_INDEX_ROWS cells enter the dual's Gram products through their
+    cell index; every other row keeps the dense product."""
+
+    @pytest.mark.parametrize("seed", [18, 19])
+    def test_a_table_fit_is_iterative_proportional_fitting(self, seed):
+        # an independent oracle: cyclic Jeffrey updates on the three pairwise margins of a
+        # 10x10x10 table converge to the same I-projection the dual reaches
+        sc = _contingency_table(np.random.default_rng(seed))
+        system = compile_all(sc.constraints, sc.space)
+        assert len(_cell_blocks(system.A, system.source)) == 3
+        report = maxent_update(sc.prior, sc.constraints)
+        margins = [(np.argmax([cell.indicator for cell in c.partition.cells], axis=0),
+                    np.array(c.weights) / math.fsum(c.weights)) for c in sc.constraints]
+        p = sc.prior.array.copy()
+        for _ in range(100):
+            if max(np.abs(np.bincount(cell, p, len(w)) - w).max() for cell, w in margins) <= 1e-13:
+                break
+            for cell, w in margins:
+                p *= (w / np.bincount(cell, p, len(w)))[cell]
+        else:
+            pytest.fail("iterative proportional fitting did not reach 1e-13 in 100 sweeps")
+        assert report.method == "dual_newton" and report.final_residual <= SolverOptions().tol
+        assert np.abs(report.posterior.array - p).sum() <= 1e-10
+
+    @staticmethod
+    def _rows(rng):
+        """Triage's rows, on the live outcomes, of a random request that one p meets: 0-2
+        whole pins at 0, two partitions of CELL_INDEX_ROWS + 4 to + 12 cells, one of
+        3 cells, and 1-4 event, expectation or conditional rows, in random order."""
+        n = int(rng.integers(3 * CELL_INDEX_ROWS, 6 * CELL_INDEX_ROWS))
+        space, p = space_of(n), rng.dirichlet(np.ones(n))
+        constraints = []
+        for _ in range(int(rng.integers(3))):
+            pin = Event(space, np.compress(rng.random(n) < 0.1, space.outcomes).tolist())
+            constraints.append(EventProb(pin, 0.0))
+            p[pin.indicator] = 0.0
+        p /= p.sum()
+        for k in (*rng.integers(CELL_INDEX_ROWS + 4, CELL_INDEX_ROWS + 13, 2), 3):
+            cells, part = _random_partition(rng, space, int(k))
+            constraints.append(PartitionWeights(part, tuple(p[c].sum() for c in cells)))
+        for _ in range(int(rng.integers(1, 5))):
+            event, given = (Event(space, np.compress(rng.random(n) < 0.5, space.outcomes).tolist())
+                            for _ in range(2))
+            x = RandomVariable(space, tuple(rng.normal(size=n).tolist()))
+            constraints.append([
+                EventProb(event, float(p @ event.indicator)),
+                Expectation(x, float(p @ x.array)),
+                CondProb(event, given, float(p @ (event.indicator & given.indicator))
+                         / float(p @ given.indicator)),
+            ][int(rng.integers(3))])
+        constraints = [constraints[j] for j in rng.permutation(len(constraints))]
+        system = compile_all(constraints, space)
+        live, rows = triage_feasibility(system, Distribution.uniform(space), SolverOptions().tol)
+        return rows.A.compress(live, axis=1), rows.source, p[live]
+
+    def test_the_gram_is_the_dense_product(self):
+        # on a random subset of triage's rows (so a partition may miss a cell, whose outcomes
+        # no row of its block covers) and a random subset of those: A diag(w) A^T at a
+        # posterior-like w and at unit weights, as the dense product gives it
+        rng = np.random.default_rng(20261045)
+        ran = {"blocks": 0, "beside dense rows": 0}
+        for _ in range(30):
+            A, source, p = self._rows(rng)
+            sub = np.flatnonzero(rng.random(len(A)) < 0.95)
+            A, source = A[sub], tuple(source[j] for j in sub)
+            blocks = _cell_blocks(A, source)
+            kept = np.flatnonzero(rng.random(len(A)) < 0.8)
+            dense = [j for j in kept if not any(r0 <= j < r1 for r0, r1, _ in blocks)]
+            ran["blocks"] += bool(blocks)
+            ran["beside dense rows"] += bool(blocks) and bool(dense)
+            gram = _gram(A, blocks, kept)
+            for w in (p, None):
+                B = A[kept] if w is None else A[kept] * w
+                expected = B @ A[kept].T
+                assert np.abs(gram(w) - expected).max() <= 1e-14 * np.abs(expected).max()
+        assert min(ran.values()) >= 25, ran
 
 
 class TestMaxentFailureModes:
@@ -1072,15 +1156,15 @@ class TestOneToleranceContract:
                 assert rep.final_residual <= tol
         print(f"NonConvergence on {unproven} of the {infeasible} infeasible requests in 800")
 
-    def test_every_refusal_of_a_mixed_request_is_proved_by_its_witnesses(self):
-        # a seeded slice of the differential sweep (ROADMAP item 7): 200 requests of 2-4 mixed
-        # rows, each solved with fast paths on and off; only the witness check is asserted,
-        # and every other outcome is counted by class
-        rng = np.random.default_rng(20261040)
+    @staticmethod
+    def _slice(draw):
+        """200 requests from ``draw``, each solved with fast paths on and off: every
+        refusal's witnesses must pass ``_assert_refutes``; the outcomes are counted by class
+        and printed, with the requests that fail to build."""
         counts, unbuilt = {}, 0
         for _ in range(200):
             try:
-                prior, cs = _mixed_request(rng)
+                prior, cs = draw()
             except ConstructionError:
                 unbuilt += 1
                 continue
@@ -1094,6 +1178,18 @@ class TestOneToleranceContract:
                     outcome = type(err).__name__
                 counts[setting, outcome] = counts.get((setting, outcome), 0) + 1
         print(f"{unbuilt} of 200 requests fail to build; outcomes {sorted(counts.items())}")
+
+    def test_every_refusal_of_a_mixed_request_is_proved_by_its_witnesses(self):
+        # a seeded slice of the differential sweep (ROADMAP item 7): 200 requests of 2-4 mixed
+        # rows; only the witness check is asserted, and every other outcome is counted
+        rng = np.random.default_rng(20261040)
+        self._slice(lambda: _mixed_request(rng))
+
+    def test_every_refusal_of_a_pin_beside_a_constraint_is_proved_by_its_witnesses(self):
+        # the same for a whole pin beside a partition or one cell's EventProb (item 7's
+        # default_rng(20261023) recipe)
+        rng = np.random.default_rng(20261023)
+        self._slice(lambda: _pin_beside_request(rng))
 
 
 class TestFastPathAgreement:

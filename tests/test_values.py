@@ -163,6 +163,13 @@ class TestDerivedAttributes:
         assert vars(space)["index"] == {"x": 0, "y": 1}
         assert repr(space) == "SampleSpace(outcomes=('x', 'y'))"
 
+    def test_a_sample_space_index_is_read_only(self):
+        # events look labels up in the space's own dict, so its index must not be writable
+        space = SampleSpace(("a", "b"))
+        with pytest.raises(TypeError):
+            space.index["a"] = 1
+        assert space.index == {"a": 0, "b": 1} and Event(space, ["a"]).labels == ["a"]
+
     def test_reading_the_support_caches_nothing(self):
         d = Distribution(AB, [0.0, 1.0])
         first, second = d.support, d.support
