@@ -46,6 +46,10 @@ from .scenario import (
 )
 from .solver import SolverOptions, maxent_update
 
+#: The deviation each ``relent axioms`` trial may show and still pass, the "1e-8" its
+#: report prints.
+AXIOM_TOL = 1e-8
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on bad flags; this interface reserves 2 for
@@ -179,13 +183,12 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 def _cmd_axioms(args: argparse.Namespace) -> int:
     from .axioms import check_axiom4b, random_reweighting_case  # only this command runs trials
 
-    tol = 1e-8
     worst = 0.0
     passed = 0
     for i in range(args.trials):
         rng = np.random.default_rng([args.seed, i])
         prior, part, weights = random_reweighting_case(rng, args.n_max)
-        report = check_axiom4b(prior, part, weights, tol=tol)
+        report = check_axiom4b(prior, part, weights, tol=AXIOM_TOL)
         worst = max(worst, report.max_deviation)
         passed += int(report.passed)
     if passed == args.trials:

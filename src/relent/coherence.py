@@ -44,6 +44,13 @@ ADMISSIBLE_DIST = 1e-9
 MAX_MAJOR_STEPS = 10_000
 GAP_TOL = 1e-14
 
+#: The affine minimizer's weights count as a convex combination down to minus this, the
+#: rounding of the small solve that gives them, which ends the minor cycle.
+AFFINE_WEIGHT_TOL = 1e-12
+
+#: A point whose weight in the combination falls to this or below leaves the active set.
+DROP_WEIGHT = 1e-14
+
 
 class ForecastSystem(_ArrayValued):
     """Numbers x_i announced for events E_i over one sample space.
@@ -219,7 +226,7 @@ def _project_to_hull(W: np.ndarray, norms: np.ndarray) -> np.ndarray:
         for _minor in range(k):
             y = np.linalg.solve(G[:k, :k], ones[:k])
             alpha = y / y.sum()
-            if alpha.min() >= -1e-12:
+            if alpha.min() >= -AFFINE_WEIGHT_TOL:
                 beta = np.maximum(alpha, 0.0)
                 beta /= beta.sum()
                 break
@@ -228,7 +235,7 @@ def _project_to_hull(W: np.ndarray, norms: np.ndarray) -> np.ndarray:
                 ratio = np.where(alpha < beta, beta / (beta - alpha), np.inf)
             theta = float(min(1.0, ratio[alpha < 0.0].min()))
             beta = (1.0 - theta) * beta + theta * alpha
-            keep = np.flatnonzero(beta > 1e-14)
+            keep = np.flatnonzero(beta > DROP_WEIGHT)
             active = [active[i] for i in keep]
             k = len(keep)
             S[:k], G[:k, :k] = S[keep], G[np.ix_(keep, keep)]

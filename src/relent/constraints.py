@@ -3,7 +3,10 @@
 Every constraint kind compiles to one or more rows
 ``sum_i coeffs[i] * posterior[i] = target``, and the rows of an update
 form one :class:`System`: ``A p = b``, with a column of ``A`` per
-outcome of the space, plus the constraint each row came from. The
+outcome of the space, plus the constraint each row came from. A
+partition of at least ``CELL_INDEX_ROWS`` cells is held as its cell
+index, one intp per outcome, instead of its dense rows, and every
+reader forms its products through the system's :class:`Matrix`. The
 solver compiles each constraint exactly once per update, and every step
 of the update, from feasibility screening to the final residual, reads
 that one system, never the constraint kinds.
@@ -24,6 +27,14 @@ import numpy as np
 from .errors import InfeasibleConstraint
 from .spaces import Distribution, Event, Partition, RandomVariable, SampleSpace, _Value, _readonly
 from .spaces import _finite_array, _finite_scalar, _require_same_space, _require_simplex, _row_dots
+
+
+#: A partition of at least this many cells compiles to its cell index, an intp per outcome,
+#: and its targets, not to a dense float row per cell; products with its rows then cost O(n)
+#: per partition instead of O(n k). Smaller ones keep their dense rows: beside up to 20 dense
+#: rows at n >= 2000, the dual's Gram products were faster through the index from 32 cells on
+#: at every size measured, and slower at 4 cells.
+CELL_INDEX_ROWS = 32
 
 
 def _require_finite(value: float, what: str) -> float:
@@ -118,7 +129,8 @@ Constraint = Union[EventProb, Expectation, CondProb, PartitionWeights]
 
 def compile_constraint(c: Constraint, space: SampleSpace) -> tuple[tuple[np.ndarray, float], ...]:
     """Lower one constraint to ``(coeffs, target)`` rows aligned to ``space``; an event's or
-    a cell's row is its bool mask, the others are float64."""
+    a cell's row is its bool mask, the others are float64. :func:`compile_all` turns the
+    masks of a partition of at least ``CELL_INDEX_ROWS`` cells into one cell index."""
     if not isinstance(c, Constraint):  # before c.space, which another object may lack
         raise TypeError(f"not a constraint: {c!r}")
     _require_same_space(c.space, space, "constraint")
@@ -133,10 +145,109 @@ def compile_constraint(c: Constraint, space: SampleSpace) -> tuple[tuple[np.ndar
     return tuple((cell.indicator, w / total) for cell, w in zip(c.partition.cells, c.weights))
 
 
+class Matrix:
+    """The rows of a :class:`System`, in its order, on some of its outcomes (the columns).
+
+    ``A`` holds the dense rows, in order, and ``blocks`` the rest: each ``(r0, r1, cell)``
+    stands for rows r0 to r1 - 1, disjoint 0/1 rows of one partition, where ``cell`` holds
+    for each column the offset from r0 of the row that is 1 there, or r1 - r0 where none is.
+    Every product with the rows is formed here: per row (``dot``), per column (``tdot``),
+    their ranges, one row, and the restriction to some columns or some rows. Without
+    blocks each is one numpy call on ``A``.
+    """
+
+    __slots__ = ("A", "blocks", "m", "dense")
+
+    def __init__(self, A: np.ndarray, blocks: tuple, m: int):
+        self.A, self.blocks, self.m = A, blocks, m
+        self.dense = None  # positions of A's rows, when some rows are blocks'
+        if blocks:
+            dense = np.ones(m, bool)
+            for r0, r1, _ in blocks:
+                dense[r0:r1] = False
+            self.dense = np.flatnonzero(dense)
+
+    def _spread(self, part: np.ndarray) -> np.ndarray:
+        """An m-vector with the dense rows' entries ``part``, for the blocks to fill."""
+        out = np.empty(self.m)
+        out[self.dense] = part
+        return out
+
+    def dot(self, p: np.ndarray | None = None, kernel=np.matmul) -> np.ndarray:
+        """A p per row, the dense rows' part by ``kernel(A, p)``; each row's sum if p is None."""
+        part = self.A.sum(axis=1) if p is None else kernel(self.A, p)
+        if not self.blocks:
+            return part
+        out = self._spread(part)
+        for r0, r1, cell in self.blocks:
+            out[r0:r1] = np.bincount(cell, p, r1 - r0 + 1)[:-1]
+        return out
+
+    def tdot(self, y: np.ndarray) -> np.ndarray:
+        """A^T y per column, or Y A, a row per row of a matrix ``y``."""
+        if not self.blocks:
+            return self.A.T @ y if y.ndim == 1 else y @ self.A
+        out = y[..., self.dense] @ self.A
+        for r0, r1, cell in self.blocks:
+            pad = np.zeros((*y.shape[:-1], r1 - r0 + 1))  # 0 where no row of the block is 1
+            pad[..., :-1] = y[..., r0:r1]
+            out += pad[..., cell]
+        return out
+
+    def ranges(self, live=True) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's least and greatest value on the ``live`` columns (a mask, or all)."""
+        lo = self.A.min(axis=1, where=live, initial=np.inf)
+        hi = self.A.max(axis=1, where=live, initial=-np.inf)
+        if not self.blocks:
+            return lo, hi
+        lo, hi = self._spread(lo), self._spread(hi)
+        for r0, r1, cell in self.blocks:
+            count = np.bincount(cell if live is True else cell[live], None, r1 - r0 + 1)
+            hi[r0:r1] = count[:-1] > 0  # 1 where the row's cell meets the live columns
+            lo[r0:r1] = count[:-1] == count.sum()  # 1 where it holds all of them
+        return lo, hi
+
+    def row(self, j: int) -> np.ndarray:
+        """Row j on every column: a float row, or a block's row as a bool mask."""
+        for r0, r1, cell in self.blocks:
+            if r0 <= j < r1:
+                return cell == j - r0
+        return self.A[j if self.dense is None else int(np.searchsorted(self.dense, j))]
+
+    def compress(self, live: np.ndarray) -> "Matrix":
+        """These rows on the ``live`` columns only."""
+        return Matrix(self.A.compress(live, axis=1),
+                      tuple((r0, r1, cell.compress(live)) for r0, r1, cell in self.blocks), self.m)
+
+    def take(self, rows) -> "Matrix":
+        """The rows at the increasing positions ``rows``, in order, each block's renumbered;
+        ``A`` itself, not a copy, when they keep every dense row."""
+        rows = np.asarray(rows, np.intp)
+        dense = rows if self.dense is None else np.searchsorted(
+            self.dense, rows[np.isin(rows, self.dense)])  # positions in A
+        blocks = []
+        for r0, r1, cell in self.blocks:
+            mine = rows[(rows >= r0) & (rows < r1)] - r0
+            if mine.size:
+                start = int(np.searchsorted(rows, r0))
+                offset = np.full(r1 - r0 + 1, mine.size)
+                offset[mine] = np.arange(mine.size)
+                blocks.append((start, start + mine.size, _readonly(offset[cell])))
+        A = self.A if len(dense) == len(self.A) else self.A[dense]
+        return Matrix(A, tuple(blocks), len(rows))
+
+
 class System(_Value):
-    """Compiled rows ``A p = b`` on the sample space it names, ``space``: ``A`` is read-only,
-    C-ordered float64, with a column per outcome, and row j is compiled row ``index[j]``, from
-    constraint ``source[j]``, with conditioning event ``given[j]`` (None unless conditional)."""
+    """Compiled rows ``A p = b`` on the sample space it names, ``space``.
+
+    Row j is compiled row ``index[j]``, from constraint ``source[j]``, with conditioning
+    event ``given[j]`` (None unless conditional) and target ``b[j]``. ``blocks`` holds each
+    partition of at least ``CELL_INDEX_ROWS`` cells as ``(r0, r1, cell)``: rows r0 to r1 - 1
+    are its cells, and the read-only intp ``cell`` holds each outcome's offset in them, or
+    r1 - r0 where none of them is 1. ``A``, read-only and C-ordered float64 with a column per
+    outcome, holds every other row, in order. ``matrix``, the :class:`Matrix` of all the
+    rows, is set once built; every reader of the rows forms its products through it.
+    """
 
     space: SampleSpace
     A: np.ndarray
@@ -144,6 +255,10 @@ class System(_Value):
     index: tuple[int, ...]
     source: tuple[int, ...]
     given: tuple[Event | None, ...]
+    blocks: tuple[tuple[int, int, np.ndarray], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", Matrix(self.A, self.blocks, len(self.b)))
 
     # one compiled system is one update's, so it equals only itself
     __eq__ = object.__eq__
@@ -151,24 +266,33 @@ class System(_Value):
 
 
 def compile_all(constraints: Sequence[Constraint], space: SampleSpace) -> System:
-    """The :class:`System` of ``constraints``, each compiled once, rows in their order."""
-    rows, source, given = [], [], []
+    """The :class:`System` of ``constraints``, each compiled once, rows in their order; a
+    partition of at least ``CELL_INDEX_ROWS`` cells becomes a block, its cell index built
+    here from the cells' masks, and every other row a row of ``A``."""
+    dense, b, source, given, blocks = [], [], [], [], []
     for k, c in enumerate(constraints):
         c_rows = compile_constraint(c, space)
-        rows += c_rows
+        if isinstance(c, PartitionWeights) and len(c_rows) >= CELL_INDEX_ROWS:
+            cell = np.empty(len(space), np.intp)
+            for j, (mask, _) in enumerate(c_rows):
+                cell[mask] = j
+            blocks.append((len(b), len(b) + len(c_rows), _readonly(cell)))
+        else:
+            dense += [coeffs for coeffs, _ in c_rows]
+        b += [t for _, t in c_rows]
         source += [k] * len(c_rows)
         given += [c.given if isinstance(c, CondProb) else None] * len(c_rows)
     # float64 even when every row is an event's mask
-    A = _readonly(np.array([coeffs for coeffs, _ in rows], float).reshape(len(rows), len(space)))
-    return System(space, A, np.array([t for _, t in rows], float), tuple(range(len(rows))),
-                  tuple(source), tuple(given))
+    A = _readonly(np.array(dense, float).reshape(len(dense), len(space)))
+    return System(space, A, np.array(b, float), tuple(range(len(b))), tuple(source),
+                  tuple(given), tuple(blocks))
 
 
 def residual(dist: Distribution, system: System) -> float:
-    """Largest absolute violation of ``A p = b`` under ``dist``, each row's ``a @ p`` exactly;
-    ``dist`` must live on the system's space (``constraint.space_mismatch``)."""
+    """Largest absolute violation of ``A p = b`` under ``dist``, each dense row's ``a @ p``
+    exactly; ``dist`` must live on the system's space (``constraint.space_mismatch``)."""
     _require_same_space(system.space, dist.space, "constraint")
-    return float(np.abs(_row_dots(system.A, dist.array) - system.b).max(initial=0.0))
+    return float(np.abs(system.matrix.dot(dist.array, _row_dots) - system.b).max(initial=0.0))
 
 
 class Witness(_Value):
@@ -232,12 +356,11 @@ def triage_feasibility(
     support never becomes empty.
     """
     _require_same_space(system.space, prior.space, "constraint")
-    A, b = system.A, system.b.tolist()
+    A, b = system.matrix, system.b.tolist()
     active = list(range(len(b)))
     live = prior.support
     while True:
-        lo = A.min(axis=1, where=live, initial=np.inf).tolist()
-        hi = A.max(axis=1, where=live, initial=-np.inf).tolist()
+        lo, hi = (x.tolist() for x in A.ranges(live))
         witnesses = [
             Witness((system.index[j],), (1.0,), b[j], lo[j], hi[j]) if b[j] > hi[j]
             else Witness((system.index[j],), (-1.0,), -b[j], -hi[j], -lo[j])
@@ -247,7 +370,7 @@ def triage_feasibility(
             raise InfeasibleConstraint(*witnesses)
         for j in [j for j in active if not lo[j] < b[j] < hi[j]]:
             active.remove(j)
-            face = live & (A[j] == (hi[j] if b[j] >= hi[j] else lo[j]))
+            face = live & (A.row(j) == (hi[j] if b[j] >= hi[j] else lo[j]))
             if not np.array_equal(face, live):
                 live = face
                 break
@@ -255,5 +378,7 @@ def triage_feasibility(
             break
     if len(active) == len(b):
         return live, system
-    return live, System(system.space, _readonly(A[active]), system.b[active], *(
-        tuple(field[j] for j in active) for field in (system.index, system.source, system.given)))
+    kept = A.take(active)
+    return live, System(system.space, _readonly(kept.A), system.b[active], *(
+        tuple(field[j] for j in active) for field in (system.index, system.source, system.given)),
+        kept.blocks)

@@ -23,19 +23,25 @@ gives one value y . A_i, up to rounding, on every outcome; the group's
 targets then move until they agree (Lawson's reweighted least squares,
 toward moving none by more than tol). Damped Newton steps on the kept
 rows, each taken only if the dual rises by ARMIJO times its slope, stop
-once every active row is within tol of its target. The selection's
-covariance and each step's Hessian are Gram products A diag(w) A^T of the
-rows, formed in one place, ``_gram``: a run of at least CELL_INDEX_ROWS
-disjoint 0/1 rows of one constraint (a many-cell partition, found once per
-solve by the test the closed form makes) enters through its cell index,
-as the diagonal of its cell masses, one ``bincount`` table against another
-such run and one weighted ``bincount`` against each other row, and the
-other rows through a dense product. A stake y refutes the
-targets, here as in triage, when y . targets lies outside y . A_i's range
-on the live outcomes by more than |y|_1 tol plus rounding; here the stakes
-are each such row k's y, and lam at every iterate, since an infeasible
-set's dual is unbounded and lam . targets outgrows max_i (A^T lam)_i. Each
-refusal raises its stake as a ``Witness`` on the rows' compiled numbers.
+once every active row is within tol of its target. Every product with
+the rows goes through the ``System``'s ``Matrix``, restricted to the live
+outcomes and, for the Newton system, to the kept rows: A p, A^T lam, row
+sums and ranges. A partition of at least CELL_INDEX_ROWS cells is a block
+there, held as its cell index, and each of those products reads it with
+one ``bincount`` or one gather, at O(n); the closed form reads its cells
+as masks. The selection's covariance and each step's Hessian are Gram
+products A diag(w) A^T of the rows, formed in one place, ``_gram``: a
+block enters as the diagonal of its cell masses, one ``bincount`` table
+against another block and one weighted ``bincount`` against each dense
+row, and the dense rows through a dense product. The selection forms its
+covariance in place in the unit Gram and raises its diagonal in place to
+factor it, so it holds three m x m matrices at the factorization. A stake
+y refutes the targets, here as in triage, when y . targets lies outside
+y . A_i's range on the live outcomes by more than |y|_1 tol plus rounding;
+here the stakes are each such row k's y, and lam at every iterate, since
+an infeasible set's dual is unbounded and lam . targets outgrows
+max_i (A^T lam)_i. Each refusal raises its stake as a ``Witness`` on the
+rows' compiled numbers.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ import numpy as np
 
 from . import constraints as _constraints
 from . import information
-from .constraints import Constraint, PartitionWeights, System, Witness
+from .constraints import Constraint, Matrix, PartitionWeights, System, Witness
 from .errors import ConstructionError, DegenerateConditional, InfeasibleConstraint, NonConvergence
 from .spaces import ZERO_MASS, Distribution, Partition, _finite_scalar, _integer, _reweight
 from .spaces import _Value
@@ -56,24 +62,22 @@ from .spaces import _Value
 #: only damps a step whose Hessian is near singular because a row has tiny prior mass.
 HESS_EPS = 1e-12
 
-#: Columns per block of the Hessian's dense product, on the rows outside a cell-index
-#: run (CELL_INDEX_ROWS): each solve's workspace holds this many columns of
-#: B = A diag(sqrt p) on those rows at most, so its size does not grow with the space, and a
-#: block stays in cache while BLAS reads it. The selection's product at unit weights is one
-#: A A^T on those rows, and no workspace is written for a run's rows.
+#: Columns per block of the Hessian's dense product, on the dense rows (those outside the
+#: System's blocks): each solve's workspace holds this many columns of B = A diag(sqrt p)
+#: on those rows at most, so its size does not grow with the space, and a block stays in
+#: cache while BLAS reads it. The selection's product at unit weights is one A A^T on those
+#: rows, and no workspace is written for a block's rows.
 HESS_BLOCK = 1 << 14
-
-#: Rows of one constraint that are disjoint 0/1 rows, a partition's cells, enter the dual's
-#: Gram products through their cell index, at O(n) per pair of runs and per other row, once
-#: they number at least this many; fewer keep the dense product, at O(n m^2). A solve beside
-#: up to 20 dense rows at n >= 2000 was faster from 32 cells on at every size measured.
-CELL_INDEX_ROWS = 32
 
 #: Armijo's sufficient-increase fraction: a trial lam + t * step is accepted
 #: only if the dual rises by at least ARMIJO * t * (grad . step), so a step that
 #: gains far less than its slope promises (one that collapses p onto a single
 #: outcome, say) is halved instead of taken.
 ARMIJO = 0.25
+
+#: The Armijo test forgives a shortfall of this times 1 + |dual|, the rounding of the two
+#: log Z evaluations it compares, so a step that rounding alone holds back is taken.
+ARMIJO_ROUNDING = 1e-15
 
 Method = Literal["dual_newton", "jeffrey", "conditionalization", "no_op"]
 
@@ -164,62 +168,44 @@ def _cells(A: np.ndarray, live=True) -> np.ndarray | None:
     return covers
 
 
-def _cell_blocks(A: np.ndarray, source: tuple[int, ...]) -> list[tuple[int, int, np.ndarray]]:
-    """Each run of at least CELL_INDEX_ROWS rows of ``A`` from one constraint, by ``source``,
-    that are disjoint 0/1 rows, as (first row, end, cell index): each outcome's row in the
-    run, or the run's length where no row of it covers the outcome."""
-    starts = [j for j in range(len(source)) if not j or source[j] != source[j - 1]]
-    blocks = []
-    for r0, r1 in zip(starts, [*starts[1:], len(source)]):
-        if r1 - r0 >= CELL_INDEX_ROWS and (covers := _cells(run := A[r0:r1])) is not None:
-            blocks.append((r0, r1, np.where(covers == 1.0, run.argmax(axis=0), r1 - r0)))
-    return blocks
-
-
-def _gram(A: np.ndarray, blocks, rows=slice(None)):
+def _gram(A: Matrix, rows=slice(None)):
     """The function of weights p (None for unit weights) that gives A diag(p) A^T on ``rows``
     of A: the one place the dual forms a Gram product (module docstring, HESS_BLOCK), with
-    the rows split by ``blocks`` (:func:`_cell_blocks`) and the workspace set up once."""
-    kept = np.arange(len(A))[rows]
-    parts = [(np.flatnonzero(mine), kept[mine] - r0, r1 - r0 + 1, cell_of)
-             for r0, r1, cell_of in blocks if (mine := (kept >= r0) & (kept < r1)).any()]
-    if parts:
-        dense = np.ones(len(kept), bool)
-        for at, *_ in parts:
-            dense[at] = False
-        d = np.flatnonzero(dense)
-        rows = kept[d]
-    outside = len(kept) - sum(len(at) for at, *_ in parts)  # rows in no run
-    work = np.empty((outside, min(A.shape[1], HESS_BLOCK)))  # for p's products
+    the blocks taken from the matrix and the workspace set up once."""
+    if A.blocks:
+        A, rows = A.take(np.arange(A.m)[rows]), slice(None)
+    m, blocks, dense, D = A.m, A.blocks, A.dense, A.A  # D: the dense rows
+    work = np.empty((np.arange(len(D))[rows].size, min(D.shape[1], HESS_BLOCK)))  # p's products
 
     def dense_gram(p=None):
         if p is None:
-            return (B := A[rows]) @ B.T  # symmetric, so BLAS forms one triangle (syrk)
-        n, width = A.shape[1], work.shape[1]
+            return (B := D[rows]) @ B.T  # symmetric, so BLAS forms one triangle (syrk)
+        n, width = D.shape[1], work.shape[1]
         for s in range(0, n, width):
             block = work[:, : min(width, n - s)]
-            np.multiply(A[rows, s : s + width], np.sqrt(p[s : s + width]), out=block)
+            np.multiply(D[rows, s : s + width], np.sqrt(p[s : s + width]), out=block)
             product = block @ block.T
             gram = product if s == 0 else gram + product
         return gram
 
-    if not parts:
+    if not blocks:
         return dense_gram
 
     def gram(p=None):
-        out = np.zeros((len(kept), len(kept)))
-        if d.size:
-            out[np.ix_(d, d)] = dense_gram(p)
-        for i, (at, cells, size, cell_of) in enumerate(parts):
-            out[at, at] = np.bincount(cell_of, p, size)[cells]  # disjoint: a diagonal block
-            for at2, cells2, size2, cell_of2 in parts[:i]:
-                table = np.bincount(cell_of * size2 + cell_of2, p, size * size2)
-                out[np.ix_(at, at2)] = meet = table.reshape(size, size2)[np.ix_(cells, cells2)]
-                out[np.ix_(at2, at)] = meet.T
-        for j in d:
-            row = A[kept[j]] if p is None else A[kept[j]] * p
-            for at, cells, size, cell_of in parts:
-                out[at, j] = out[j, at] = np.bincount(cell_of, row, size)[cells]
+        out = np.zeros((m, m))
+        if dense.size:
+            out[np.ix_(dense, dense)] = dense_gram(p)
+        for i, (r0, r1, cell) in enumerate(blocks):
+            at, size = np.arange(r0, r1), r1 - r0 + 1
+            out[at, at] = np.bincount(cell, p, size)[:-1]  # disjoint: a diagonal block
+            for s0, s1, cell2 in blocks[:i]:
+                table = np.bincount(cell * (s1 - s0 + 1) + cell2, p, size * (s1 - s0 + 1))
+                out[r0:r1, s0:s1] = meet = table.reshape(size, s1 - s0 + 1)[:-1, :-1]
+                out[s0:s1, r0:r1] = meet.T
+        for j, row in zip(dense, D):
+            row = row if p is None else row * p
+            for r0, r1, cell in blocks:
+                out[r0:r1, j] = out[j, r0:r1] = np.bincount(cell, row, r1 - r0 + 1)[:-1]
         return out
 
     return gram
@@ -232,22 +218,24 @@ def _refute(y: np.ndarray, index: tuple[int, ...], b: np.ndarray, lo: float, hi:
         tuple(index[j] for j in k), tuple(y[k].tolist()), float(y @ b), float(lo), float(hi)))
 
 
-def _independent_rows(A: np.ndarray, b: np.ndarray, index, row_max: np.ndarray, tol: float,
-                      blocks):
+def _independent_rows(A: Matrix, b: np.ndarray, index, row_max: np.ndarray, tol: float):
     """The rows the Newton system keeps, and the targets it solves for (module docstring)."""
-    m, n = A.shape
-    sq = _gram(A, blocks)()
-    cov = sq - np.outer(total := A.sum(axis=1), total / n)  # n times the covariance
-    tiny, var, ss = max(m, n) * np.finfo(float).eps, cov.diagonal(), sq.diagonal()
-    try:  # tiny times each row's sum of squares outweighs the rounding of cov
-        keep = np.linalg.cholesky(cov + np.diag(tiny * ss)).diagonal() ** 2 > math.sqrt(tiny) * var
+    m, n = A.m, A.A.shape[1]
+    cov = _gram(A)()
+    ss = cov.diagonal().copy()  # each row's sum of squares
+    cov -= np.outer(total := A.dot(), total / n)  # in place: n times the covariance
+    tiny, var = max(m, n) * np.finfo(float).eps, cov.diagonal().copy()
+    cov.flat[:: m + 1] += tiny * ss  # tiny times it outweighs the rounding of cov
+    try:
+        keep = np.linalg.cholesky(cov).diagonal() ** 2 > math.sqrt(tiny) * var
     except np.linalg.LinAlgError:  # rounding left no covariance to judge by
         return slice(None), b
+    cov.flat[:: m + 1] = var
     if keep.all():
         return slice(None), b
     Y = np.eye(m)[drop := ~keep]
     Y[:, keep] = -np.linalg.solve(cov[keep][:, keep], cov[keep][:, drop]).T
-    lo, hi, absY = (V := Y @ A).min(axis=1), V.max(axis=1), np.abs(Y)
+    lo, hi, absY = (V := A.tdot(Y)).min(axis=1), V.max(axis=1), np.abs(Y)
     gap, half, slack = Y @ b - (lo + hi) / 2, (hi - lo) / 2, m * tiny * (absY @ row_max)
     for d in np.flatnonzero(np.abs(gap) - half - slack > absY.sum(axis=1) * tol)[:1]:
         _refute(Y[d], index, b, lo[d], hi[d])
@@ -263,21 +251,20 @@ def _independent_rows(A: np.ndarray, b: np.ndarray, index, row_max: np.ndarray, 
 
 
 def _dual_newton(
-    q: np.ndarray, A: np.ndarray, b: np.ndarray, index: tuple[int, ...], source: tuple[int, ...],
-    options: SolverOptions,
+    q: np.ndarray, A: Matrix, b: np.ndarray, index: tuple[int, ...], options: SolverOptions,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Maximize lam . b - log Z(lam) for the reduced, strictly positive prior ``q``.
 
     Returns (posterior on the reduced index, multipliers, accepted steps).
     Raises :class:`InfeasibleConstraint` when a stake on the rows of ``A``,
-    compiled rows ``index`` from constraints ``source``, refutes ``b`` (see
-    the module docstring), and :class:`NonConvergence` when the budget runs
-    out first or no step along the Newton direction, however short, raises
-    the dual.
+    compiled rows ``index``, refutes ``b`` (see the module docstring), and
+    :class:`NonConvergence` when the budget runs out first or no step along
+    the Newton direction, however short, raises the dual.
     """
     logq = np.log(q)
-    lam = np.zeros(A.shape[0])
-    row_max = np.maximum(A.max(axis=1), -A.min(axis=1))  # max |A_ij| without |A|
+    lam = np.zeros(A.m)
+    lo, hi = A.ranges()
+    row_max = np.maximum(hi, -lo)  # max |A_ij| without |A|
 
     def evaluate(at: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """The given A^T lam, the posterior it induces, and log Z(lam)."""
@@ -289,22 +276,21 @@ def _dual_newton(
         z /= total
         return at, z, shift + math.log(total)
 
-    blocks = _cell_blocks(A, source)
-    rows, target = _independent_rows(A, b, index, row_max, options.tol, blocks)
-    hessian = _gram(A, blocks, rows)
+    rows, target = _independent_rows(A, b, index, row_max, options.tol)
+    hessian = _gram(A, rows)
     # a stake's tol per row, plus twice the rounding of the m-term dots lam . b and A^T lam
     stake_tol = options.tol + 2 * len(b) * np.finfo(float).eps * (row_max + np.abs(b))
-    at, p, logz = evaluate(A.T @ lam)
+    at, p, logz = evaluate(A.tdot(lam))
     iterations, stall, step = 0, "", np.zeros_like(lam)  # a dropped row never steps
     while True:
-        Ap = A @ p
+        Ap = A.dot(p)
         grad = target - Ap
         res = float(np.abs(b - Ap).max())  # every active row, against the caller's targets
         if res <= options.tol:
             return p, lam, iterations
         lam_b, margin = float(lam @ b), float(np.abs(lam) @ stake_tol)
         # at may carry the rounding of halved steps; the proof rests on A^T lam itself
-        if lam_b - float(at.max()) > margin and lam_b - float((v := A.T @ lam).max()) > margin:
+        if lam_b - float(at.max()) > margin and lam_b - float((v := A.tdot(lam)).max()) > margin:
             _refute(lam, index, b, v.min(), v.max())
         if iterations >= options.max_iter:
             break
@@ -321,11 +307,12 @@ def _dual_newton(
         # finite. Trials after the first move A^T lam along d = A^T step, at O(n) each.
         t, d = 1.0, None
         while t and ((cand := lam + t * step) != lam).any():
-            trial = evaluate(A.T @ cand if d is None else at + t * d)
-            if float(cand @ target) - trial[2] >= gval + t * slope - 1e-15 * (1.0 + abs(gval)):
+            trial = evaluate(A.tdot(cand) if d is None else at + t * d)
+            rounding = ARMIJO_ROUNDING * (1.0 + abs(gval))
+            if float(cand @ target) - trial[2] >= gval + t * slope - rounding:
                 break
             if d is None:
-                d = A.T @ step
+                d = A.tdot(step)
             t *= 0.5
         else:
             stall = ": no step along the Newton direction raised the dual"
@@ -344,14 +331,18 @@ def _closed_form(prior: Distribution, rows: System, live):
     the live outcomes they miss (module docstring), or None if it does not apply."""
     if rows.b.size and rows.source[0] != rows.source[-1]:
         return None
-    if (covers := _cells(rows.A, live)) is None:
+    if rows.blocks:  # the rows are one partition's cells, held as its cell index
+        ((_, k, cell),) = rows.blocks
+        covers = cell < k
+    elif (covers := _cells(rows.A, live)) is None:
         return None
     rest, left = live & (covers == 0.0), 1.0 - math.fsum(rows.b.tolist())
     if not rest.any():  # rows that cover the live support leave dust at most; more is the dual's
         if abs(left) > ZERO_MASS:
             return None
         left = 0.0  # _reweight skips a cell of weight 0
-    cells = (*(rows.A * live), rest)  # another constraint's pin can empty outcomes in a row
+    # another constraint's pin can empty outcomes in a row; a block's rows are masks
+    cells = (*(rows.matrix.row(j) * live for j in range(len(rows.b))), rest)
     return cells, (*rows.b.tolist(), left), [float(prior.array @ cell) for cell in cells]
 
 
@@ -391,8 +382,8 @@ def maxent_update(
     else:
         q = prior.array[live]
         q = q / q.sum()
-        A = rows.A if live.all() else rows.A.compress(live, axis=1)
-        p_live, lam, iterations = _dual_newton(q, A, rows.b, rows.index, rows.source, options)
+        A = rows.matrix if live.all() else rows.matrix.compress(live)
+        p_live, lam, iterations = _dual_newton(q, A, rows.b, rows.index, options)
         multipliers = tuple(lam.tolist())
         full = np.zeros(len(prior.space))
         full[live] = p_live

@@ -38,6 +38,10 @@ ZERO_MASS = 1e-12
 #: Allowed deviation of a weight vector's total from one.
 SUM_TOL = 1e-9
 
+#: numpy's pairwise total is trusted against SUM_TOL only this far inside it; it is within
+#: 1e-14 of the exact total, so nearer the bound the exactly rounded total decides.
+PAIRWISE_SUM_MARGIN = 1e-12
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -76,7 +80,7 @@ def _require_simplex(a: np.ndarray, kind: str, noun: str, nouns: str) -> None:
     if a.min() < 0.0:
         raise ConstructionError(f"{kind}.negative_weight", f"negative {noun} {float(a.min())}")
     with np.errstate(over="ignore"):  # finite weights past the float range sum to inf
-        if abs(float(a.sum()) - 1.0) <= SUM_TOL - 1e-12:
+        if abs(float(a.sum()) - 1.0) <= SUM_TOL - PAIRWISE_SUM_MARGIN:
             return
     try:
         total = math.fsum(a.ravel().tolist())

@@ -222,7 +222,7 @@ class TestResidualKernel:
             dist = Distribution(space_of(n), p / p.sum())
             A = rng.normal(size=(m, n)) * 10.0 ** rng.uniform(0.0, 9.0, size=(m, 1))
             b = A @ dist.array + rng.normal(size=m) * 10.0 ** rng.uniform(-12.0, 0.0, size=m)
-            system = System(dist.space, A, b, tuple(range(m)), tuple(range(m)), (None,) * m)
+            system = System(dist.space, A, b, tuple(range(m)), tuple(range(m)), (None,) * m, ())
             got = residual(dist, system)
             assert type(got) is float
             assert got == per_row_residual(dist, system), (m, n)

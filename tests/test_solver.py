@@ -13,7 +13,8 @@ from numpy.testing import assert_allclose
 import relent.constraints
 import relent.solver
 from relent.constraints import (
-    CondProb, EventProb, Expectation, PartitionWeights, compile_all, residual, triage_feasibility,
+    CELL_INDEX_ROWS, CondProb, EventProb, Expectation, Matrix, PartitionWeights, compile_all,
+    residual, triage_feasibility,
 )
 from relent.errors import (
     ConstructionError,
@@ -26,12 +27,10 @@ from relent.errors import (
 from relent.information import relative_entropy
 from relent.scenario import emit_report, parse_file
 from relent.solver import (
-    CELL_INDEX_ROWS,
     HESS_BLOCK,
     HESS_EPS,
     SolverOptions,
     UpdateReport,
-    _cell_blocks,
     _dual_newton,
     _gram,
     jeffrey_update,
@@ -674,7 +673,7 @@ class TestBlockedHessian:
         A = rng.normal(size=(m, n))
         p = rng.dirichlet(np.ones(n))
         B = A * np.sqrt(p)
-        return _gram(A, [])(p), B @ B.T
+        return _gram(Matrix(A, (), m))(p), B @ B.T
 
     def test_one_block_is_the_single_product(self):
         gram, single = self._gram(HESS_BLOCK)
@@ -699,8 +698,8 @@ class TestBlockedHessian:
         p_star /= p_star.sum()
         tracemalloc.start()
         try:
-            rows = tuple(range(16))  # each its own constraint
-            p, _, _ = _dual_newton(q, A, A @ p_star, rows, rows, SolverOptions())
+            index = tuple(range(16))  # the compiled row numbers
+            p, _, _ = _dual_newton(q, Matrix(A, (), 16), A @ p_star, index, SolverOptions())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -740,16 +739,16 @@ class TestBlockedHessian:
 
 
 class TestCellIndexGram:
-    """Partitions of at least CELL_INDEX_ROWS cells enter the dual's Gram products through their
-    cell index; every other row keeps the dense product."""
+    """A partition of at least CELL_INDEX_ROWS cells compiles to a block of the System, its cell
+    index, and every product with the rows reads it there; every other row stays dense."""
 
-    @pytest.mark.parametrize("seed", [18, 19])
-    def test_a_table_fit_is_iterative_proportional_fitting(self, seed):
+    @pytest.mark.parametrize("seed, k", [(18, 10), (19, 10), (18, 20)], ids=["18", "19", "18-k20"])
+    def test_a_table_fit_is_iterative_proportional_fitting(self, seed, k):
         # an independent oracle: cyclic Jeffrey updates on the three pairwise margins of a
-        # 10x10x10 table converge to the same I-projection the dual reaches
-        sc = _contingency_table(np.random.default_rng(seed))
+        # k x k x k table converge to the same I-projection the dual reaches
+        sc = _contingency_table(np.random.default_rng(seed), k)
         system = compile_all(sc.constraints, sc.space)
-        assert len(_cell_blocks(system.A, system.source)) == 3
+        assert len(system.blocks) == 3 and system.A.shape == (0, k ** 3)
         report = maxent_update(sc.prior, sc.constraints)
         margins = [(np.argmax([cell.indicator for cell in c.partition.cells], axis=0),
                     np.array(c.weights) / math.fsum(c.weights)) for c in sc.constraints]
@@ -764,11 +763,30 @@ class TestCellIndexGram:
         assert report.method == "dual_newton" and report.final_residual <= SolverOptions().tol
         assert np.abs(report.posterior.array - p).sum() <= 1e-10
 
+    def test_a_table_fit_holds_no_dense_cell_rows(self):
+        # the three 100-cell margins of a 10x10x10 table compile to cell indexes, and the
+        # selection factors its covariance in place: the fit's traced peak is about three
+        # 300x300 matrices (2.1 MiB), where 300 dense cell rows, their rescan and five such
+        # matrices at the selection's Cholesky took it to 5.1 MiB
+        sc = _contingency_table(np.random.default_rng(18), 10)
+        system = compile_all(sc.constraints, sc.space)
+        assert system.A.shape == (0, 1000)
+        assert [(r0, r1) for r0, r1, _ in system.blocks] == [(0, 100), (100, 200), (200, 300)]
+        tracemalloc.start()
+        try:
+            report = maxent_update(sc.prior, sc.constraints)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.method == "dual_newton" and report.final_residual <= SolverOptions().tol
+        assert peak < 3 * 2 ** 20
+
     @staticmethod
     def _rows(rng):
-        """Triage's rows, on the live outcomes, of a random request that one p meets: 0-2
-        whole pins at 0, two partitions of CELL_INDEX_ROWS + 4 to + 12 cells, one of
-        3 cells, and 1-4 event, expectation or conditional rows, in random order."""
+        """Triage's rows as a Matrix on the live outcomes, the same rows as dense rows of
+        compile_constraint's masks, and p there, for a random request that p meets: 0-2 whole
+        pins at 0, two partitions of CELL_INDEX_ROWS + 4 to + 12 cells, one of 3 cells, and
+        1-4 event, expectation or conditional rows, in random order."""
         n = int(rng.integers(3 * CELL_INDEX_ROWS, 6 * CELL_INDEX_ROWS))
         space, p = space_of(n), rng.dirichlet(np.ones(n))
         constraints = []
@@ -792,30 +810,158 @@ class TestCellIndexGram:
             ][int(rng.integers(3))])
         constraints = [constraints[j] for j in rng.permutation(len(constraints))]
         system = compile_all(constraints, space)
+        assert len(system.blocks) == 2
         live, rows = triage_feasibility(system, Distribution.uniform(space), SolverOptions().tol)
-        return rows.A.compress(live, axis=1), rows.source, p[live]
+        dense = np.array([coeffs for c in constraints
+                          for coeffs, _ in relent.constraints.compile_constraint(c, space)], float)
+        return (rows.matrix.compress(live), dense[list(rows.index)].compress(live, axis=1),
+                p[live])
 
     def test_the_gram_is_the_dense_product(self):
         # on a random subset of triage's rows (so a partition may miss a cell, whose outcomes
         # no row of its block covers) and a random subset of those: A diag(w) A^T at a
-        # posterior-like w and at unit weights, as the dense product gives it
+        # posterior-like w and at unit weights, and A p, A^T y, Y A, the row sums, ranges and
+        # rows, as the dense rows give them
         rng = np.random.default_rng(20261045)
         ran = {"blocks": 0, "beside dense rows": 0}
         for _ in range(30):
-            A, source, p = self._rows(rng)
+            M, A, p = self._rows(rng)
             sub = np.flatnonzero(rng.random(len(A)) < 0.95)
-            A, source = A[sub], tuple(source[j] for j in sub)
-            blocks = _cell_blocks(A, source)
+            M, A = M.take(sub), A[sub]
             kept = np.flatnonzero(rng.random(len(A)) < 0.8)
-            dense = [j for j in kept if not any(r0 <= j < r1 for r0, r1, _ in blocks)]
-            ran["blocks"] += bool(blocks)
-            ran["beside dense rows"] += bool(blocks) and bool(dense)
-            gram = _gram(A, blocks, kept)
+            ran["blocks"] += bool(M.take(kept).blocks)
+            ran["beside dense rows"] += bool(M.take(kept).blocks) and len(M.take(kept).A) > 0
+            y, Y = rng.normal(size=len(A)), rng.normal(size=(3, len(A)))
+            assert_allclose(M.dot(p), A @ p, rtol=1e-14, atol=1e-16)
+            assert_allclose(M.tdot(y), A.T @ y, rtol=1e-13, atol=1e-13)
+            assert_allclose(M.tdot(Y), Y @ A, rtol=1e-13, atol=1e-13)
+            assert M.dot().tolist() == A.sum(axis=1).tolist()
+            live = rng.random(A.shape[1]) < 0.7
+            ranges = (A.min(axis=1, where=live, initial=np.inf),
+                      A.max(axis=1, where=live, initial=-np.inf))
+            assert all(np.array_equal(x, want) for x, want in zip(M.ranges(live), ranges))
+            assert all(np.array_equal(M.row(j), A[j]) for j in range(len(A)))
+            gram = _gram(M, kept)
             for w in (p, None):
                 B = A[kept] if w is None else A[kept] * w
                 expected = B @ A[kept].T
                 assert np.abs(gram(w) - expected).max() <= 1e-14 * np.abs(expected).max()
         assert min(ran.values()) >= 25, ran
+
+    @pytest.mark.parametrize("options", [SolverOptions(), NO_FAST], ids=["fast", "no_fast"])
+    def test_a_block_solves_as_its_cells_given_as_events(self, options):
+        # one partition of 40 cells beside an event, an expectation and a conditional row,
+        # then the same request with each cell an EventProb row, which stays dense
+        rng = np.random.default_rng(46)
+        n = 600
+        space = space_of(n)
+        q = rng.dirichlet(np.ones(n))
+        cells, part = _random_partition(rng, space, 40)
+        x = rng.normal(size=n)
+        event, given = rng.random(n) < 0.4, rng.random(n) < 0.5
+        both = event & given
+        cell = np.empty(n, int)
+        for c, members in enumerate(cells):
+            cell[members] = c
+        # a tilt along the event, x and the cells; the conditional's row gets multiplier 0
+        logits = np.log(q) + 0.3 * x - 0.5 * event + rng.normal(scale=0.5, size=40)[cell]
+        p_star = np.exp(logits - logits.max())
+        p_star /= p_star.sum()
+
+        def subset(mask):
+            return space.subset(*(space.outcomes[i] for i in np.flatnonzero(mask)))
+
+        others = [
+            EventProb(subset(event), float(p_star[event].sum())),
+            Expectation(RandomVariable(space, tuple(x.tolist())), float(x @ p_star)),
+            CondProb(subset(both), subset(given), float(p_star[both].sum() / p_star[given].sum())),
+        ]
+        weights = tuple(float(p_star[c].sum()) for c in cells)
+        total = math.fsum(weights)
+        block = [others[0], PartitionWeights(part, weights), *others[1:]]
+        dense = [others[0], *(EventProb(c, w / total) for c, w in zip(part.cells, weights)),
+                 *others[1:]]
+        prior = Distribution.from_array(space, q)
+        assert len(compile_all(block, space).blocks) == 1
+        assert not compile_all(dense, space).blocks
+        one, other = (maxent_update(prior, cs, options) for cs in (block, dense))
+        assert one.method == other.method == "dual_newton"
+        assert np.abs(one.posterior.array - other.posterior.array).max() <= 1e-12
+        assert np.abs(one.posterior.array - p_star).sum() <= 1e-9
+        assert len(one.multipliers) == len(other.multipliers) == 43
+
+    def test_a_lone_block_is_jeffreys_rule(self):
+        # 36 cells alone: the closed form reads the block's cells as masks; a cell pinned at 0
+        # by its weight leaves its outcomes at 0, and the dual agrees without the fast path
+        rng = np.random.default_rng(47)
+        space = space_of(300)
+        prior = Distribution.from_array(space, rng.dirichlet(np.ones(300)))
+        cells, part = _random_partition(rng, space, 36)
+        w = rng.dirichlet(np.ones(36))
+        w[5] = 0.0
+        w /= w.sum()
+        fast = maxent_update(prior, [PartitionWeights(part, tuple(w))])
+        slow = maxent_update(prior, [PartitionWeights(part, tuple(w))], NO_FAST)
+        assert fast.method == "jeffrey" and slow.method == "dual_newton"
+        expected = np.zeros(300)
+        for c, members in enumerate(cells):
+            expected[members] = prior.array[members] / prior.array[members].sum() * w[c]
+        assert np.abs(fast.posterior.array - expected).max() <= 1e-15
+        assert np.abs(slow.posterior.array - expected).max() <= 1e-12
+        assert (fast.posterior.array[cells[5]] == 0.0).all()
+
+    @staticmethod
+    def _pinned(pin):
+        """A prior on 200 outcomes, 33 cells, weights with cell 7's at ``pin``, and cell 7's
+        outcomes as a mask."""
+        rng = np.random.default_rng(48)
+        space = space_of(200)
+        prior = Distribution.from_array(space, rng.dirichlet(np.ones(200)))
+        cells, part = _random_partition(rng, space, 33)
+        w = np.insert(rng.dirichlet(np.ones(32)) * (1.0 - pin), 7, pin)
+        inside = np.zeros(200, bool)
+        inside[cells[7]] = True
+        return prior, part, w, inside
+
+    @pytest.mark.parametrize("pin", [0.0, 1.0], ids=["zero", "one"])
+    def test_triage_pins_a_block_as_its_dense_rows(self, pin):
+        # a cell of weight 0 takes its outcomes off the live support, and a cell of weight 1
+        # keeps only its own, whether the cells are a block or EventProb rows
+        prior, part, w, inside = self._pinned(pin)
+        space = prior.space
+        either = space.subset(*space.outcomes[::2])
+        found = []
+        for cells in ([PartitionWeights(part, tuple(w))],
+                      [EventProb(c, x) for c, x in zip(part.cells, w)]):
+            system = compile_all([*cells, EventProb(either, 0.5)], space)
+            live, rows = triage_feasibility(system, prior, SolverOptions().tol)
+            found.append((live, rows.index))
+            assert bool(rows.blocks) == (pin == 0.0 and len(cells) == 1)
+        (live, index), (dense_live, dense_index) = found
+        assert np.array_equal(live, dense_live) and index == dense_index
+        assert np.array_equal(live, inside if pin == 1.0 else ~inside)
+        assert index == ((33,) if pin == 1.0 else tuple(j for j in range(34) if j != 7))
+
+    def test_a_dependency_witness_after_a_pin_names_compiled_rows(self):
+        # cell 7 pinned at 0 shifts the block's later rows down by one; an event on cells
+        # 8-11 whose target misses their weights by 0.01 is read off them, and its stake
+        # names those cells by their compiled numbers, as it does when they are EventProb rows
+        prior, part, w, inside = self._pinned(0.0)
+        space = prior.space
+        union = Event(space, [x for c in part.cells[8:12] for x in c.labels])
+        event = EventProb(union, math.fsum(w[8:12]) / math.fsum(w) + 0.01)
+        as_events = [EventProb(c, x / math.fsum(w)) for c, x in zip(part.cells, w)]
+        raised = []
+        for cells in ([PartitionWeights(part, tuple(w))], as_events):
+            with pytest.raises(InfeasibleConstraint) as exc:
+                maxent_update(prior, [*cells, event])
+            raised.append(exc.value)
+        _assert_refutes(raised[0], compile_all([*as_events, event], space), ~inside,
+                        SolverOptions().tol)
+        (one,), (other,) = (e.witnesses for e in raised)
+        assert one.rows == other.rows and {8, 9, 10, 11, 33} <= set(one.rows)
+        assert 7 not in one.rows
+        assert_allclose(one.stake, other.stake, rtol=0, atol=1e-12)
 
 
 class TestMaxentFailureModes:

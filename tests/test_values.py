@@ -105,10 +105,10 @@ class TestSystem:
         _frozen(system, "A")
 
     def test_repr(self):
-        system = System(AB, np.eye(2)[:1], np.array([0.25]), (0,), (0,), (None,))
+        system = System(AB, np.eye(2)[:1], np.array([0.25]), (0,), (0,), (None,), ())
         assert repr(system) == (
             f"System(space={AB_REPR}, A=array([[1., 0.]]), b=array([0.25]), index=(0,), "
-            "source=(0,), given=(None,))")
+            "source=(0,), given=(None,), blocks=())")
 
 
 class TestDistribution:
