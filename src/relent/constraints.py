@@ -221,8 +221,11 @@ class Matrix:
 
     def take(self, rows) -> "Matrix":
         """The rows at the increasing positions ``rows``, in order, each block's renumbered;
-        ``A`` itself, not a copy, when they keep every dense row."""
+        ``A`` itself, not a copy, when they keep every dense row, and this matrix when every
+        row."""
         rows = np.asarray(rows, np.intp)
+        if len(rows) == self.m:
+            return self
         dense = rows if self.dense is None else np.searchsorted(
             self.dense, rows[np.isin(rows, self.dense)])  # positions in A
         blocks = []

@@ -26,10 +26,12 @@ rows, each taken only if the dual rises by ARMIJO times its slope, stop
 once every active row is within tol of its target. Every product with
 the rows goes through the ``System``'s ``Matrix``, restricted to the live
 outcomes and, for the Newton system, to the kept rows: A p, A^T lam, row
-sums and ranges. A partition of at least CELL_INDEX_ROWS cells is a block
-there, held as its cell index, and each of those products reads it with
-one ``bincount`` or one gather, at O(n); the closed form reads its cells
-as masks. The selection's covariance and each step's Hessian are Gram
+sums and ranges; the closed form is two of them, each cell's mass on the
+live outcomes, A (p * live), and A^T of those masses and of the targets,
+each outcome's cell mass and weight. A partition of at least
+CELL_INDEX_ROWS cells is a block there, held as its cell index, and each
+of those products reads it with one ``bincount`` or one gather, at O(n).
+The selection's covariance and each step's Hessian are Gram
 products A diag(w) A^T of the rows, formed in one place, ``_gram``: a
 block enters as the diagonal of its cell masses, one ``bincount`` table
 against another block and one weighted ``bincount`` against each dense
@@ -56,7 +58,7 @@ from . import information
 from .constraints import Constraint, Matrix, PartitionWeights, System, Witness
 from .errors import ConstructionError, DegenerateConditional, InfeasibleConstraint, NonConvergence
 from .spaces import ZERO_MASS, Distribution, Partition, _finite_scalar, _integer, _reweight
-from .spaces import _Value
+from .spaces import _Value, _row_dots
 
 #: Added to the dual Hessian's diagonal. Dependent rows leave before the first step, so it
 #: only damps a step whose Hessian is near singular because a row has tiny prior mass.
@@ -157,15 +159,6 @@ def _check_conditionals(posterior: Distribution, system: System, constraints: Se
                 f"conditioning event of {constraints[system.source[j]].describe()} has zero "
                 "posterior probability; the conditional constraint holds only vacuously"
             )
-
-
-def _cells(A: np.ndarray, live=True) -> np.ndarray | None:
-    """How many rows of ``A`` cover each outcome, when they are disjoint 0/1 rows on the
-    ``live`` outcomes (a partition's cells, say), else None."""
-    covers = A.sum(axis=0)
-    if not ((A == 0.0) | (A == 1.0)).all() or np.any(covers > 1.0, where=live):
-        return None
-    return covers
 
 
 def _gram(A: Matrix, rows=slice(None)):
@@ -327,23 +320,22 @@ def _dual_newton(
 
 
 def _closed_form(prior: Distribution, rows: System, live):
-    """Cells, weights and masses of Jeffrey's rule on the rows triage leaves, ``rows``, and
-    the live outcomes they miss (module docstring), or None if it does not apply."""
+    """Each outcome's cell mass and cell weight under Jeffrey's rule on the rows triage
+    leaves, ``rows``, and the live outcomes they miss (module docstring), both read through
+    the rows' ``Matrix``, or None if it does not apply. Rows of one constraint are disjoint:
+    only a partition compiles to more than one row."""
     if rows.b.size and rows.source[0] != rows.source[-1]:
         return None
-    if rows.blocks:  # the rows are one partition's cells, held as its cell index
-        ((_, k, cell),) = rows.blocks
-        covers = cell < k
-    elif (covers := _cells(rows.A, live)) is None:
+    if not ((rows.A == 0.0) | (rows.A == 1.0)).all():  # a block's rows are 0/1 already
         return None
-    rest, left = live & (covers == 0.0), 1.0 - math.fsum(rows.b.tolist())
-    if not rest.any():  # rows that cover the live support leave dust at most; more is the dual's
-        if abs(left) > ZERO_MASS:
-            return None
-        left = 0.0  # _reweight skips a cell of weight 0
-    # another constraint's pin can empty outcomes in a row; a block's rows are masks
-    cells = (*(rows.matrix.row(j) * live for j in range(len(rows.b))), rest)
-    return cells, (*rows.b.tolist(), left), [float(prior.array @ cell) for cell in cells]
+    A, p = rows.matrix, prior.array
+    # another constraint's pin can empty outcomes in a row, so a cell's mass is its live one
+    mass = A.tdot(A.dot(p * live, _row_dots))
+    # a live outcome has prior mass, so its cell has too: the live outcomes no row holds
+    rest, left = live & (mass == 0.0), 1.0 - math.fsum(rows.b.tolist())
+    if not rest.any() and abs(left) > ZERO_MASS:  # dust at most is left; more is the dual's
+        return None
+    return mass + rest * (p @ rest), A.tdot(rows.b) * live + rest * left
 
 
 def maxent_update(

@@ -519,19 +519,19 @@ class JointDistribution(_ArrayValued):
 # ---------------------------------------------------------------------------
 
 
-def _reweight(dist: Distribution, cells, weights, masses) -> Distribution:
-    """Jeffrey's rule: each disjoint mask or 0/1 row of ``cells`` with a nonzero weight,
-    rescaled from its mass under ``dist`` (positive wherever its weight is nonzero) to its
-    weight."""
-    out = np.zeros(len(dist.space))
-    for cell, w, m in zip(cells, weights, masses):
-        if w != 0.0:
-            out += dist.array * cell / m * w  # at most 1 before * w, even for a subnormal m
+def _reweight(dist: Distribution, mass, weight) -> Distribution:
+    """Jeffrey's rule: each outcome's probability under ``dist`` rescaled from its cell's
+    ``mass`` (positive wherever the cell's ``weight`` is nonzero) to that ``weight``, each
+    a scalar or a value per outcome; an outcome of weight 0 gets 0."""
+    nonzero = weight != 0
+    out = np.divide(dist.array, mass, out=np.zeros(len(dist.space)), where=nonzero)
+    np.multiply(out, weight, out=out, where=nonzero)  # at most 1 before, even for a subnormal mass
     return Distribution.from_array(dist.space, out)
 
 
 def condition(dist: Distribution, e: Event) -> Distribution:
-    """Restrict ``dist`` to ``e`` and renormalize: Jeffrey's rule's kernel on one cell, weight 1.
+    """Restrict ``dist`` to ``e`` and renormalize: Jeffrey's rule's kernel on one cell, ``e``,
+    of mass P(e) and weight 1 (its indicator, 0 outside it).
 
     Outcomes outside ``e`` get weight zero. Raises :class:`ZeroMassEvent`
     when P(e) is at or below the zero-mass threshold.
@@ -539,7 +539,7 @@ def condition(dist: Distribution, e: Event) -> Distribution:
     mass = dist.prob(e)
     if mass <= ZERO_MASS:
         raise ZeroMassEvent(f"cannot condition on {e.describe()} with probability {mass!r}")
-    return _reweight(dist, (e.indicator,), (1.0,), (mass,))
+    return _reweight(dist, mass, e.indicator)
 
 
 def expectation(dist: Distribution, f: RandomVariable) -> float:

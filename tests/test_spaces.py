@@ -714,25 +714,26 @@ def test_masks_give_the_bits_of_0_1_float_indicators(n, seed):
 
     assert prior.prob(e) == float(prior.array @ F[e])
     assert np.array_equal(condition(prior, e).array,
-                          _reweight(prior, (F[e],), (1.0,), (float(prior.array @ F[e]),)).array)
+                          _reweight(prior, float(prior.array @ F[e]), F[e]).array)
     report = maxent_update(prior, [EventProb(e, 1.0)])  # conditions on the pinned support
     live = (prior.support & e.indicator).astype(float)
     assert report.method == "conditionalization"
     assert np.array_equal(report.posterior.array,
-                          _reweight(prior, (live,), (1.0,), (prior.array @ live,)).array)
+                          _reweight(prior, prior.array @ live, live).array)
 
     labels = rng.integers(4, size=n)
     labels[:4] = np.arange(4)[:n]
     part = Partition.from_labels(s, [[s.outcomes[i] for i in np.flatnonzero(labels == k)]
                                      for k in range(min(n, 4))])
-    cells = [c.indicator.astype(float) for c in part.cells]
-    masses = [float(prior.array @ c) for c in cells]
-    weights = rng.random(len(cells)) * (np.array(masses) > 0.0)
+    cells = np.array([c.indicator.astype(float) for c in part.cells])
+    masses = np.array([float(prior.array @ c) for c in cells])
+    weights = rng.random(len(cells)) * (masses > 0.0)
     weights = (weights / weights.sum()).tolist()
     total = math.fsum(weights)
+    # each outcome's cell mass and weight, spread by its one nonzero 0/1 entry
     assert np.array_equal(
         jeffrey_update(prior, part, weights).array,
-        _reweight(prior, cells, [x / total for x in weights], masses).array)
+        _reweight(prior, masses @ cells, np.array([x / total for x in weights]) @ cells).array)
 
     ((coeffs, _),) = compile_constraint(CondProb(t, g, 0.3), s)
     assert np.array_equal(coeffs, F[t] * F[g] - 0.3 * F[g])
