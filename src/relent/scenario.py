@@ -28,12 +28,14 @@ system:
 Each top-level section is described once, by its row in ``_SECTIONS``,
 and each constraint and query kind by its row in ``_CONSTRAINT_KINDS``
 or ``_QUERY_KINDS``; parsing, the unknown-key checks and ``serialize``
-read those rows. A document of at least ``STREAM_MIN_CHARS`` characters
-is built while it is decoded: the top level one member at a time,
-``"constraints"`` and ``"queries"`` one entry at a time, so that a parse
-never holds the whole decoded document. A shorter document, and any
-document that walk cannot finish, valid or not, is decoded whole and
-then built; only that path raises, so errors do not depend on the size.
+read those rows. A document of at least ``STREAM_MIN_CHARS`` (2^18)
+characters is built while it is decoded: the top level one member at a
+time, ``"constraints"``, ``"queries"`` and ``"forecasts"`` one entry at a
+time, through the same per-entry readers as the whole-document path, so
+that a parse never holds the whole decoded document. A shorter document,
+and any document that walk cannot finish, valid or not, is decoded whole
+and then built; only that path raises, so errors do not depend on the
+size.
 Bytes that do not decode, malformed JSON and JSON that nests too deeply
 raise ParseError, malformed JSON with position; schema and invariant
 violations raise ConstructionError with a distinct code naming the
@@ -48,7 +50,7 @@ import json
 import math
 import re
 from functools import partial
-from typing import Any, Iterable, Sequence, Union
+from typing import Any, Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -277,12 +279,17 @@ def _read(path: str) -> str:
     return _decode(data)
 
 
-def _entries(space: SampleSpace, raw: Any, name: str, section: str, kinds: dict) -> tuple:
-    """Each constraint or query of the array ``raw``."""
+# An array section is read entry by entry: read(space, decoded entry, location)
+# builds one entry, gather(space, list of built entries) the section's value.
+_Read = Callable[[SampleSpace, Any, str], Any]
+_Gather = Callable[[SampleSpace, list], Any]
+
+
+def _entries(space: SampleSpace, raw: Any, name: str, read: _Read, gather: _Gather) -> Any:
+    """The section ``name`` of the array ``raw``, each entry built by ``read``."""
     if not isinstance(raw, list):
         raise ConstructionError(f"{name}.not_array", f'"{name}" must be an array')
-    return tuple(_parse_entry(space, obj, f'"{name}"[{i}]', section, kinds)
-                 for i, obj in enumerate(raw))
+    return gather(space, [read(space, obj, f'"{name}"[{i}]') for i, obj in enumerate(raw)])
 
 
 def _version(raw: Any) -> None:
@@ -299,35 +306,40 @@ def _prior(space: SampleSpace, raw: Any) -> Distribution:
     raise ConstructionError("prior.bad", '"prior" must be "uniform" or an array of numbers')
 
 
-def _forecasts(space: SampleSpace, raw: Any) -> ForecastSystem:
-    if not isinstance(raw, list):
-        raise ConstructionError("forecasts.not_array", '"forecasts" must be an array')
-    events: list[Event] = []
-    values: list[float] = []
-    for i, entry in enumerate(raw):
-        where = f'"forecasts"[{i}]'
-        if not isinstance(entry, dict):
-            raise ConstructionError("forecast.bad_entry", f"{where} must be an object")
-        _object_keys(entry, {"event", "value"}, "forecast.bad_entry", where)
-        events.append(_event(space, _required(entry, "event", "forecast.bad_entry", where),
-                             "forecast.bad_entry", f"{where}.event"))
-        values.append(_number(_required(entry, "value", "forecast.bad_entry", where),
-                              "forecast.bad_entry", f"{where}.value"))
-    return ForecastSystem(space, tuple(events), tuple(values))
+def _forecast(space: SampleSpace, entry: Any, where: str) -> tuple[Event, float]:
+    """One ``{"event", "value"}`` entry of "forecasts"; the system checks finiteness."""
+    if not isinstance(entry, dict):
+        raise ConstructionError("forecast.bad_entry", f"{where} must be an object")
+    _object_keys(entry, {"event", "value"}, "forecast.bad_entry", where)
+    return (_event(space, _required(entry, "event", "forecast.bad_entry", where),
+                   "forecast.bad_entry", f"{where}.event"),
+            _number(_required(entry, "value", "forecast.bad_entry", where),
+                    "forecast.bad_entry", f"{where}.value"))
+
+
+def _tuple(_: SampleSpace, values: list) -> tuple:
+    return tuple(values)
+
+
+def _book(space: SampleSpace, pairs: list[tuple[Event, float]]) -> ForecastSystem:
+    """The forecast system of the ``(event, value)`` pairs ``_forecast`` reads."""
+    return ForecastSystem(space, tuple(e for e, _ in pairs), tuple(v for _, v in pairs))
 
 
 # Each top-level key, in the order its errors are reported: whether a document
 # must have it, and the builder of its value from the space (None before
-# "space") and its decoded value. The walk builds "constraints" and "queries",
-# partials of _entries, one entry at a time from the partials' keywords.
+# "space") and its decoded value. The walk builds "constraints", "queries" and
+# "forecasts", partials of _entries, one entry at a time from the partials'
+# keywords.
 _SECTIONS = {
     "version": (False, lambda _, raw: _version(raw)),
     "space": (True, lambda _, raw: SampleSpace(_labels(raw, "space.not_label_array", '"space"'))),
     "prior": (True, _prior),
-    "constraints": (True, partial(_entries, name="constraints", section="constraint",
-                                  kinds=_CONSTRAINT_KINDS)),
-    "queries": (False, partial(_entries, name="queries", section="query", kinds=_QUERY_KINDS)),
-    "forecasts": (False, _forecasts),
+    "constraints": (True, partial(_entries, name="constraints", gather=_tuple, read=partial(
+        _parse_entry, section="constraint", kinds=_CONSTRAINT_KINDS))),
+    "queries": (False, partial(_entries, name="queries", gather=_tuple, read=partial(
+        _parse_entry, section="query", kinds=_QUERY_KINDS))),
+    "forecasts": (False, partial(_entries, name="forecasts", read=_forecast, gather=_book)),
 }
 
 
@@ -353,8 +365,10 @@ def _scenario(data: Any) -> Scenario:
 
 
 #: Texts of at least this many characters are built while they are
-#: decoded (``_walk``); shorter ones are decoded whole first.
-STREAM_MIN_CHARS = 1 << 20
+#: decoded (``_walk``); shorter ones are decoded whole first. From 2^18
+#: characters the decoded form (5-8 times the text) is a few percent of a
+#: launch's RSS; below it walking costs up to 13% more parse time.
+STREAM_MIN_CHARS = 1 << 18
 
 _WHITESPACE = re.compile(r"[ \t\n\r]*")  # the whitespace JSON allows between tokens
 _raw_decode = json.JSONDecoder().raw_decode
@@ -374,26 +388,26 @@ def _token(text: str, i: int, allowed: str) -> tuple[str, int]:
     return c, _WHITESPACE.match(text, i + 1).end()
 
 
-def _walk_entries(text: str, i: int, space: SampleSpace, name: str, section: str,
-                  kinds: dict) -> tuple[tuple, int]:
-    """The entries of the array at ``i``, each built as soon as it is decoded, and the
-    position after the array."""
+def _walk_entries(text: str, i: int, space: SampleSpace, name: str, read: _Read,
+                  gather: _Gather) -> tuple[Any, int]:
+    """The section ``name`` of the array at ``i``, each entry built as soon as it is
+    decoded, and the position after the array."""
     _, i = _token(text, i, "[")
     values = []
     if text.startswith("]", i):
-        return (), i + 1
+        return gather(space, values), i + 1
     while True:
         obj, i = _raw_decode(text, i)
-        values.append(_parse_entry(space, obj, f'"{name}"[{len(values)}]', section, kinds))
+        values.append(read(space, obj, f'"{name}"[{len(values)}]'))
         del obj  # before the next entry is decoded
         c, i = _token(text, i, ",]")
         if c == "]":
-            return tuple(values), i
+            return gather(space, values), i
 
 
 def _walk(text: str) -> Scenario:
     """Build a scenario while its text is decoded: the top-level object one member at
-    a time, ``"constraints"`` and ``"queries"`` one entry at a time.
+    a time, ``"constraints"``, ``"queries"`` and ``"forecasts"`` one entry at a time.
 
     Raises as soon as the document is not one that the whole-document path
     builds from the same values: malformed or trailing text, a key that is
@@ -409,7 +423,7 @@ def _walk(text: str) -> Scenario:
             raise _Unwalkable
         _, i = _token(text, i, ":")
         build = _SECTIONS[key][1]
-        if isinstance(build, partial):  # "constraints" or "queries"
+        if isinstance(build, partial):  # "constraints", "queries" or "forecasts"
             built[key], i = _walk_entries(text, i, built.get("space"), **build.keywords)
         else:
             raw, i = _raw_decode(text, i)
@@ -429,7 +443,7 @@ def parse(document: str | bytes | bytearray) -> Scenario:
 
     Bytes are decoded as ``json.loads`` decodes them. A text of at least
     ``STREAM_MIN_CHARS`` characters is first walked, so that no more than
-    one constraint or query is held decoded at a time. A document the walk
+    one constraint, query or forecast is held decoded at a time. A document the walk
     cannot finish, valid or not, is decoded whole and then built, which
     reports every error.
     """

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import relent
-from relent import errors
+from relent import errors, scenario
 from relent.axioms import AxiomReport
 from relent.cli import main
 from relent.errors import RelentError
@@ -479,6 +479,28 @@ class TestAudit:
     def test_scenario_without_forecasts_exits_3(self, capsys):
         assert run_main(capsys, "audit", DIE) == (
             3, "", 'invalid input [forecasts.missing]: audit needs a "forecasts" section\n')
+
+    @pytest.mark.parametrize("name,exit_code", [("audit_admissible_8", 0),
+                                                ("audit_dominated_64", 2)])
+    def test_walked_golden_book_prints_its_golden_report(self, name, exit_code, capsys,
+                                                         tmp_path, monkeypatch):
+        # padded with whitespace past STREAM_MIN_CHARS, the book is built while it
+        # is decoded, its forecasts one entry at a time, and reports as its golden
+        path = tmp_path / f"{name}.json"
+        path.write_text((GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+                        + " " * scenario.STREAM_MIN_CHARS, encoding="utf-8")
+        walked = []
+        real_walk = scenario._walk
+
+        def walk(text):
+            walked.append(real_walk(text))
+            return walked[-1]
+
+        monkeypatch.setattr(scenario, "_walk", walk)
+        code, out, err = run_main(capsys, "audit", str(path))
+        assert (code, out.encode("utf-8")) == (exit_code, (GOLDEN / f"{name}.out").read_bytes())
+        assert len(walked) == 1 and walked[0].forecasts is not None
+        assert exit_code or err == ""
 
     def test_unfinished_hull_projection_exits_4(self, capsys, monkeypatch):
         # one major step leaves the dominated book's projection far from the hull's

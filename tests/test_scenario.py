@@ -39,6 +39,16 @@ from relent.spaces import Distribution, Event, Partition, RandomVariable, Sample
 
 from conftest import distributions, positive_distributions
 
+def traced_peak(load) -> int:
+    """The most memory that tracemalloc sees allocated at once while ``load`` runs."""
+    tracemalloc.start()
+    try:
+        load()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 _DIE = SampleSpace(tuple(f"face{k}" for k in range(1, 7)))
 _DIE_PRIOR = Distribution.uniform(_DIE)
 _DIE_SIX = _DIE.subset("face6")
@@ -183,17 +193,9 @@ class TestParse:
         path = tmp_path / "large.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
 
-        def peak(load) -> int:
-            tracemalloc.start()
-            try:
-                load()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         assert path.stat().st_size >= scenario_module.STREAM_MIN_CHARS
-        decode = peak(lambda: json.loads(path.read_text(encoding="utf-8")))
-        build = peak(lambda: parse_file(str(path)))
+        decode = traced_peak(lambda: json.loads(path.read_text(encoding="utf-8")))
+        build = traced_peak(lambda: parse_file(str(path)))
         assert build / decode <= 1.15
 
     def test_malformed_json_reports_position(self):
@@ -226,6 +228,12 @@ GOLDEN_DOCUMENTS = sorted(
 BAD_ENTRIES = ["17", '{"type": "magic"}', '{"type": "prob"}', '{"type": "entropy", "x": 1}',
                '{"type": "event_prob", "event": [1, "zz"], "value": 0.5}',
                '{"type": "event_prob", "event": ["zz"], "value": 0.5}', "[" * 5000]
+#: Forecast entries that "forecasts" rejects, %s standing for a good entry's event:
+#: not an object, an unknown key, no event, no value, an unknown label, a bool,
+#: string or NaN value, and nesting past the decoder's depth.
+BAD_FORECASTS = ["17", '{"event": %s, "value": 0.5, "why": 1}', '{"value": 0.5}',
+                 '{"event": %s}', '{"event": ["zz"], "value": 0.5}', '{"event": %s, "value": true}',
+                 '{"event": %s, "value": "0.5"}', '{"event": %s, "value": NaN}', "[" * 5000]
 
 
 def _render(members: list[tuple[str, str]]) -> str:
@@ -258,11 +266,15 @@ def mutants(text: str, rng: random.Random) -> list[str]:
         out.append(replaced("version", version) if "version" in keys else put(("version", version)))
     out += [text + tail for tail in (" x", "{}", ",", "]")]
     out += [text[:rng.randrange(len(text))] for _ in range(6)]
-    for section in ("constraints", "queries"):
+    for section, bads in (("constraints", BAD_ENTRIES), ("queries", BAD_ENTRIES),
+                          ("forecasts", BAD_FORECASTS)):
         if section not in keys:
             continue
-        entries = [json.dumps(e) for e in json.loads(dict(members)[section])]
-        for bad in BAD_ENTRIES:
+        raw = json.loads(dict(members)[section])
+        entries = [json.dumps(e) for e in raw]
+        for bad in bads:
+            if "%s" in bad:
+                bad %= json.dumps(rng.choice(raw)["event"])
             k = rng.randrange(len(entries) + 1)
             out.append(replaced(section, "[" + ", ".join([*entries[:k], bad, *entries[k + 1:]]) + "]"))
     for value in ("{}", '"x"', "null", "5"):
@@ -340,17 +352,32 @@ class TestStreaming:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert path.stat().st_size >= scenario_module.STREAM_MIN_CHARS
 
-        def peak(load) -> int:
-            tracemalloc.start()
-            try:
-                load()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        decode = peak(lambda: json.loads(path.read_text(encoding="utf-8")))
-        build = peak(lambda: parse_file(str(path)))
+        decode = traced_peak(lambda: json.loads(path.read_text(encoding="utf-8")))
+        build = traced_peak(lambda: parse_file(str(path)))
         assert build / decode <= 0.4
+
+    def test_walk_holds_one_decoded_forecast_at_a_time(self, tmp_path):
+        # a book over 4096 worlds with 12 bit events and their 12 neighbouring
+        # conjunctions, 0.37 MB of text: its decode peaks at 2.94 MB and its walked
+        # parse at 1.19 MB (ratio 0.40), most of that the text and the bytes it was
+        # read from; with "forecasts" decoded as one member the walked parse peaked
+        # at 3.50 MB (1.19), as the whole-document path does (3.54 MB, 1.20)
+        k = 12
+        labels = [f"w{i:04d}" for i in range(2 ** k)]
+        events = [[x for i, x in enumerate(labels) if i >> a & 1] for a in range(k)]
+        events += [[x for i, x in enumerate(labels) if i >> a & i >> (a + 1) % k & 1]
+                   for a in range(k)]
+        doc = {"version": 1, "space": labels, "prior": "uniform", "constraints": [],
+               "forecasts": [{"event": e, "value": 0.25 + j / 100} for j, e in enumerate(events)]}
+        path = tmp_path / "book.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert path.stat().st_size >= scenario_module.STREAM_MIN_CHARS
+
+        decode = traced_peak(lambda: json.loads(path.read_text(encoding="utf-8")))
+        book = traced_peak(lambda: parse_file(str(path)))
+        assert book / decode <= 0.5
+        assert parse_file(str(path)).forecasts.forecasts == tuple(
+            f["value"] for f in doc["forecasts"])
 
 
 # one document per failure mode, each with its own code
